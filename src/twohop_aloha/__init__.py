@@ -20,12 +20,7 @@ from .core import (
 )
 from .analytic_erasure import benchmark_bound, evaluate_erasure
 from .superposition import ConditionedMC, ExactEnum, evaluate_superposition
-from .sim_erasure import (
-    coupled_compare,
-    simulate,
-    simulate_frames,
-    simulate_tdma,
-)
+from .sim_erasure import coupled_compare, simulate
 from .sim_fading import estimate_fading_metrics
 
 __all__ = [
@@ -47,7 +42,5 @@ __all__ = [
     "evaluate_superposition",
     "coupled_compare",
     "simulate",
-    "simulate_frames",
-    "simulate_tdma",
     "estimate_fading_metrics",
 ]

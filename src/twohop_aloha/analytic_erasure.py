@@ -14,7 +14,6 @@ for the two classes, erasure probabilities ``e1`` (access) and ``e2``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -78,37 +77,6 @@ def _p_cs_array(n: np.ndarray, e1: float) -> np.ndarray:
     """Vectorized p_access_cs with the 0**0 = 1 convention."""
     powers = e1 ** np.maximum(n - 1, 0)
     return np.where(n == 0, 0.0, n * (1.0 - e1) * powers)
-
-
-@dataclass(frozen=True)
-class AccessProbs:
-    """Per-AP decode and end-to-end delivery probabilities at fixed counts.
-
-    ``p_*`` are the access-hop decode probabilities; ``q_*`` additionally
-    require the backhaul hop to come through, q = p * (1 - eps2).
-    """
-
-    p_nc: float
-    p_ncbar: float
-    q_nc: float
-    q_ncbar: float
-
-    def __post_init__(self):
-        for name in ("p_nc", "p_ncbar", "q_nc", "q_ncbar"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {v}")
-
-    @classmethod
-    def from_counts(cls, n_c: int, n_cbar: int, eps1: float, eps2: float):
-        p_nc = p_access_cs(n_c, eps1)
-        p_ncbar = p_access_ncs(n_c, n_cbar, eps1)
-        return cls(
-            p_nc=p_nc,
-            p_ncbar=p_ncbar,
-            q_nc=p_nc * (1.0 - eps2),
-            q_ncbar=p_ncbar * (1.0 - eps2),
-        )
 
 
 # ============================================================================
@@ -200,15 +168,11 @@ def _ncs_throughput_inf_closed(L, e1, e2, g_c, g_n):
     return L * total
 
 
-def _ncs_psr_series(
-    L, e1, e2, g_c, g_n, k: Tolerance, tail_mass=TAIL_MASS_DEFAULT, budget_shift=0
-):
+def _ncs_psr_series(L, e1, e2, g_c, g_n, k: Tolerance, tail_mass=TAIL_MASS_DEFAULT):
     """PSR of a tagged NCS device; covers ideal and finite K.
 
-    ``budget_shift = 1`` reproduces the variant in which the tagged device's
-    own packet is charged against the CS interference budget at the other
-    APs; the default (0) charges only what each AP actually receives, which
-    is what the slot-level simulation measures.
+    The CS interference budget at each AP is charged only with what that AP
+    actually receives, which is what the slot-level simulation measures.
     """
     nc, wc = poisson_weights(g_c, tail_mass)
     nn, wn = normalized_poisson_weights(g_n, tail_mass)
@@ -217,7 +181,7 @@ def _ncs_psr_series(
     if is_infinite(k):
         tol = np.ones(NN.shape)
     else:
-        tol = gamma_k_tolerance_array(NN, e1, k - budget_shift)
+        tol = gamma_k_tolerance_array(NN, e1, k)
     p_u = (1.0 - e1) * e1 ** (NN - 1) * e1**NC
     q = (1.0 - e2) * (_p_cs_array(nc, e1)[:, None] * tol + NN * p_u)
     val = L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)
@@ -348,23 +312,11 @@ def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT)
     return total
 
 
-def _cs_psr_k_series(
-    L,
-    e1,
-    e2,
-    g_c,
-    g_n,
-    K: int,
-    tail_mass=TAIL_MASS_DEFAULT,
-    independent_ncs_factor=False,
-):
+def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int, tail_mass=TAIL_MASS_DEFAULT):
     """Exact finite-K CS PSR for a tagged device.
 
     The delivery pattern of the other L-1 APs is trinomial (CS delivery, NCS
-    delivery, silence are mutually exclusive per AP).  Setting
-    ``independent_ncs_factor`` evaluates the variant that multiplies a
-    no-CS-delivery factor by an independent binomial NCS budget instead;
-    that factorization overcounts silence and is kept only for comparison.
+    delivery, silence are mutually exclusive per AP).
     """
     npr, wpr = normalized_poisson_weights(g_c, tail_mass)
     nn, wn = poisson_weights(g_n, tail_mass)
@@ -375,16 +327,10 @@ def _cs_psr_k_series(
     psi = NP * p_u * (1.0 - e2)
     phi = np.where(NN == 0, 0.0, NN * (1.0 - e1) * e1**NP * e1 ** np.maximum(NN - 1, 0) * (1.0 - e2))
     imax = min(K, L - 1)
-    if independent_ncs_factor:
-        budget = np.zeros(psi.shape)
-        for i in range(imax + 1):
-            budget += math.comb(L - 1, i) * phi**i * (1.0 - phi) ** (L - 1 - i)
-        block = (1.0 - psi) ** (L - 1) * budget
-    else:
-        rest = np.clip(1.0 - psi - phi, 0.0, 1.0)
-        block = np.zeros(psi.shape)
-        for i in range(imax + 1):
-            block += math.comb(L - 1, i) * phi**i * rest ** (L - 1 - i)
+    rest = np.clip(1.0 - psi - phi, 0.0, 1.0)
+    block = np.zeros(psi.shape)
+    for i in range(imax + 1):
+        block += math.comb(L - 1, i) * phi**i * rest ** (L - 1 - i)
     val = L * p_u * (1.0 - e2) * block
     return float(wpr @ val @ wn)
 

@@ -166,9 +166,25 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 # ============================================================================
 
 
+# Every backend offers the same three members: ``check(cfg)`` raises a
+# ConfigError for a scenario it cannot evaluate, ``evaluate(cfg)`` returns
+# ServiceMetrics or SimulatedMetrics, and ``seed`` is the master seed echoed
+# into stochastic output, or None for a deterministic backend.
+
+
 @dataclass(frozen=True)
 class AnalyticBackend:
     name = "analytic"
+    seed = None
+
+    def check(self, cfg: ScenarioConfig) -> None:
+        if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != Receiver.COLLISION:
+            raise ConfigError(
+                "analytic backend requires the erasure channel and collision receiver"
+            )
+
+    def evaluate(self, cfg: ScenarioConfig):
+        return analytic_erasure.evaluate_erasure(cfg)
 
 
 @dataclass(frozen=True)
@@ -178,6 +194,13 @@ class SimBackend:
     workers: int = 1
     name = "sim"
 
+    def check(self, cfg: ScenarioConfig) -> None:
+        if not isinstance(cfg.channel, ErasureParams):
+            raise ConfigError("sim backend requires the erasure channel")
+
+    def evaluate(self, cfg: ScenarioConfig):
+        return sim_erasure.simulate(cfg, self.frames, self.seed, self.workers)
+
 
 @dataclass(frozen=True)
 class FadingBackend:
@@ -186,6 +209,13 @@ class FadingBackend:
     workers: int = 1
     name = "fading"
 
+    def check(self, cfg: ScenarioConfig) -> None:
+        if isinstance(cfg.channel, ErasureParams):
+            raise ConfigError("fading backend requires fading channel parameters")
+
+    def evaluate(self, cfg: ScenarioConfig):
+        return sim_fading.estimate_fading_metrics(cfg, self.slots, self.seed, self.workers)
+
 
 @dataclass(frozen=True)
 class SuperpositionBackend:
@@ -193,63 +223,33 @@ class SuperpositionBackend:
     name = "superposition"
 
     @property
-    def stochastic(self) -> bool:
-        return isinstance(self.estimator, ConditionedMC)
+    def seed(self):
+        return self.estimator.seed if isinstance(self.estimator, ConditionedMC) else None
+
+    def check(self, cfg: ScenarioConfig) -> None:
+        if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != Receiver.SUPERPOSITION:
+            raise ConfigError(
+                "superposition backend requires the erasure channel and "
+                "superposition receiver"
+            )
+
+    def evaluate(self, cfg: ScenarioConfig):
+        return superposition.evaluate_superposition(cfg, self.estimator)
 
 
 Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
 
 
-def _backend_is_stochastic(backend: Backend) -> bool:
-    if isinstance(backend, (SimBackend, FadingBackend)):
-        return True
-    if isinstance(backend, SuperpositionBackend):
-        return backend.stochastic
-    return False
-
-
-def _backend_seed(backend: Backend):
-    if isinstance(backend, (SimBackend, FadingBackend)):
-        return backend.seed
-    if isinstance(backend, SuperpositionBackend) and backend.stochastic:
-        return backend.estimator.seed
-    return None
-
-
-def check_backend_compat(cfg: ScenarioConfig, backend: Backend) -> None:
-    erasure = isinstance(cfg.channel, ErasureParams)
-    if isinstance(backend, AnalyticBackend):
-        if not erasure or cfg.receiver != Receiver.COLLISION:
-            raise ConfigError(
-                "analytic backend requires the erasure channel and collision receiver"
-            )
-    elif isinstance(backend, SimBackend):
-        if not erasure:
-            raise ConfigError("sim backend requires the erasure channel")
-    elif isinstance(backend, SuperpositionBackend):
-        if not erasure or cfg.receiver != Receiver.SUPERPOSITION:
-            raise ConfigError(
-                "superposition backend requires the erasure channel and "
-                "superposition receiver"
-            )
-    elif isinstance(backend, FadingBackend):
-        if erasure:
-            raise ConfigError("fading backend requires fading channel parameters")
-
-
-def evaluate_point(cfg: ScenarioConfig, backend: Backend):
-    """Evaluate one scenario; ServiceMetrics or SimulatedMetrics per backend."""
-    if isinstance(backend, AnalyticBackend):
-        return analytic_erasure.evaluate_erasure(cfg)
-    if isinstance(backend, SimBackend):
-        return sim_erasure.simulate(cfg, backend.frames, backend.seed, backend.workers)
-    if isinstance(backend, SuperpositionBackend):
-        return superposition.evaluate_superposition(cfg, backend.estimator)
-    if isinstance(backend, FadingBackend):
-        return sim_fading.estimate_fading_metrics(
-            cfg, backend.slots, backend.seed, backend.workers
-        )
-    raise ConfigError(f"unknown backend {backend!r}")
+def _count_setting(args, sim_sec, key: str, default: int | None = None) -> int:
+    """``--key`` when given, else ``[sim] key``, else ``default``; must be >= 1."""
+    flag = getattr(args, key)
+    value = flag if flag is not None else sim_sec.get(key, default)
+    if value is None:
+        raise ConfigError(f"no {key} budget: give --{key} or [sim] {key}")
+    value = int(value)
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
 
 
 def backend_from_config(parser, name: str, args) -> Backend:
@@ -257,20 +257,14 @@ def backend_from_config(parser, name: str, args) -> Backend:
     sim_sec = parser["sim"] if "sim" in parser else {}
     sup_sec = parser["superposition"] if "superposition" in parser else {}
     seed = args.seed if args.seed is not None else int(sim_sec.get("seed", DEFAULT_SEED))
-    workers = args.workers if args.workers else int(sim_sec.get("workers", 1))
+    workers = _count_setting(args, sim_sec, "workers", 1)
     if name == "analytic":
         return AnalyticBackend()
     if name == "sim":
-        frames = args.frames or int(sim_sec.get("frames", 0))
-        if frames < 1:
-            raise ConfigError("sim backend needs a positive frame budget "
-                              "(--frames or [sim] frames)")
+        frames = _count_setting(args, sim_sec, "frames")
         return SimBackend(frames=frames, seed=seed, workers=workers)
     if name == "fading":
-        slots = args.slots or int(sim_sec.get("slots", 0))
-        if slots < 1:
-            raise ConfigError("fading backend needs a positive slot budget "
-                              "(--slots or [sim] slots)")
+        slots = _count_setting(args, sim_sec, "slots")
         return FadingBackend(slots=slots, seed=seed, workers=workers)
     if name == "superposition":
         kind = str(sup_sec.get("estimator", "exact")).strip().lower()
@@ -320,19 +314,33 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         raise
 
 
-def _metric_row(result) -> list:
+def _metric_header(seed) -> list[str]:
+    header = ["R_c", "R_cbar", "Gamma_c", "Gamma_cbar"]
+    if seed is not None:
+        header += ["R_c_se", "R_cbar_se", "Gamma_c_se", "Gamma_cbar_se", "seed"]
+    return header
+
+
+def _metric_row(result, seed=None) -> list:
+    """Metric means; a stochastic backend's ``seed`` adds std errors and the seed."""
     if isinstance(result, ServiceMetrics):
-        return [result.R_c, result.R_cbar, result.Gamma_c, result.Gamma_cbar]
-    return [
-        result.R_c.mean,
-        result.R_cbar.mean,
-        result.Gamma_c.mean,
-        result.Gamma_cbar.mean,
-        result.R_c.std_error,
-        result.R_cbar.std_error,
-        result.Gamma_c.std_error,
-        result.Gamma_cbar.std_error,
-    ]
+        row = [result.R_c, result.R_cbar, result.Gamma_c, result.Gamma_cbar]
+        if seed is not None:  # exact result on a stochastic path
+            row += [0.0, 0.0, 0.0, 0.0]
+    else:
+        row = [
+            result.R_c.mean,
+            result.R_cbar.mean,
+            result.Gamma_c.mean,
+            result.Gamma_cbar.mean,
+            result.R_c.std_error,
+            result.R_cbar.std_error,
+            result.Gamma_c.std_error,
+            result.Gamma_cbar.std_error,
+        ]
+    if seed is not None:
+        row.append(seed)
+    return row
 
 
 # ============================================================================
@@ -413,22 +421,13 @@ def sweep_spec_from_config(parser, base: ScenarioConfig, args) -> SweepSpec:
 
 def run_sweep(spec: SweepSpec) -> list[list]:
     """Evaluate every swept point; returns rows and writes the CSV."""
-    stochastic = _backend_is_stochastic(spec.backend)
+    backend = spec.backend
     rows = []
     for value in spec.values:
         cfg = _apply_parameter(spec.base, spec.parameter, value)
-        check_backend_compat(cfg, spec.backend)
-        result = evaluate_point(cfg, spec.backend)
-        row = [value] + _metric_row(result)
-        if stochastic:
-            if isinstance(result, ServiceMetrics):  # exact result on a stochastic path
-                row += [0.0, 0.0, 0.0, 0.0]
-            row += [_backend_seed(spec.backend)]
-        rows.append(row)
-    header = [spec.parameter, "R_c", "R_cbar", "Gamma_c", "Gamma_cbar"]
-    if stochastic:
-        header += ["R_c_se", "R_cbar_se", "Gamma_c_se", "Gamma_cbar_se", "seed"]
-    write_csv(spec.out_path, header, rows)
+        backend.check(cfg)
+        rows.append([value] + _metric_row(backend.evaluate(cfg), backend.seed))
+    write_csv(spec.out_path, [spec.parameter] + _metric_header(backend.seed), rows)
     return rows
 
 
@@ -447,20 +446,25 @@ class RegionSpec:
     out_path: str = ""
 
 
+def _region_grid(sec, name: str) -> tuple:
+    """``{name}_values`` as listed, else ``{name}_count`` even steps over [0, 1]."""
+    if f"{name}_values" in sec:
+        return tuple(_float_list(sec[f"{name}_values"]))
+    count = _get(sec, f"{name}_count", int, default=21)
+    if count < 2:
+        raise ConfigError(
+            f"{name}_count must be >= 2, got {count}; "
+            f"use {name}_values for a single point"
+        )
+    return tuple(i / (count - 1) for i in range(count))
+
+
 def region_spec_from_config(parser, base: ScenarioConfig, args) -> RegionSpec:
     if "region" not in parser:
         raise ConfigError("region command needs a [region] section")
     sec = parser["region"]
-    if "gamma_values" in sec:
-        gammas = tuple(_float_list(sec["gamma_values"]))
-    else:
-        count = _get(sec, "gamma_count", int, default=21)
-        gammas = tuple(i / (count - 1) for i in range(count))
-    if "alpha_values" in sec:
-        alphas = tuple(_float_list(sec["alpha_values"]))
-    else:
-        count = _get(sec, "alpha_count", int, default=21)
-        alphas = tuple(i / (count - 1) for i in range(count))
+    gammas = _region_grid(sec, "gamma")
+    alphas = _region_grid(sec, "alpha")
     if not gammas or not alphas:
         raise ConfigError("region grids must be non-empty")
     if any(not 0 <= v <= 1 for v in gammas) or any(not 0 <= v <= 1 for v in alphas):
@@ -499,31 +503,25 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
     return kept
 
 
-def _region_throughputs(result) -> tuple[float, float]:
-    if isinstance(result, ServiceMetrics):
-        return result.R_c, result.R_cbar
-    return result.R_c.mean, result.R_cbar.mean
-
-
 def compute_region(spec: RegionSpec) -> list[list]:
     """Pareto-nondominated (R_c, R_cbar) frontier per allocation scheme."""
+    def throughputs(cfg) -> list:
+        spec.backend.check(cfg)
+        return _metric_row(spec.backend.evaluate(cfg))[:2]
+
     rows = []
     if "non_orthogonal" in spec.schemes:
         points = []
         for g in spec.gamma_grid:
             cfg = spec.base.replace(gamma_c=g, allocation=NON_ORTHOGONAL)
-            check_backend_compat(cfg, spec.backend)
-            r_c, r_n = _region_throughputs(evaluate_point(cfg, spec.backend))
-            points.append(("non_orthogonal", g, "", r_c, r_n))
+            points.append(("non_orthogonal", g, "", *throughputs(cfg)))
         rows.extend(pareto_filter(points))
     if "tdma" in spec.schemes:
         points = []
         for g in spec.gamma_grid:
             for a in spec.alpha_grid:
                 cfg = spec.base.replace(gamma_c=g, allocation=Tdma(alpha=a))
-                check_backend_compat(cfg, spec.backend)
-                r_c, r_n = _region_throughputs(evaluate_point(cfg, spec.backend))
-                points.append(("tdma", g, a, r_c, r_n))
+                points.append(("tdma", g, a, *throughputs(cfg)))
         rows.extend(pareto_filter(points))
     if spec.out_path:
         write_csv(spec.out_path, ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"], rows)
@@ -821,21 +819,12 @@ def _cmd_point(args, backend_name: str) -> int:
             backend = AnalyticBackend()
     else:
         backend = backend_from_config(parser, backend_name, args)
-    check_backend_compat(cfg, backend)
-    result = evaluate_point(cfg, backend)
-    seed = _backend_seed(backend)
-    for line in _metrics_lines(result, seed):
+    backend.check(cfg)
+    result = backend.evaluate(cfg)
+    for line in _metrics_lines(result, backend.seed):
         print(line)
     if args.out:
-        stochastic = _backend_is_stochastic(backend)
-        header = ["R_c", "R_cbar", "Gamma_c", "Gamma_cbar"]
-        row = _metric_row(result)
-        if stochastic:
-            if isinstance(result, ServiceMetrics):
-                row += [0.0, 0.0, 0.0, 0.0]
-            header += ["R_c_se", "R_cbar_se", "Gamma_c_se", "Gamma_cbar_se", "seed"]
-            row += [seed]
-        write_csv(args.out, header, [row])
+        write_csv(args.out, _metric_header(backend.seed), [_metric_row(result, backend.seed)])
     return EXIT_OK
 
 
@@ -870,7 +859,7 @@ def main(argv=None) -> int:
                 grid,
                 target_se=args.target_se,
                 seed=seed,
-                workers=args.workers or 1,
+                workers=_count_setting(args, {}, "workers", 1),
             )
             print(render_validation_summary(report))
             if args.out:

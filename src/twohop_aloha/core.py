@@ -1,4 +1,4 @@
-"""Domain types, probability distributions and special functions.
+"""Domain types, distributions, special functions and the Monte Carlo driver.
 
 Everything downstream (closed forms, semi-analytic superposition evaluation,
 Monte Carlo engines) builds on the primitives defined here.  All functions
@@ -8,6 +8,7 @@ are pure; samplers take an explicit ``numpy.random.Generator``.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -436,3 +437,41 @@ def multinomial_sample(
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"probs must sum to 1 within 1e-12, got sum {p.sum()!r}")
     return rng.multinomial(trials, p / p.sum(), size=size)
+
+
+# ============================================================================
+#  Chunked Monte Carlo driver
+# ============================================================================
+
+
+def _run_chunk_task(task) -> dict:
+    chunk_fn, spec, size, seed, chunk_index = task
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    )
+    return chunk_fn(spec, size, rng)
+
+
+def run_chunked(chunk_fn, spec, n_items: int, chunk: int, seed: int, workers: int = 1) -> dict:
+    """Tallies of ``chunk_fn`` over ``n_items`` items, summed over fixed-size chunks.
+
+    Chunk i holds ``chunk`` items (the last one the remainder) and draws
+    from its own substream ``SeedSequence(entropy=seed, spawn_key=(i,))``;
+    ``chunk_fn(spec, size, rng)`` must be a picklable module-level function
+    returning a dict of tallies.  Chunks are merged in index order, so the
+    totals do not depend on ``workers``.
+    """
+    tasks = [
+        (chunk_fn, spec, min(chunk, n_items - lo), seed, idx)
+        for idx, lo in enumerate(range(0, n_items, chunk))
+    ]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_run_chunk_task, tasks, chunksize=1))
+    else:
+        partials = [_run_chunk_task(t) for t in tasks]
+    totals: dict = {}
+    for part in partials:
+        for key, value in part.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    INFINITE_K,
-    NonOrthogonal,
     Receiver,
     ScenarioConfig,
     SimEstimate,
@@ -33,6 +30,7 @@ from .core import (
     Tolerance,
     bernoulli_estimate,
     is_infinite,
+    run_chunked,
 )
 
 _ID_NONE = 0  # BS/AP "decoded nothing" marker; device ids start at 1
@@ -131,7 +129,6 @@ class _EngineSpec:
     cs_slots: int | None  # TDMA partition size; None = non-orthogonal
     k_values: tuple
     receivers: tuple
-    seed: int
     collect_uplink: bool = False
     collect_device_psr: bool = False
 
@@ -154,13 +151,9 @@ def _class_counts(cells, L, cell_id, arrivals, ids):
     return counts, idsum
 
 
-def _run_chunk(spec: _EngineSpec, f_lo: int, f_hi: int, chunk_index: int) -> dict:
-    F = f_hi - f_lo
+def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     L, T = spec.L, spec.T
     cells = F * T
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(chunk_index,))
-    )
 
     cs_T = spec.cs_slots if spec.cs_slots is not None else T
     ncs_base = spec.cs_slots if spec.cs_slots is not None else 0
@@ -287,28 +280,10 @@ def _run_chunk(spec: _EngineSpec, f_lo: int, f_hi: int, chunk_index: int) -> dic
     return out
 
 
-def _run_chunk_star(args):
-    return _run_chunk(*args)
-
-
-def _run_engine(spec: _EngineSpec, n_frames: int, workers: int = 1) -> dict:
+def _run_engine(spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> dict:
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    chunk = _chunk_frames(spec)
-    tasks = [
-        (spec, lo, min(lo + chunk, n_frames), idx)
-        for idx, lo in enumerate(range(0, n_frames, chunk))
-    ]
-    totals: dict = {}
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_chunk_star, tasks, chunksize=1))
-    else:
-        partials = [_run_chunk(*t) for t in tasks]
-    for part in partials:
-        for key, value in part.items():
-            totals[key] = totals.get(key, 0) + value
-    return totals
+    return run_chunked(_run_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
 
 
 # ============================================================================
@@ -316,7 +291,7 @@ def _run_engine(spec: _EngineSpec, n_frames: int, workers: int = 1) -> dict:
 # ============================================================================
 
 
-def _spec_from_config(cfg: ScenarioConfig, seed: int, receivers, **extra) -> _EngineSpec:
+def _spec_from_config(cfg: ScenarioConfig, receivers, **extra) -> _EngineSpec:
     e = cfg.erasure
     if isinstance(cfg.allocation, Tdma):
         cs_slots = int(np.floor(cfg.allocation.alpha * cfg.T + 0.5))
@@ -332,7 +307,6 @@ def _spec_from_config(cfg: ScenarioConfig, seed: int, receivers, **extra) -> _En
         cs_slots=cs_slots,
         k_values=(cfg.K,),
         receivers=tuple(receivers),
-        seed=seed,
         **extra,
     )
 
@@ -359,38 +333,18 @@ def _metrics_from_tallies(
     )
 
 
-def simulate_frames(
-    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
-) -> SimulatedMetrics:
-    """Frame-level Monte Carlo metrics under non-orthogonal allocation.
+def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> SimulatedMetrics:
+    """Frame-level Monte Carlo metrics under either allocation.
 
     Throughput estimates count BS decodes per slot; packet success rates
-    tag one uniformly chosen active device per class per frame.
+    tag one uniformly chosen active device per class per frame.  Under
+    ``Tdma(alpha)`` the CS class contends over the first
+    ``floor(alpha * T + 0.5)`` slots of each frame and the NCS class over
+    the rest.
     """
-    if not isinstance(cfg.allocation, NonOrthogonal):
-        raise ValueError("simulate_frames expects non-orthogonal allocation; "
-                         "use simulate_tdma for TDMA scenarios")
-    spec = _spec_from_config(cfg, seed, (cfg.receiver,))
-    tallies = _run_engine(spec, n_frames, workers)
+    spec = _spec_from_config(cfg, (cfg.receiver,))
+    tallies = _run_engine(spec, n_frames, seed, workers)
     return _metrics_from_tallies(tallies, spec, n_frames, seed, 0, cfg.receiver)
-
-
-def simulate_tdma(
-    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
-) -> SimulatedMetrics:
-    """Frame-level Monte Carlo metrics under inter-service TDMA."""
-    if not isinstance(cfg.allocation, Tdma):
-        raise ValueError("simulate_tdma expects a Tdma allocation")
-    spec = _spec_from_config(cfg, seed, (cfg.receiver,))
-    tallies = _run_engine(spec, n_frames, workers)
-    return _metrics_from_tallies(tallies, spec, n_frames, seed, 0, cfg.receiver)
-
-
-def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> SimulatedMetrics:
-    """Allocation-dispatching wrapper around the two simulation entry points."""
-    if isinstance(cfg.allocation, Tdma):
-        return simulate_tdma(cfg, n_frames, seed, workers)
-    return simulate_frames(cfg, n_frames, seed, workers)
 
 
 def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> int:
@@ -399,10 +353,8 @@ def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int 
     Both BS rules are evaluated on identical realizations; by success-event
     inclusion the count must be zero.
     """
-    spec = _spec_from_config(
-        cfg, seed, (Receiver.COLLISION, Receiver.SUPERPOSITION)
-    )
-    tallies = _run_engine(spec, n_frames, workers)
+    spec = _spec_from_config(cfg, (Receiver.COLLISION, Receiver.SUPERPOSITION))
+    tallies = _run_engine(spec, n_frames, seed, workers)
     return tallies[(0, "coupled", "violations")]
 
 
@@ -410,8 +362,8 @@ def simulate_uplink_decode(
     cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
 ) -> SimEstimate:
     """P(at least one AP decodes a CS packet in a slot), estimated per slot."""
-    spec = _spec_from_config(cfg, seed, (cfg.receiver,), collect_uplink=True)
-    tallies = _run_engine(spec, n_frames, workers)
+    spec = _spec_from_config(cfg, (cfg.receiver,), collect_uplink=True)
+    tallies = _run_engine(spec, n_frames, seed, workers)
     return bernoulli_estimate(tallies[(0, "uplink", "succ")], n_frames * cfg.T, seed)
 
 
@@ -428,9 +380,9 @@ def simulate_multi_k(
     values per realization is both cheaper and variance-coupled.  Returns
     {K: SimulatedMetrics}.
     """
-    spec = _spec_from_config(cfg, seed, (cfg.receiver,))
+    spec = _spec_from_config(cfg, (cfg.receiver,))
     spec = dataclasses.replace(spec, k_values=tuple(k_values))
-    tallies = _run_engine(spec, n_frames, workers)
+    tallies = _run_engine(spec, n_frames, seed, workers)
     return {
         k: _metrics_from_tallies(tallies, spec, n_frames, seed, ki, cfg.receiver)
         for ki, k in enumerate(k_values)
@@ -446,8 +398,8 @@ def simulate_per_device_psr(
     frames are then averaged equally, the estimand the one-tagged-device
     estimator samples without bias.
     """
-    spec = _spec_from_config(cfg, seed, (cfg.receiver,), collect_device_psr=True)
-    tallies = _run_engine(spec, n_frames, workers)
+    spec = _spec_from_config(cfg, (cfg.receiver,), collect_device_psr=True)
+    tallies = _run_engine(spec, n_frames, seed, workers)
 
     def estimate(tag: str, trials_key: str) -> SimEstimate:
         n = tallies[("meta", trials_key)]

@@ -16,7 +16,6 @@ substreams and integer tallies, so results do not depend on worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     ScenarioConfig,
     SimulatedMetrics,
     bernoulli_estimate,
+    run_chunked,
 )
 
 _CHUNK_SLOTS = 16384
@@ -147,7 +147,6 @@ class _FadingSpec:
     lam_n: float
     L: int
     fading: FadingParams
-    seed: int
 
 
 def _complex_normal(rng, shape, variance) -> np.ndarray:
@@ -157,12 +156,8 @@ def _complex_normal(rng, shape, variance) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
-def _run_fading_chunk(spec: _FadingSpec, s_lo: int, s_hi: int, chunk_index: int) -> dict:
-    S = s_hi - s_lo
+def _run_fading_chunk(spec: _FadingSpec, S: int, rng: np.random.Generator) -> dict:
     L = spec.L
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=spec.seed, spawn_key=(chunk_index,))
-    )
     # Fixed draw order: counts, access gains, backhaul gains.
     n_c = rng.poisson(spec.lam_c, S).astype(np.int64)
     n_n = rng.poisson(spec.lam_n, S).astype(np.int64)
@@ -199,10 +194,6 @@ def _run_fading_chunk(spec: _FadingSpec, s_lo: int, s_hi: int, chunk_index: int)
     return tallies
 
 
-def _run_fading_chunk_star(args):
-    return _run_fading_chunk(*args)
-
-
 def estimate_fading_metrics(
     cfg: ScenarioConfig, n_slots: int, seed: int, workers: int = 1
 ) -> SimulatedMetrics:
@@ -221,21 +212,8 @@ def estimate_fading_metrics(
         lam_n=cfg.ncs_slot_load,
         L=cfg.L,
         fading=fading,
-        seed=seed,
     )
-    tasks = [
-        (spec, lo, min(lo + _CHUNK_SLOTS, n_slots), idx)
-        for idx, lo in enumerate(range(0, n_slots, _CHUNK_SLOTS))
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_run_fading_chunk_star, tasks, chunksize=1))
-    else:
-        partials = [_run_fading_chunk(*t) for t in tasks]
-    totals: dict = {}
-    for part in partials:
-        for key, value in part.items():
-            totals[key] = totals.get(key, 0) + value
+    totals = run_chunked(_run_fading_chunk, spec, n_slots, _CHUNK_SLOTS, seed, workers)
     return SimulatedMetrics(
         R_c=bernoulli_estimate(totals["cs_slots"], n_slots, seed),
         R_cbar=bernoulli_estimate(totals["ncs_slots"], n_slots, seed),

@@ -251,8 +251,8 @@ def test_criterion_06_scheme_comparison():
     for T in (2, 4, 8, 16):
         base = ecfg(L=3, T=T, G=15.0, gamma_c=0.5, e1=0.5, e2=0.5,
                     receiver=Receiver.SUPERPOSITION)
-        no = se.simulate_frames(base, frames, SEED)
-        td = se.simulate_tdma(base.replace(allocation=Tdma(alpha=0.5)), frames, SEED)
+        no = se.simulate(base, frames, SEED)
+        td = se.simulate(base.replace(allocation=Tdma(alpha=0.5)), frames, SEED)
         for metric, hi, lo in (
             ("R_c", no.R_c, td.R_c),
             ("Gamma_c", no.Gamma_c, td.Gamma_c),

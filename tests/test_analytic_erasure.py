@@ -183,28 +183,6 @@ def test_psr_finite_k_single_user_limits():
     assert ae.psr_ncs_finite_k(cfg) == pytest.approx(0.25, abs=1e-6)
 
 
-def test_adjudicated_variants_differ_from_primary():
-    # the tolerance-budget-shift and independence-factorization variants are
-    # kept for reference and must measurably disagree with the primary forms
-    # in the regimes where the slot-level simulation rejected them
-    args = dict(L=5, e1=0.5, e2=0.5, g_c=2.0, g_n=4.0)
-    primary_ncs = ae._ncs_psr_series(
-        args["L"], args["e1"], args["e2"], args["g_c"], args["g_n"], 2
-    )
-    shifted = ae._ncs_psr_series(
-        args["L"], args["e1"], args["e2"], args["g_c"], args["g_n"], 2, budget_shift=1
-    )
-    assert abs(primary_ncs - shifted) > 1e-3
-    primary_cs = ae._cs_psr_k_series(
-        args["L"], args["e1"], args["e2"], args["g_c"], args["g_n"], 1
-    )
-    factored = ae._cs_psr_k_series(
-        args["L"], args["e1"], args["e2"], args["g_c"], args["g_n"], 1,
-        independent_ncs_factor=True,
-    )
-    assert abs(primary_cs - factored) > 1e-3
-
-
 # ---------------------------------------------------------------------------
 # Benchmark uplink bound
 # ---------------------------------------------------------------------------
@@ -305,21 +283,8 @@ def test_scheme_comparison_fig6_config():
 
 
 # ---------------------------------------------------------------------------
-# AccessProbs bundle and small-load limits
+# Small-load limits
 # ---------------------------------------------------------------------------
-
-
-def test_access_probs_bundle():
-    ap = ae.AccessProbs.from_counts(2, 3, 0.5, 0.25)
-    assert ap.p_nc == pytest.approx(ae.p_access_cs(2, 0.5))
-    assert ap.p_ncbar == pytest.approx(ae.p_access_ncs(2, 3, 0.5))
-    # delivery = decode * unerased backhaul; composite factor beta applies
-    assert ap.q_nc == pytest.approx(ap.p_nc * 0.75)
-    assert ap.q_ncbar == pytest.approx(ap.p_ncbar * 0.75)
-    beta = (1 - 0.5) * (1 - 0.25)
-    assert ae.AccessProbs.from_counts(1, 0, 0.5, 0.25).q_nc == pytest.approx(beta)
-    with pytest.raises(ValueError):
-        ae.AccessProbs(p_nc=1.2, p_ncbar=0.0, q_nc=0.0, q_ncbar=0.0)
 
 
 def test_throughputs_vanish_with_load():

@@ -222,6 +222,20 @@ def test_sim_command_writes_csv_with_seed(tmp_path):
 def test_sim_zero_budget_is_config_error(tmp_path):
     path = write_ini(tmp_path, BASE_INI)
     assert cli.main(["sim", "--config", path, "--frames", "0"]) == cli.EXIT_CONFIG
+    assert cli.main(["sim", "--config", path]) == cli.EXIT_CONFIG
+    # a flag that is given wins over [sim], and is checked like it
+    path = write_ini(tmp_path, BASE_INI + "\n[sim]\nframes = 2000\nslots = 2000\n")
+    for flags in (["--frames", "0"], ["--workers", "0"], ["--workers", "-2"]):
+        assert cli.main(["sim", "--config", path, *flags]) == cli.EXIT_CONFIG
+    fading = BASE_INI.replace(
+        "[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1.0\nbeta2 = 1.0"
+    )
+    path = write_ini(tmp_path, fading + "\n[sim]\nslots = 2000\n")
+    assert cli.main(["fading", "--config", path, "--slots", "0"]) == cli.EXIT_CONFIG
+    for section in ("frames = 0", "frames = 100\nworkers = 0"):
+        path = write_ini(tmp_path, BASE_INI + "\n[sim]\n" + section + "\n")
+        assert cli.main(["sim", "--config", path]) == cli.EXIT_CONFIG
+    assert cli.main(["validate", "--workers", "0"]) == cli.EXIT_CONFIG
 
 
 def test_fading_command(tmp_path, capsys):
@@ -283,9 +297,10 @@ def test_region_output_is_minimal_and_covers_endpoints(tmp_path):
 
 
 def test_region_rejects_bad_grid(tmp_path):
-    body = BASE_INI + "\n[region]\ngamma_values = 0.2 1.4\n"
-    path = write_ini(tmp_path, body)
-    assert cli.main(["region", "--config", path, "--out", str(tmp_path / "r.csv")]) == cli.EXIT_CONFIG
+    for grid in ("gamma_values = 0.2 1.4", "gamma_count = 1", "alpha_count = 1"):
+        path = write_ini(tmp_path, BASE_INI + "\n[region]\n" + grid + "\n")
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["region", "--config", path, "--out", out]) == cli.EXIT_CONFIG
 
 
 # ---------------------------------------------------------------------------

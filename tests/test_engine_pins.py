@@ -1,0 +1,124 @@
+"""Exact outputs of both Monte Carlo engines at fixed seeds.
+
+Chunk sizes, per-chunk substreams, draw order and tally merging together
+decide every digit of a simulated estimate, and the CLI promises
+byte-identical CSVs at a fixed seed.  A change to any of them shows up
+here as an inequality; re-record the values only for a deliberate change
+of the random streams.
+"""
+
+import pytest
+
+import twohop_aloha.sim_erasure as se
+import twohop_aloha.sim_fading as sf
+from twohop_aloha.core import (
+    INFINITE_K,
+    ErasureParams,
+    FadingParams,
+    Receiver,
+    ScenarioConfig,
+    SimEstimate,
+    Tdma,
+)
+
+
+def _est(e: SimEstimate) -> tuple:
+    return (e.mean, e.std_error, e.n_samples, e.seed)
+
+
+def _metrics(m) -> tuple:
+    return tuple(_est(e) for e in (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)) + (m.flags,)
+
+
+def _erasure(L=3, T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=1, **kw):
+    return ScenarioConfig(
+        L=L, T=T, G=G, gamma_c=gamma_c, channel=ErasureParams(e1, e2), K=K, **kw
+    )
+
+
+# L=8, T=16, G=40 gives 13,392-frame chunks: 30,000 frames span three.
+_MULTI_CHUNK = _erasure(L=8, T=16, G=40.0, gamma_c=0.3, e1=0.4, e2=0.3, K=2)
+_TDMA = _erasure(L=2, T=3, G=3.0, gamma_c=0.4, e1=0.2, e2=0.4, allocation=Tdma(alpha=0.5))
+_MULTI_K = _erasure(T=1, G=2.0, receiver=Receiver.SUPERPOSITION)
+# 20,000 slots span two 16,384-slot chunks.
+_FADING = ScenarioConfig(
+    L=3, T=1, G=1.5, gamma_c=0.5, channel=FadingParams(alpha2=1.0, beta2=2.0)
+)
+
+CASES = {
+    "simulate_non_orthogonal": lambda: _metrics(se.simulate(_erasure(), 20_000, 11)),
+    "simulate_multi_chunk_w1": lambda: _metrics(se.simulate(_MULTI_CHUNK, 30_000, 21)),
+    "simulate_multi_chunk_w2": lambda: _metrics(
+        se.simulate(_MULTI_CHUNK, 30_000, 21, workers=2)
+    ),
+    "simulate_tdma": lambda: _metrics(se.simulate(_TDMA, 20_000, 12)),
+    "simulate_multi_k": lambda: tuple(
+        (str(k), _metrics(m))
+        for k, m in se.simulate_multi_k(_MULTI_K, (0, 2, INFINITE_K), 20_000, 13).items()
+    ),
+    "coupled_compare": lambda: se.coupled_compare(_erasure(L=4), 20_000, 14),
+    "simulate_uplink_decode": lambda: _est(se.simulate_uplink_decode(_erasure(), 20_000, 15)),
+    "simulate_per_device_psr": lambda: tuple(
+        _est(e) for e in se.simulate_per_device_psr(_erasure(T=3, G=6.0), 20_000, 16)
+    ),
+    "fading_w1": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17)),
+    "fading_w2": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17, workers=2)),
+}
+
+EXPECTED = {"coupled_compare": 0,
+ "fading_w1": ((0.4616, 0.0035251799024542327, 20000, 17),
+               (0.26535, 0.0031220916462865707, 20000, 17),
+               (0.7146643945848717, 0.004393958748118345, 10563, 17),
+               (0.4127719962157048, 0.004788963675674952, 10570, 17),
+               ()),
+ "fading_w2": ((0.4616, 0.0035251799024542327, 20000, 17),
+               (0.26535, 0.0031220916462865707, 20000, 17),
+               (0.7146643945848717, 0.004393958748118345, 10563, 17),
+               (0.4127719962157048, 0.004788963675674952, 10570, 17),
+               ()),
+ "simulate_multi_chunk_w1": ((0.07450208333333333, 0.0003790109567502406, 480000, 21),
+                             (0.07685416666666667, 0.00038445782045535296, 480000, 21),
+                             (0.0993366445548185, 0.0017269900655261551, 29999, 21),
+                             (0.042833333333333334, 0.0011690452736562538, 30000, 21),
+                             ()),
+ "simulate_multi_chunk_w2": ((0.07450208333333333, 0.0003790109567502406, 480000, 21),
+                             (0.07685416666666667, 0.00038445782045535296, 480000, 21),
+                             (0.0993366445548185, 0.0017269900655261551, 29999, 21),
+                             (0.042833333333333334, 0.0011690452736562538, 30000, 21),
+                             ()),
+ "simulate_multi_k": (("0",
+                       ((0.15815, 0.002580166998100492, 20000, 13),
+                        (0.16055, 0.0025959626010579016, 20000, 13),
+                        (0.21762317917694818, 0.003681553943828657, 12563, 13),
+                        (0.21735347623190698, 0.003668244140848829, 12643, 13),
+                        ())),
+                      ("2",
+                       ((0.2994, 0.0032385963665330798, 20000, 13),
+                        (0.14485, 0.0024887212703872813, 20000, 13),
+                        (0.40889914829260526, 0.004386412808153181, 12563, 13),
+                        (0.19655145139602942, 0.003534347682135608, 12643, 13),
+                        ())),
+                      ("INFINITE_K",
+                       ((0.3081, 0.0032648510628546486, 20000, 13),
+                        (0.1446, 0.0024869361154967627, 20000, 13),
+                        (0.42060017511740827, 0.004404478657091536, 12563, 13),
+                        (0.19647235624456222, 0.003533810403614965, 12643, 13),
+                        ()))),
+ "simulate_non_orthogonal": ((0.207375, 0.0020271576082224623, 40000, 11),
+                             (0.116825, 0.0016060782893625668, 40000, 11),
+                             (0.2618510158013544, 0.0033448569351293028, 17277, 11),
+                             (0.14487960545401798, 0.0026811691594947553, 17235, 11),
+                             ()),
+ "simulate_per_device_psr": ((0.2510649007890061, 0.0022207608153911565, 19029, 16),
+                             (0.1359708820891475, 0.0017690245609273505, 19025, 16)),
+ "simulate_tdma": ((0.1312, 0.0013783351056477731, 60000, 12),
+                   (0.08315, 0.0011272189089559365, 60000, 12),
+                   (0.3974772450369096, 0.004143092487606843, 13953, 12),
+                   (0.23402221956755465, 0.003272245918726327, 16742, 12),
+                   ()),
+ "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15)}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engine_output_is_pinned(name):
+    assert CASES[name]() == EXPECTED[name]

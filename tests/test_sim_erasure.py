@@ -24,42 +24,35 @@ def z_gap(estimate, value):
 
 
 def test_all_erased_gives_exact_zeros():
-    m = se.simulate_frames(erasure_cfg(e1=1.0, gamma_c=0.5), 2000, seed=1)
+    m = se.simulate(erasure_cfg(e1=1.0, gamma_c=0.5), 2000, seed=1)
     assert m.R_c.mean == 0.0 and m.R_cbar.mean == 0.0
     assert m.Gamma_c.mean == 0.0 and m.Gamma_cbar.mean == 0.0
 
 
 def test_lone_packet_on_perfect_channels_always_succeeds():
     cfg = erasure_cfg(L=1, T=1, G=1e-4, gamma_c=1.0, e1=0.0, e2=0.0)
-    m = se.simulate_frames(cfg, 300_000, seed=2)
+    m = se.simulate(cfg, 300_000, seed=2)
     assert m.Gamma_c.n_samples > 0
     assert m.Gamma_c.mean == 1.0  # no interference is even possible
 
 
 def test_requires_positive_frame_budget():
     with pytest.raises(ValueError):
-        se.simulate_frames(erasure_cfg(), 0, seed=1)
-
-
-def test_simulate_frames_rejects_tdma_config():
-    with pytest.raises(ValueError):
-        se.simulate_frames(erasure_cfg(allocation=Tdma(alpha=0.5)), 10, seed=1)
-    with pytest.raises(ValueError):
-        se.simulate_tdma(erasure_cfg(), 10, seed=1)
+        se.simulate(erasure_cfg(), 0, seed=1)
 
 
 def test_determinism_bit_identical_and_worker_independent():
     cfg = erasure_cfg(T=2, G=4.0, gamma_c=0.5, K=1)
-    a = se.simulate_frames(cfg, 50_000, seed=9)
-    b = se.simulate_frames(cfg, 50_000, seed=9)
-    c = se.simulate_frames(cfg, 50_000, seed=9, workers=3)
+    a = se.simulate(cfg, 50_000, seed=9)
+    b = se.simulate(cfg, 50_000, seed=9)
+    c = se.simulate(cfg, 50_000, seed=9, workers=3)
     assert a == b == c
-    d = se.simulate_frames(cfg, 50_000, seed=10)
+    d = se.simulate(cfg, 50_000, seed=10)
     assert d != a
 
 
 def test_throughputs_sum_below_one_packet_per_slot():
-    m = se.simulate_frames(erasure_cfg(G=8.0, gamma_c=0.5, e1=0.1, e2=0.1), 30_000, seed=3)
+    m = se.simulate(erasure_cfg(G=8.0, gamma_c=0.5, e1=0.1, e2=0.1), 30_000, seed=3)
     assert m.R_c.mean + m.R_cbar.mean <= 1.0
 
 
@@ -67,14 +60,14 @@ def test_matches_analytic_single_service():
     # throughput is T-independent; the tagged PSR conditioning matches the
     # analytic normalized-Poisson form at T = 1
     cfg = erasure_cfg(L=3, T=1, G=2.0)
-    m = se.simulate_frames(cfg, 200_000, seed=4)
+    m = se.simulate(cfg, 200_000, seed=4)
     assert abs(z_gap(m.R_c, ae.throughput_cs_single(cfg))) < 4.0
     assert abs(z_gap(m.Gamma_c, ae.psr_cs_single(cfg))) < 4.0
 
 
 def test_matches_analytic_finite_k_quadruple():
     cfg = erasure_cfg(L=3, T=1, G=4.0, gamma_c=0.5, K=1)
-    m = se.simulate_frames(cfg, 250_000, seed=5)
+    m = se.simulate(cfg, 250_000, seed=5)
     an = ae.evaluate_erasure(cfg)
     assert abs(z_gap(m.R_c, an.R_c)) < 4.0
     assert abs(z_gap(m.R_cbar, an.R_cbar)) < 4.0
@@ -85,9 +78,9 @@ def test_matches_analytic_finite_k_quadruple():
 def test_throughput_unaffected_by_frame_size():
     # same per-slot loads, different T: throughputs agree within MC error,
     # and the frame-structured run matches the closed form directly
-    m1 = se.simulate_frames(erasure_cfg(T=1, G=2.0), 120_000, seed=6)
+    m1 = se.simulate(erasure_cfg(T=1, G=2.0), 120_000, seed=6)
     cfg8 = erasure_cfg(T=8, G=16.0)
-    m8 = se.simulate_frames(cfg8, 15_000, seed=7)
+    m8 = se.simulate(cfg8, 15_000, seed=7)
     gap = m1.R_c.mean - m8.R_c.mean
     sigma = math.hypot(m1.R_c.std_error, m8.R_c.std_error)
     assert abs(gap) < 4.0 * sigma
@@ -98,10 +91,10 @@ def test_matches_analytic_heterogeneous_throughputs_at_frame_level():
     # mixed-traffic configs with frame structure: NCS throughput under ideal
     # and finite tolerance against the closed/series forms
     cfg_inf = erasure_cfg(L=3, T=4, G=8.0, gamma_c=0.5, e1=0.4, e2=0.4)
-    m = se.simulate_frames(cfg_inf, 60_000, seed=19)
+    m = se.simulate(cfg_inf, 60_000, seed=19)
     assert abs(z_gap(m.R_cbar, ae.throughput_ncs_ideal_k(cfg_inf))) < 4.0
     cfg_k = erasure_cfg(L=3, T=2, G=8.0, gamma_c=0.5, K=2)
-    m2 = se.simulate_frames(cfg_k, 100_000, seed=20)
+    m2 = se.simulate(cfg_k, 100_000, seed=20)
     assert abs(z_gap(m2.R_cbar, ae.throughput_ncs_finite_k(cfg_k))) < 4.0
     assert abs(z_gap(m2.R_c, ae.throughput_cs_finite_k(cfg_k))) < 4.0
 
@@ -109,7 +102,7 @@ def test_matches_analytic_heterogeneous_throughputs_at_frame_level():
 def test_multi_k_shares_realization():
     cfg = erasure_cfg(T=1, G=4.0, gamma_c=0.5, K=1)
     multi = se.simulate_multi_k(cfg, [0, 1, INFINITE_K], 40_000, seed=8)
-    single = se.simulate_frames(cfg, 40_000, seed=8)
+    single = se.simulate(cfg, 40_000, seed=8)
     assert multi[1] == single
     # CS decodes can only grow with K on a fixed realization
     assert multi[0].R_c.mean <= multi[1].R_c.mean <= multi[INFINITE_K].R_c.mean
@@ -123,24 +116,24 @@ def test_coupled_compare_no_violations():
 
 def test_l1_receivers_coincide():
     cfg = erasure_cfg(L=1, T=1, G=3.0, gamma_c=0.5, K=1)
-    coll = se.simulate_frames(cfg, 50_000, seed=13)
-    sup = se.simulate_frames(cfg.replace(receiver=Receiver.SUPERPOSITION), 50_000, seed=13)
+    coll = se.simulate(cfg, 50_000, seed=13)
+    sup = se.simulate(cfg.replace(receiver=Receiver.SUPERPOSITION), 50_000, seed=13)
     assert coll.R_c == sup.R_c and coll.R_cbar == sup.R_cbar
     assert coll.Gamma_c == sup.Gamma_c and coll.Gamma_cbar == sup.Gamma_cbar
 
 
 def test_tdma_alpha_one_matches_single_service():
-    td = se.simulate_tdma(
+    td = se.simulate(
         erasure_cfg(T=4, G=8.0, gamma_c=1.0, allocation=Tdma(alpha=1.0)), 40_000, seed=14
     )
-    no = se.simulate_frames(erasure_cfg(T=4, G=8.0, gamma_c=1.0), 40_000, seed=14)
+    no = se.simulate(erasure_cfg(T=4, G=8.0, gamma_c=1.0), 40_000, seed=14)
     assert td.R_c == no.R_c  # identical realization and dynamics
     assert td.Gamma_c == no.Gamma_c
 
 
 def test_tdma_matches_analytic_throughput():
     cfg = erasure_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=0.5))
-    m = se.simulate_tdma(cfg, 120_000, seed=15)
+    m = se.simulate(cfg, 120_000, seed=15)
     an = ae.evaluate_erasure(cfg)
     assert abs(z_gap(m.R_c, an.R_c)) < 4.0
     assert abs(z_gap(m.R_cbar, an.R_cbar)) < 4.0
@@ -148,7 +141,7 @@ def test_tdma_matches_analytic_throughput():
 
 def test_tdma_zero_slot_class_flagged():
     cfg = erasure_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=0.05))
-    m = se.simulate_tdma(cfg, 2_000, seed=16)
+    m = se.simulate(cfg, 2_000, seed=16)
     assert "cs-class-has-zero-slots" in m.flags
     assert m.R_c.mean == 0.0 and m.Gamma_c.mean == 0.0
     assert m.Gamma_c.n_samples > 0  # active devices are still scored (as failures)
@@ -156,7 +149,7 @@ def test_tdma_zero_slot_class_flagged():
 
 def test_tagged_psr_consistent_with_all_device_average():
     cfg = erasure_cfg(L=2, T=2, G=3.0, gamma_c=0.5, K=1)
-    m = se.simulate_frames(cfg, 150_000, seed=17)
+    m = se.simulate(cfg, 150_000, seed=17)
     cs_all, ncs_all = se.simulate_per_device_psr(cfg, 150_000, seed=17)
     for tagged, alldev in ((m.Gamma_c, cs_all), (m.Gamma_cbar, ncs_all)):
         sigma = math.hypot(tagged.std_error, alldev.std_error)
