@@ -84,8 +84,8 @@ def _p_cs_array(n: np.ndarray, e1: float) -> np.ndarray:
 # ============================================================================
 
 
-def _cs_throughput_series(L, e1, e2, g_c, tail_mass=TAIL_MASS_DEFAULT):
-    n, w = poisson_weights(g_c, tail_mass)
+def _cs_throughput_series(L, e1, e2, g_c):
+    n, w = poisson_weights(g_c)
     q = _p_cs_array(n, e1) * (1.0 - e2)
     return float(np.sum(w * L * q * (1.0 - q) ** (L - 1)))
 
@@ -106,8 +106,8 @@ def _cs_throughput_closed(L, e1, e2, g_c):
     return total
 
 
-def _cs_psr_series(L, e1, e2, g_c, tail_mass=TAIL_MASS_DEFAULT):
-    n, w = normalized_poisson_weights(g_c, tail_mass)
+def _cs_psr_series(L, e1, e2, g_c):
+    n, w = normalized_poisson_weights(g_c)
     p_u = (1.0 - e1) * e1 ** (n - 1)
     q = n * p_u * (1.0 - e2)
     return float(np.sum(w * L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)))
@@ -139,10 +139,10 @@ def _cs_psr_closed(L, e1, e2, g_c):
 # ============================================================================
 
 
-def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: Tolerance, tail_mass=TAIL_MASS_DEFAULT):
+def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: Tolerance):
     """Mean NCS deliveries per slot; covers both ideal and finite K."""
-    nc, wc = poisson_weights(g_c, tail_mass)
-    nn, wn = poisson_weights(g_n, tail_mass)
+    nc, wc = poisson_weights(g_c)
+    nn, wn = poisson_weights(g_n)
     NC = nc[:, None]
     NN = nn[None, :]
     q_cs = _p_cs_array(nc, e1)[:, None] * gamma_k_tolerance_array(NN, e1, k) * (1.0 - e2)
@@ -168,14 +168,14 @@ def _ncs_throughput_inf_closed(L, e1, e2, g_c, g_n):
     return L * total
 
 
-def _ncs_psr_series(L, e1, e2, g_c, g_n, k: Tolerance, tail_mass=TAIL_MASS_DEFAULT):
+def _ncs_psr_series(L, e1, e2, g_c, g_n, k: Tolerance):
     """PSR of a tagged NCS device; covers ideal and finite K.
 
     The CS interference budget at each AP is charged only with what that AP
     actually receives, which is what the slot-level simulation measures.
     """
-    nc, wc = poisson_weights(g_c, tail_mass)
-    nn, wn = normalized_poisson_weights(g_n, tail_mass)
+    nc, wc = poisson_weights(g_c)
+    nn, wn = normalized_poisson_weights(g_n)
     NC = nc[:, None]
     NN = nn[None, :]
     if is_infinite(k):
@@ -207,9 +207,9 @@ def _ncs_psr_inf_closed(L, e1, e2, g_c, g_n):
 # ============================================================================
 
 
-def _poly_series_cutoff(x: float, order: int, tail_mass: float) -> int:
+def _poly_series_cutoff(x: float, order: int) -> int:
     """Safe truncation index for sums of x**n n**order / n! terms."""
-    base = poisson_tail_cutoff(max(x, 1.0), min(tail_mass, 1e-15))
+    base = poisson_tail_cutoff(max(x, 1.0), min(TAIL_MASS_DEFAULT, 1e-15))
     return base + 5 * (order + 1) + 25
 
 
@@ -224,24 +224,24 @@ def _xi1(K, k, g_n, e1):
     return total
 
 
-def _xi2(K, k, j, g_n, e1, tail_mass=TAIL_MASS_DEFAULT):
+def _xi2(K, k, j, g_n, e1):
     """Tail of the tolerance-weighted series, with the budget CDF factor."""
     x = g_n * e1 ** (k + 1)
     if x == 0.0:
         return 0.0
-    n_max = _poly_series_cutoff(g_n, k + 1, tail_mass)
+    n_max = _poly_series_cutoff(g_n, k + 1)
     n = np.arange(K + 1, n_max + 1)
     log_terms = n * math.log(x) - special.gammaln(n + 1) + (k + 1) * np.log(n)
     tol = gamma_k_tolerance_array(n, e1, K)
     return float(np.sum(np.exp(log_terms) * tol**j))
 
 
-def _ncs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT):
+def _ncs_throughput_k_closed(L, e1, e2, g_c, g_n, K):
     beta = _beta(e1, e2)
     total = 0.0
     for i in range(L):
         for k in range(i + 1):
-            xi = _xi1(K, k, g_n, e1) + _xi2(K, k, i - k, g_n, e1, tail_mass)
+            xi = _xi1(K, k, g_n, e1) + _xi2(K, k, i - k, g_n, e1)
             total += (
                 (-1.0) ** i
                 * math.comb(L - 1, i)
@@ -259,15 +259,15 @@ def _ncs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT
 # ============================================================================
 
 
-def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int, tail_mass=TAIL_MASS_DEFAULT):
+def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int):
     """Exact finite-K CS throughput via the trinomial delivery expansion.
 
     One AP must deliver the CS packet, at most min(K, L-1) APs may deliver
     NCS packets, and the remaining APs must stay silent.  For K >= L - 1 the
     inner sum collapses to the single-service binomial form.
     """
-    nc, wc = poisson_weights(g_c, tail_mass)
-    nn, wn = poisson_weights(g_n, tail_mass)
+    nc, wc = poisson_weights(g_c)
+    nn, wn = poisson_weights(g_n)
     NC = nc[:, None]
     NN = nn[None, :]
     psi = _p_cs_array(nc, e1)[:, None] * gamma_k_tolerance_array(NN, e1, K) * (1.0 - e2)
@@ -280,18 +280,18 @@ def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int, tail_mass=TAIL_MASS_DEF
     return float(wc @ val @ wn)
 
 
-def _xi_poisson_tail(K, l, g_n, e1, tail_mass=TAIL_MASS_DEFAULT):
+def _xi_poisson_tail(K, l, g_n, e1):
     """sum_{n > K} Poisson(g_n) pmf(n) * gamma_K(n, e1)**(l+1)."""
     if g_n == 0.0:
         return 0.0
-    n_max = max(poisson_tail_cutoff(g_n, tail_mass), K + 1)
+    n_max = max(poisson_tail_cutoff(g_n, TAIL_MASS_DEFAULT), K + 1)
     n = np.arange(K + 1, n_max + 1)
     pmf = np.exp(n * math.log(g_n) - g_n - special.gammaln(n + 1))
     tol = gamma_k_tolerance_array(n, e1, K)
     return float(np.sum(pmf * tol ** (l + 1)))
 
 
-def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT):
+def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K):
     """Closed finite-K CS throughput; valid for L <= K + 1 only."""
     if L > K + 1:
         raise ValueError("closed finite-K CS throughput requires L <= K + 1")
@@ -299,7 +299,7 @@ def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT)
     q_head = regularized_gamma_q(K + 1, g_n)
     total = 0.0
     for l in range(L):
-        factor = q_head + _xi_poisson_tail(K, l, g_n, e1, tail_mass)
+        factor = q_head + _xi_poisson_tail(K, l, g_n, e1)
         total += (
             (-1.0) ** l
             * L
@@ -312,14 +312,14 @@ def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K, tail_mass=TAIL_MASS_DEFAULT)
     return total
 
 
-def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int, tail_mass=TAIL_MASS_DEFAULT):
+def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
     """Exact finite-K CS PSR for a tagged device.
 
     The delivery pattern of the other L-1 APs is trinomial (CS delivery, NCS
     delivery, silence are mutually exclusive per AP).
     """
-    npr, wpr = normalized_poisson_weights(g_c, tail_mass)
-    nn, wn = poisson_weights(g_n, tail_mass)
+    npr, wpr = normalized_poisson_weights(g_c)
+    nn, wn = poisson_weights(g_n)
     NP = npr[:, None]
     NN = nn[None, :]
     tol = gamma_k_tolerance_array(NN, e1, K)
@@ -340,8 +340,8 @@ def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int, tail_mass=TAIL_MASS_DEFAULT):
 # ============================================================================
 
 
-def _benchmark_series(L, e1, g_c, tail_mass=TAIL_MASS_DEFAULT):
-    n, w = poisson_weights(g_c, tail_mass)
+def _benchmark_series(L, e1, g_c):
+    n, w = poisson_weights(g_c)
     p = _p_cs_array(n, e1)
     return float(np.sum(w * (1.0 - (1.0 - p) ** L)))
 
@@ -380,25 +380,25 @@ def _dispatch(closed_fn, series_fn, L, e1):
 # ============================================================================
 
 
-def throughput_cs_single(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def throughput_cs_single(cfg: ScenarioConfig) -> float:
     """CS throughput with no NCS interference (single-service semantics)."""
     e = cfg.erasure
     g_c = cfg.cs_slot_load
     return _dispatch(
         lambda: _cs_throughput_closed(cfg.L, e.eps1, e.eps2, g_c),
-        lambda: _cs_throughput_series(cfg.L, e.eps1, e.eps2, g_c, tail_mass),
+        lambda: _cs_throughput_series(cfg.L, e.eps1, e.eps2, g_c),
         cfg.L,
         e.eps1,
     )
 
 
-def reference_series_throughput_cs(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def reference_series_throughput_cs(cfg: ScenarioConfig) -> float:
     """Direct truncated-series CS throughput (oracle for the closed form)."""
     e = cfg.erasure
-    return _cs_throughput_series(cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, tail_mass)
+    return _cs_throughput_series(cfg.L, e.eps1, e.eps2, cfg.cs_slot_load)
 
 
-def psr_cs_single(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def psr_cs_single(cfg: ScenarioConfig) -> float:
     """Single-service CS packet success rate for a tagged active device."""
     e = cfg.erasure
     g_c = cfg.cs_slot_load
@@ -406,25 +406,25 @@ def psr_cs_single(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> 
         raise ValueError("CS packet success rate requires a positive CS load")
     return _dispatch(
         lambda: _cs_psr_closed(cfg.L, e.eps1, e.eps2, g_c),
-        lambda: _cs_psr_series(cfg.L, e.eps1, e.eps2, g_c, tail_mass),
+        lambda: _cs_psr_series(cfg.L, e.eps1, e.eps2, g_c),
         cfg.L,
         e.eps1,
     )
 
 
-def throughput_ncs_ideal_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def throughput_ncs_ideal_k(cfg: ScenarioConfig) -> float:
     """NCS throughput under ideal CS interference tolerance."""
     e = cfg.erasure
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
     return _dispatch(
         lambda: _ncs_throughput_inf_closed(cfg.L, e.eps1, e.eps2, g_c, g_n),
-        lambda: _ncs_throughput_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K, tail_mass),
+        lambda: _ncs_throughput_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K),
         cfg.L,
         e.eps1,
     )
 
 
-def psr_ncs_ideal_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def psr_ncs_ideal_k(cfg: ScenarioConfig) -> float:
     """NCS packet success rate under ideal CS interference tolerance."""
     e = cfg.erasure
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
@@ -432,23 +432,23 @@ def psr_ncs_ideal_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -
         raise ValueError("NCS packet success rate requires a positive NCS load")
     return _dispatch(
         lambda: _ncs_psr_inf_closed(cfg.L, e.eps1, e.eps2, g_c, g_n),
-        lambda: _ncs_psr_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K, tail_mass),
+        lambda: _ncs_psr_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K),
         cfg.L,
         e.eps1,
     )
 
 
-def throughput_ncs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def throughput_ncs_finite_k(cfg: ScenarioConfig) -> float:
     """NCS throughput under finite tolerance K (series primary path)."""
     e = cfg.erasure
     if is_infinite(cfg.K):
         raise ValueError("finite-K operation called with infinite tolerance")
     return _ncs_throughput_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, tail_mass
+        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
     )
 
 
-def psr_ncs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def psr_ncs_finite_k(cfg: ScenarioConfig) -> float:
     """NCS packet success rate under finite tolerance K."""
     e = cfg.erasure
     if is_infinite(cfg.K):
@@ -456,21 +456,21 @@ def psr_ncs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) 
     if cfg.ncs_slot_load <= 0:
         raise ValueError("NCS packet success rate requires a positive NCS load")
     return _ncs_psr_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, tail_mass
+        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
     )
 
 
-def throughput_cs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def throughput_cs_finite_k(cfg: ScenarioConfig) -> float:
     """CS throughput under finite tolerance K (series primary path)."""
     e = cfg.erasure
     if is_infinite(cfg.K):
         raise ValueError("finite-K operation called with infinite tolerance")
     return _cs_throughput_k_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, tail_mass
+        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
     )
 
 
-def psr_cs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def psr_cs_finite_k(cfg: ScenarioConfig) -> float:
     """CS packet success rate under finite tolerance K."""
     e = cfg.erasure
     if is_infinite(cfg.K):
@@ -478,11 +478,11 @@ def psr_cs_finite_k(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -
     if cfg.cs_slot_load <= 0:
         raise ValueError("CS packet success rate requires a positive CS load")
     return _cs_psr_k_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, tail_mass
+        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
     )
 
 
-def benchmark_bound(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> float:
+def benchmark_bound(cfg: ScenarioConfig) -> float:
     """Per-slot probability that at least one AP decodes a CS packet.
 
     Upper-bounds the end-to-end single-service throughput (it ignores the
@@ -492,7 +492,7 @@ def benchmark_bound(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -
     g_c = cfg.cs_slot_load
     return _dispatch(
         lambda: _benchmark_closed(cfg.L, e.eps1, g_c),
-        lambda: _benchmark_series(cfg.L, e.eps1, g_c, tail_mass),
+        lambda: _benchmark_series(cfg.L, e.eps1, g_c),
         cfg.L,
         e.eps1,
     )
@@ -503,36 +503,27 @@ def benchmark_bound(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -
 # ============================================================================
 
 
-def _single_service_pair(L, e1, e2, load, tail_mass):
+def _single_service_pair(L, e1, e2, load):
     """(throughput, PSR) of an isolated class at the given per-slot load."""
     if load <= 0:
         return 0.0, 0.0
     cfg = ScenarioConfig(
         L=L, T=1, G=load, gamma_c=1.0, channel=ErasureParams(e1, e2)
     )
-    return throughput_cs_single(cfg, tail_mass), psr_cs_single(cfg, tail_mass)
+    return throughput_cs_single(cfg), psr_cs_single(cfg)
 
 
-def _evaluate_tdma(cfg: ScenarioConfig, tail_mass: float) -> ServiceMetrics:
-    alpha = cfg.allocation.alpha
+def _evaluate_tdma(cfg: ScenarioConfig) -> ServiceMetrics:
     e = cfg.erasure
-    r_c = p_c = r_n = p_n = 0.0
-    cs_frame_load = cfg.gamma_c * cfg.G
-    ncs_frame_load = (1.0 - cfg.gamma_c) * cfg.G
-    if alpha > 0 and cs_frame_load > 0:
-        tput, psr = _single_service_pair(
-            cfg.L, e.eps1, e.eps2, cs_frame_load / (alpha * cfg.T), tail_mass
-        )
-        r_c, p_c = alpha * tput, psr
-    if alpha < 1 and ncs_frame_load > 0:
-        tput, psr = _single_service_pair(
-            cfg.L, e.eps1, e.eps2, ncs_frame_load / ((1.0 - alpha) * cfg.T), tail_mass
-        )
-        r_n, p_n = (1.0 - alpha) * tput, psr
-    return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
+    (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
+    r_c, p_c = _single_service_pair(cfg.L, e.eps1, e.eps2, g_c)
+    r_n, p_n = _single_service_pair(cfg.L, e.eps1, e.eps2, g_n)
+    return ServiceMetrics(
+        R_c=share_c * r_c, R_cbar=share_n * r_n, Gamma_c=p_c, Gamma_cbar=p_n
+    )
 
 
-def evaluate_erasure(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) -> ServiceMetrics:
+def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:
     """All four class metrics for a collision-receiver erasure scenario.
 
     A class with zero offered load gets zero throughput and, by convention,
@@ -545,19 +536,19 @@ def evaluate_erasure(cfg: ScenarioConfig, tail_mass: float = TAIL_MASS_DEFAULT) 
         )
     cfg.erasure  # raises for fading scenarios
     if isinstance(cfg.allocation, Tdma):
-        return _evaluate_tdma(cfg, tail_mass)
+        return _evaluate_tdma(cfg)
 
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
     ideal = is_infinite(cfg.K)
 
     if g_c > 0:
-        r_c = throughput_cs_single(cfg, tail_mass) if ideal else throughput_cs_finite_k(cfg, tail_mass)
-        p_c = psr_cs_single(cfg, tail_mass) if ideal else psr_cs_finite_k(cfg, tail_mass)
+        r_c = throughput_cs_single(cfg) if ideal else throughput_cs_finite_k(cfg)
+        p_c = psr_cs_single(cfg) if ideal else psr_cs_finite_k(cfg)
     else:
         r_c, p_c = 0.0, 0.0
     if g_n > 0:
-        r_n = throughput_ncs_ideal_k(cfg, tail_mass) if ideal else throughput_ncs_finite_k(cfg, tail_mass)
-        p_n = psr_ncs_ideal_k(cfg, tail_mass) if ideal else psr_ncs_finite_k(cfg, tail_mass)
+        r_n = throughput_ncs_ideal_k(cfg) if ideal else throughput_ncs_finite_k(cfg)
+        p_n = psr_ncs_ideal_k(cfg) if ideal else psr_ncs_finite_k(cfg)
     else:
         r_n, p_n = 0.0, 0.0
     return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)

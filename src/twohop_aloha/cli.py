@@ -6,8 +6,8 @@ write CSV only; output is byte-stable for fixed inputs (floats rendered
 with 9 significant digits, rows in sweep order, LF line endings) and files
 are written atomically so failed runs never leave partial output behind.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-capacity error,
-4 validation failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical-capacity or other
+numerical error, 4 validation failure.
 """
 
 from __future__ import annotations
@@ -89,6 +89,14 @@ def _float_list(text: str) -> list[float]:
     return [float(x) for x in items]
 
 
+def _construct(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a violated domain reported as a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config_file(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -116,13 +124,15 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
         raise ConfigError("config must contain exactly one of [erasure] or [fading]")
     if has_erasure:
         es = parser["erasure"]
-        channel = ErasureParams(
+        channel = _construct(
+            ErasureParams,
             eps1=_get(es, "eps1", float, required=True),
             eps2=_get(es, "eps2", float, required=True),
         )
     else:
         fs = parser["fading"]
-        channel = FadingParams(
+        channel = _construct(
+            FadingParams,
             alpha2=_get(fs, "alpha2", float, required=True),
             beta2=_get(fs, "beta2", float, required=True),
             P_c=_get(fs, "p_c", float, default=10.0),
@@ -138,7 +148,7 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
         allocation = NON_ORTHOGONAL
     elif allocation_name == "tdma":
         alpha = _get(sc, "alpha", float, required=True)
-        allocation = Tdma(alpha=alpha)
+        allocation = _construct(Tdma, alpha=alpha)
     else:
         raise ConfigError(f"unknown allocation {allocation_name!r}")
 
@@ -146,19 +156,17 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
     if receiver not in Receiver.ALL:
         raise ConfigError(f"unknown receiver {receiver!r}")
 
-    try:
-        return ScenarioConfig(
-            L=_get(sc, "l", int, required=True),
-            T=_get(sc, "t", int, required=True),
-            G=_get(sc, "g", float, required=True),
-            gamma_c=_get(sc, "gamma_c", float, required=True),
-            channel=channel,
-            K=_get(sc, "k", _parse_tolerance, default=INFINITE_K),
-            receiver=receiver,
-            allocation=allocation,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _construct(
+        ScenarioConfig,
+        L=_get(sc, "l", int, required=True),
+        T=_get(sc, "t", int, required=True),
+        G=_get(sc, "g", float, required=True),
+        gamma_c=_get(sc, "gamma_c", float, required=True),
+        channel=channel,
+        K=_get(sc, "k", _parse_tolerance, default=INFINITE_K),
+        receiver=receiver,
+        allocation=allocation,
+    )
 
 
 # ============================================================================
@@ -212,6 +220,8 @@ class FadingBackend:
     def check(self, cfg: ScenarioConfig) -> None:
         if isinstance(cfg.channel, ErasureParams):
             raise ConfigError("fading backend requires fading channel parameters")
+        if isinstance(cfg.allocation, Tdma):
+            raise ConfigError("fading backend supports non-orthogonal allocation only")
 
     def evaluate(self, cfg: ScenarioConfig):
         return sim_fading.estimate_fading_metrics(cfg, self.slots, self.seed, self.workers)
@@ -224,7 +234,7 @@ class SuperpositionBackend:
 
     @property
     def seed(self):
-        return self.estimator.seed if isinstance(self.estimator, ConditionedMC) else None
+        return self.estimator.seed
 
     def check(self, cfg: ScenarioConfig) -> None:
         if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != Receiver.SUPERPOSITION:
@@ -240,15 +250,14 @@ class SuperpositionBackend:
 Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
 
 
-def _count_setting(args, sim_sec, key: str, default: int | None = None) -> int:
-    """``--key`` when given, else ``[sim] key``, else ``default``; must be >= 1."""
+def _count_setting(args, sim_sec, key: str, default: int | None = None, minimum: int = 1) -> int:
+    """``--key`` when given, else ``[sim] key``, else ``default``; must be >= ``minimum``."""
     flag = getattr(args, key)
-    value = flag if flag is not None else sim_sec.get(key, default)
+    value = flag if flag is not None else _get(sim_sec, key, int, default)
     if value is None:
         raise ConfigError(f"no {key} budget: give --{key} or [sim] {key}")
-    value = int(value)
-    if value < 1:
-        raise ConfigError(f"{key} must be >= 1, got {value}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
 
 
@@ -256,7 +265,7 @@ def backend_from_config(parser, name: str, args) -> Backend:
     """Build a backend from the config sections plus CLI overrides."""
     sim_sec = parser["sim"] if "sim" in parser else {}
     sup_sec = parser["superposition"] if "superposition" in parser else {}
-    seed = args.seed if args.seed is not None else int(sim_sec.get("seed", DEFAULT_SEED))
+    seed = _count_setting(args, sim_sec, "seed", DEFAULT_SEED, minimum=0)
     workers = _count_setting(args, sim_sec, "workers", 1)
     if name == "analytic":
         return AnalyticBackend()
@@ -269,10 +278,12 @@ def backend_from_config(parser, name: str, args) -> Backend:
     if name == "superposition":
         kind = str(sup_sec.get("estimator", "exact")).strip().lower()
         if kind == "exact":
-            limit = int(sup_sec.get("enum_limit", 200_000))
+            limit = _get(sup_sec, "enum_limit", int, 200_000)
             return SuperpositionBackend(estimator=ExactEnum(limit=limit))
         if kind == "mc":
-            samples = int(sup_sec.get("mc_samples", 1000))
+            samples = _get(sup_sec, "mc_samples", int, 1000)
+            if samples < 1:
+                raise ConfigError(f"mc_samples must be >= 1, got {samples}")
             return SuperpositionBackend(
                 estimator=ConditionedMC(n_alloc_samples=samples, seed=seed)
             )
@@ -405,9 +416,9 @@ def sweep_spec_from_config(parser, base: ScenarioConfig, args) -> SweepSpec:
     if parameter == "K":
         values = tuple(_parse_tolerance(v) for v in raw_values.split())
     elif parameter in ("T", "L"):
-        values = tuple(int(v) for v in raw_values.split())
+        values = _get(sec, "values", lambda text: tuple(int(v) for v in text.split()))
     else:
-        values = tuple(_float_list(raw_values))
+        values = tuple(_get(sec, "values", _float_list))
     if not values:
         raise ConfigError("sweep value list is empty")
     backend_name = args.backend or _get(sec, "backend", str, default="analytic").strip()
@@ -449,7 +460,7 @@ class RegionSpec:
 def _region_grid(sec, name: str) -> tuple:
     """``{name}_values`` as listed, else ``{name}_count`` even steps over [0, 1]."""
     if f"{name}_values" in sec:
-        return tuple(_float_list(sec[f"{name}_values"]))
+        return tuple(_get(sec, f"{name}_values", _float_list))
     count = _get(sec, f"{name}_count", int, default=21)
     if count < 2:
         raise ConfigError(
@@ -532,6 +543,9 @@ def compute_region(spec: RegionSpec) -> list[list]:
 #  Analytic-vs-simulation validation
 # ============================================================================
 
+# Frame budget cap per group of validation configs.
+_VALIDATE_MAX_FRAMES = 4_000_000
+
 _VALIDATE_DEFAULTS = {
     "L": (1, 2, 3, 5),
     "eps1": (0.1, 0.5, 0.9),
@@ -613,7 +627,6 @@ def validate(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     analytic_fn=None,
-    max_frames: int = 4_000_000,
 ) -> ValidationReport:
     """Analytic-vs-simulation oracle over a config grid.
 
@@ -622,14 +635,14 @@ def validate(
     (PSR trials of the rarer class).  Pass/fail: |z| <= 3 on at least 99%
     of scored cells and no |z| > 5 (and no per-cell backend errors).
     """
-    if target_se <= 0:
-        raise ValueError("target_se must be positive")
+    if not target_se > 0:
+        raise ConfigError("target_se must be positive")
     if analytic_fn is None:
         analytic_fn = analytic_erasure.evaluate_erasure
     if grid is None:
         grid = default_validation_grid()
     if not grid:
-        raise ValueError("validation grid is empty")
+        raise ConfigError("validation grid is empty")
 
     groups: dict = {}
     for cfg in grid:
@@ -647,7 +660,7 @@ def validate(
             1.0 - math.exp(-(1.0 - base.gamma_c) * base.G),
         ]
         p_min = min(p for p in active if p > 0) if any(p > 0 for p in active) else 1.0
-        n_frames = min(max_frames, int(math.ceil(1.05 * trials_target / p_min)) + 500)
+        n_frames = min(_VALIDATE_MAX_FRAMES, int(math.ceil(1.05 * trials_target / p_min)) + 500)
         k_values = [c.K for c in cfgs]
         try:
             sim_by_k = sim_erasure.simulate_multi_k(base, k_values, n_frames, seed, workers)
@@ -749,11 +762,11 @@ def _validate_grid_from_config(parser) -> list[ScenarioConfig]:
     overrides = {}
     for key in ("L", "eps1", "eps2", "load", "gamma_c"):
         if key.lower() in sec:
-            values = _float_list(sec[key.lower()])
+            values = _get(sec, key.lower(), _float_list)
             overrides[key] = tuple(int(v) if key == "L" else v for v in values)
     if "k" in sec:
         overrides["K"] = tuple(_parse_tolerance(v) for v in sec["k"].split())
-    return default_validation_grid(overrides)
+    return _construct(default_validation_grid, overrides)
 
 
 # ============================================================================
@@ -854,11 +867,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             parser = load_config_file(args.config) if args.config else None
             grid = _validate_grid_from_config(parser)
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
             report = validate(
                 grid,
                 target_se=args.target_se,
-                seed=seed,
+                seed=_count_setting(args, {}, "seed", DEFAULT_SEED, minimum=0),
                 workers=_count_setting(args, {}, "workers", 1),
             )
             print(render_validation_summary(report))
@@ -873,9 +885,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:  # every config fault raised ConfigError above
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

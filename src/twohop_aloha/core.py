@@ -7,6 +7,7 @@ are pure; samplers take an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -177,8 +178,8 @@ class ScenarioConfig:
             raise ValueError(f"L must be >= 1, got {self.L}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.G < 0:
-            raise ValueError(f"G must be >= 0, got {self.G}")
+        if not 0 <= self.G < math.inf:
+            raise ValueError(f"G must be finite and >= 0, got {self.G}")
         _check_prob("gamma_c", self.gamma_c)
         if not is_infinite(self.K):
             if not isinstance(self.K, (int, np.integer)) or self.K < 0:
@@ -215,6 +216,17 @@ class ScenarioConfig:
     @property
     def ncs_slot_load(self) -> float:
         return (1.0 - self.gamma_c) * self.G / self.T
+
+    def tdma_shares(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """``((alpha, g_c), (1 - alpha, g_n))`` under ``Tdma(alpha)``.
+
+        Each class's slot share and its per-slot load over that share; a
+        class without slots gets load 0.
+        """
+        alpha = self.allocation.alpha
+        g_c = self.gamma_c * self.G / (alpha * self.T) if alpha > 0 else 0.0
+        g_n = (1.0 - self.gamma_c) * self.G / ((1.0 - alpha) * self.T) if alpha < 1 else 0.0
+        return (alpha, g_c), (1.0 - alpha, g_n)
 
     def replace(self, **changes) -> "ScenarioConfig":
         return replace(self, **changes)
@@ -307,8 +319,12 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
+@functools.lru_cache(maxsize=4096)
 def poisson_tail_cutoff(lam: float, delta: float) -> int:
-    """Smallest n with P(Poisson(lam) > n) < delta."""
+    """Smallest n with P(Poisson(lam) > n) < delta.
+
+    Memoized: the evaluators ask for the same few rates many times.
+    """
     if lam < 0 or math.isnan(lam) or math.isinf(lam):
         raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
     if not 0.0 < delta < 1.0:

@@ -156,8 +156,10 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     cells = F * T
 
     cs_T = spec.cs_slots if spec.cs_slots is not None else T
-    ncs_base = spec.cs_slots if spec.cs_slots is not None else 0
     ncs_T = (T - spec.cs_slots) if spec.cs_slots is not None else T
+    # NCS slots follow the CS ones.  A class without slots is silenced
+    # below; its devices sit in slot 0 so every cell index stays in range.
+    ncs_base = T - ncs_T if ncs_T > 0 else 0
 
     # Fixed draw order: counts, slot choices, access erasures, backhaul
     # erasures, tagging uniforms.

@@ -6,18 +6,22 @@ per-slot message-index bookkeeping explicit: conditioned on the per-slot
 transmission counts, the vector of per-message AP copy counts is multinomial
 over (silent, one cell per CS message, one cell per NCS message).
 
-Two estimators for the inner expectation over AP allocations:
+Two estimators for the inner expectation over AP allocations.  Both offer
+``throughput(L, n_c, n_n, e1, e2, k)``, the (CS, NCS) decode probabilities
+at fixed per-slot transmission counts, and ``tagged(L, n_c, n_n, e1, e2, k,
+tagged_cs)``, the decode probability of a tagged CS (or NCS) message:
 
-* ``ExactEnum`` -- exact expectation.  Message cells within a class are
-  exchangeable, so the expectation marginalizes onto (copies of a
-  distinguished message, other same-class copies, other-class copies),
-  which equals exhaustive enumeration of the multinomial outcomes at
-  polynomial cost (the equality is pinned by a test against the literal
-  enumerator below).  The enumeration feasibility budget
-  C(L + cells - 1, cells - 1) <= limit is still enforced; exceeding it
-  raises ``CapacityError`` rather than silently degrading.
+* ``ExactEnum`` -- exact expectation as Python floats; its ``seed`` is
+  None.  Message cells within a class are exchangeable, so the expectation
+  marginalizes onto (copies of a distinguished message, other same-class
+  copies, other-class copies), which equals exhaustive enumeration of the
+  multinomial outcomes at polynomial cost (the equality is pinned by a test
+  against the literal enumerator below).  The enumeration feasibility
+  budget C(L + cells - 1, cells - 1) <= limit is still enforced; exceeding
+  it raises ``CapacityError`` rather than silently degrading.
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair from
-  dedicated substreams of the master seed and reports standard errors.
+  dedicated substreams of the master seed and returns the per-allocation
+  values, from which standard errors are reported.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    TAIL_MASS_DEFAULT,
+    INFINITE_K,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
@@ -74,15 +78,17 @@ class ApAllocation:
         return sum(self.m_counts)
 
 
-def ap_allocation_probs(n_c: int, n_cbar: int, eps1: float) -> np.ndarray:
+def ap_allocation_probs(
+    n_c: int, n_cbar: int, eps1: float, k: Tolerance = INFINITE_K
+) -> np.ndarray:
     """Multinomial cell probabilities (silent, CS cells, NCS cells).
 
-    Classes with zero transmissions contribute no cells; the vector always
-    sums to one.
+    A CS cell carries the AP-level tolerance budget of ``k``.  Classes with
+    zero transmissions contribute no cells; the vector always sums to one.
     """
     if n_c < 0 or n_cbar < 0:
         raise ValueError("transmission counts must be >= 0")
-    p_c = p_access_cs(n_c, eps1)
+    p_c = _budgeted_cs_access(n_c, n_cbar, eps1, k)
     p_n = p_access_ncs(n_c, n_cbar, eps1)
     probs = [1.0 - p_c - p_n]
     if n_c > 0:
@@ -191,38 +197,6 @@ def enumerate_allocations(n_aps: int, n_cells: int):
         for c in counts:
             coef //= math.factorial(c)
         yield tuple(counts), coef
-
-
-# ============================================================================
-#  Estimator declarations
-# ============================================================================
-
-
-@dataclass(frozen=True)
-class ExactEnum:
-    """Exact inner expectation, with an enumeration feasibility budget."""
-
-    limit: int = 200_000
-
-
-@dataclass(frozen=True)
-class ConditionedMC:
-    """Monte Carlo over allocations, conditioned per (n_c, n_cbar) pair."""
-
-    n_alloc_samples: int = 1000
-    seed: int = 0
-
-
-def _allocation_probs_budgeted(n_c, n_cbar, eps1, k) -> np.ndarray:
-    """Allocation cell probabilities with the AP-level tolerance applied."""
-    p_c = _budgeted_cs_access(n_c, n_cbar, eps1, k)
-    p_n = p_access_ncs(n_c, n_cbar, eps1)
-    probs = [1.0 - p_c - p_n]
-    if n_c > 0:
-        probs.extend([p_c / n_c] * n_c)
-    if n_cbar > 0:
-        probs.extend([p_n / n_cbar] * n_cbar)
-    return np.array(probs)
 
 
 def _check_budget(L: int, n_c: int, n_cbar: int, limit: int) -> None:
@@ -359,23 +333,26 @@ def _mc_tagged_values(draws: np.ndarray, n_c: int, e2: float, k, tagged_cs: bool
 
 
 class _McAccumulator:
-    """Weighted mean and propagated standard error over (n_c, n_cbar) pairs."""
+    """Weighted mean and propagated standard error over (n_c, n_cbar) pairs
+    of exact values (Python floats) or arrays of Monte Carlo samples."""
 
     def __init__(self):
         self.mean = 0.0
         self.var = 0.0
         self.n = 0
 
-    def add(self, weight: float, values: np.ndarray):
+    def add(self, weight: float, values: float | np.ndarray):
+        if isinstance(values, float):
+            self.mean += weight * values
+            return
         self.mean += weight * float(values.mean())
         if values.size > 1:
             self.var += weight**2 * float(values.var(ddof=1)) / values.size
         self.n += values.size
 
-    def estimate(self, seed: int) -> SimEstimate:
-        return SimEstimate(
-            mean=self.mean, std_error=math.sqrt(self.var), n_samples=self.n, seed=seed
-        )
+    def estimate(self, seed: int, scale: float) -> SimEstimate:
+        """The estimate of ``scale`` times the accumulated mean."""
+        return SimEstimate(self.mean * scale, math.sqrt(self.var) * scale, self.n, seed)
 
 
 def _pair_rng(seed: int, purpose: int, n_c: int, n_n: int) -> np.random.Generator:
@@ -385,86 +362,80 @@ def _pair_rng(seed: int, purpose: int, n_c: int, n_n: int) -> np.random.Generato
 
 
 # ============================================================================
+#  Estimators
+# ============================================================================
+
+
+@dataclass(frozen=True)
+class ExactEnum:
+    """Exact inner expectation, with an enumeration feasibility budget."""
+
+    limit: int = 200_000
+    seed = None
+
+    def throughput(self, L, n_c, n_n, e1, e2, k):
+        _check_budget(L, n_c, n_n, self.limit)
+        return _exact_inner_throughput(L, n_c, n_n, e1, e2, k)
+
+    def tagged(self, L, n_c, n_n, e1, e2, k, tagged_cs: bool):
+        _check_budget(L, n_c, n_n, self.limit)
+        n_tag, n_other = (n_c, n_n) if tagged_cs else (n_n, n_c)
+        return _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs)
+
+
+@dataclass(frozen=True)
+class ConditionedMC:
+    """Monte Carlo over allocations, conditioned per (n_c, n_cbar) pair."""
+
+    n_alloc_samples: int = 1000
+    seed: int = 0
+
+    def _draws(self, purpose: int, L, n_c, n_n, e1, k) -> np.ndarray:
+        rng = _pair_rng(self.seed, purpose, n_c, n_n)
+        probs = ap_allocation_probs(n_c, n_n, e1, k)
+        return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
+
+    def throughput(self, L, n_c, n_n, e1, e2, k):
+        return _mc_throughput_values(self._draws(0, L, n_c, n_n, e1, k), n_c, e2, k)
+
+    def tagged(self, L, n_c, n_n, e1, e2, k, tagged_cs: bool):
+        draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, k)
+        return _mc_tagged_values(draws, n_c, e2, k, tagged_cs)
+
+
+# ============================================================================
 #  Scenario evaluation
 # ============================================================================
 
 
-def _metric_grid(L, e1, e2, g_c, g_n, k, estimator, tail_mass):
-    """All four metrics for one non-orthogonal parameter set."""
-    nc, wc = poisson_weights(g_c, tail_mass)
-    nn, wn = poisson_weights(g_n, tail_mass)
-    exact = isinstance(estimator, ExactEnum)
-    if exact:
-        r_c = r_n = 0.0
-    else:
-        acc_rc, acc_rn = _McAccumulator(), _McAccumulator()
-    for i, n_cs in enumerate(nc):
-        for j, n_ncs in enumerate(nn):
-            n_cs_i, n_ncs_i = int(n_cs), int(n_ncs)
-            w = float(wc[i] * wn[j])
-            if exact:
-                _check_budget(L, n_cs_i, n_ncs_i, estimator.limit)
-                q_cs, q_ncs = _exact_inner_throughput(L, n_cs_i, n_ncs_i, e1, e2, k)
-                r_c += w * q_cs
-                r_n += w * q_ncs
-            else:
-                rng = _pair_rng(estimator.seed, 0, n_cs_i, n_ncs_i)
-                probs = _allocation_probs_budgeted(n_cs_i, n_ncs_i, e1, k)
-                draws = multinomial_sample(
-                    rng, L, probs, size=estimator.n_alloc_samples
-                )
-                q_cs, q_ncs = _mc_throughput_values(draws, n_cs_i, e2, k)
-                acc_rc.add(w, q_cs)
-                acc_rn.add(w, q_ncs)
+def _weighted_pairs(ns_a, ws_a, ns_b, ws_b):
+    """Yield (a, b, weight) over the product of two weighted supports."""
+    for i, a in enumerate(ns_a):
+        for j, b in enumerate(ns_b):
+            yield int(a), int(b), float(ws_a[i] * ws_b[j])
 
-    def psr(tagged_cs: bool):
-        g_tag, g_oth = (g_c, g_n) if tagged_cs else (g_n, g_c)
-        if g_tag <= 0:
-            return 0.0 if exact else SimEstimate(0.0, 0.0, 0, estimator.seed)
-        ntag, wtag = normalized_poisson_weights(g_tag, tail_mass)
-        noth, woth = poisson_weights(g_oth, tail_mass)
-        if exact:
-            total = 0.0
-        else:
-            acc = _McAccumulator()
-        for i, n_t in enumerate(ntag):
-            for j, n_o in enumerate(noth):
-                n_t_i, n_o_i = int(n_t), int(n_o)
-                w = float(wtag[i] * woth[j])
-                n_cs_i = n_t_i if tagged_cs else n_o_i
-                n_ncs_i = n_o_i if tagged_cs else n_t_i
-                if exact:
-                    _check_budget(L, n_cs_i, n_ncs_i, estimator.limit)
-                    total += w * _exact_inner_psr(
-                        L, n_t_i, n_o_i, e1, e2, k, tagged_cs
-                    )
-                else:
-                    rng = _pair_rng(
-                        estimator.seed, 1 if tagged_cs else 2, n_cs_i, n_ncs_i
-                    )
-                    probs = _allocation_probs_budgeted(n_cs_i, n_ncs_i, e1, k)
-                    draws = multinomial_sample(
-                        rng, L, probs, size=estimator.n_alloc_samples
-                    )
-                    acc.add(w, _mc_tagged_values(draws, n_cs_i, e2, k, tagged_cs))
-        return total if exact else acc.estimate(estimator.seed)
 
-    p_c = psr(tagged_cs=True)
-    p_n = psr(tagged_cs=False)
-    if exact:
-        return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
-    return SimulatedMetrics(
-        R_c=acc_rc.estimate(estimator.seed),
-        R_cbar=acc_rn.estimate(estimator.seed),
-        Gamma_c=p_c,
-        Gamma_cbar=p_n,
-    )
+def _metric_grid(L, e1, e2, g_c, g_n, k, estimator):
+    """Accumulators of all four metrics for one non-orthogonal parameter set.
+
+    A class with no load keeps an empty (zero) packet-success accumulator.
+    """
+    r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
+    for n_c, n_n, w in _weighted_pairs(*poisson_weights(g_c), *poisson_weights(g_n)):
+        q_cs, q_ncs = estimator.throughput(L, n_c, n_n, e1, e2, k)
+        r_c.add(w, q_cs)
+        r_n.add(w, q_ncs)
+    for tagged_cs, g_tag, g_other, acc in ((True, g_c, g_n, p_c), (False, g_n, g_c, p_n)):
+        if g_tag > 0:
+            pairs = _weighted_pairs(*normalized_poisson_weights(g_tag), *poisson_weights(g_other))
+            for n_tag, n_other, w in pairs:
+                n_cs, n_ncs = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
+                acc.add(w, estimator.tagged(L, n_cs, n_ncs, e1, e2, k, tagged_cs))
+    return r_c, r_n, p_c, p_n
 
 
 def evaluate_superposition(
-    cfg: ScenarioConfig,
-    estimator: ExactEnum | ConditionedMC = ExactEnum(),
-    tail_mass: float = TAIL_MASS_DEFAULT,
+    cfg: ScenarioConfig, estimator: ExactEnum | ConditionedMC = ExactEnum()
 ):
     """Class metrics for a superposition-receiver erasure scenario.
 
@@ -477,35 +448,15 @@ def evaluate_superposition(
     if cfg.receiver != Receiver.SUPERPOSITION:
         raise ValueError("evaluate_superposition requires the superposition receiver")
     if isinstance(cfg.allocation, Tdma):
-        alpha = cfg.allocation.alpha
-        zero = 0.0 if isinstance(estimator, ExactEnum) else SimEstimate(
-            0.0, 0.0, 0, estimator.seed
+        (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
+        r_c, _, p_c, _ = _metric_grid(cfg.L, e.eps1, e.eps2, g_c, 0.0, cfg.K, estimator)
+        _, r_n, _, p_n = _metric_grid(cfg.L, e.eps1, e.eps2, 0.0, g_n, cfg.K, estimator)
+    else:
+        share_c = share_n = 1.0
+        r_c, r_n, p_c, p_n = _metric_grid(
+            cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, estimator
         )
-        g_cs = cfg.gamma_c * cfg.G / (alpha * cfg.T) if alpha > 0 else 0.0
-        g_ncs = (
-            (1.0 - cfg.gamma_c) * cfg.G / ((1.0 - alpha) * cfg.T)
-            if alpha < 1
-            else 0.0
-        )
-        m_cs = _metric_grid(cfg.L, e.eps1, e.eps2, g_cs, 0.0, cfg.K, estimator, tail_mass)
-        m_ncs = _metric_grid(cfg.L, e.eps1, e.eps2, 0.0, g_ncs, cfg.K, estimator, tail_mass)
-        if isinstance(estimator, ExactEnum):
-            return ServiceMetrics(
-                R_c=alpha * m_cs.R_c,
-                R_cbar=(1.0 - alpha) * m_ncs.R_cbar,
-                Gamma_c=m_cs.Gamma_c if g_cs > 0 else 0.0,
-                Gamma_cbar=m_ncs.Gamma_cbar if g_ncs > 0 else 0.0,
-            )
-        scale = lambda est, s: SimEstimate(
-            est.mean * s, est.std_error * s, est.n_samples, est.seed
-        )
-        return SimulatedMetrics(
-            R_c=scale(m_cs.R_c, alpha),
-            R_cbar=scale(m_ncs.R_cbar, 1.0 - alpha),
-            Gamma_c=m_cs.Gamma_c if g_cs > 0 else zero,
-            Gamma_cbar=m_ncs.Gamma_cbar if g_ncs > 0 else zero,
-        )
-    return _metric_grid(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K,
-        estimator, tail_mass,
-    )
+    scaled = ((r_c, share_c), (r_n, share_n), (p_c, 1.0), (p_n, 1.0))
+    if estimator.seed is None:
+        return ServiceMetrics(*(acc.mean * s for acc, s in scaled))
+    return SimulatedMetrics(*(acc.estimate(estimator.seed, s) for acc, s in scaled))

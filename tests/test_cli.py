@@ -83,6 +83,8 @@ def test_scenario_fading_section(tmp_path):
         lambda s: s.replace("L = 3", "L = 0"),
         lambda s: s + "\n[fading]\nalpha2 = 1\nbeta2 = 1\n",  # both channels
         lambda s: s.replace("receiver = collision", "receiver = magic"),
+        lambda s: s.replace("eps1 = 0.5", "eps1 = 1.5"),
+        lambda s: s.replace("allocation = non_orthogonal", "allocation = tdma\nalpha = 1.5"),
     ],
 )
 def test_bad_scenario_files_raise_config_error(tmp_path, mutator):
@@ -207,6 +209,16 @@ def test_eval_capacity_error_exit_code(tmp_path):
     body += "\n[superposition]\nestimator = exact\nenum_limit = 5\n"
     path = write_ini(tmp_path, body)
     assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+
+
+def test_eval_numerical_failure_exit_code(tmp_path, capsys):
+    # the L = 64 closed forms cancel catastrophically; the result is refused
+    body = BASE_INI.replace("L = 3", "L = 64").replace("T = 8", "T = 1")
+    body = body.replace("G = 16.0", "G = 0.5").replace("eps1 = 0.5", "eps1 = 0.1")
+    body = body.replace("eps2 = 0.5", "eps2 = 0.1")
+    path = write_ini(tmp_path, body)
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("numerical error: ")
 
 
 def test_sim_command_writes_csv_with_seed(tmp_path):

@@ -1,16 +1,21 @@
-"""Exact outputs of both Monte Carlo engines at fixed seeds.
+"""Exact outputs of both Monte Carlo engines and both evaluators.
 
 Chunk sizes, per-chunk substreams, draw order and tally merging together
 decide every digit of a simulated estimate, and the CLI promises
-byte-identical CSVs at a fixed seed.  A change to any of them shows up
+byte-identical CSVs at a fixed seed.  The collision-receiver and
+superposition evaluators are pinned too, under both allocations and both
+superposition estimators: the benchmark byte-gates superposition Monte
+Carlo only for non-orthogonal sharing.  A change to any of them shows up
 here as an inequality; re-record the values only for a deliberate change
-of the random streams.
+of the random streams or of the evaluated expressions.
 """
 
 import pytest
 
+import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
 import twohop_aloha.sim_fading as sf
+import twohop_aloha.superposition as sp
 from twohop_aloha.core import (
     INFINITE_K,
     ErasureParams,
@@ -30,6 +35,10 @@ def _metrics(m) -> tuple:
     return tuple(_est(e) for e in (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)) + (m.flags,)
 
 
+def _service(m) -> tuple:
+    return (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)
+
+
 def _erasure(L=3, T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=1, **kw):
     return ScenarioConfig(
         L=L, T=T, G=G, gamma_c=gamma_c, channel=ErasureParams(e1, e2), K=K, **kw
@@ -44,6 +53,8 @@ _MULTI_K = _erasure(T=1, G=2.0, receiver=Receiver.SUPERPOSITION)
 _FADING = ScenarioConfig(
     L=3, T=1, G=1.5, gamma_c=0.5, channel=FadingParams(alpha2=1.0, beta2=2.0)
 )
+_SUP = _erasure(receiver=Receiver.SUPERPOSITION)
+_SUP_TDMA = _erasure(T=3, receiver=Receiver.SUPERPOSITION, allocation=Tdma(alpha=0.3))
 
 CASES = {
     "simulate_non_orthogonal": lambda: _metrics(se.simulate(_erasure(), 20_000, 11)),
@@ -63,9 +74,42 @@ CASES = {
     ),
     "fading_w1": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17)),
     "fading_w2": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17, workers=2)),
+    "erasure_non_orthogonal_k_inf": lambda: _service(ae.evaluate_erasure(_erasure(K=INFINITE_K))),
+    "erasure_non_orthogonal_k2": lambda: _service(ae.evaluate_erasure(_erasure(K=2))),
+    "erasure_tdma_alpha_0": lambda: _service(
+        ae.evaluate_erasure(_erasure(T=3, allocation=Tdma(alpha=0.0)))
+    ),
+    "erasure_tdma_alpha_0.3": lambda: _service(
+        ae.evaluate_erasure(_erasure(T=3, allocation=Tdma(alpha=0.3)))
+    ),
+    "erasure_tdma_alpha_1": lambda: _service(
+        ae.evaluate_erasure(_erasure(T=3, allocation=Tdma(alpha=1.0)))
+    ),
+    "superposition_exact": lambda: _service(sp.evaluate_superposition(_SUP)),
+    "superposition_exact_tdma": lambda: _service(sp.evaluate_superposition(_SUP_TDMA)),
+    "superposition_mc": lambda: _metrics(
+        sp.evaluate_superposition(_SUP, sp.ConditionedMC(n_alloc_samples=200, seed=18))
+    ),
+    "superposition_mc_tdma": lambda: _metrics(
+        sp.evaluate_superposition(_SUP_TDMA, sp.ConditionedMC(n_alloc_samples=200, seed=18))
+    ),
 }
 
 EXPECTED = {"coupled_compare": 0,
+ "erasure_non_orthogonal_k2": (0.23245962153035446,
+                               0.11210514797720499,
+                               0.30456476018054257,
+                               0.1474715016809587),
+ "erasure_non_orthogonal_k_inf": (0.23766734856923089,
+                                  0.11180670436369093,
+                                  0.3110026413271323,
+                                  0.1473218042388488),
+ "erasure_tdma_alpha_0": (0.0, 0.19414553876226984, 0.0, 0.3507754501347143),
+ "erasure_tdma_alpha_0.3": (0.07436981797012117,
+                            0.16312527195651774,
+                            0.18736474182864696,
+                            0.3165508659483618),
+ "erasure_tdma_alpha_1": (0.19414553876226984, 0.0, 0.3507754501347143, 0.0),
  "fading_w1": ((0.4616, 0.0035251799024542327, 20000, 17),
                (0.26535, 0.0031220916462865707, 20000, 17),
                (0.7146643945848717, 0.004393958748118345, 10563, 17),
@@ -116,7 +160,25 @@ EXPECTED = {"coupled_compare": 0,
                    (0.3974772450369096, 0.004143092487606843, 13953, 12),
                    (0.23402221956755465, 0.003272245918726327, 16742, 12),
                    ()),
- "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15)}
+ "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15),
+ "superposition_exact": (0.270714961890864,
+                         0.14550697337070734,
+                         0.3675825146611995,
+                         0.1958204862309792),
+ "superposition_exact_tdma": (0.09145290680710472,
+                              0.2170024069196753,
+                              0.24491081070912354,
+                              0.43634954507757784),
+ "superposition_mc": ((0.27578643470912106, 0.002992561694824768, 45000, 18),
+                      (0.14294993995433858, 0.0026206701975356604, 45000, 18),
+                      (0.357747760007771, 0.004784849077600639, 42000, 18),
+                      (0.1911144315026332, 0.004153614866108169, 42000, 18),
+                      ()),
+ "superposition_mc_tdma": ((0.09427541533349058, 0.0017169506423406848, 4000, 18),
+                           (0.2166897165359804, 0.003764644841303743, 3000, 18),
+                           (0.22349601175988787, 0.005799202874664288, 3800, 18),
+                           (0.43481925948346967, 0.009574254248353398, 2800, 18),
+                           ())}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

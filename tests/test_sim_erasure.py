@@ -140,11 +140,13 @@ def test_tdma_matches_analytic_throughput():
 
 
 def test_tdma_zero_slot_class_flagged():
-    cfg = erasure_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=0.05))
-    m = se.simulate(cfg, 2_000, seed=16)
-    assert "cs-class-has-zero-slots" in m.flags
-    assert m.R_c.mean == 0.0 and m.Gamma_c.mean == 0.0
-    assert m.Gamma_c.n_samples > 0  # active devices are still scored (as failures)
+    for alpha, cls in ((0.05, "cs"), (1.0, "ncs")):
+        cfg = erasure_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=alpha))
+        m = se.simulate(cfg, 2_000, seed=16)
+        assert f"{cls}-class-has-zero-slots" in m.flags
+        r, psr = (m.R_c, m.Gamma_c) if cls == "cs" else (m.R_cbar, m.Gamma_cbar)
+        assert r.mean == 0.0 and psr.mean == 0.0
+        assert psr.n_samples > 0  # active devices are still scored (as failures)
 
 
 def test_tagged_psr_consistent_with_all_device_average():

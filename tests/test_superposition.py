@@ -123,7 +123,7 @@ def test_enumerated_weights_sum_to_one():
 @pytest.mark.parametrize("n_c,n_n", [(2, 3), (1, 0), (0, 2), (3, 3)])
 def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
     L, e1, e2, K = 3, 0.4, 0.5, 1
-    probs = sp._allocation_probs_budgeted(n_c, n_n, e1, K)
+    probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
     lit_cs = lit_ncs = 0.0
     for counts, coef in sp.enumerate_allocations(L, len(probs)):
         w = coef * float(np.prod(probs ** np.array(counts)))
@@ -139,7 +139,7 @@ def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
 def test_marginalized_psr_equals_literal_enumeration(n_tag, n_oth, tagged_cs):
     L, e1, e2, K = 4, 0.3, 0.6, 1
     n_c, n_n = (n_tag, n_oth) if tagged_cs else (n_oth, n_tag)
-    probs = sp._allocation_probs_budgeted(n_c, n_n, e1, K)
+    probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
     lit = 0.0
     for counts, coef in sp.enumerate_allocations(L, len(probs)):
         w = coef * float(np.prod(probs ** np.array(counts)))
