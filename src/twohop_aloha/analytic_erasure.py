@@ -392,12 +392,6 @@ def throughput_cs_single(cfg: ScenarioConfig) -> float:
     )
 
 
-def reference_series_throughput_cs(cfg: ScenarioConfig) -> float:
-    """Direct truncated-series CS throughput (oracle for the closed form)."""
-    e = cfg.erasure
-    return _cs_throughput_series(cfg.L, e.eps1, e.eps2, cfg.cs_slot_load)
-
-
 def psr_cs_single(cfg: ScenarioConfig) -> float:
     """Single-service CS packet success rate for a tagged active device."""
     e = cfg.erasure

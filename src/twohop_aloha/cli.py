@@ -182,7 +182,6 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class AnalyticBackend:
-    name = "analytic"
     seed = None
 
     def check(self, cfg: ScenarioConfig) -> None:
@@ -200,7 +199,6 @@ class SimBackend:
     frames: int
     seed: int = DEFAULT_SEED
     workers: int = 1
-    name = "sim"
 
     def check(self, cfg: ScenarioConfig) -> None:
         if not isinstance(cfg.channel, ErasureParams):
@@ -215,7 +213,6 @@ class FadingBackend:
     slots: int
     seed: int = DEFAULT_SEED
     workers: int = 1
-    name = "fading"
 
     def check(self, cfg: ScenarioConfig) -> None:
         if isinstance(cfg.channel, ErasureParams):
@@ -230,7 +227,6 @@ class FadingBackend:
 @dataclass(frozen=True)
 class SuperpositionBackend:
     estimator: ExactEnum | ConditionedMC = ExactEnum()
-    name = "superposition"
 
     @property
     def seed(self):
@@ -611,6 +607,15 @@ def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfi
     return configs
 
 
+_METRICS = ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar")
+
+
+def _error_cells(cfg: ScenarioConfig, exc: Exception) -> list[ValidationCell]:
+    """The cells of a config whose evaluation raised ``exc``, one per metric."""
+    nan = math.nan
+    return [ValidationCell(cfg, m, nan, nan, nan, nan, f"error: {exc}") for m in _METRICS]
+
+
 def _z_score(analytic: float, estimate) -> tuple[float, float, float]:
     se = estimate.std_error
     diff = estimate.mean - analytic
@@ -652,7 +657,6 @@ def validate(
 
     trials_target = int(math.ceil(0.25 / target_se**2))
     cells = []
-    n_errors = 0
     for key, cfgs in groups.items():
         base = cfgs[0]
         active = [
@@ -665,27 +669,16 @@ def validate(
         try:
             sim_by_k = sim_erasure.simulate_multi_k(base, k_values, n_frames, seed, workers)
         except Exception as exc:  # surfaced per-cell, run continues
-            for cfg in cfgs:
-                for metric in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
-                    cells.append(
-                        ValidationCell(cfg, metric, math.nan, math.nan, math.nan,
-                                       math.nan, f"error: {exc}")
-                    )
-                    n_errors += 1
+            cells += [cell for cfg in cfgs for cell in _error_cells(cfg, exc)]
             continue
         for cfg in cfgs:
             sim = sim_by_k[cfg.K]
             try:
                 ana = analytic_fn(cfg)
             except Exception as exc:
-                for metric in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
-                    cells.append(
-                        ValidationCell(cfg, metric, math.nan, math.nan, math.nan,
-                                       math.nan, f"error: {exc}")
-                    )
-                    n_errors += 1
+                cells += _error_cells(cfg, exc)
                 continue
-            for metric in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+            for metric in _METRICS:
                 mean, se, z = _z_score(getattr(ana, metric), getattr(sim, metric))
                 if abs(z) <= 3.0:
                     status = "ok"
@@ -698,6 +691,7 @@ def validate(
                 )
 
     scored = [c for c in cells if not c.status.startswith("error")]
+    n_errors = len(cells) - len(scored)
     n_ok = sum(1 for c in scored if c.status == "ok")
     n_fail = sum(1 for c in scored if c.status == "fail")
     passed = (
@@ -763,6 +757,8 @@ def _validate_grid_from_config(parser) -> list[ScenarioConfig]:
     for key in ("L", "eps1", "eps2", "load", "gamma_c"):
         if key.lower() in sec:
             values = _get(sec, key.lower(), _float_list)
+            if key == "L" and not all(v.is_integer() for v in values):
+                raise ConfigError(f"[validate] l must list whole numbers, got {sec['l']!r}")
             overrides[key] = tuple(int(v) if key == "L" else v for v in values)
     if "k" in sec:
         overrides["K"] = tuple(_parse_tolerance(v) for v in sec["k"].split())

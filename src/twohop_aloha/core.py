@@ -136,6 +136,8 @@ class FadingParams:
     r_cbar: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("fading gains, powers and rates must be finite")
         if self.alpha2 <= 0 or self.beta2 <= 0:
             raise ValueError("mean channel gains alpha2, beta2 must be > 0")
         if self.P_cbar < 0 or self.P_c < self.P_cbar:

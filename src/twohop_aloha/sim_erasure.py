@@ -38,80 +38,6 @@ _BIG = np.int64(2**62)
 
 
 # ============================================================================
-#  Single-slot reference realization
-# ============================================================================
-
-
-@dataclass(frozen=True)
-class SlotRealization:
-    """One slot of the two-hop protocol, fully materialized.
-
-    Plain reference logic for the decode rules; the production engine
-    below vectorizes the identical semantics over whole frames.  Arrival
-    matrices hold one row per transmitted packet and one column per AP,
-    True meaning the copy survived the access erasure; ``backhaul_ok``
-    holds the per-AP backhaul erasure outcomes.
-    """
-
-    cs_arrivals: np.ndarray
-    ncs_arrivals: np.ndarray
-    backhaul_ok: np.ndarray
-
-    def __post_init__(self):
-        L = self.backhaul_ok.shape[0]
-        if (self.cs_arrivals.size and self.cs_arrivals.shape[1] != L) or (
-            self.ncs_arrivals.size and self.ncs_arrivals.shape[1] != L
-        ):
-            raise ValueError("arrival matrices and backhaul vector disagree on L")
-
-    def ap_decoded(self, k: Tolerance) -> list:
-        """Per-AP outcome: ('cs'|'ncs', packet index) or None.
-
-        An AP decodes a CS packet iff exactly one CS copy arrives and at
-        most k NCS copies do; an NCS packet iff exactly one NCS copy and
-        zero CS copies arrive; otherwise it stays silent.
-        """
-        out = []
-        for l in range(self.backhaul_ok.shape[0]):
-            cs_in = np.flatnonzero(self.cs_arrivals[:, l]) if self.cs_arrivals.size else []
-            ncs_in = np.flatnonzero(self.ncs_arrivals[:, l]) if self.ncs_arrivals.size else []
-            budget = is_infinite(k) or len(ncs_in) <= k
-            if len(cs_in) == 1 and budget:
-                out.append(("cs", int(cs_in[0])))
-            elif len(ncs_in) == 1 and len(cs_in) == 0:
-                out.append(("ncs", int(ncs_in[0])))
-            else:
-                out.append(None)
-        return out
-
-    def bs_decoded(self, k: Tolerance, receiver: str):
-        """BS outcome under the given receiver rule: ('cs'|'ncs', idx) or None.
-
-        APs that decoded nothing stay silent on the backhaul; the rest
-        forward, subject to the backhaul erasures.
-        """
-        forwarded = [
-            d
-            for l, d in enumerate(self.ap_decoded(k))
-            if d is not None and self.backhaul_ok[l]
-        ]
-        cs = [idx for cls, idx in forwarded if cls == "cs"]
-        ncs = [idx for cls, idx in forwarded if cls == "ncs"]
-        budget = is_infinite(k) or len(ncs) <= k
-        if receiver == Receiver.COLLISION:
-            if len(cs) == 1 and budget:
-                return ("cs", cs[0])
-            if len(ncs) == 1 and len(cs) == 0:
-                return ("ncs", ncs[0])
-            return None
-        if len(cs) >= 1 and len(set(cs)) == 1 and budget:
-            return ("cs", cs[0])
-        if len(ncs) >= 1 and len(set(ncs)) == 1 and len(cs) == 0:
-            return ("ncs", ncs[0])
-        return None
-
-
-# ============================================================================
 #  Engine specification and tally plumbing
 # ============================================================================
 
@@ -149,6 +75,48 @@ def _class_counts(cells, L, cell_id, arrivals, ids):
         counts[:, l] = np.bincount(sel, minlength=cells)
         idsum[:, l] = np.bincount(sel, weights=ids[m], minlength=cells).astype(np.int64)
     return counts, idsum
+
+
+def _ap_decode(counts_c, counts_n, K: Tolerance):
+    """Per-(cell, AP) CS and NCS decodes under the three-state AP rule.
+
+    An AP decodes a CS packet iff exactly one CS copy arrives and at most K
+    NCS copies do; an NCS packet iff exactly one NCS copy and no CS copy
+    arrive; otherwise it stays silent.
+    """
+    within_budget = True if is_infinite(K) else counts_n <= K
+    cs_dec = (counts_c == 1) & within_budget
+    ncs_dec = (counts_n == 1) & (counts_c == 0)
+    return cs_dec, ncs_dec
+
+
+def _bs_decode(receiver: str, K: Tolerance, del_c, idsum_c, del_n, idsum_n):
+    """Per-cell BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` from AP deliveries.
+
+    ``del_*`` marks the (cell, AP) decodes that survived the backhaul and
+    ``idsum_*`` holds the decoded identities.  The collision receiver needs
+    exactly one delivery of the class; the superposition receiver needs at
+    least one, all of the same message.  A CS decode also needs at most K
+    NCS deliveries, an NCS decode none of the CS class.
+    """
+    ndc = del_c.sum(axis=1)
+    ndn = del_n.sum(axis=1)
+    within_budget = True if is_infinite(K) else ndn <= K
+    if receiver == Receiver.COLLISION:
+        cs_ok = (ndc == 1) & within_budget
+        cs_id = np.where(cs_ok, (idsum_c * del_c).sum(axis=1), _ID_NONE)
+        ncs_ok = (ndn == 1) & (ndc == 0)
+        ncs_id = np.where(ncs_ok, (idsum_n * del_n).sum(axis=1), _ID_NONE)
+        return cs_ok, cs_id, ncs_ok, ncs_id
+    mx_c = np.max(np.where(del_c, idsum_c, 0), axis=1)
+    mn_c = np.min(np.where(del_c, idsum_c, _BIG), axis=1)
+    cs_ok = (ndc >= 1) & (mx_c == mn_c) & within_budget
+    cs_id = np.where(cs_ok, mx_c, _ID_NONE)
+    mx_n = np.max(np.where(del_n, idsum_n, 0), axis=1)
+    mn_n = np.min(np.where(del_n, idsum_n, _BIG), axis=1)
+    ncs_ok = (ndn >= 1) & (mx_n == mn_n) & (ndc == 0)
+    ncs_id = np.where(ncs_ok, mx_n, _ID_NONE)
+    return cs_ok, cs_id, ncs_ok, ncs_id
 
 
 def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
@@ -210,39 +178,17 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
 
     out: dict = {}
     for ki, K in enumerate(spec.k_values):
-        if is_infinite(K):
-            within_budget = np.ones_like(counts_n, dtype=bool)
-        else:
-            within_budget = counts_n <= K
-        cs_dec = (counts_c == 1) & within_budget
-        ncs_dec = (counts_n == 1) & (counts_c == 0)
+        cs_dec, ncs_dec = _ap_decode(counts_c, counts_n, K)
 
         if spec.collect_uplink:
             out[(ki, "uplink", "succ")] = int(cs_dec.any(axis=1).sum())
 
         del_c = cs_dec & backhaul
         del_n = ncs_dec & backhaul
-        ndc = del_c.sum(axis=1)
-        ndn = del_n.sum(axis=1)
 
         results = {}
         for receiver in spec.receivers:
-            if receiver == Receiver.COLLISION:
-                cs_ok = (ndc == 1) & (True if is_infinite(K) else (ndn <= K))
-                cs_id = np.where(cs_ok, (idsum_c * del_c).sum(axis=1), _ID_NONE)
-                ncs_ok = (ndn == 1) & (ndc == 0)
-                ncs_id = np.where(ncs_ok, (idsum_n * del_n).sum(axis=1), _ID_NONE)
-            else:
-                mx_c = np.max(np.where(del_c, idsum_c, 0), axis=1)
-                mn_c = np.min(np.where(del_c, idsum_c, _BIG), axis=1)
-                one_msg_c = (ndc >= 1) & (mx_c == mn_c)
-                cs_ok = one_msg_c & (True if is_infinite(K) else (ndn <= K))
-                cs_id = np.where(cs_ok, mx_c, _ID_NONE)
-                mx_n = np.max(np.where(del_n, idsum_n, 0), axis=1)
-                mn_n = np.min(np.where(del_n, idsum_n, _BIG), axis=1)
-                one_msg_n = (ndn >= 1) & (mx_n == mn_n)
-                ncs_ok = one_msg_n & (ndc == 0)
-                ncs_id = np.where(ncs_ok, mx_n, _ID_NONE)
+            cs_ok, cs_id, ncs_ok, ncs_id = _bs_decode(receiver, K, del_c, idsum_c, del_n, idsum_n)
             results[receiver] = (cs_ok, cs_id, ncs_ok, ncs_id)
 
             out[(ki, receiver, "cs_slots")] = int(cs_ok.sum())

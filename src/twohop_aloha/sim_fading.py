@@ -106,42 +106,6 @@ def bs_decode(
 
 
 @dataclass(frozen=True)
-class FadingSlot:
-    """Fully materialized fading slot: gains, per-AP decodes, BS winner.
-
-    ``decoded[l]`` is AP l's max-SINR decode (0 = none); ``winner`` is the
-    BS's max-SINR decode over the coherently combined relays (0 = none).
-    ``decoded_sets`` maps each relayed message to the APs holding it.
-    """
-
-    n_c: int
-    n_cbar: int
-    gains_access: np.ndarray  # (L, M) complex
-    gains_backhaul: np.ndarray  # (L,) complex
-    decoded: np.ndarray  # (L,) int
-    winner: int
-
-    @property
-    def decoded_sets(self) -> dict:
-        out: dict = {}
-        for l, m in enumerate(self.decoded):
-            if m > 0:
-                out.setdefault(int(m), []).append(l)
-        return out
-
-    @classmethod
-    def draw(cls, rng, n_c: int, n_cbar: int, L: int, fading: FadingParams):
-        h = _complex_normal(rng, (L, n_c + n_cbar), fading.alpha2)
-        g = _complex_normal(rng, (L,), fading.beta2)
-        decoded = ap_decode(h, n_c, fading)
-        winner = int(bs_decode(decoded, g, n_c, fading))
-        return cls(
-            n_c=n_c, n_cbar=n_cbar, gains_access=h, gains_backhaul=g,
-            decoded=decoded, winner=winner,
-        )
-
-
-@dataclass(frozen=True)
 class _FadingSpec:
     lam_c: float
     lam_n: float

@@ -59,25 +59,6 @@ class CapacityError(RuntimeError):
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class ApAllocation:
-    """Per-slot message-copy counts at the APs.
-
-    ``m_counts[0]`` counts silent APs; entries 1..n_c hold CS messages and
-    the remaining entries NCS messages.  Entries sum to the number of APs.
-    """
-
-    m_counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.m_counts) < 1 or any(m < 0 for m in self.m_counts):
-            raise ValueError("m_counts must be non-empty and non-negative")
-
-    @property
-    def n_aps(self) -> int:
-        return sum(self.m_counts)
-
-
 def ap_allocation_probs(
     n_c: int, n_cbar: int, eps1: float, k: Tolerance = INFINITE_K
 ) -> np.ndarray:
@@ -107,76 +88,6 @@ def _budgeted_cs_access(n_c: int, n_cbar: int, eps1: float, k: Tolerance) -> flo
     heavy NCS traffic with finite k.
     """
     return p_access_cs(n_c, eps1) * gamma_k_tolerance(n_cbar, eps1, k)
-
-
-def _check_alloc(alloc: ApAllocation, n_c: int, n_cbar: int) -> None:
-    if len(alloc.m_counts) != 1 + n_c + n_cbar:
-        raise ValueError(
-            f"allocation has {len(alloc.m_counts)} cells, expected "
-            f"{1 + n_c + n_cbar} for n_c={n_c}, n_cbar={n_cbar}"
-        )
-
-
-def bs_decode_prob_cs(
-    alloc: ApAllocation, n_c: int, n_cbar: int, eps2: float, k: Tolerance
-) -> float:
-    """P(BS retrieves a CS message | AP allocation).
-
-    Some CS message must get at least one copy through unerased, every copy
-    of every other CS message must be erased, and at most ``k`` NCS copies
-    (counted individually across APs) may survive.
-    """
-    _check_alloc(alloc, n_c, n_cbar)
-    m = alloc.m_counts
-    s_cs = sum(m[1 : 1 + n_c])
-    s_ncs = sum(m[1 + n_c :])
-    budget = gamma_k_tolerance(s_ncs, eps2, k)
-    total = 0.0
-    for copies in m[1 : 1 + n_c]:
-        total += (1.0 - eps2**copies) * eps2 ** (s_cs - copies)
-    return budget * total
-
-
-def bs_decode_prob_ncs(alloc: ApAllocation, n_c: int, n_cbar: int, eps2: float) -> float:
-    """P(BS retrieves a NCS message | AP allocation).
-
-    Requires every CS copy and every copy of any other NCS message erased.
-    """
-    _check_alloc(alloc, n_c, n_cbar)
-    m = alloc.m_counts
-    s_cs = sum(m[1 : 1 + n_c])
-    s_ncs = sum(m[1 + n_c :])
-    total = 0.0
-    for copies in m[1 + n_c :]:
-        total += (1.0 - eps2**copies) * eps2 ** (s_ncs - copies)
-    return eps2**s_cs * total
-
-
-def _bs_decode_prob_cs_tagged(alloc, n_c, n_cbar, eps2, k) -> float:
-    """Same CS event restricted to the first CS message (PSR conditioning)."""
-    _check_alloc(alloc, n_c, n_cbar)
-    if n_c < 1:
-        raise ValueError("tagged CS decode needs n_c >= 1")
-    m = alloc.m_counts
-    s_cs = sum(m[1 : 1 + n_c])
-    s_ncs = sum(m[1 + n_c :])
-    return (
-        gamma_k_tolerance(s_ncs, eps2, k)
-        * (1.0 - eps2 ** m[1])
-        * eps2 ** (s_cs - m[1])
-    )
-
-
-def _bs_decode_prob_ncs_tagged(alloc, n_c, n_cbar, eps2) -> float:
-    """Decode probability of the first NCS message (PSR conditioning)."""
-    _check_alloc(alloc, n_c, n_cbar)
-    if n_cbar < 1:
-        raise ValueError("tagged NCS decode needs n_cbar >= 1")
-    m = alloc.m_counts
-    s_cs = sum(m[1 : 1 + n_c])
-    s_ncs = sum(m[1 + n_c :])
-    tagged = m[1 + n_c]
-    return eps2**s_cs * (1.0 - eps2**tagged) * eps2 ** (s_ncs - tagged)
 
 
 def enumerate_allocations(n_aps: int, n_cells: int):
@@ -301,12 +212,21 @@ def _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs: bool):
 
 
 # ============================================================================
-#  MC inner expectations
+#  Per-allocation decode probabilities (MC inner expectations)
 # ============================================================================
 
 
 def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, k):
-    """Vectorized (CS, NCS) decode probabilities for sampled allocations."""
+    """(CS, NCS) BS decode probabilities of each allocation row.
+
+    A row holds per-slot message-copy counts at the APs: column 0 counts
+    silent APs, columns 1..n_c the CS messages and the rest the NCS
+    messages.  A CS decode needs some CS message to get at least one copy
+    through unerased, every copy of every other CS message erased, and at
+    most ``k`` NCS copies (counted individually across APs) surviving.  An
+    NCS decode needs every CS copy and every copy of any other NCS message
+    erased.
+    """
     cs = draws[:, 1 : 1 + n_c]
     ncs = draws[:, 1 + n_c :]
     s_cs = cs.sum(axis=1)
@@ -320,6 +240,8 @@ def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, k):
 
 
 def _mc_tagged_values(draws: np.ndarray, n_c: int, e2: float, k, tagged_cs: bool):
+    """The same decode events restricted to the first message of the tagged
+    class (PSR conditioning), per allocation row."""
     cs = draws[:, 1 : 1 + n_c]
     ncs = draws[:, 1 + n_c :]
     s_cs = cs.sum(axis=1)

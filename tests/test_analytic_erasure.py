@@ -58,14 +58,13 @@ def test_reference_series_matches_closed_form_on_grid():
     for L, e1, e2, g in itertools.product(
         (1, 2, 5), (0.1, 0.5, 0.9), (0.1, 0.9), (0.25, 2.0)
     ):
-        cfg = erasure_cfg(L=L, G=g, e1=e1, e2=e2)
-        closed = ae.throughput_cs_single(cfg)
-        series = ae.reference_series_throughput_cs(cfg)
+        closed = ae.throughput_cs_single(erasure_cfg(L=L, G=g, e1=e1, e2=e2))
+        series = ae._cs_throughput_series(L, e1, e2, g)
         assert closed == pytest.approx(series, rel=1e-9, abs=1e-14)
 
 
 def test_reference_series_zero_load():
-    assert ae.reference_series_throughput_cs(erasure_cfg(G=0.0)) == 0.0
+    assert ae._cs_throughput_series(3, 0.5, 0.5, 0.0) == 0.0
 
 
 def test_psr_cs_single_limits():

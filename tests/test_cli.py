@@ -260,6 +260,23 @@ def test_fading_command(tmp_path, capsys):
     assert "seed = 3" in capsys.readouterr().out
 
 
+def test_non_finite_fading_value_is_config_error(tmp_path):
+    body = BASE_INI.replace(
+        "[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = nan\nbeta2 = 1.0"
+    )
+    path = write_ini(tmp_path, body)
+    assert cli.main(["fading", "--config", path, "--slots", "100"]) == cli.EXIT_CONFIG
+
+
+def test_validate_l_must_be_whole_numbers(tmp_path):
+    for bad in ("inf", "2.5"):
+        path = write_ini(tmp_path, BASE_INI + f"\n[validate]\nl = {bad}\n")
+        assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
+    path = write_ini(tmp_path, BASE_INI + "\n[validate]\nl = 2.0\n")
+    grid = cli._validate_grid_from_config(cli.load_config_file(path))
+    assert grid and all(cfg.L == 2 for cfg in grid)
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert cli.main(["eval", "--config", str(tmp_path / "nope.ini")]) == cli.EXIT_CONFIG
 
@@ -350,11 +367,15 @@ def test_validate_negative_control_fails():
     assert "FAIL" in cli.render_validation_summary(report)
 
 
-def test_validate_surfaces_per_cell_errors():
-    def broken(cfg):
+def test_validate_surfaces_per_cell_errors(monkeypatch):
+    def broken(*args):
         raise RuntimeError("deliberately broken")
 
     report = cli.validate(small_grid(), target_se=0.005, seed=1, analytic_fn=broken)
+    assert not report.passed
+    assert report.n_errors == 4
+    monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", broken)
+    report = cli.validate(small_grid(), target_se=0.005, seed=1)
     assert not report.passed
     assert report.n_errors == 4
 

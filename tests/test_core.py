@@ -238,6 +238,11 @@ def test_fading_params_power_ordering():
         FadingParams(alpha2=1.0, beta2=1.0, P_c=4.0, P_cbar=10.0)
     with pytest.raises(ValueError):
         FadingParams(alpha2=0.0, beta2=1.0)
+    FadingParams(alpha2=1.0, beta2=1.0, P_cbar=0.0)
+    for name in ("alpha2", "beta2", "P_c", "P_cbar", "P_c_ap", "P_cbar_ap", "r_c", "r_cbar"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FadingParams(**{"alpha2": 1.0, "beta2": 1.0, name: bad})
 
 
 def test_scenario_config_validation():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import twohop_aloha.analytic_erasure as ae
@@ -165,56 +166,81 @@ def test_uplink_decode_probability_matches_benchmark():
 
 
 # ---------------------------------------------------------------------------
-# Single-slot reference realization (rule-level semantics)
+# Decode rules of the engine on fixed single-cell realizations
 # ---------------------------------------------------------------------------
 
 
-def _slot(cs, ncs, bh):
-    import numpy as np
+def _outcome(cs_ok, cs_id, ncs_ok, ncs_id):
+    """('cs'|'ncs', packet index) of a decode, or None."""
+    assert not (cs_ok and ncs_ok)
+    if cs_ok:
+        return ("cs", int(cs_id) - 1)
+    if ncs_ok:
+        return ("ncs", int(ncs_id) - 1)
+    return None
 
-    return se.SlotRealization(
-        cs_arrivals=np.array(cs, dtype=bool).reshape(len(cs), -1)
-        if cs
-        else np.zeros((0, len(bh)), dtype=bool),
-        ncs_arrivals=np.array(ncs, dtype=bool).reshape(len(ncs), -1)
-        if ncs
-        else np.zeros((0, len(bh)), dtype=bool),
-        backhaul_ok=np.array(bh, dtype=bool),
-    )
+
+def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
+    """Per-AP and BS outcomes of the engine's decoders on one cell.
+
+    ``cs`` and ``ncs`` hold one row per packet and one column per AP (1 =
+    the copy survived the access erasure); ``bh`` the per-AP backhaul
+    outcomes.  Packet i of a class carries the engine identity i + 1.
+    """
+    L = len(bh)
+
+    def class_counts(rows):
+        arrivals = np.array(rows, dtype=bool).reshape(len(rows), L)
+        cell = np.zeros(len(rows), dtype=np.int64)
+        return se._class_counts(1, L, cell, arrivals, np.arange(1, len(rows) + 1))
+
+    counts_c, idsum_c = class_counts(cs)
+    counts_n, idsum_n = class_counts(ncs)
+    cs_dec, ncs_dec = se._ap_decode(counts_c, counts_n, K)
+    ap = [_outcome(cs_dec[0, l], idsum_c[0, l], ncs_dec[0, l], idsum_n[0, l]) for l in range(L)]
+    backhaul = np.array([bh], dtype=bool)
+    bs = se._bs_decode(receiver, K, cs_dec & backhaul, idsum_c, ncs_dec & backhaul, idsum_n)
+    return ap, _outcome(*(x[0] for x in bs))
+
+
+def _bs(cs, ncs, bh, K, receiver):
+    return _decode_cell(cs, ncs, bh, K, receiver)[1]
 
 
 def test_ap_three_state_rule():
     # two APs; CS packet 0 arrives only at AP 0, both NCS packets at AP 1
-    slot = _slot(cs=[[1, 0]], ncs=[[0, 1], [0, 1]], bh=[1, 1])
-    assert slot.ap_decoded(INFINITE_K) == [("cs", 0), None]
+    ap, _ = _decode_cell(cs=[[1, 0]], ncs=[[0, 1], [0, 1]], bh=[1, 1], K=INFINITE_K)
+    assert ap == [("cs", 0), None]
     # a lone NCS arrival decodes only when no CS copy is present: two
     # collided CS arrivals decode nothing themselves yet still jam the NCS
-    slot2 = _slot(cs=[[1, 0], [1, 0]], ncs=[[1, 1]], bh=[1, 1])
-    assert slot2.ap_decoded(INFINITE_K) == [None, ("ncs", 0)]
+    ap, _ = _decode_cell(cs=[[1, 0], [1, 0]], ncs=[[1, 1]], bh=[1, 1], K=INFINITE_K)
+    assert ap == [None, ("ncs", 0)]
     # the K budget suppresses the CS decode, and never helps NCS
-    slot3 = _slot(cs=[[1, 1]], ncs=[[1, 0], [1, 0]], bh=[1, 1])
-    assert slot3.ap_decoded(INFINITE_K) == [("cs", 0), ("cs", 0)]
-    assert slot3.ap_decoded(1) == [None, ("cs", 0)]
+    slot3 = dict(cs=[[1, 1]], ncs=[[1, 0], [1, 0]], bh=[1, 1])
+    assert _decode_cell(**slot3, K=INFINITE_K)[0] == [("cs", 0), ("cs", 0)]
+    assert _decode_cell(**slot3, K=1)[0] == [None, ("cs", 0)]
 
 
 def test_bs_rules_on_fixed_realizations():
+    coll, sup = Receiver.COLLISION, Receiver.SUPERPOSITION
     # both APs decode and forward the same CS packet
-    dup = _slot(cs=[[1, 1]], ncs=[], bh=[1, 1])
-    assert dup.bs_decoded(INFINITE_K, Receiver.COLLISION) is None  # copies collide
-    assert dup.bs_decoded(INFINITE_K, Receiver.SUPERPOSITION) == ("cs", 0)
+    dup = dict(cs=[[1, 1]], ncs=[], bh=[1, 1], K=INFINITE_K)
+    assert _bs(**dup, receiver=coll) is None  # copies collide
+    assert _bs(**dup, receiver=sup) == ("cs", 0)
     # one copy erased on the backhaul: both receivers decode
-    one = _slot(cs=[[1, 1]], ncs=[], bh=[1, 0])
-    assert one.bs_decoded(INFINITE_K, Receiver.COLLISION) == ("cs", 0)
-    assert one.bs_decoded(INFINITE_K, Receiver.SUPERPOSITION) == ("cs", 0)
+    one = dict(cs=[[1, 1]], ncs=[], bh=[1, 0], K=INFINITE_K)
+    assert _bs(**one, receiver=coll) == ("cs", 0)
+    assert _bs(**one, receiver=sup) == ("cs", 0)
     # CS delivery plus one NCS delivery: CS wins iff the budget allows it
-    mixed = _slot(cs=[[1, 0]], ncs=[[0, 1]], bh=[1, 1])
-    assert mixed.bs_decoded(INFINITE_K, Receiver.COLLISION) == ("cs", 0)
-    assert mixed.bs_decoded(0, Receiver.COLLISION) is None
+    mixed = dict(cs=[[1, 0]], ncs=[[0, 1]], bh=[1, 1])
+    assert _bs(**mixed, K=INFINITE_K, receiver=coll) == ("cs", 0)
+    assert _bs(**mixed, K=0, receiver=coll) is None
     # an NCS delivery alone succeeds under both rules
-    lone = _slot(cs=[], ncs=[[0, 1]], bh=[1, 1])
-    assert lone.bs_decoded(INFINITE_K, Receiver.COLLISION) == ("ncs", 0)
-    assert lone.bs_decoded(INFINITE_K, Receiver.SUPERPOSITION) == ("ncs", 0)
-    # distinct NCS packets collide under both rules
-    clash = _slot(cs=[], ncs=[[1, 0], [0, 1]], bh=[1, 1])
-    assert clash.bs_decoded(INFINITE_K, Receiver.COLLISION) is None
-    assert clash.bs_decoded(INFINITE_K, Receiver.SUPERPOSITION) is None
+    lone = dict(cs=[], ncs=[[0, 1]], bh=[1, 1], K=INFINITE_K)
+    assert _bs(**lone, receiver=coll) == ("ncs", 0)
+    assert _bs(**lone, receiver=sup) == ("ncs", 0)
+    # distinct packets of one class, each delivered by its own AP, collide
+    # under both rules
+    for clash in (dict(cs=[[1, 0], [0, 1]], ncs=[]), dict(cs=[], ncs=[[1, 0], [0, 1]])):
+        assert _bs(**clash, bh=[1, 1], K=INFINITE_K, receiver=coll) is None
+        assert _bs(**clash, bh=[1, 1], K=INFINITE_K, receiver=sup) is None

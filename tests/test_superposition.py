@@ -43,21 +43,26 @@ def test_ap_allocation_probs_sum_to_one(n_c, n_n, e1):
     assert len(probs) == 1 + (n_c > 0) * n_c + (n_n > 0) * n_n
 
 
+def _decode_probs(m_counts, n_c, e2, k=INFINITE_K):
+    """(CS, NCS) decode probabilities of one allocation by the per-row rule."""
+    q_cs, q_ncs = sp._mc_throughput_values(np.array([m_counts]), n_c, e2, k)
+    return float(q_cs[0]), float(q_ncs[0])
+
+
 def test_bs_decode_prob_cs_examples():
-    both = sp.ApAllocation((0, 2))  # L=2 APs, both hold the lone CS message
-    assert sp.bs_decode_prob_cs(both, 1, 0, 0.5, INFINITE_K) == pytest.approx(0.75)
-    silent = sp.ApAllocation((3, 0))
-    assert sp.bs_decode_prob_cs(silent, 1, 0, 0.5, INFINITE_K) == 0.0
-    assert sp.bs_decode_prob_cs(both, 1, 0, 1.0, INFINITE_K) == 0.0
+    both = (0, 2)  # L=2 APs, both hold the lone CS message
+    assert _decode_probs(both, 1, 0.5)[0] == pytest.approx(0.75)
+    silent = (3, 0)
+    assert _decode_probs(silent, 1, 0.5)[0] == 0.0
+    assert _decode_probs(both, 1, 1.0)[0] == 0.0
 
 
 def test_bs_decode_prob_cs_matches_explicit_binomial_sum():
     # the per-message (1 - e2**M) factor equals the explicit sum over the
     # number of unerased copies
-    alloc = sp.ApAllocation((1, 3, 2, 1))  # n_c = 2, n_cbar = 1, L = 7
+    m = (1, 3, 2, 1)  # n_c = 2, n_cbar = 1, L = 7
     e2, K = 0.6, 2
     expected = 0.0
-    m = alloc.m_counts
     s_cs, s_ncs = m[1] + m[2], m[3]
     from twohop_aloha.core import gamma_k_tolerance
 
@@ -69,16 +74,15 @@ def test_bs_decode_prob_cs_matches_explicit_binomial_sum():
                 * (1 - e2) ** j
                 * e2 ** ((s_cs - m[idx]) + m[idx] - j)
             )
-    assert sp.bs_decode_prob_cs(alloc, 2, 1, e2, K) == pytest.approx(expected, rel=1e-12)
+    assert _decode_probs(m, 2, e2, K)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_bs_decode_prob_ncs_examples():
-    alloc = sp.ApAllocation((1, 2))  # single NCS message held by 2 of 3 APs
-    assert sp.bs_decode_prob_ncs(alloc, 0, 1, 0.5) == pytest.approx(0.75)
+    # single NCS message held by 2 of 3 APs
+    assert _decode_probs((1, 2), 0, 0.5)[1] == pytest.approx(0.75)
     # any CS copy present with e2 = 0 blocks NCS decoding
-    alloc2 = sp.ApAllocation((0, 1, 2))  # n_c = 1 (one copy), n_cbar = 1
-    assert sp.bs_decode_prob_ncs(alloc2, 1, 1, 0.0) == 0.0
-    assert sp.bs_decode_prob_ncs(sp.ApAllocation((3,)), 0, 0, 0.5) == 0.0
+    assert _decode_probs((0, 1, 2), 1, 0.0)[1] == 0.0  # n_c = 1 (one copy), n_cbar = 1
+    assert _decode_probs((3,), 0, 0.5)[1] == 0.0
 
 
 def test_decode_probs_are_disjoint_events():
@@ -89,20 +93,8 @@ def test_decode_probs_are_disjoint_events():
         e1, e2 = rng.random(), rng.random()
         probs = sp.ap_allocation_probs(int(n_c), int(n_n), e1)
         counts = rng.multinomial(L, probs)
-        alloc = sp.ApAllocation(tuple(int(c) for c in counts))
         k = int(rng.integers(0, 4))
-        total = sp.bs_decode_prob_cs(alloc, int(n_c), int(n_n), e2, k)
-        total += sp.bs_decode_prob_ncs(alloc, int(n_c), int(n_n), e2)
-        assert total <= 1.0 + 1e-12
-
-
-def test_alloc_validation():
-    with pytest.raises(ValueError):
-        sp.ApAllocation(())
-    with pytest.raises(ValueError):
-        sp.ApAllocation((1, -1))
-    with pytest.raises(ValueError):
-        sp.bs_decode_prob_cs(sp.ApAllocation((1, 1)), 2, 1, 0.5, 1)
+        assert sum(_decode_probs(counts, int(n_c), e2, k)) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,26 +102,27 @@ def test_alloc_validation():
 # ---------------------------------------------------------------------------
 
 
+def _enumerated(n_aps, probs):
+    """Every allocation as a row, with its multinomial probability."""
+    rows, w = [], []
+    for counts, coef in sp.enumerate_allocations(n_aps, len(probs)):
+        rows.append(counts)
+        w.append(coef * float(np.prod(probs ** np.array(counts))))
+    return np.array(rows), np.array(w)
+
+
 def test_enumerated_weights_sum_to_one():
     for n_aps, n_cells in ((3, 4), (5, 3), (2, 6)):
-        probs = np.full(n_cells, 1.0 / n_cells)
-        total = sum(
-            coef * float(np.prod(probs ** np.array(counts)))
-            for counts, coef in sp.enumerate_allocations(n_aps, n_cells)
-        )
-        assert total == pytest.approx(1.0, abs=1e-10)
+        _, w = _enumerated(n_aps, np.full(n_cells, 1.0 / n_cells))
+        assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("n_c,n_n", [(2, 3), (1, 0), (0, 2), (3, 3)])
 def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
     L, e1, e2, K = 3, 0.4, 0.5, 1
     probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
-    lit_cs = lit_ncs = 0.0
-    for counts, coef in sp.enumerate_allocations(L, len(probs)):
-        w = coef * float(np.prod(probs ** np.array(counts)))
-        alloc = sp.ApAllocation(counts)
-        lit_cs += w * sp.bs_decode_prob_cs(alloc, n_c, n_n, e2, K)
-        lit_ncs += w * sp.bs_decode_prob_ncs(alloc, n_c, n_n, e2)
+    rows, w = _enumerated(L, probs)
+    lit_cs, lit_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, K))
     q_cs, q_ncs = sp._exact_inner_throughput(L, n_c, n_n, e1, e2, K)
     assert q_cs == pytest.approx(lit_cs, abs=1e-12)
     assert q_ncs == pytest.approx(lit_ncs, abs=1e-12)
@@ -140,14 +133,8 @@ def test_marginalized_psr_equals_literal_enumeration(n_tag, n_oth, tagged_cs):
     L, e1, e2, K = 4, 0.3, 0.6, 1
     n_c, n_n = (n_tag, n_oth) if tagged_cs else (n_oth, n_tag)
     probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
-    lit = 0.0
-    for counts, coef in sp.enumerate_allocations(L, len(probs)):
-        w = coef * float(np.prod(probs ** np.array(counts)))
-        alloc = sp.ApAllocation(counts)
-        if tagged_cs:
-            lit += w * sp._bs_decode_prob_cs_tagged(alloc, n_c, n_n, e2, K)
-        else:
-            lit += w * sp._bs_decode_prob_ncs_tagged(alloc, n_c, n_n, e2)
+    rows, w = _enumerated(L, probs)
+    lit = w @ sp._mc_tagged_values(rows, n_c, e2, K, tagged_cs)
     marg = sp._exact_inner_psr(L, n_tag, n_oth, e1, e2, K, tagged_cs)
     assert marg == pytest.approx(lit, abs=1e-12)
 
