@@ -377,6 +377,8 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
         if name == "G":
             return cfg.replace(G=float(value))
         if name == "K":
+            if not isinstance(cfg.channel, ErasureParams):
+                raise ConfigError("sweeping K requires the erasure channel")
             return cfg.replace(K=value if is_infinite(value) else int(value))
         if name in ("eps1", "eps2"):
             if not isinstance(cfg.channel, ErasureParams):

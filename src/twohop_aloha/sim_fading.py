@@ -9,6 +9,9 @@ only the max-SINR message.  Throughput counts BS decodes per class per
 slot; the packet success rate conditions on at least one active device of
 the class and tracks the class's first message.
 
+Within a chunk, the slots that share message counts (n_c, n_cbar) are
+decoded together, one ``ap_decode`` and one ``bs_decode`` call per pair.
+
 Determinism mirrors ``sim_erasure``: fixed-size slot chunks with per-chunk
 substreams and integer tallies, so results do not depend on worker count.
 """
@@ -33,7 +36,7 @@ _CHUNK_SLOTS = 16384
 
 
 # ============================================================================
-#  Per-slot decode primitives
+#  Decode rules
 # ============================================================================
 
 
@@ -76,28 +79,29 @@ def bs_decode(
 ) -> np.ndarray:
     """Decoded message index at the BS (0 = none).
 
-    ``decoded`` holds the per-AP message indices from ``ap_decode`` (shape
-    (L,), fixed across the batch); ``g`` the backhaul gains with shape
-    (..., L).  APs relaying the same message combine coherently.
+    ``decoded`` holds the per-AP message indices from ``ap_decode``, shape
+    (L,) for the whole batch or (..., L) with one row per slot; ``g`` the
+    backhaul gains, shape (..., L).  APs relaying the same message combine
+    coherently.  A message no AP relayed adds no interference and never
+    wins; ties go to the lowest index.
     """
     decoded = np.asarray(decoded)
     g = np.asarray(g)
-    msgs = np.unique(decoded[decoded > 0])
-    if msgs.size == 0:
-        return np.zeros(g.shape[:-1], dtype=np.int64)
-    masks = (decoded[None, :] == msgs[:, None]).astype(float)  # (n_msgs, L)
-    coherent = g @ masks.T  # (..., n_msgs)
+    # candidates 1..max (at least one, so the argmax below is defined)
+    msgs = np.arange(1, max(int(decoded.max(initial=0)), 1) + 1)
+    masks = decoded[..., None, :] == msgs[:, None]  # (..., n_msgs, L)
+    coherent = np.where(masks, g[..., None, :], 0).sum(axis=-1)
     p_ap = np.where(msgs <= n_c, fading.P_c_ap, fading.P_cbar_ap)
     rx = np.abs(coherent) ** 2 * p_ap
     denom = 1.0 + rx.sum(axis=-1, keepdims=True) - rx
-    sinr = rx / denom
-    best = np.argmax(sinr, axis=-1)  # msgs sorted ascending: ties -> lowest
+    sinr = np.where(masks.any(axis=-1), rx / denom, -1.0)
+    best = np.argmax(sinr, axis=-1)  # first occurrence wins ties
     best_sinr = np.take_along_axis(sinr, best[..., None], axis=-1)[..., 0]
     thresholds = np.where(
         msgs <= n_c, 2.0**fading.r_c - 1.0, 2.0**fading.r_cbar - 1.0
     )
     ok = best_sinr >= thresholds[best]
-    return np.where(ok, msgs[best], 0)
+    return np.where(ok, best + 1, 0)
 
 
 # ============================================================================
@@ -129,33 +133,29 @@ def _run_fading_chunk(spec: _FadingSpec, S: int, rng: np.random.Generator) -> di
     h = _complex_normal(rng, (int(n_tot.sum()), L), spec.fading.alpha2)
     g = _complex_normal(rng, (S, L), spec.fading.beta2)
 
-    starts = np.concatenate(([0], np.cumsum(n_tot)))
-    tallies = {
-        "cs_slots": 0,
-        "ncs_slots": 0,
-        "cs_tag_succ": 0,
-        "cs_trials": 0,
-        "ncs_tag_succ": 0,
-        "ncs_trials": 0,
+    # One decode per distinct (n_c, n_cbar) pair over all slots that share it.
+    starts = np.cumsum(n_tot) - n_tot
+    key = n_c * (int(n_n.max()) + 1) + n_n
+    order = np.argsort(key)
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    winner = np.zeros(S, dtype=np.int64)
+    for idx in groups:
+        nc, m = int(n_c[idx[0]]), int(n_tot[idx[0]])
+        # (B, L, M), CS messages first; each slot keeps the layout of h[a:b].T
+        gains = h[starts[idx][:, None] + np.arange(m)].transpose(0, 2, 1)
+        decoded = ap_decode(gains, nc, spec.fading)
+        winner[idx] = bs_decode(decoded, g[idx], nc, spec.fading)
+
+    cs_won = (winner >= 1) & (winner <= n_c)
+    return {
+        "cs_slots": int(cs_won.sum()),
+        "ncs_slots": int((winner > n_c).sum()),
+        # with n_c == 0, message 1 is the tagged NCS message
+        "cs_tag_succ": int((cs_won & (winner == 1)).sum()),
+        "cs_trials": int((n_c >= 1).sum()),
+        "ncs_tag_succ": int((winner == n_c + 1).sum()),
+        "ncs_trials": int((n_n >= 1).sum()),
     }
-    for s in range(S):
-        nc, nn = int(n_c[s]), int(n_n[s])
-        tallies["cs_trials"] += nc >= 1
-        tallies["ncs_trials"] += nn >= 1
-        if nc + nn == 0:
-            continue
-        slot_gains = h[starts[s] : starts[s + 1]].T  # (L, M), CS messages first
-        decoded = ap_decode(slot_gains, nc, spec.fading)
-        winner = int(bs_decode(decoded, g[s], nc, spec.fading))
-        if winner == 0:
-            continue
-        if winner <= nc:
-            tallies["cs_slots"] += 1
-            tallies["cs_tag_succ"] += winner == 1
-        else:
-            tallies["ncs_slots"] += 1
-            tallies["ncs_tag_succ"] += winner == nc + 1
-    return tallies
 
 
 def estimate_fading_metrics(

@@ -188,6 +188,25 @@ def test_sweep_k_values_and_inf(tmp_path):
     assert r_c[0] <= r_c[1] <= r_c[2]  # CS throughput grows with tolerance
 
 
+def test_sweep_k_requires_erasure_channel(tmp_path):
+    # the fading engine has no tolerance K: every row would be the same
+    body = sweep_ini(
+        """
+        [sweep]
+        parameter = K
+        values = 0 1 inf
+        backend = fading
+
+        [sim]
+        slots = 200
+        """
+    ).replace("[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1.0\nbeta2 = 1.0")
+    path = write_ini(tmp_path, body)
+    out = str(tmp_path / "never.csv")
+    assert cli.main(["sweep", "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # eval / sim / fading commands
 # ---------------------------------------------------------------------------

@@ -166,3 +166,106 @@ def test_fading_slot_realization():
     assert np.all((decoded >= 0) & (decoded <= n_c + n_cbar))
     winner = int(sf.bs_decode(decoded, rayleigh_gain(rng, (L,), fp.beta2), n_c, fp))
     assert winner == 0 or winner in set(decoded[decoded > 0].tolist())
+
+
+# ---------------------------------------------------------------------------
+# Batched decoding against one decode call per slot
+# ---------------------------------------------------------------------------
+
+
+def _per_slot_chunk(spec, S, rng):
+    """Reference tallies: the chunk's draws, decoded one slot at a time."""
+    L = spec.L
+    n_c = rng.poisson(spec.lam_c, S).astype(np.int64)
+    n_n = rng.poisson(spec.lam_n, S).astype(np.int64)
+    n_tot = n_c + n_n
+    h = sf._complex_normal(rng, (int(n_tot.sum()), L), spec.fading.alpha2)
+    g = sf._complex_normal(rng, (S, L), spec.fading.beta2)
+
+    starts = np.concatenate(([0], np.cumsum(n_tot)))
+    tallies = {
+        "cs_slots": 0,
+        "ncs_slots": 0,
+        "cs_tag_succ": 0,
+        "cs_trials": 0,
+        "ncs_tag_succ": 0,
+        "ncs_trials": 0,
+    }
+    for s in range(S):
+        nc, nn = int(n_c[s]), int(n_n[s])
+        tallies["cs_trials"] += nc >= 1
+        tallies["ncs_trials"] += nn >= 1
+        if nc + nn == 0:
+            continue
+        slot_gains = h[starts[s] : starts[s + 1]].T  # (L, M), CS messages first
+        decoded = sf.ap_decode(slot_gains, nc, spec.fading)
+        winner = int(sf.bs_decode(decoded, g[s], nc, spec.fading))
+        if winner == 0:
+            continue
+        if winner <= nc:
+            tallies["cs_slots"] += 1
+            tallies["cs_tag_succ"] += winner == 1
+        else:
+            tallies["ncs_slots"] += 1
+            tallies["ncs_tag_succ"] += winner == nc + 1
+    return tallies
+
+
+@pytest.mark.parametrize(
+    "lam_c, lam_n, L, fp",
+    [
+        (0.0, 2.0, 3, {}),  # NCS-only slots: message 1 is the tagged NCS one
+        (2.0, 0.0, 3, {}),
+        (0.5, 1.0, 3, {}),
+        (5.0, 5.0, 6, {}),  # M >= 8 messages in many slots
+        (1.0, 1.0, 1, {}),
+        (1.5, 1.5, 3, {"P_c_ap": 0.0, "P_cbar_ap": 0.0}),
+        (1.5, 1.5, 4, {"P_cbar_ap": 0.0, "alpha2": 3.0}),
+    ],
+)
+def test_batched_chunk_matches_per_slot_loop(lam_c, lam_n, L, fp):
+    spec = sf._FadingSpec(lam_c, lam_n, L, fading_cfg(**fp).fading)
+    for seed in (21, 22):
+        want = _per_slot_chunk(spec, 1500, np.random.default_rng(seed))
+        got = sf._run_fading_chunk(spec, 1500, np.random.default_rng(seed))
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is int for v in got.values())
+    if lam_c == 0.0:
+        assert want["ncs_tag_succ"] > 0 and want["cs_tag_succ"] == 0
+    if lam_c == 5.0:
+        rng = np.random.default_rng(21)
+        assert (rng.poisson(lam_c, 1500) + rng.poisson(lam_n, 1500)).max() >= 8
+
+
+def test_bs_decode_rows_match_row_by_row_calls():
+    fp = fading_cfg(L=3).fading
+    rng = np.random.default_rng(12)
+    rows = np.array([
+        [0, 3, 3],  # lower-index messages absent
+        [3, 0, 0],
+        [1, 1, 1],  # all copies of one message
+        [2, 1, 2],
+        [0, 0, 0],
+        [4, 2, 1],
+        [1, 2, 3],
+    ])
+    rows = np.concatenate([rows, rng.integers(0, 5, (200, 3))])
+    g = rayleigh_gain(rng, (len(rows), 3), fp.beta2)
+    for n_c in (0, 1, 2, 4):
+        batched = sf.bs_decode(rows, g, n_c, fp)
+        single = [int(sf.bs_decode(r, gs, n_c, fp)) for r, gs in zip(rows, g)]
+        assert batched.shape == (len(rows),)
+        assert batched.tolist() == single
+        assert batched[4] == 0
+
+
+def test_bs_decode_never_picks_an_absent_message():
+    # no relay power for CS copies and a threshold of 0 (2**1e-20 - 1 == 0):
+    # every candidate scores SINR 0, so an unmasked argmax would pick the
+    # absent message 1 over the relayed message 2
+    fp = FadingParams(alpha2=1.0, beta2=1.0, P_c_ap=0.0, r_c=1e-20)
+    assert 2.0**fp.r_c - 1.0 == 0.0
+    g = rayleigh_gain(np.random.default_rng(13), (4, 3), fp.beta2)
+    rows = np.array([[0, 2, 2], [2, 0, 0], [0, 0, 2], [0, 2, 0]])
+    assert sf.bs_decode(rows, g, 2, fp).tolist() == [2, 2, 2, 2]
+    assert [int(sf.bs_decode(r, gs, 2, fp)) for r, gs in zip(rows, g)] == [2, 2, 2, 2]
