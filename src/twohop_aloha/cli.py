@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -495,18 +496,32 @@ def region_spec_from_config(parser, base: ScenarioConfig, args) -> RegionSpec:
 
 
 def pareto_filter(points: list[tuple]) -> list[tuple]:
-    """Drop points dominated by another point (both coordinates <=, one <)."""
+    """Drop points dominated by another point (both coordinates <=, one <).
+
+    Sort-based 2-D maxima (Kung, Luccio & Preparata, JACM 1975): sweeping
+    R_c from the top in groups of equal R_c, a point is dominated iff some
+    point of strictly larger R_c reaches its R_cbar or a point of its own
+    group exceeds it.  A point with a NaN coordinate compares false both
+    ways, so it is kept and dominates nothing.  Kept points come in input
+    order, the first occurrence of each (R_c, R_cbar) only.
+    """
+    ranked = [i for i, p in enumerate(points) if p[-2] == p[-2] and p[-1] == p[-1]]
+    ranked.sort(key=lambda i: points[i][-2], reverse=True)
+    dominated = set()
+    best_above = None  # largest R_cbar over the groups swept so far
+    for _, group in itertools.groupby(ranked, key=lambda i: points[i][-2]):
+        group = list(group)
+        top = max(points[i][-1] for i in group)
+        for i in group:
+            y = points[i][-1]
+            if y < top or (best_above is not None and y <= best_above):
+                dominated.add(i)
+        best_above = top if best_above is None else max(best_above, top)
     kept = []
     seen = set()
-    for p in points:
+    for i, p in enumerate(points):
         key = (p[-2], p[-1])
-        if key in seen:
-            continue
-        dominated = any(
-            q[-2] >= p[-2] and q[-1] >= p[-1] and (q[-2] > p[-2] or q[-1] > p[-1])
-            for q in points
-        )
-        if not dominated:
+        if i not in dominated and key not in seen:
             kept.append(p)
             seen.add(key)
     return kept

@@ -402,31 +402,21 @@ def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:
     return row[m]
 
 
-def gamma_k_tolerance(x: int, eps: float, k: Tolerance) -> float:
+def gamma_k_tolerance_array(x, eps: float, k: Tolerance) -> np.ndarray:
     """Probability that at most ``k`` of ``x`` transmissions survive erasure.
 
-    Equals 1 when x <= k (or k is infinite); otherwise the Binomial(x, 1-eps)
-    CDF evaluated at k.  ``k = -1`` is the degenerate empty budget.
+    Elementwise over an integer array of counts ``x``: 1 where x <= k (or k
+    is infinite), otherwise the Binomial(x, 1-eps) CDF evaluated at k.
+    ``k = -1`` is the degenerate empty budget.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    x = np.asarray(x)
+    if np.any(x < 0):
+        raise ValueError(f"counts must be >= 0, got min {x.min()}")
     _check_prob("eps", eps)
     if is_infinite(k):
-        return 1.0
+        return np.ones(x.shape)
     if k < -1:
         raise ValueError(f"k must be >= 0 (or INFINITE_K), got {k}")
-    if x <= k:
-        return 1.0
-    if k == -1:
-        return 0.0
-    return float(stats.binom.cdf(k, x, 1.0 - eps))
-
-
-def gamma_k_tolerance_array(x: np.ndarray, eps: float, k: Tolerance) -> np.ndarray:
-    """Vectorized gamma_k_tolerance over an integer array of counts."""
-    x = np.asarray(x)
-    if is_infinite(k):
-        return np.ones(x.shape)
     if k == -1:
         return np.zeros(x.shape)
     out = stats.binom.cdf(k, x, 1.0 - eps)

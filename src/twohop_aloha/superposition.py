@@ -7,18 +7,24 @@ transmission counts, the vector of per-message AP copy counts is multinomial
 over (silent, one cell per CS message, one cell per NCS message).
 
 Two estimators for the inner expectation over AP allocations.  Both offer
-``throughput(L, n_c, n_n, e1, e2, k)``, the (CS, NCS) decode probabilities
-at fixed per-slot transmission counts, and ``tagged(L, n_c, n_n, e1, e2, k,
-tagged_cs)``, the decode probability of a tagged CS (or NCS) message:
+``throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)``, the (CS, NCS)
+decode probabilities at fixed per-slot transmission counts, and
+``tagged(L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs)``, the
+decode probability of a tagged CS (or NCS) message.  The tolerance K enters
+only through two rows of ``gamma_k_tolerance_array`` built once per
+parameter set: ``ap_budget[n]``, the AP budget at eps1 with n NCS arrivals
+(a list of floats), and ``bs_budget[m]``, the BS budget at eps2 with m NCS
+copies (an array over 0..L):
 
 * ``ExactEnum`` -- exact expectation as Python floats; its ``seed`` is
   None.  Message cells within a class are exchangeable, so the expectation
   marginalizes onto (copies of a distinguished message, other same-class
   copies, other-class copies), which equals exhaustive enumeration of the
-  multinomial outcomes at polynomial cost (the equality is pinned by a test
-  against the literal enumerator below).  The enumeration feasibility
-  budget C(L + cells - 1, cells - 1) <= limit is still enforced; exceeding
-  it raises ``CapacityError`` rather than silently degrading.
+  multinomial outcomes at polynomial cost (the equality is pinned against
+  a literal enumerator in ``tests/test_superposition.py``).  The
+  enumeration feasibility budget C(L + cells - 1, cells - 1) <= limit is
+  still enforced; exceeding it raises ``CapacityError`` rather than
+  silently degrading.
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair from
   dedicated substreams of the master seed and returns the per-allocation
   values, from which standard errors are reported.
@@ -28,12 +34,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .core import (
-    INFINITE_K,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
@@ -41,7 +45,6 @@ from .core import (
     SimulatedMetrics,
     Tdma,
     Tolerance,
-    gamma_k_tolerance,
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
@@ -60,16 +63,18 @@ class CapacityError(RuntimeError):
 
 
 def ap_allocation_probs(
-    n_c: int, n_cbar: int, eps1: float, k: Tolerance = INFINITE_K
+    n_c: int, n_cbar: int, eps1: float, budget: float = 1.0
 ) -> np.ndarray:
     """Multinomial cell probabilities (silent, CS cells, NCS cells).
 
-    A CS cell carries the AP-level tolerance budget of ``k``.  Classes with
-    zero transmissions contribute no cells; the vector always sums to one.
+    A CS cell carries the AP-level tolerance ``budget``, the probability
+    that at most K of the ``n_cbar`` NCS arrivals survive (1 for an infinite
+    K).  Classes with zero transmissions contribute no cells; the vector
+    always sums to one.
     """
     if n_c < 0 or n_cbar < 0:
         raise ValueError("transmission counts must be >= 0")
-    p_c = _budgeted_cs_access(n_c, n_cbar, eps1, k)
+    p_c = p_access_cs(n_c, eps1) * budget
     p_n = p_access_ncs(n_c, n_cbar, eps1)
     probs = [1.0 - p_c - p_n]
     if n_c > 0:
@@ -79,35 +84,15 @@ def ap_allocation_probs(
     return np.array(probs)
 
 
-def _budgeted_cs_access(n_c: int, n_cbar: int, eps1: float, k: Tolerance) -> float:
+def _budgeted_cs_access(n_c: int, n_cbar: int, eps1: float, ap_budget) -> float:
     """AP-level CS decode probability including the tolerance budget.
 
     The three-state AP rule is receiver-independent: a CS decode needs
     exactly one unerased CS arrival *and* at most k unerased NCS arrivals.
-    The budget factor is 1 whenever n_cbar <= k, so it only bites under
-    heavy NCS traffic with finite k.
+    The budget factor ``ap_budget[n_cbar]`` is 1 whenever n_cbar <= k, so it
+    only bites under heavy NCS traffic with finite k.
     """
-    return p_access_cs(n_c, eps1) * gamma_k_tolerance(n_cbar, eps1, k)
-
-
-def enumerate_allocations(n_aps: int, n_cells: int):
-    """Yield (composition, multinomial coefficient) over all allocations.
-
-    Exhaustive stars-and-bars enumeration; the probability weight of a
-    composition under cell probabilities p is coef * prod(p**counts).
-    Used as the literal oracle for the marginalized exact computation.
-    """
-    for bars in combinations(range(n_aps + n_cells - 1), n_cells - 1):
-        counts = []
-        prev = -1
-        for b in bars:
-            counts.append(b - prev - 1)
-            prev = b
-        counts.append(n_aps + n_cells - 2 - prev)
-        coef = math.factorial(n_aps)
-        for c in counts:
-            coef //= math.factorial(c)
-        yield tuple(counts), coef
+    return p_access_cs(n_c, eps1) * ap_budget[n_cbar]
 
 
 def _check_budget(L: int, n_c: int, n_cbar: int, limit: int) -> None:
@@ -163,20 +148,18 @@ def _combine_kernel(L: int, n_msgs: int, eps2: float) -> np.ndarray:
     return out
 
 
-def _exact_inner_throughput(L, n_c, n_n, e1, e2, k):
+def _exact_inner_throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget):
     """(E[CS decode], E[NCS decode]) over allocations at fixed slot counts."""
-    p_c = _budgeted_cs_access(n_c, n_n, e1, k)
+    p_c = _budgeted_cs_access(n_c, n_n, e1, ap_budget)
     p_n = p_access_ncs(n_c, n_n, e1)
     pair = _class_pair_pmf(L, p_c, p_n)  # indices [CS copies, NCS copies]
-    b_idx = np.arange(L + 1)
-    budget = gamma_k_tolerance_array(b_idx, e2, k)
-    e2_pow = e2 ** b_idx.astype(float)
-    q_cs = float(_combine_kernel(L, n_c, e2) @ pair @ budget)
+    e2_pow = e2 ** np.arange(L + 1).astype(float)
+    q_cs = float(_combine_kernel(L, n_c, e2) @ pair @ bs_budget)
     q_ncs = float(e2_pow @ pair @ _combine_kernel(L, n_n, e2))
     return q_cs, q_ncs
 
 
-def _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs: bool):
+def _exact_inner_psr(L, n_tag, n_other, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
     """E[tagged-message decode probability] over allocations.
 
     ``n_tag`` is the tagged class count (>= 1), ``n_other`` the other class.
@@ -184,11 +167,12 @@ def _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs: bool):
     j, other same-class copies ao, other-class copies b, silence.
     """
     if tagged_cs:
-        p_tagcls = _budgeted_cs_access(n_tag, n_other, e1, k)
+        p_tagcls = _budgeted_cs_access(n_tag, n_other, e1, ap_budget)
         p_other = p_access_ncs(n_tag, n_other, e1)
     else:
         p_tagcls = p_access_ncs(n_other, n_tag, e1)
-        p_other = _budgeted_cs_access(n_other, n_tag, e1, k)
+        p_other = _budgeted_cs_access(n_other, n_tag, e1, ap_budget)
+    bs = bs_budget.tolist()
     t = p_tagcls / n_tag
     o = p_tagcls - t
     rest = max(1.0 - p_tagcls - p_other, 0.0)
@@ -205,7 +189,7 @@ def _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs: bool):
                     * rest ** (L - j - ao - b)
                 )
                 if tagged_cs:
-                    total += w * gamma_k_tolerance(b, e2, k)
+                    total += w * bs[b]
                 else:
                     total += w * e2**b
     return total
@@ -216,14 +200,15 @@ def _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs: bool):
 # ============================================================================
 
 
-def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, k):
+def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, bs_budget: np.ndarray):
     """(CS, NCS) BS decode probabilities of each allocation row.
 
     A row holds per-slot message-copy counts at the APs: column 0 counts
     silent APs, columns 1..n_c the CS messages and the rest the NCS
     messages.  A CS decode needs some CS message to get at least one copy
     through unerased, every copy of every other CS message erased, and at
-    most ``k`` NCS copies (counted individually across APs) surviving.  An
+    most k NCS copies (counted individually across APs) surviving, which
+    ``bs_budget`` gives by the row's NCS copy count.  An
     NCS decode needs every CS copy and every copy of any other NCS message
     erased.
     """
@@ -231,15 +216,16 @@ def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, k):
     ncs = draws[:, 1 + n_c :]
     s_cs = cs.sum(axis=1)
     s_ncs = ncs.sum(axis=1)
-    budget = gamma_k_tolerance_array(s_ncs, e2, k)
-    q_cs = budget * ((1.0 - e2**cs) * e2 ** (s_cs[:, None] - cs)).sum(axis=1)
+    q_cs = bs_budget[s_ncs] * ((1.0 - e2**cs) * e2 ** (s_cs[:, None] - cs)).sum(axis=1)
     q_ncs = (e2 ** s_cs.astype(float)) * (
         (1.0 - e2**ncs) * e2 ** (s_ncs[:, None] - ncs)
     ).sum(axis=1)
     return q_cs, q_ncs
 
 
-def _mc_tagged_values(draws: np.ndarray, n_c: int, e2: float, k, tagged_cs: bool):
+def _mc_tagged_values(
+    draws: np.ndarray, n_c: int, e2: float, bs_budget: np.ndarray, tagged_cs: bool
+):
     """The same decode events restricted to the first message of the tagged
     class (PSR conditioning), per allocation row."""
     cs = draws[:, 1 : 1 + n_c]
@@ -248,8 +234,7 @@ def _mc_tagged_values(draws: np.ndarray, n_c: int, e2: float, k, tagged_cs: bool
     s_ncs = ncs.sum(axis=1)
     if tagged_cs:
         m1 = draws[:, 1]
-        budget = gamma_k_tolerance_array(s_ncs, e2, k)
-        return budget * (1.0 - e2**m1) * e2 ** (s_cs - m1)
+        return bs_budget[s_ncs] * (1.0 - e2**m1) * e2 ** (s_cs - m1)
     m1 = draws[:, 1 + n_c]
     return (e2 ** s_cs.astype(float)) * (1.0 - e2**m1) * e2 ** (s_ncs - m1)
 
@@ -295,14 +280,14 @@ class ExactEnum:
     limit: int = 200_000
     seed = None
 
-    def throughput(self, L, n_c, n_n, e1, e2, k):
+    def throughput(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget):
         _check_budget(L, n_c, n_n, self.limit)
-        return _exact_inner_throughput(L, n_c, n_n, e1, e2, k)
+        return _exact_inner_throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)
 
-    def tagged(self, L, n_c, n_n, e1, e2, k, tagged_cs: bool):
+    def tagged(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
         _check_budget(L, n_c, n_n, self.limit)
         n_tag, n_other = (n_c, n_n) if tagged_cs else (n_n, n_c)
-        return _exact_inner_psr(L, n_tag, n_other, e1, e2, k, tagged_cs)
+        return _exact_inner_psr(L, n_tag, n_other, e1, e2, ap_budget, bs_budget, tagged_cs)
 
 
 @dataclass(frozen=True)
@@ -312,17 +297,18 @@ class ConditionedMC:
     n_alloc_samples: int = 1000
     seed: int = 0
 
-    def _draws(self, purpose: int, L, n_c, n_n, e1, k) -> np.ndarray:
+    def _draws(self, purpose: int, L, n_c, n_n, e1, ap_budget) -> np.ndarray:
         rng = _pair_rng(self.seed, purpose, n_c, n_n)
-        probs = ap_allocation_probs(n_c, n_n, e1, k)
+        probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
-    def throughput(self, L, n_c, n_n, e1, e2, k):
-        return _mc_throughput_values(self._draws(0, L, n_c, n_n, e1, k), n_c, e2, k)
+    def throughput(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget):
+        draws = self._draws(0, L, n_c, n_n, e1, ap_budget)
+        return _mc_throughput_values(draws, n_c, e2, bs_budget)
 
-    def tagged(self, L, n_c, n_n, e1, e2, k, tagged_cs: bool):
-        draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, k)
-        return _mc_tagged_values(draws, n_c, e2, k, tagged_cs)
+    def tagged(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
+        draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
+        return _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs)
 
 
 # ============================================================================
@@ -337,22 +323,30 @@ def _weighted_pairs(ns_a, ws_a, ns_b, ws_b):
             yield int(a), int(b), float(ws_a[i] * ws_b[j])
 
 
-def _metric_grid(L, e1, e2, g_c, g_n, k, estimator):
+def _metric_grid(L, e1, e2, g_c, g_n, k: Tolerance, estimator):
     """Accumulators of all four metrics for one non-orthogonal parameter set.
 
     A class with no load keeps an empty (zero) packet-success accumulator.
+    The two tolerance rows are built here, once per parameter set, over
+    every NCS count and copy count the estimator can ask for.
     """
     r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
-    for n_c, n_n, w in _weighted_pairs(*poisson_weights(g_c), *poisson_weights(g_n)):
-        q_cs, q_ncs = estimator.throughput(L, n_c, n_n, e1, e2, k)
+    cs, ncs = poisson_weights(g_c), poisson_weights(g_n)
+    tag_cs = normalized_poisson_weights(g_c) if g_c > 0 else None
+    tag_ncs = normalized_poisson_weights(g_n) if g_n > 0 else None
+    n_max = int(ncs[0][-1] if tag_ncs is None else max(ncs[0][-1], tag_ncs[0][-1]))
+    ap_budget = gamma_k_tolerance_array(np.arange(n_max + 1), e1, k).tolist()
+    bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+    for n_c, n_n, w in _weighted_pairs(*cs, *ncs):
+        q_cs, q_ncs = estimator.throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)
         r_c.add(w, q_cs)
         r_n.add(w, q_ncs)
-    for tagged_cs, g_tag, g_other, acc in ((True, g_c, g_n, p_c), (False, g_n, g_c, p_n)):
-        if g_tag > 0:
-            pairs = _weighted_pairs(*normalized_poisson_weights(g_tag), *poisson_weights(g_other))
-            for n_tag, n_other, w in pairs:
+    for tagged_cs, tag, other, acc in ((True, tag_cs, ncs, p_c), (False, tag_ncs, cs, p_n)):
+        if tag is not None:
+            for n_tag, n_other, w in _weighted_pairs(*tag, *other):
                 n_cs, n_ncs = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
-                acc.add(w, estimator.tagged(L, n_cs, n_ncs, e1, e2, k, tagged_cs))
+                q = estimator.tagged(L, n_cs, n_ncs, e1, e2, ap_budget, bs_budget, tagged_cs)
+                acc.add(w, q)
     return r_c, r_n, p_c, p_n
 
 

@@ -1,7 +1,10 @@
+import math
 import os
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twohop_aloha.cli as cli
 from twohop_aloha.core import (
@@ -342,6 +345,53 @@ def test_region_output_is_minimal_and_covers_endpoints(tmp_path):
                 q[0] >= p[0] and q[1] >= p[1] and q != p for q in pts
             )
             assert not dominated
+
+
+def quadratic_pareto_filter(points):
+    """The literal all-pairs dominance filter, kept as the oracle."""
+    kept = []
+    seen = set()
+    for p in points:
+        key = (p[-2], p[-1])
+        if key in seen:
+            continue
+        dominated = any(
+            q[-2] >= p[-2] and q[-1] >= p[-1] and (q[-2] > p[-2] or q[-1] > p[-1])
+            for q in points
+        )
+        if not dominated:
+            kept.append(p)
+            seen.add(key)
+    return kept
+
+
+# A few shared values force ties in either coordinate, duplicates and
+# +-0.0; arbitrary floats (infinities and NaN included) cover the rest.
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_POINTS = st.lists(
+    st.tuples(st.just("tdma"), st.integers(0, 9), _COORD, _COORD), max_size=40
+)
+
+
+@given(points=_POINTS)
+@example(points=[])
+@example(points=[("tdma", 0, 0.5, 0.5)])
+@example(points=[("tdma", 0, 0.0, 1.0), ("tdma", 1, -0.0, 1.0), ("tdma", 2, 0.0, 1.0)])
+@example(points=[("tdma", 0, math.nan, 2.0), ("tdma", 1, 1.0, 1.0), ("tdma", 2, 1.0, math.nan)])
+@settings(max_examples=400, deadline=None)
+def test_pareto_filter_matches_quadratic_oracle(points):
+    # same kept tuples, same order, same representative of each duplicate
+    got = cli.pareto_filter(points)
+    want = quadratic_pareto_filter(points)
+    assert [id(p) for p in got] == [id(p) for p in want]
+
+
+def test_pareto_filter_keeps_nan_points_dominating_nothing():
+    nan_pt, low, high = ("a", 0, math.nan, 5.0), ("b", 1, 0.0, 0.0), ("c", 2, 1.0, 1.0)
+    assert cli.pareto_filter([nan_pt, low, high]) == [nan_pt, high]
 
 
 def test_region_rejects_bad_grid(tmp_path):

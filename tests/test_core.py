@@ -16,7 +16,6 @@ from twohop_aloha.core import (
     Tdma,
     aux_h,
     bernoulli_estimate,
-    gamma_k_tolerance,
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
@@ -156,11 +155,16 @@ def brute_gamma_k(x, eps, k):
     )
 
 
+def gamma_k(x, eps, k):
+    """The tolerance at one count, through the array function."""
+    return float(gamma_k_tolerance_array(x, eps, k))
+
+
 def test_gamma_k_examples():
-    assert gamma_k_tolerance(2, 0.5, 3) == 1.0
-    assert gamma_k_tolerance(2, 0.5, INFINITE_K) == 1.0
-    assert gamma_k_tolerance(2, 0.5, 0) == pytest.approx(0.25, abs=1e-12)
-    assert gamma_k_tolerance(1, 0.0, 0) == 0.0
+    assert gamma_k(2, 0.5, 3) == 1.0
+    assert gamma_k(2, 0.5, INFINITE_K) == 1.0
+    assert gamma_k(2, 0.5, 0) == pytest.approx(0.25, abs=1e-12)
+    assert gamma_k(1, 0.0, 0) == 0.0
 
 
 @given(
@@ -169,22 +173,40 @@ def test_gamma_k_examples():
 )
 @settings(max_examples=60, deadline=None)
 def test_gamma_k_monotone_in_k_and_saturates(x, eps):
-    values = [gamma_k_tolerance(x, eps, k) for k in range(x + 2)]
+    values = [gamma_k(x, eps, k) for k in range(x + 2)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0  # k >= x
     for k in (0, 1, x):
-        assert gamma_k_tolerance(x, eps, k) == pytest.approx(
+        assert gamma_k(x, eps, k) == pytest.approx(
             brute_gamma_k(x, eps, k), abs=1e-10
         )
 
 
 def test_gamma_k_array_matches_scalar():
+    # a row of counts holds exactly the values of one count at a time
     xs = np.arange(0, 12)
     arr = gamma_k_tolerance_array(xs, 0.4, 2)
     for x, v in zip(xs, arr):
-        assert v == pytest.approx(gamma_k_tolerance(int(x), 0.4, 2), abs=1e-12)
+        assert v == gamma_k(int(x), 0.4, 2)
+        assert v == pytest.approx(brute_gamma_k(int(x), 0.4, 2), abs=1e-12)
     assert np.all(gamma_k_tolerance_array(xs, 0.4, INFINITE_K) == 1.0)
     assert np.all(gamma_k_tolerance_array(xs, 0.4, -1) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "x,eps,k",
+    [
+        ([0, 3, -1], 0.5, 1),
+        (-2, 0.5, INFINITE_K),
+        ([0, 1, 2], 0.5, -2),
+        ([0, 1, 2], -0.1, 1),
+        ([0, 1, 2], 1.5, INFINITE_K),
+        ([0, 1, 2], math.nan, 0),
+    ],
+)
+def test_gamma_k_array_rejects_bad_inputs(x, eps, k):
+    with pytest.raises(ValueError):
+        gamma_k_tolerance_array(x, eps, k)
 
 
 # ---------------------------------------------------------------------------

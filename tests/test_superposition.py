@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twohop_aloha.core import (
     ScenarioConfig,
     ServiceMetrics,
     Tdma,
+    gamma_k_tolerance_array,
 )
 
 
@@ -43,9 +45,16 @@ def test_ap_allocation_probs_sum_to_one(n_c, n_n, e1):
     assert len(probs) == 1 + (n_c > 0) * n_c + (n_n > 0) * n_n
 
 
+def _budgets(L, n_n, e1, e2, k):
+    """The AP tolerance row over NCS counts 0..n_n and the BS row over 0..L."""
+    ap = gamma_k_tolerance_array(np.arange(n_n + 1), e1, k).tolist()
+    return ap, gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+
+
 def _decode_probs(m_counts, n_c, e2, k=INFINITE_K):
     """(CS, NCS) decode probabilities of one allocation by the per-row rule."""
-    q_cs, q_ncs = sp._mc_throughput_values(np.array([m_counts]), n_c, e2, k)
+    bs = gamma_k_tolerance_array(np.arange(sum(m_counts) + 1), e2, k)
+    q_cs, q_ncs = sp._mc_throughput_values(np.array([m_counts]), n_c, e2, bs)
     return float(q_cs[0]), float(q_ncs[0])
 
 
@@ -64,12 +73,10 @@ def test_bs_decode_prob_cs_matches_explicit_binomial_sum():
     e2, K = 0.6, 2
     expected = 0.0
     s_cs, s_ncs = m[1] + m[2], m[3]
-    from twohop_aloha.core import gamma_k_tolerance
-
     for idx in (1, 2):
         for j in range(1, m[idx] + 1):
             expected += (
-                gamma_k_tolerance(s_ncs, e2, K)
+                float(gamma_k_tolerance_array(s_ncs, e2, K))
                 * math.comb(m[idx], j)
                 * (1 - e2) ** j
                 * e2 ** ((s_cs - m[idx]) + m[idx] - j)
@@ -102,10 +109,30 @@ def test_decode_probs_are_disjoint_events():
 # ---------------------------------------------------------------------------
 
 
+def enumerate_allocations(n_aps: int, n_cells: int):
+    """Yield (composition, multinomial coefficient) over all allocations.
+
+    Exhaustive stars-and-bars enumeration; the probability weight of a
+    composition under cell probabilities p is coef * prod(p**counts).
+    The literal oracle for the marginalized exact computation.
+    """
+    for bars in combinations(range(n_aps + n_cells - 1), n_cells - 1):
+        counts = []
+        prev = -1
+        for b in bars:
+            counts.append(b - prev - 1)
+            prev = b
+        counts.append(n_aps + n_cells - 2 - prev)
+        coef = math.factorial(n_aps)
+        for c in counts:
+            coef //= math.factorial(c)
+        yield tuple(counts), coef
+
+
 def _enumerated(n_aps, probs):
     """Every allocation as a row, with its multinomial probability."""
     rows, w = [], []
-    for counts, coef in sp.enumerate_allocations(n_aps, len(probs)):
+    for counts, coef in enumerate_allocations(n_aps, len(probs)):
         rows.append(counts)
         w.append(coef * float(np.prod(probs ** np.array(counts))))
     return np.array(rows), np.array(w)
@@ -120,10 +147,11 @@ def test_enumerated_weights_sum_to_one():
 @pytest.mark.parametrize("n_c,n_n", [(2, 3), (1, 0), (0, 2), (3, 3)])
 def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
     L, e1, e2, K = 3, 0.4, 0.5, 1
-    probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
+    ap, bs = _budgets(L, n_n, e1, e2, K)
+    probs = sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n])
     rows, w = _enumerated(L, probs)
-    lit_cs, lit_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, K))
-    q_cs, q_ncs = sp._exact_inner_throughput(L, n_c, n_n, e1, e2, K)
+    lit_cs, lit_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, bs))
+    q_cs, q_ncs = sp._exact_inner_throughput(L, n_c, n_n, e1, e2, ap, bs)
     assert q_cs == pytest.approx(lit_cs, abs=1e-12)
     assert q_ncs == pytest.approx(lit_ncs, abs=1e-12)
 
@@ -132,10 +160,11 @@ def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
 def test_marginalized_psr_equals_literal_enumeration(n_tag, n_oth, tagged_cs):
     L, e1, e2, K = 4, 0.3, 0.6, 1
     n_c, n_n = (n_tag, n_oth) if tagged_cs else (n_oth, n_tag)
-    probs = sp.ap_allocation_probs(n_c, n_n, e1, K)
+    ap, bs = _budgets(L, n_n, e1, e2, K)
+    probs = sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n])
     rows, w = _enumerated(L, probs)
-    lit = w @ sp._mc_tagged_values(rows, n_c, e2, K, tagged_cs)
-    marg = sp._exact_inner_psr(L, n_tag, n_oth, e1, e2, K, tagged_cs)
+    lit = w @ sp._mc_tagged_values(rows, n_c, e2, bs, tagged_cs)
+    marg = sp._exact_inner_psr(L, n_tag, n_oth, e1, e2, ap, bs, tagged_cs)
     assert marg == pytest.approx(lit, abs=1e-12)
 
 
@@ -208,3 +237,27 @@ def test_tdma_evaluation():
         sup_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=1.0))
     )
     assert degenerate.R_cbar == 0.0 and degenerate.Gamma_cbar == 0.0
+
+
+@pytest.mark.parametrize("allocation", [None, Tdma(alpha=0.5)])
+def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
+    # README scenario: every tolerance value comes from at most two rows per
+    # class grid, never from a scipy call per (n_c, n_cbar) pair or term
+    from scipy import stats
+
+    calls = {"rows": 0, "cdf": 0}
+    rows, cdf = sp.gamma_k_tolerance_array, stats.binom.cdf
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sp, "gamma_k_tolerance_array", counted("rows", rows))
+    monkeypatch.setattr(stats.binom, "cdf", counted("cdf", cdf))
+    extra = {} if allocation is None else {"allocation": allocation}
+    m = sp.evaluate_superposition(sup_cfg(T=8, G=16.0, K=2, **extra))
+    assert m.R_c > 0.0 and m.R_cbar > 0.0
+    assert 1 <= calls["rows"] <= 4
+    assert calls["cdf"] <= calls["rows"]
