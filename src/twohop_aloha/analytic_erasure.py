@@ -1,10 +1,19 @@
-"""Closed-form throughput and packet success rate under erasure channels.
+"""Throughput and packet success rate under erasure channels.
 
 Collision receiver model, two service classes (CS / NCS), finite or ideal
 NCS-to-CS interference tolerance K, non-orthogonal sharing or inter-service
-TDMA.  Every closed form has a direct truncated-series counterpart used as a
-mutual-consistency oracle; the Monte Carlo engine in ``sim_erasure`` is the
-independent oracle for both.
+TDMA.
+
+* A class that contends alone -- either class under TDMA, and CS at K = inf
+  -- is a single-service Poisson expectation.  Its throughput and PSR, and
+  the uplink benchmark bound, are series with a relative truncation error of
+  1e-12 (``poisson_expectation``), batched over loads.
+* The NCS metrics at K = inf keep closed forms for L <= 64 (``_dispatch``),
+  with the two-class series as fallback; every finite-K metric is a
+  two-class series, truncated at an absolute Poisson tail mass.
+* The literal closed forms of the single-service and finite-K metrics are
+  the test oracle ``tests/closed_form_oracle.py``; ``sim_erasure`` is the
+  independent Monte Carlo oracle.
 
 Notation used throughout the internals: per-slot loads ``g_c`` and ``g_n``
 for the two classes, erasure probabilities ``e1`` (access) and ``e2``
@@ -13,6 +22,7 @@ for the two classes, erasure probabilities ``e1`` (access) and ``e2``
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -21,8 +31,6 @@ from scipy import special
 from .core import (
     AUX_H_MAX_ORDER,
     INFINITE_K,
-    TAIL_MASS_DEFAULT,
-    ErasureParams,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
@@ -32,15 +40,19 @@ from .core import (
     gamma_k_tolerance_array,
     is_infinite,
     normalized_poisson_weights,
-    poisson_tail_cutoff,
     poisson_weights,
-    regularized_gamma_q,
 )
 
 # Below this access-erasure probability the closed forms (which carry powers
 # of 1/eps1) are evaluated through the direct series instead; the limits
 # exist but the printed expressions are 0/0.
 EPS1_CLOSED_FORM_MIN = 1e-6
+
+# poisson_expectation works on blocks of this many loads and this many
+# support points at a time, which bounds its memory whatever the loads.
+_BLOCK_LOADS = 256
+_BLOCK_TERMS = 64
+_REL_TRUNCATION = 1e-12
 
 
 def _beta(e1: float, e2: float) -> float:
@@ -80,37 +92,69 @@ def _p_cs_array(n: np.ndarray, e1: float) -> np.ndarray:
 
 
 # ============================================================================
-#  Single service (ideal tolerance): throughput and PSR
+#  Single-service Poisson expectations
 # ============================================================================
 
 
-def _cs_throughput_series(L, e1, e2, g_c):
-    n, w = poisson_weights(g_c)
-    q = _p_cs_array(n, e1) * (1.0 - e2)
-    return float(np.sum(w * L * q * (1.0 - q) ** (L - 1)))
+def poisson_expectation(f, loads) -> np.ndarray:
+    """E[f_j(N)] for N ~ Poisson(load), for every row j of ``f`` and every load.
+
+    ``f(n)`` maps an integer support array ``n`` to an array of shape
+    ``(rows, n.size)`` with values in [0, 1]; the result has shape
+    ``(rows, len(loads))``.  Each sum runs from n = 0 and stops at the first
+    n >= load where the bound P(n+1) / (1 - load / (n+2)) on the Poisson
+    tail beyond n is at most 1e-12 times the partial sum, so, as f <= 1,
+    every value carries a relative truncation error of at most 1e-12.
+    """
+    uniq, inverse = np.unique(np.asarray(loads, dtype=float), return_inverse=True)
+    blocks = [
+        _expectation_block(f, uniq[lo : lo + _BLOCK_LOADS])
+        for lo in range(0, uniq.size, _BLOCK_LOADS)
+    ]
+    return np.concatenate(blocks, axis=1)[:, inverse]
 
 
-def _cs_throughput_closed(L, e1, e2, g_c):
-    beta = _beta(e1, e2)
-    total = 0.0
-    for l in range(L):
-        term = (
-            (-1.0) ** l
-            * L
-            * math.comb(L - 1, l)
-            * (beta / e1) ** (l + 1)
-            * math.exp(-g_c)
-            * aux_h(l + 1, g_c * e1 ** (l + 1))
-        )
-        total += term
-    return total
+def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
+    g = lam[:, None]
+    total, value, done = 0.0, 0.0, False
+    for lo in itertools.count(0, _BLOCK_TERMS):
+        n = np.arange(lo, lo + _BLOCK_TERMS + 1)
+        pmf = np.exp(special.xlogy(n, g) - g - special.gammaln(n + 1.0))
+        partial = total + np.cumsum(pmf[:, None, :-1] * f(n[:-1]), axis=2)
+        slack = (1.0 - g / (n[:-1] + 2.0))[:, None, :]
+        stop = (n[:-1] >= g)[:, None, :] & (pmf[:, None, 1:] <= _REL_TRUNCATION * slack * partial)
+        first = np.take_along_axis(partial, stop.argmax(axis=2)[..., None], axis=2)[..., 0]
+        value = np.where(done, value, first)
+        done = done | stop.any(axis=2)
+        if np.all(done):
+            return value.T
+        total = partial[..., -1:]
 
 
-def _cs_psr_series(L, e1, e2, g_c):
-    n, w = normalized_poisson_weights(g_c)
-    p_u = (1.0 - e1) * e1 ** (n - 1)
-    q = n * p_u * (1.0 - e2)
-    return float(np.sum(w * L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)))
+def isolated_class_metrics(L: int, e1: float, e2: float, loads) -> tuple[np.ndarray, np.ndarray]:
+    """Throughput and PSR of a class that contends alone, at each per-slot load.
+
+    Given n transmissions in a slot, an AP relays the tagged packet with
+    probability p_u and some packet with probability q = n * p_u; the BS
+    decodes when exactly one AP relays.  A zero load gets zero PSR by
+    convention.
+    """
+    loads = np.asarray(loads, dtype=float)
+
+    def f(n):
+        p_u = np.where(n == 0, 0.0, (1.0 - e1) * e1 ** np.maximum(n - 1, 0)) * (1.0 - e2)
+        tagged = L * p_u * (1.0 - n * p_u) ** (L - 1)
+        return np.stack([n * tagged, tagged])
+
+    throughput, tagged = poisson_expectation(f, loads)
+    active = -np.expm1(-loads)
+    psr = np.divide(tagged, active, out=np.zeros(loads.shape), where=active > 0)
+    return throughput, psr
+
+
+# ============================================================================
+#  NCS metrics, ideal tolerance
+# ============================================================================
 
 
 def _expm1_or_aux(order: int, x: float) -> float:
@@ -118,25 +162,6 @@ def _expm1_or_aux(order: int, x: float) -> float:
     if order == 0:
         return math.expm1(x)
     return aux_h(order, x)
-
-
-def _cs_psr_closed(L, e1, e2, g_c):
-    beta = _beta(e1, e2)
-    norm = 1.0 / -math.expm1(-g_c)
-    total = 0.0
-    for l in range(L):
-        total += (
-            math.comb(L - 1, l)
-            * (-beta) ** l
-            / e1 ** (l + 1)
-            * _expm1_or_aux(l, g_c * e1 ** (l + 1))
-        )
-    return L * beta * norm * math.exp(-g_c) * total
-
-
-# ============================================================================
-#  NCS metrics, ideal tolerance
-# ============================================================================
 
 
 def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: Tolerance):
@@ -203,58 +228,6 @@ def _ncs_psr_inf_closed(L, e1, e2, g_c, g_n):
 
 
 # ============================================================================
-#  NCS metrics, finite tolerance (closed form)
-# ============================================================================
-
-
-def _poly_series_cutoff(x: float, order: int) -> int:
-    """Safe truncation index for sums of x**n n**order / n! terms."""
-    base = poisson_tail_cutoff(max(x, 1.0), min(TAIL_MASS_DEFAULT, 1e-15))
-    return base + 5 * (order + 1) + 25
-
-
-def _xi1(K, k, g_n, e1):
-    """Head of the tolerance-weighted series: n inside the free region."""
-    x = g_n * e1 ** (k + 1)
-    total = 0.0
-    term = 1.0  # x**n / n!, updated iteratively
-    for n in range(1, K + 1):
-        term *= x / n
-        total += term * n ** (k + 1)
-    return total
-
-
-def _xi2(K, k, j, g_n, e1):
-    """Tail of the tolerance-weighted series, with the budget CDF factor."""
-    x = g_n * e1 ** (k + 1)
-    if x == 0.0:
-        return 0.0
-    n_max = _poly_series_cutoff(g_n, k + 1)
-    n = np.arange(K + 1, n_max + 1)
-    log_terms = n * math.log(x) - special.gammaln(n + 1) + (k + 1) * np.log(n)
-    tol = gamma_k_tolerance_array(n, e1, K)
-    return float(np.sum(np.exp(log_terms) * tol**j))
-
-
-def _ncs_throughput_k_closed(L, e1, e2, g_c, g_n, K):
-    beta = _beta(e1, e2)
-    total = 0.0
-    for i in range(L):
-        for k in range(i + 1):
-            xi = _xi1(K, k, g_n, e1) + _xi2(K, k, i - k, g_n, e1)
-            total += (
-                (-1.0) ** i
-                * math.comb(L - 1, i)
-                * math.comb(i, k)
-                * (beta / e1) ** (i + 1)
-                * math.exp(-(g_c + g_n))
-                * aux_h(i - k, g_c * e1 ** (i + 1))
-                * xi
-            )
-    return L * total
-
-
-# ============================================================================
 #  CS metrics, finite tolerance
 # ============================================================================
 
@@ -278,38 +251,6 @@ def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int):
         val += math.comb(L - 1, i) * qn**i * rest ** (L - 1 - i)
     val *= L * psi
     return float(wc @ val @ wn)
-
-
-def _xi_poisson_tail(K, l, g_n, e1):
-    """sum_{n > K} Poisson(g_n) pmf(n) * gamma_K(n, e1)**(l+1)."""
-    if g_n == 0.0:
-        return 0.0
-    n_max = max(poisson_tail_cutoff(g_n, TAIL_MASS_DEFAULT), K + 1)
-    n = np.arange(K + 1, n_max + 1)
-    pmf = np.exp(n * math.log(g_n) - g_n - special.gammaln(n + 1))
-    tol = gamma_k_tolerance_array(n, e1, K)
-    return float(np.sum(pmf * tol ** (l + 1)))
-
-
-def _cs_throughput_k_closed(L, e1, e2, g_c, g_n, K):
-    """Closed finite-K CS throughput; valid for L <= K + 1 only."""
-    if L > K + 1:
-        raise ValueError("closed finite-K CS throughput requires L <= K + 1")
-    beta = _beta(e1, e2)
-    q_head = regularized_gamma_q(K + 1, g_n)
-    total = 0.0
-    for l in range(L):
-        factor = q_head + _xi_poisson_tail(K, l, g_n, e1)
-        total += (
-            (-1.0) ** l
-            * L
-            * math.comb(L - 1, l)
-            * (beta / e1) ** (l + 1)
-            * math.exp(-g_c)
-            * aux_h(l + 1, g_c * e1 ** (l + 1))
-            * factor
-        )
-    return total
 
 
 def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
@@ -336,40 +277,20 @@ def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
 
 
 # ============================================================================
-#  Benchmark uplink bound
-# ============================================================================
-
-
-def _benchmark_series(L, e1, g_c):
-    n, w = poisson_weights(g_c)
-    p = _p_cs_array(n, e1)
-    return float(np.sum(w * (1.0 - (1.0 - p) ** L)))
-
-
-def _benchmark_closed(L, e1, g_c):
-    total = 0.0
-    for l in range(L + 1):
-        total += (
-            (-1.0) ** l
-            * math.comb(L, l)
-            * ((1.0 - e1) / e1) ** l
-            * math.exp(-g_c)
-            * aux_h(l, g_c * e1**l)
-        )
-    return 1.0 - total
-
-
-# ============================================================================
 #  Closed-form / series dispatch
 # ============================================================================
 
 
 def _dispatch(closed_fn, series_fn, L, e1):
     """Prefer the closed form; fall back to the series when the closed form
-    is singular (e1 ~ 0), exceeds the recursion order cap, or loses finiteness."""
+    is singular (e1 ~ 0), exceeds the recursion order cap, overflows, or
+    loses finiteness."""
     if e1 < EPS1_CLOSED_FORM_MIN or L > AUX_H_MAX_ORDER:
         return series_fn()
-    value = closed_fn()
+    try:
+        value = closed_fn()
+    except OverflowError:
+        return series_fn()
     if not math.isfinite(value):
         return series_fn()
     return value
@@ -383,27 +304,15 @@ def _dispatch(closed_fn, series_fn, L, e1):
 def throughput_cs_single(cfg: ScenarioConfig) -> float:
     """CS throughput with no NCS interference (single-service semantics)."""
     e = cfg.erasure
-    g_c = cfg.cs_slot_load
-    return _dispatch(
-        lambda: _cs_throughput_closed(cfg.L, e.eps1, e.eps2, g_c),
-        lambda: _cs_throughput_series(cfg.L, e.eps1, e.eps2, g_c),
-        cfg.L,
-        e.eps1,
-    )
+    return float(isolated_class_metrics(cfg.L, e.eps1, e.eps2, [cfg.cs_slot_load])[0][0])
 
 
 def psr_cs_single(cfg: ScenarioConfig) -> float:
     """Single-service CS packet success rate for a tagged active device."""
     e = cfg.erasure
-    g_c = cfg.cs_slot_load
-    if g_c <= 0:
+    if cfg.cs_slot_load <= 0:
         raise ValueError("CS packet success rate requires a positive CS load")
-    return _dispatch(
-        lambda: _cs_psr_closed(cfg.L, e.eps1, e.eps2, g_c),
-        lambda: _cs_psr_series(cfg.L, e.eps1, e.eps2, g_c),
-        cfg.L,
-        e.eps1,
-    )
+    return float(isolated_class_metrics(cfg.L, e.eps1, e.eps2, [cfg.cs_slot_load])[1][0])
 
 
 def throughput_ncs_ideal_k(cfg: ScenarioConfig) -> float:
@@ -482,14 +391,13 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
     Upper-bounds the end-to-end single-service throughput (it ignores the
     backhaul); it is the exact uplink success probability, not just a bound.
     """
-    e = cfg.erasure
-    g_c = cfg.cs_slot_load
-    return _dispatch(
-        lambda: _benchmark_closed(cfg.L, e.eps1, g_c),
-        lambda: _benchmark_series(cfg.L, e.eps1, g_c),
-        cfg.L,
-        e.eps1,
-    )
+    L, e1 = cfg.L, cfg.erasure.eps1
+
+    def f(n):
+        with np.errstate(divide="ignore"):  # log1p(-1) when e1 = 0 and n = 1
+            return -np.expm1(L * np.log1p(-_p_cs_array(n, e1)))[None, :]
+
+    return float(poisson_expectation(f, [cfg.cs_slot_load])[0, 0])
 
 
 # ============================================================================
@@ -497,47 +405,35 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
 # ============================================================================
 
 
-def _single_service_pair(L, e1, e2, load):
-    """(throughput, PSR) of an isolated class at the given per-slot load."""
-    if load <= 0:
-        return 0.0, 0.0
-    cfg = ScenarioConfig(
-        L=L, T=1, G=load, gamma_c=1.0, channel=ErasureParams(e1, e2)
-    )
-    return throughput_cs_single(cfg), psr_cs_single(cfg)
+def _group(cfg: ScenarioConfig) -> tuple:
+    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
 
 
-def _evaluate_tdma(cfg: ScenarioConfig) -> ServiceMetrics:
-    e = cfg.erasure
-    (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-    r_c, p_c = _single_service_pair(cfg.L, e.eps1, e.eps2, g_c)
-    r_n, p_n = _single_service_pair(cfg.L, e.eps1, e.eps2, g_n)
-    return ServiceMetrics(
-        R_c=share_c * r_c, R_cbar=share_n * r_n, Gamma_c=p_c, Gamma_cbar=p_n
-    )
-
-
-def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:
-    """All four class metrics for a collision-receiver erasure scenario.
-
-    A class with zero offered load gets zero throughput and, by convention,
-    zero packet success rate (there is no active device to condition on).
-    """
-    if cfg.receiver != Receiver.COLLISION:
-        raise ValueError(
-            "evaluate_erasure handles the collision receiver; use the "
-            "superposition module for the superposition receiver"
-        )
-    cfg.erasure  # raises for fading scenarios
+def _isolated_loads(cfg: ScenarioConfig) -> tuple[float, ...]:
+    """Per-slot loads of the classes of ``cfg`` that contend alone."""
     if isinstance(cfg.allocation, Tdma):
-        return _evaluate_tdma(cfg)
+        (_, g_c), (_, g_n) = cfg.tdma_shares()
+        return g_c, g_n
+    return (cfg.cs_slot_load,) if is_infinite(cfg.K) else ()
+
+
+def _evaluate_one(cfg: ScenarioConfig, isolated: dict) -> ServiceMetrics:
+    def alone(load):
+        return isolated[(*_group(cfg), load)]
+
+    if isinstance(cfg.allocation, Tdma):
+        (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
+        (r_c, p_c), (r_n, p_n) = alone(g_c), alone(g_n)
+        return ServiceMetrics(
+            R_c=share_c * r_c, R_cbar=share_n * r_n, Gamma_c=p_c, Gamma_cbar=p_n
+        )
 
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
     ideal = is_infinite(cfg.K)
-
-    if g_c > 0:
-        r_c = throughput_cs_single(cfg) if ideal else throughput_cs_finite_k(cfg)
-        p_c = psr_cs_single(cfg) if ideal else psr_cs_finite_k(cfg)
+    if ideal:
+        r_c, p_c = alone(g_c)
+    elif g_c > 0:
+        r_c, p_c = throughput_cs_finite_k(cfg), psr_cs_finite_k(cfg)
     else:
         r_c, p_c = 0.0, 0.0
     if g_n > 0:
@@ -546,3 +442,35 @@ def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:
     else:
         r_n, p_n = 0.0, 0.0
     return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
+
+
+def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
+    """``evaluate_erasure`` of every scenario in ``cfgs``, in order.
+
+    The loads of all classes that contend alone are evaluated together, one
+    ``isolated_class_metrics`` call per (L, eps1, eps2).
+    """
+    cfgs = list(cfgs)
+    loads: dict = {}
+    for cfg in cfgs:
+        if cfg.receiver != Receiver.COLLISION:
+            raise ValueError(
+                "evaluate_erasure handles the collision receiver; use the "
+                "superposition module for the superposition receiver"
+            )
+        loads.setdefault(_group(cfg), []).extend(_isolated_loads(cfg))
+    isolated = {}
+    for key, group in loads.items():
+        if group:
+            for load, r, p in zip(group, *isolated_class_metrics(*key, group)):
+                isolated[(*key, load)] = (float(r), float(p))
+    return [_evaluate_one(cfg, isolated) for cfg in cfgs]
+
+
+def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:
+    """All four class metrics for a collision-receiver erasure scenario.
+
+    A class with zero offered load gets zero throughput and, by convention,
+    zero packet success rate (there is no active device to condition on).
+    """
+    return evaluate_erasure_batch([cfg])[0]

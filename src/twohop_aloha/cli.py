@@ -176,9 +176,10 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 
 
 # Every backend offers the same three members: ``check(cfg)`` raises a
-# ConfigError for a scenario it cannot evaluate, ``evaluate(cfg)`` returns
-# ServiceMetrics or SimulatedMetrics, and ``seed`` is the master seed echoed
-# into stochastic output, or None for a deterministic backend.
+# ConfigError for a scenario it cannot evaluate, ``evaluate(cfgs)`` returns
+# one ServiceMetrics or SimulatedMetrics per scenario of a list, in order,
+# and ``seed`` is the master seed echoed into stochastic output, or None for
+# a deterministic backend.
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,8 @@ class AnalyticBackend:
                 "analytic backend requires the erasure channel and collision receiver"
             )
 
-    def evaluate(self, cfg: ScenarioConfig):
-        return analytic_erasure.evaluate_erasure(cfg)
+    def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
+        return analytic_erasure.evaluate_erasure_batch(cfgs)
 
 
 @dataclass(frozen=True)
@@ -205,8 +206,8 @@ class SimBackend:
         if not isinstance(cfg.channel, ErasureParams):
             raise ConfigError("sim backend requires the erasure channel")
 
-    def evaluate(self, cfg: ScenarioConfig):
-        return sim_erasure.simulate(cfg, self.frames, self.seed, self.workers)
+    def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
+        return [sim_erasure.simulate(cfg, self.frames, self.seed, self.workers) for cfg in cfgs]
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,11 @@ class FadingBackend:
         if isinstance(cfg.allocation, Tdma):
             raise ConfigError("fading backend supports non-orthogonal allocation only")
 
-    def evaluate(self, cfg: ScenarioConfig):
-        return sim_fading.estimate_fading_metrics(cfg, self.slots, self.seed, self.workers)
+    def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
+        return [
+            sim_fading.estimate_fading_metrics(cfg, self.slots, self.seed, self.workers)
+            for cfg in cfgs
+        ]
 
 
 @dataclass(frozen=True)
@@ -240,8 +244,8 @@ class SuperpositionBackend:
                 "superposition receiver"
             )
 
-    def evaluate(self, cfg: ScenarioConfig):
-        return superposition.evaluate_superposition(cfg, self.estimator)
+    def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
+        return [superposition.evaluate_superposition(cfg, self.estimator) for cfg in cfgs]
 
 
 Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
@@ -432,11 +436,13 @@ def sweep_spec_from_config(parser, base: ScenarioConfig, args) -> SweepSpec:
 def run_sweep(spec: SweepSpec) -> list[list]:
     """Evaluate every swept point; returns rows and writes the CSV."""
     backend = spec.backend
-    rows = []
-    for value in spec.values:
-        cfg = _apply_parameter(spec.base, spec.parameter, value)
+    cfgs = [_apply_parameter(spec.base, spec.parameter, value) for value in spec.values]
+    for cfg in cfgs:
         backend.check(cfg)
-        rows.append([value] + _metric_row(backend.evaluate(cfg), backend.seed))
+    rows = [
+        [value] + _metric_row(result, backend.seed)
+        for value, result in zip(spec.values, backend.evaluate(cfgs))
+    ]
     write_csv(spec.out_path, [spec.parameter] + _metric_header(backend.seed), rows)
     return rows
 
@@ -501,12 +507,13 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
     Sort-based 2-D maxima (Kung, Luccio & Preparata, JACM 1975): sweeping
     R_c from the top in groups of equal R_c, a point is dominated iff some
     point of strictly larger R_c reaches its R_cbar or a point of its own
-    group exceeds it.  A point with a NaN coordinate compares false both
-    ways, so it is kept and dominates nothing.  Kept points come in input
-    order, the first occurrence of each (R_c, R_cbar) only.
+    group exceeds it.  Kept points come in input order, the first occurrence
+    of each (R_c, R_cbar) only.  A NaN coordinate, which dominance cannot
+    order, is refused with a ValueError.
     """
-    ranked = [i for i, p in enumerate(points) if p[-2] == p[-2] and p[-1] == p[-1]]
-    ranked.sort(key=lambda i: points[i][-2], reverse=True)
+    if any(math.isnan(p[-2]) or math.isnan(p[-1]) for p in points):
+        raise ValueError("throughput region points must not be NaN")
+    ranked = sorted(range(len(points)), key=lambda i: points[i][-2], reverse=True)
     dominated = set()
     best_above = None  # largest R_cbar over the groups swept so far
     for _, group in itertools.groupby(ranked, key=lambda i: points[i][-2]):
@@ -529,24 +536,22 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
 
 def compute_region(spec: RegionSpec) -> list[list]:
     """Pareto-nondominated (R_c, R_cbar) frontier per allocation scheme."""
-    def throughputs(cfg) -> list:
-        spec.backend.check(cfg)
-        return _metric_row(spec.backend.evaluate(cfg))[:2]
-
-    rows = []
+    grid = []  # (scheme, gamma_c, alpha, allocation)
     if "non_orthogonal" in spec.schemes:
-        points = []
-        for g in spec.gamma_grid:
-            cfg = spec.base.replace(gamma_c=g, allocation=NON_ORTHOGONAL)
-            points.append(("non_orthogonal", g, "", *throughputs(cfg)))
-        rows.extend(pareto_filter(points))
+        grid += [("non_orthogonal", g, "", NON_ORTHOGONAL) for g in spec.gamma_grid]
     if "tdma" in spec.schemes:
-        points = []
-        for g in spec.gamma_grid:
-            for a in spec.alpha_grid:
-                cfg = spec.base.replace(gamma_c=g, allocation=Tdma(alpha=a))
-                points.append(("tdma", g, a, *throughputs(cfg)))
-        rows.extend(pareto_filter(points))
+        grid += [("tdma", g, a, Tdma(alpha=a)) for g in spec.gamma_grid for a in spec.alpha_grid]
+    cfgs = [spec.base.replace(gamma_c=g, allocation=alloc) for _, g, _, alloc in grid]
+    for cfg in cfgs:
+        spec.backend.check(cfg)
+    results = spec.backend.evaluate(cfgs)
+    rows = []
+    for scheme in ("non_orthogonal", "tdma"):
+        rows += pareto_filter([
+            (s, g, a, *_metric_row(result)[:2])
+            for (s, g, a, _), result in zip(grid, results)
+            if s == scheme
+        ])
     if spec.out_path:
         write_csv(spec.out_path, ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"], rows)
     return rows
@@ -846,7 +851,7 @@ def _cmd_point(args, backend_name: str) -> int:
     else:
         backend = backend_from_config(parser, backend_name, args)
     backend.check(cfg)
-    result = backend.evaluate(cfg)
+    [result] = backend.evaluate([cfg])
     for line in _metrics_lines(result, backend.seed):
         print(line)
     if args.out:

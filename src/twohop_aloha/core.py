@@ -16,8 +16,8 @@ import numpy as np
 from scipy import special
 from scipy import stats
 
-# Default tail mass at which infinite Poisson sums are truncated.  Uniform,
-# provable error control across all analytic evaluators.
+# Default tail mass at which the two-class Poisson sums are truncated (an
+# absolute error bound; the single-service series bound theirs relatively).
 TAIL_MASS_DEFAULT = 1e-12
 
 # Recursion order cap for aux_h; factorial-like growth makes larger orders
@@ -251,6 +251,8 @@ class ServiceMetrics:
     _TOL = 1e-9
 
     def __post_init__(self):
+        if any(math.isnan(v) for v in vars(self).values()):
+            raise ValueError(f"metrics must not be NaN, got {self}")
         if self.R_c < -self._TOL or self.R_cbar < -self._TOL:
             raise ValueError("throughputs must be non-negative")
         if self.R_c + self.R_cbar > 1.0 + self._TOL:
@@ -368,15 +370,6 @@ def normalized_poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT)
 # ============================================================================
 #  Special functions
 # ============================================================================
-
-
-def regularized_gamma_q(k_plus_1: int, x: float) -> float:
-    """Q(K+1, x) = P(Poisson(x) <= K), the regularized upper gamma function."""
-    if k_plus_1 < 1:
-        raise ValueError(f"first argument must be a positive integer, got {k_plus_1}")
-    if x < 0 or math.isnan(x) or math.isinf(x):
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    return float(special.gammaincc(k_plus_1, x))
 
 
 def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import closed_form_oracle as oracle
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
 import twohop_aloha.sim_fading as sf
@@ -57,10 +58,9 @@ def test_criterion_01_closed_forms_match_series():
     Ls, eps, loads, gammas, ks = (1, 2, 3, 5), (0.1, 0.5, 0.9), (0.25, 1.0, 2.0, 4.0), (0.1, 0.5, 0.9), (0, 1, 2, 5)
     worst, n_checks = 0.0, 0
     for L, e1, e2, g in itertools.product(Ls, eps, eps, loads):
-        worst = max(worst, rel_err(ae._cs_throughput_closed(L, e1, e2, g),
-                                   ae._cs_throughput_series(L, e1, e2, g)))
-        worst = max(worst, rel_err(ae._cs_psr_closed(L, e1, e2, g),
-                                   ae._cs_psr_series(L, e1, e2, g)))
+        [series_tput], [series_psr] = ae.isolated_class_metrics(L, e1, e2, [g])
+        worst = max(worst, rel_err(oracle.cs_throughput_closed(L, e1, e2, g), series_tput))
+        worst = max(worst, rel_err(oracle.cs_psr_closed(L, e1, e2, g), series_psr))
         n_checks += 2
         for gamma in gammas:
             gc, gn = gamma * g, (1.0 - gamma) * g
@@ -73,12 +73,12 @@ def test_criterion_01_closed_forms_match_series():
             n_checks += 2
             for K in ks:
                 worst = max(worst, rel_err(
-                    ae._ncs_throughput_k_closed(L, e1, e2, gc, gn, K),
+                    oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K),
                     ae._ncs_throughput_series(L, e1, e2, gc, gn, K)))
                 n_checks += 1
                 if L <= K + 1:
                     worst = max(worst, rel_err(
-                        ae._cs_throughput_k_closed(L, e1, e2, gc, gn, K),
+                        oracle.cs_throughput_k_closed(L, e1, e2, gc, gn, K),
                         ae._cs_throughput_k_series(L, e1, e2, gc, gn, K)))
                     n_checks += 1
     elapsed = time.perf_counter() - t0

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import twohop_aloha.analytic_erasure as ae
+import closed_form_oracle as oracle
 from twohop_aloha.core import (
     INFINITE_K,
     ErasureParams,
@@ -58,13 +59,14 @@ def test_reference_series_matches_closed_form_on_grid():
     for L, e1, e2, g in itertools.product(
         (1, 2, 5), (0.1, 0.5, 0.9), (0.1, 0.9), (0.25, 2.0)
     ):
-        closed = ae.throughput_cs_single(erasure_cfg(L=L, G=g, e1=e1, e2=e2))
-        series = ae._cs_throughput_series(L, e1, e2, g)
+        closed = oracle.cs_throughput_closed(L, e1, e2, g)
+        series = ae.throughput_cs_single(erasure_cfg(L=L, G=g, e1=e1, e2=e2))
         assert closed == pytest.approx(series, rel=1e-9, abs=1e-14)
 
 
 def test_reference_series_zero_load():
-    assert ae._cs_throughput_series(3, 0.5, 0.5, 0.0) == 0.0
+    tput, psr = ae.isolated_class_metrics(3, 0.5, 0.5, [0.0, 0.0])
+    assert tput.tolist() == [0.0, 0.0] and psr.tolist() == [0.0, 0.0]
 
 
 def test_psr_cs_single_limits():
@@ -76,10 +78,11 @@ def test_psr_cs_single_limits():
 
 
 def test_small_eps1_falls_back_to_series():
-    # continuity across the closed-form/series dispatch threshold
-    lo = ae.throughput_cs_single(erasure_cfg(L=3, G=2.0, e1=9e-7))
-    hi = ae.throughput_cs_single(erasure_cfg(L=3, G=2.0, e1=2e-6))
+    # continuity across the NCS closed-form/series dispatch threshold
+    lo = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=9e-7))
+    hi = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=2e-6))
     assert lo == pytest.approx(hi, rel=1e-3)
+    assert ae.psr_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=0.0)) > 0.0
     assert ae.psr_cs_single(erasure_cfg(L=3, G=2.0, e1=0.0)) > 0.0
 
 
@@ -160,13 +163,13 @@ def test_cs_throughput_finite_k_branches_agree_at_boundary():
     # L = K + 1: the trinomial series collapses to the closed binomial form
     cfg = erasure_cfg(L=3, T=2, G=8.0, gamma_c=0.5, K=2)
     e = cfg.erasure
-    closed = ae._cs_throughput_k_closed(
+    closed = oracle.cs_throughput_k_closed(
         cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, 2
     )
     series = ae.throughput_cs_finite_k(cfg)
     assert closed == pytest.approx(series, rel=1e-8)
     with pytest.raises(ValueError):
-        ae._cs_throughput_k_closed(4, 0.5, 0.5, 2.0, 2.0, 2)  # L > K + 1
+        oracle.cs_throughput_k_closed(4, 0.5, 0.5, 2.0, 2.0, 2)  # L > K + 1
 
 
 def test_finite_k_trivial_cases():
@@ -200,6 +203,67 @@ def test_benchmark_trivial_and_dominance():
     for L, e1, g in itertools.product((1, 2, 5), (0.1, 0.5, 0.9), (0.5, 2.0, 4.0)):
         cfg = erasure_cfg(L=L, G=g, e1=e1, e2=0.0)
         assert ae.benchmark_bound(cfg) >= ae.throughput_cs_single(cfg) - 1e-12
+
+
+def test_benchmark_bound_at_l64():
+    # the closed form cancelled to -5.23 here; 40-digit mpmath sum of the series
+    cfg = erasure_cfg(L=64, G=0.5, e1=0.1, e2=0.1)
+    assert ae.benchmark_bound(cfg) == pytest.approx(0.38985561297332234871, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Single-service series against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+
+def mpmath_isolated_class(L, e1, e2, loads):
+    """(throughput, PSR, benchmark bound) at each load, summed at 40 digits.
+
+    The sums run to load + 20 sqrt(load) + 60, where what is left of the
+    Poisson tail lies far below the least normal double.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e1, e2 = mp.mpf(e1), mp.mpf(e2)
+        n_max = max(int(g + 20 * math.sqrt(g) + 60) for g in loads)
+        terms = [None]  # per n >= 1: (throughput, tagged PSR, benchmark) terms
+        power = mp.mpf(1)  # e1 ** (n - 1)
+        for n in range(1, n_max + 1):
+            p = n * (1 - e1) * power
+            q = p * (1 - e2)
+            rest = (1 - q) ** (L - 1)
+            terms.append((
+                L * q * rest,
+                L * (1 - e1) * power * (1 - e2) * rest,
+                -mp.expm1(L * mp.log1p(-p)),
+            ))
+            power *= e1
+        out = []
+        for g in loads:
+            lam = mp.mpf(g)
+            pmf = mp.exp(-lam)
+            sums = [mp.mpf(0)] * 3
+            for n in range(1, int(g + 20 * math.sqrt(g) + 60) + 1):
+                pmf = pmf * lam / n
+                sums = [s + pmf * t for s, t in zip(sums, terms[n])]
+            out.append((sums[0], sums[1] / -mp.expm1(-lam), sums[2]))
+        return out
+
+
+@pytest.mark.parametrize("L", [1, 3, 10, 40, 64, 200])
+def test_isolated_class_series_match_mpmath(L):
+    loads = (1e-8, 1e-3, 0.25, 2.0, 16.0, 150.0, 1000.0)
+    for e1, e2 in ((0.1, 0.1), (0.5, 0.5), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9), (0.3, 0.6)):
+        tput, psr = ae.isolated_class_metrics(L, e1, e2, loads)
+        bench = [ae.benchmark_bound(erasure_cfg(L=L, G=g, e1=e1, e2=e2)) for g in loads]
+        reference = mpmath_isolated_class(L, e1, e2, loads)
+        for g, got, want in zip(loads, zip(tput, psr, bench), reference):
+            for metric, x, ref in zip(("throughput", "PSR", "benchmark"), got, want):
+                where = f"{metric} at L={L}, eps=({e1}, {e2}), load={g}: {x} vs {ref}"
+                if ref < 1e-290:  # below the normal doubles
+                    assert x < 1e-280, where
+                else:
+                    assert abs(x - ref) <= 1e-12 * ref, where
 
 
 # ---------------------------------------------------------------------------

@@ -233,14 +233,38 @@ def test_eval_capacity_error_exit_code(tmp_path):
     assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
 
 
-def test_eval_numerical_failure_exit_code(tmp_path, capsys):
-    # the L = 64 closed forms cancel catastrophically; the result is refused
+def test_eval_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(cfgs):
+        raise ValueError("deliberately broken")
+
+    monkeypatch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", broken)
+    path = write_ini(tmp_path, BASE_INI)
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+    assert capsys.readouterr().err.startswith("numerical error: ")
+
+
+def test_eval_l64_matches_mpmath(tmp_path, capsys):
+    # the L = 64 closed forms cancelled to R_c = -10.2; the series is right
     body = BASE_INI.replace("L = 3", "L = 64").replace("T = 8", "T = 1")
     body = body.replace("G = 16.0", "G = 0.5").replace("eps1 = 0.5", "eps1 = 0.1")
     body = body.replace("eps2 = 0.5", "eps2 = 0.1")
     path = write_ini(tmp_path, body)
-    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
-    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    # 40-digit mpmath sums of the same series
+    assert float(values["R_c"]) == pytest.approx(0.0044542886442777328552, rel=1e-8)
+    assert float(values["Gamma_c"]) == pytest.approx(0.0037204668766009676969, rel=1e-8)
+
+
+@pytest.mark.parametrize("G, gamma_c", [("790.0", "1.0"), ("1600.0", "0.5")])
+def test_eval_large_load_does_not_overflow(tmp_path, capsys, G, gamma_c):
+    # exp(g) overflows in the closed forms; the series take over
+    body = BASE_INI.replace("L = 3", "L = 1").replace("T = 8", "T = 1")
+    body = body.replace("G = 16.0", f"G = {G}").replace("gamma_c = 1.0", f"gamma_c = {gamma_c}")
+    body = body.replace("eps1 = 0.5", "eps1 = 0.9")
+    path = write_ini(tmp_path, body)
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("R_c = ")
 
 
 def test_sim_command_writes_csv_with_seed(tmp_path):
@@ -383,15 +407,22 @@ _POINTS = st.lists(
 @example(points=[("tdma", 0, math.nan, 2.0), ("tdma", 1, 1.0, 1.0), ("tdma", 2, 1.0, math.nan)])
 @settings(max_examples=400, deadline=None)
 def test_pareto_filter_matches_quadratic_oracle(points):
-    # same kept tuples, same order, same representative of each duplicate
+    # same kept tuples, same order, same representative of each duplicate;
+    # a NaN coordinate is refused
+    if any(math.isnan(x) for p in points for x in p[-2:]):
+        with pytest.raises(ValueError, match="NaN"):
+            cli.pareto_filter(points)
+        return
     got = cli.pareto_filter(points)
     want = quadratic_pareto_filter(points)
     assert [id(p) for p in got] == [id(p) for p in want]
 
 
-def test_pareto_filter_keeps_nan_points_dominating_nothing():
-    nan_pt, low, high = ("a", 0, math.nan, 5.0), ("b", 1, 0.0, 0.0), ("c", 2, 1.0, 1.0)
-    assert cli.pareto_filter([nan_pt, low, high]) == [nan_pt, high]
+def test_pareto_filter_refuses_nan():
+    low, high = ("b", 1, 0.0, 0.0), ("c", 2, 1.0, 1.0)
+    for nan_pt in (("a", 0, math.nan, 5.0), ("a", 0, 5.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            cli.pareto_filter([low, nan_pt, high])
 
 
 def test_region_rejects_bad_grid(tmp_path):

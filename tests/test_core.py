@@ -22,8 +22,9 @@ from twohop_aloha.core import (
     poisson_pmf,
     poisson_tail_cutoff,
     poisson_weights,
-    regularized_gamma_q,
 )
+
+from closed_form_oracle import regularized_gamma_q
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_normalized_poisson_weights():
 
 
 # ---------------------------------------------------------------------------
-# Regularized gamma
+# Regularized gamma (the finite-K closed-form oracle's helper)
 # ---------------------------------------------------------------------------
 
 
@@ -298,6 +299,10 @@ def test_service_metrics_invariants():
         ServiceMetrics(R_c=-0.1, R_cbar=0.0, Gamma_c=0.0, Gamma_cbar=0.0)
     with pytest.raises(ValueError):
         ServiceMetrics(R_c=0.1, R_cbar=0.0, Gamma_c=1.2, Gamma_cbar=0.0)
+    for field in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+        values = {"R_c": 0.1, "R_cbar": 0.1, "Gamma_c": 0.1, "Gamma_cbar": 0.1}
+        with pytest.raises(ValueError, match="NaN"):
+            ServiceMetrics(**{**values, field: math.nan})
 
 
 def test_sim_estimate_and_bernoulli():

@@ -100,16 +100,16 @@ EXPECTED = {"coupled_compare": 0,
                                0.11210514797720499,
                                0.30456476018054257,
                                0.1474715016809587),
- "erasure_non_orthogonal_k_inf": (0.23766734856923089,
+ "erasure_non_orthogonal_k_inf": (0.2376673485692308,
                                   0.11180670436369093,
-                                  0.3110026413271323,
+                                  0.3110026413271322,
                                   0.1473218042388488),
- "erasure_tdma_alpha_0": (0.0, 0.19414553876226984, 0.0, 0.3507754501347143),
+ "erasure_tdma_alpha_0": (0.0, 0.19414553876226978, 0.0, 0.3507754501347143),
  "erasure_tdma_alpha_0.3": (0.07436981797012117,
-                            0.16312527195651774,
-                            0.18736474182864696,
+                            0.1631252719565178,
+                            0.187364741828647,
                             0.3165508659483618),
- "erasure_tdma_alpha_1": (0.19414553876226984, 0.0, 0.3507754501347143, 0.0),
+ "erasure_tdma_alpha_1": (0.19414553876226978, 0.0, 0.3507754501347143, 0.0),
  "fading_w1": ((0.4616, 0.0035251799024542327, 20000, 17),
                (0.26535, 0.0031220916462865707, 20000, 17),
                (0.7146643945848717, 0.004393958748118345, 10563, 17),
