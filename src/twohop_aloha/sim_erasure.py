@@ -2,9 +2,12 @@
 
 Independent oracle for the analytic module: frames of T slots, Poisson
 device activation, uniform slot choice, i.i.d. access/backhaul erasures,
-the three-state AP rule, and either BS receiver rule (collision or
-superposition), optionally evaluated on a *shared* realization so that
-receiver models and tolerance values can be compared slot by slot.
+the three-state AP rule, and the scenario's BS receiver rule (collision or
+superposition).  Each chunk of frames is drawn once (``_draw_frames``) and
+decoded for every tolerance K asked for, so ``simulate_multi_k`` compares K
+values slot by slot; ``coupled_compare`` decodes one realization with both
+receivers.  The uplink and all-device PSR estimators, which only tests
+use, live in ``tests/erasure_oracles.py`` and draw through the same code.
 
 Determinism contract: results are a pure function of (config, n_frames,
 seed).  Frames are processed in fixed-size chunks, each driven by its own
@@ -15,8 +18,6 @@ over workers.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .core import (
     Receiver,
     ScenarioConfig,
-    SimEstimate,
     SimulatedMetrics,
     Tdma,
     Tolerance,
@@ -54,9 +54,7 @@ class _EngineSpec:
     lam_n: float  # NCS devices per frame
     cs_slots: int | None  # TDMA partition size; None = non-orthogonal
     k_values: tuple
-    receivers: tuple
-    collect_uplink: bool = False
-    collect_device_psr: bool = False
+    receiver: str
 
 
 def _chunk_frames(spec: _EngineSpec) -> int:
@@ -67,14 +65,11 @@ def _chunk_frames(spec: _EngineSpec) -> int:
 
 def _class_counts(cells, L, cell_id, arrivals, ids):
     """Per-(cell, AP) unerased-arrival counts and decoded-identity sums."""
-    counts = np.zeros((cells, L), dtype=np.int64)
-    idsum = np.zeros((cells, L), dtype=np.int64)
-    for l in range(L):
-        m = arrivals[:, l]
-        sel = cell_id[m]
-        counts[:, l] = np.bincount(sel, minlength=cells)
-        idsum[:, l] = np.bincount(sel, weights=ids[m], minlength=cells).astype(np.int64)
-    return counts, idsum
+    dev, ap = np.nonzero(arrivals)
+    bins = cell_id[dev] * L + ap
+    counts = np.bincount(bins, minlength=cells * L).reshape(cells, L)
+    idsum = np.bincount(bins, weights=ids[dev], minlength=cells * L).astype(np.int64)
+    return counts, idsum.reshape(cells, L)
 
 
 def _ap_decode(counts_c, counts_n, K: Tolerance):
@@ -119,10 +114,41 @@ def _bs_decode(receiver: str, K: Tolerance, del_c, idsum_c, del_n, idsum_n):
     return cs_ok, cs_id, ncs_ok, ncs_id
 
 
-def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
-    L, T = spec.L, spec.T
-    cells = F * T
+@dataclass(frozen=True)
+class _ClassDraws:
+    """One class's devices in a chunk of frames and what reaches the APs.
 
+    Device i of the chunk carries the identity i + 1; each frame with at
+    least one active device tags one of them uniformly.
+    """
+
+    n_dev: np.ndarray  # active devices per frame
+    frame: np.ndarray  # frame of each device
+    cell: np.ndarray  # (frame, slot) cell of each device
+    counts: np.ndarray  # unerased arrivals per (cell, AP)
+    idsum: np.ndarray  # sum of their identities per (cell, AP)
+    tag_cell: np.ndarray  # per frame: cell of the tagged device (any cell if idle)
+    tag_id: np.ndarray  # per frame: identity of the tagged device
+
+
+def _class_draws(spec: _EngineSpec, n_dev, frame, cell, arrivals, u) -> _ClassDraws:
+    F = n_dev.size
+    ids = np.arange(1, frame.size + 1, dtype=np.int64)
+    counts, idsum = _class_counts(F * spec.T, spec.L, cell, arrivals, ids)
+    # The tagging uniform is drawn for every frame, busy or not, so the
+    # stream does not depend on the load.
+    pick = np.minimum((u * n_dev).astype(np.int64), np.maximum(n_dev - 1, 0))
+    tag = np.where(n_dev >= 1, np.cumsum(n_dev) - n_dev + pick, 0)
+    tag_cell = cell[tag] if frame.size else np.zeros(F, np.int64)
+    return _ClassDraws(n_dev, frame, cell, counts, idsum, tag_cell, tag + 1)
+
+
+def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
+    """F frames as ``(cs, ncs, backhaul)``: the two classes' ``_ClassDraws``
+    and the per-(cell, AP) backhaul successes, none of which depends on K
+    or on the BS receiver.
+    """
+    L, T = spec.L, spec.T
     cs_T = spec.cs_slots if spec.cs_slots is not None else T
     ncs_T = (T - spec.cs_slots) if spec.cs_slots is not None else T
     # NCS slots follow the CS ones.  A class without slots is silenced
@@ -140,7 +166,7 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     slot_n = rng.integers(0, ncs_T, size=D_n) if ncs_T > 0 else np.zeros(D_n, np.int64)
     arr_c = rng.random((D_c, L)) >= spec.eps1
     arr_n = rng.random((D_n, L)) >= spec.eps1
-    backhaul = rng.random((cells, L)) >= spec.eps2
+    backhaul = rng.random((F * T, L)) >= spec.eps2
     u_c = rng.random(F)
     u_n = rng.random(F)
 
@@ -149,89 +175,47 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     if ncs_T == 0:
         arr_n &= False
 
-    cell_c = frame_c * T + slot_c
-    cell_n = frame_n * T + ncs_base + slot_n
-    ids_c = np.arange(1, D_c + 1, dtype=np.int64)
-    ids_n = np.arange(1, D_n + 1, dtype=np.int64)
+    cs = _class_draws(spec, n_c, frame_c, frame_c * T + slot_c, arr_c, u_c)
+    ncs = _class_draws(spec, n_n, frame_n, frame_n * T + ncs_base + slot_n, arr_n, u_n)
+    return cs, ncs, backhaul
 
-    counts_c, idsum_c = _class_counts(cells, L, cell_c, arr_c, ids_c)
-    counts_n, idsum_n = _class_counts(cells, L, cell_n, arr_n, ids_n)
 
-    # Tagged active device per class per frame (uniform among that frame's
-    # devices); the draw is load-independent for stream stability.
-    act_c = n_c >= 1
-    act_n = n_n >= 1
-    off_c = np.concatenate(([0], np.cumsum(n_c)[:-1]))
-    off_n = np.concatenate(([0], np.cumsum(n_n)[:-1]))
-    tag_c = off_c + np.minimum((u_c * n_c).astype(np.int64), np.maximum(n_c - 1, 0))
-    tag_n = off_n + np.minimum((u_n * n_n).astype(np.int64), np.maximum(n_n - 1, 0))
-    tag_c = np.where(act_c, tag_c, 0)
-    tag_n = np.where(act_n, tag_n, 0)
-    tcell_c = np.where(
-        act_c & (D_c > 0), np.arange(F) * T + (slot_c[tag_c] if D_c else 0), 0
-    )
-    tcell_n = np.where(
-        act_n & (D_n > 0), np.arange(F) * T + ncs_base + (slot_n[tag_n] if D_n else 0), 0
-    )
-    tid_c = tag_c + 1
-    tid_n = tag_n + 1
+def _decode(frames, receiver: str, K: Tolerance):
+    """Per-cell BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
+    cs, ncs, backhaul = frames
+    cs_dec, ncs_dec = _ap_decode(cs.counts, ncs.counts, K)
+    return _bs_decode(receiver, K, cs_dec & backhaul, cs.idsum, ncs_dec & backhaul, ncs.idsum)
 
-    out: dict = {}
+
+def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
+    return int(np.sum((draws.n_dev >= 1) & (dec_id[draws.tag_cell] == draws.tag_id)))
+
+
+def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
+    frames = _draw_frames(spec, F, rng)
+    cs, ncs, _ = frames
+    out = {"cs_trials": int(np.sum(cs.n_dev >= 1)), "ncs_trials": int(np.sum(ncs.n_dev >= 1))}
     for ki, K in enumerate(spec.k_values):
-        cs_dec, ncs_dec = _ap_decode(counts_c, counts_n, K)
-
-        if spec.collect_uplink:
-            out[(ki, "uplink", "succ")] = int(cs_dec.any(axis=1).sum())
-
-        del_c = cs_dec & backhaul
-        del_n = ncs_dec & backhaul
-
-        results = {}
-        for receiver in spec.receivers:
-            cs_ok, cs_id, ncs_ok, ncs_id = _bs_decode(receiver, K, del_c, idsum_c, del_n, idsum_n)
-            results[receiver] = (cs_ok, cs_id, ncs_ok, ncs_id)
-
-            out[(ki, receiver, "cs_slots")] = int(cs_ok.sum())
-            out[(ki, receiver, "ncs_slots")] = int(ncs_ok.sum())
-            out[(ki, receiver, "cs_tag_succ")] = int(
-                np.sum(act_c & (cs_id[tcell_c] == tid_c))
-            )
-            out[(ki, receiver, "ncs_tag_succ")] = int(
-                np.sum(act_n & (ncs_id[tcell_n] == tid_n))
-            )
-            if spec.collect_device_psr:
-                # within-frame mean over all active devices; the tagged
-                # estimator is an unbiased one-draw sample of this mean
-                for tag, cell, ids, frame, n_dev in (
-                    ("cs", cell_c, ids_c, frame_c, n_c),
-                    ("ncs", cell_n, ids_n, frame_n, n_n),
-                ):
-                    dec_id = cs_id if tag == "cs" else ncs_id
-                    succ = (dec_id[cell] == ids).astype(np.int64)
-                    per_frame = np.bincount(frame, weights=succ, minlength=F)
-                    active = n_dev >= 1
-                    frac = per_frame[active] / n_dev[active]
-                    out[(ki, receiver, f"{tag}_frame_mean_sum")] = float(frac.sum())
-                    out[(ki, receiver, f"{tag}_frame_mean_sumsq")] = float(
-                        (frac**2).sum()
-                    )
-
-        if len(spec.receivers) == 2:
-            coll = results[Receiver.COLLISION]
-            sup = results[Receiver.SUPERPOSITION]
-            out[(ki, "coupled", "violations")] = int(
-                np.sum(coll[0] & ~sup[0]) + np.sum(coll[2] & ~sup[2])
-            )
-
-    out[("meta", "cs_trials")] = int(act_c.sum())
-    out[("meta", "ncs_trials")] = int(act_n.sum())
+        cs_ok, cs_id, ncs_ok, ncs_id = _decode(frames, spec.receiver, K)
+        out[(ki, "cs_slots")] = int(cs_ok.sum())
+        out[(ki, "ncs_slots")] = int(ncs_ok.sum())
+        out[(ki, "cs_tag_succ")] = _tagged_successes(cs, cs_id)
+        out[(ki, "ncs_tag_succ")] = _tagged_successes(ncs, ncs_id)
     return out
 
 
-def _run_engine(spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> dict:
+def _coupled_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
+    frames = _draw_frames(spec, F, rng)
+    (K,) = spec.k_values
+    coll = _decode(frames, Receiver.COLLISION, K)
+    sup = _decode(frames, Receiver.SUPERPOSITION, K)
+    return {"violations": int(np.sum(coll[0] & ~sup[0]) + np.sum(coll[2] & ~sup[2]))}
+
+
+def _run_engine(chunk_fn, spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> dict:
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    return run_chunked(_run_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    return run_chunked(chunk_fn, spec, n_frames, _chunk_frames(spec), seed, workers)
 
 
 # ============================================================================
@@ -239,7 +223,7 @@ def _run_engine(spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> di
 # ============================================================================
 
 
-def _spec_from_config(cfg: ScenarioConfig, receivers, **extra) -> _EngineSpec:
+def _spec_from_config(cfg: ScenarioConfig, k_values) -> _EngineSpec:
     e = cfg.erasure
     if isinstance(cfg.allocation, Tdma):
         cs_slots = int(np.floor(cfg.allocation.alpha * cfg.T + 0.5))
@@ -253,14 +237,13 @@ def _spec_from_config(cfg: ScenarioConfig, receivers, **extra) -> _EngineSpec:
         lam_c=cfg.gamma_c * cfg.G,
         lam_n=(1.0 - cfg.gamma_c) * cfg.G,
         cs_slots=cs_slots,
-        k_values=(cfg.K,),
-        receivers=tuple(receivers),
-        **extra,
+        k_values=tuple(k_values),
+        receiver=cfg.receiver,
     )
 
 
 def _metrics_from_tallies(
-    tallies: dict, spec: _EngineSpec, n_frames: int, seed: int, ki: int, receiver: str
+    tallies: dict, spec: _EngineSpec, n_frames: int, seed: int, ki: int
 ) -> SimulatedMetrics:
     n_slots = n_frames * spec.T
     flags = []
@@ -269,14 +252,10 @@ def _metrics_from_tallies(
     if spec.cs_slots is not None and spec.cs_slots == spec.T and spec.lam_n > 0:
         flags.append("ncs-class-has-zero-slots")
     return SimulatedMetrics(
-        R_c=bernoulli_estimate(tallies[(ki, receiver, "cs_slots")], n_slots, seed),
-        R_cbar=bernoulli_estimate(tallies[(ki, receiver, "ncs_slots")], n_slots, seed),
-        Gamma_c=bernoulli_estimate(
-            tallies[(ki, receiver, "cs_tag_succ")], tallies[("meta", "cs_trials")], seed
-        ),
-        Gamma_cbar=bernoulli_estimate(
-            tallies[(ki, receiver, "ncs_tag_succ")], tallies[("meta", "ncs_trials")], seed
-        ),
+        R_c=bernoulli_estimate(tallies[(ki, "cs_slots")], n_slots, seed),
+        R_cbar=bernoulli_estimate(tallies[(ki, "ncs_slots")], n_slots, seed),
+        Gamma_c=bernoulli_estimate(tallies[(ki, "cs_tag_succ")], tallies["cs_trials"], seed),
+        Gamma_cbar=bernoulli_estimate(tallies[(ki, "ncs_tag_succ")], tallies["ncs_trials"], seed),
         flags=tuple(flags),
     )
 
@@ -290,9 +269,9 @@ def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) ->
     ``floor(alpha * T + 0.5)`` slots of each frame and the NCS class over
     the rest.
     """
-    spec = _spec_from_config(cfg, (cfg.receiver,))
-    tallies = _run_engine(spec, n_frames, seed, workers)
-    return _metrics_from_tallies(tallies, spec, n_frames, seed, 0, cfg.receiver)
+    spec = _spec_from_config(cfg, (cfg.K,))
+    tallies = _run_engine(_run_chunk, spec, n_frames, seed, workers)
+    return _metrics_from_tallies(tallies, spec, n_frames, seed, 0)
 
 
 def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> int:
@@ -301,18 +280,8 @@ def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int 
     Both BS rules are evaluated on identical realizations; by success-event
     inclusion the count must be zero.
     """
-    spec = _spec_from_config(cfg, (Receiver.COLLISION, Receiver.SUPERPOSITION))
-    tallies = _run_engine(spec, n_frames, seed, workers)
-    return tallies[(0, "coupled", "violations")]
-
-
-def simulate_uplink_decode(
-    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
-) -> SimEstimate:
-    """P(at least one AP decodes a CS packet in a slot), estimated per slot."""
-    spec = _spec_from_config(cfg, (cfg.receiver,), collect_uplink=True)
-    tallies = _run_engine(spec, n_frames, seed, workers)
-    return bernoulli_estimate(tallies[(0, "uplink", "succ")], n_frames * cfg.T, seed)
+    spec = _spec_from_config(cfg, (cfg.K,))
+    return _run_engine(_coupled_chunk, spec, n_frames, seed, workers)["violations"]
 
 
 def simulate_multi_k(
@@ -328,36 +297,9 @@ def simulate_multi_k(
     values per realization is both cheaper and variance-coupled.  Returns
     {K: SimulatedMetrics}.
     """
-    spec = _spec_from_config(cfg, (cfg.receiver,))
-    spec = dataclasses.replace(spec, k_values=tuple(k_values))
-    tallies = _run_engine(spec, n_frames, seed, workers)
+    spec = _spec_from_config(cfg, k_values)
+    tallies = _run_engine(_run_chunk, spec, n_frames, seed, workers)
     return {
-        k: _metrics_from_tallies(tallies, spec, n_frames, seed, ki, cfg.receiver)
+        k: _metrics_from_tallies(tallies, spec, n_frames, seed, ki)
         for ki, k in enumerate(k_values)
     }
-
-
-def simulate_per_device_psr(
-    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
-) -> tuple[SimEstimate, SimEstimate]:
-    """All-active-device PSR (consistency oracle for the tagging estimator).
-
-    Every active device of a frame is scored and averaged within the frame;
-    frames are then averaged equally, the estimand the one-tagged-device
-    estimator samples without bias.
-    """
-    spec = _spec_from_config(cfg, (cfg.receiver,), collect_device_psr=True)
-    tallies = _run_engine(spec, n_frames, seed, workers)
-
-    def estimate(tag: str, trials_key: str) -> SimEstimate:
-        n = tallies[("meta", trials_key)]
-        if n == 0:
-            return SimEstimate(mean=0.0, std_error=0.0, n_samples=0, seed=seed)
-        s1 = tallies[(0, cfg.receiver, f"{tag}_frame_mean_sum")]
-        s2 = tallies[(0, cfg.receiver, f"{tag}_frame_mean_sumsq")]
-        mean = s1 / n
-        var = max(s2 / n - mean**2, 0.0)
-        se = math.sqrt(var / (n - 1)) if n > 1 else 0.0
-        return SimEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
-
-    return estimate("cs", "cs_trials"), estimate("ncs", "ncs_trials")

@@ -1,0 +1,77 @@
+"""Slot-level estimators that only tests use, built on the erasure engine.
+
+Each estimator draws its frames with ``sim_erasure._draw_frames`` on the
+engine's own chunks and substreams, so at a given seed it sees exactly the
+realization that ``simulate`` sees, and decodes it with the engine's
+``_ap_decode`` and ``_bs_decode``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from twohop_aloha.core import ScenarioConfig, SimEstimate, bernoulli_estimate
+from twohop_aloha.sim_erasure import (
+    _ap_decode,
+    _decode,
+    _draw_frames,
+    _run_engine,
+    _spec_from_config,
+)
+
+
+def _uplink_chunk(spec, F, rng) -> dict:
+    cs, ncs, _ = _draw_frames(spec, F, rng)
+    cs_dec, _ = _ap_decode(cs.counts, ncs.counts, spec.k_values[0])
+    return {"succ": int(cs_dec.any(axis=1).sum())}
+
+
+def simulate_uplink_decode(
+    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
+) -> SimEstimate:
+    """P(at least one AP decodes a CS packet in a slot), estimated per slot."""
+    spec = _spec_from_config(cfg, (cfg.K,))
+    tallies = _run_engine(_uplink_chunk, spec, n_frames, seed, workers)
+    return bernoulli_estimate(tallies["succ"], n_frames * cfg.T, seed)
+
+
+def _device_psr_chunk(spec, F, rng) -> dict:
+    frames = _draw_frames(spec, F, rng)
+    _, cs_id, _, ncs_id = _decode(frames, spec.receiver, spec.k_values[0])
+    out = {}
+    for tag, draws, dec_id in (("cs", frames[0], cs_id), ("ncs", frames[1], ncs_id)):
+        ids = np.arange(1, draws.cell.size + 1, dtype=np.int64)
+        succ = (dec_id[draws.cell] == ids).astype(np.int64)
+        per_frame = np.bincount(draws.frame, weights=succ, minlength=F)
+        active = draws.n_dev >= 1
+        frac = per_frame[active] / draws.n_dev[active]
+        out[(tag, "trials")] = int(active.sum())
+        out[(tag, "sum")] = float(frac.sum())
+        out[(tag, "sumsq")] = float((frac**2).sum())
+    return out
+
+
+def simulate_per_device_psr(
+    cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
+) -> tuple[SimEstimate, SimEstimate]:
+    """All-active-device PSR (consistency oracle for the tagging estimator).
+
+    Every active device of a frame is scored and averaged within the frame;
+    frames are then averaged equally, the estimand the one-tagged-device
+    estimator samples without bias.
+    """
+    spec = _spec_from_config(cfg, (cfg.K,))
+    tallies = _run_engine(_device_psr_chunk, spec, n_frames, seed, workers)
+
+    def estimate(tag: str) -> SimEstimate:
+        n = tallies[(tag, "trials")]
+        if n == 0:
+            return SimEstimate(mean=0.0, std_error=0.0, n_samples=0, seed=seed)
+        mean = tallies[(tag, "sum")] / n
+        var = max(tallies[(tag, "sumsq")] / n - mean**2, 0.0)
+        se = math.sqrt(var / (n - 1)) if n > 1 else 0.0
+        return SimEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
+
+    return estimate("cs"), estimate("ncs")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import closed_form_oracle as oracle
+import erasure_oracles
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
 import twohop_aloha.sim_fading as sf
@@ -416,7 +417,7 @@ def test_criterion_11_benchmark_bound():
     t0 = time.perf_counter()
     cfg = ecfg(L=3, T=1, G=2.0, gamma_c=1.0, e1=0.5, e2=0.5)
     bound = ae.benchmark_bound(cfg)
-    est = se.simulate_uplink_decode(cfg, 300_000, SEED)
+    est = erasure_oracles.simulate_uplink_decode(cfg, 300_000, SEED)
     z = (est.mean - bound) / est.std_error
     elapsed = time.perf_counter() - t0
     ok = bound >= est.mean - 3.0 * est.std_error and abs(z) <= 3.0 and elapsed < 60.0

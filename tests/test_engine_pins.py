@@ -12,6 +12,7 @@ of the random streams or of the evaluated expressions.
 
 import pytest
 
+import erasure_oracles as oracles
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
 import twohop_aloha.sim_fading as sf
@@ -48,6 +49,9 @@ def _erasure(L=3, T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=1, **kw):
 # L=8, T=16, G=40 gives 13,392-frame chunks: 30,000 frames span three.
 _MULTI_CHUNK = _erasure(L=8, T=16, G=40.0, gamma_c=0.3, e1=0.4, e2=0.3, K=2)
 _TDMA = _erasure(L=2, T=3, G=3.0, gamma_c=0.4, e1=0.2, e2=0.4, allocation=Tdma(alpha=0.5))
+# Load on both classes, one of which has no slots.
+_TDMA_ALL_CS = _erasure(T=4, G=8.0, allocation=Tdma(alpha=1.0))
+_TDMA_ALL_NCS = _erasure(T=4, G=8.0, allocation=Tdma(alpha=0.0))
 _MULTI_K = _erasure(T=1, G=2.0, receiver=Receiver.SUPERPOSITION)
 # 20,000 slots span two 16,384-slot chunks.
 _FADING = ScenarioConfig(
@@ -63,14 +67,18 @@ CASES = {
         se.simulate(_MULTI_CHUNK, 30_000, 21, workers=2)
     ),
     "simulate_tdma": lambda: _metrics(se.simulate(_TDMA, 20_000, 12)),
+    "simulate_tdma_alpha_0": lambda: _metrics(se.simulate(_TDMA_ALL_NCS, 20_000, 22)),
+    "simulate_tdma_alpha_1": lambda: _metrics(se.simulate(_TDMA_ALL_CS, 20_000, 23)),
     "simulate_multi_k": lambda: tuple(
         (str(k), _metrics(m))
         for k, m in se.simulate_multi_k(_MULTI_K, (0, 2, INFINITE_K), 20_000, 13).items()
     ),
     "coupled_compare": lambda: se.coupled_compare(_erasure(L=4), 20_000, 14),
-    "simulate_uplink_decode": lambda: _est(se.simulate_uplink_decode(_erasure(), 20_000, 15)),
+    "simulate_uplink_decode": lambda: _est(
+        oracles.simulate_uplink_decode(_erasure(), 20_000, 15)
+    ),
     "simulate_per_device_psr": lambda: tuple(
-        _est(e) for e in se.simulate_per_device_psr(_erasure(T=3, G=6.0), 20_000, 16)
+        _est(e) for e in oracles.simulate_per_device_psr(_erasure(T=3, G=6.0), 20_000, 16)
     ),
     "fading_w1": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17)),
     "fading_w2": lambda: _metrics(sf.estimate_fading_metrics(_FADING, 20_000, 17, workers=2)),
@@ -160,6 +168,16 @@ EXPECTED = {"coupled_compare": 0,
                    (0.3974772450369096, 0.004143092487606843, 13953, 12),
                    (0.23402221956755465, 0.003272245918726327, 16742, 12),
                    ()),
+ "simulate_tdma_alpha_0": ((0.0, 0.0, 80000, 22),
+                           (0.237525, 0.0015046143120382546, 80000, 22),
+                           (0.0, 0.0, 19662, 22),
+                           (0.2766758213813447, 0.00319043053821744, 19662, 22),
+                           ("cs-class-has-zero-slots",)),
+ "simulate_tdma_alpha_1": ((0.236225, 0.0015017698087904426, 80000, 23),
+                           (0.0, 0.0, 80000, 23),
+                           (0.2779191692965489, 0.003196142564267221, 19646, 23),
+                           (0.0, 0.0, 19619, 23),
+                           ("ncs-class-has-zero-slots",)),
  "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15),
  "superposition_exact": (0.270714961890864,
                          0.14550697337070734,

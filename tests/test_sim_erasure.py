@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import erasure_oracles as oracles
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
 from twohop_aloha.core import (
@@ -115,6 +116,19 @@ def test_coupled_compare_no_violations():
     assert se.coupled_compare(erasure_cfg(L=1, gamma_c=0.5, K=0), 30_000, seed=12) == 0
 
 
+def test_coupled_decodes_nest_on_one_realization():
+    # a coupled count of 0 also holds for a chunk that decodes nothing, so
+    # check the decodes themselves on one realization
+    cfg = erasure_cfg(T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=2)
+    frames = se._draw_frames(se._spec_from_config(cfg, (2,)), 2_000, np.random.default_rng(5))
+    coll = se._decode(frames, Receiver.COLLISION, 2)
+    sup = se._decode(frames, Receiver.SUPERPOSITION, 2)
+    for c_ok, c_id, s_ok, s_id in ((*coll[:2], *sup[:2]), (*coll[2:], *sup[2:])):
+        assert not np.any(c_ok & ~s_ok)
+        assert np.array_equal(c_id[c_ok], s_id[c_ok])
+        assert s_ok.sum() > c_ok.sum() > 0
+
+
 def test_l1_receivers_coincide():
     cfg = erasure_cfg(L=1, T=1, G=3.0, gamma_c=0.5, K=1)
     coll = se.simulate(cfg, 50_000, seed=13)
@@ -153,7 +167,7 @@ def test_tdma_zero_slot_class_flagged():
 def test_tagged_psr_consistent_with_all_device_average():
     cfg = erasure_cfg(L=2, T=2, G=3.0, gamma_c=0.5, K=1)
     m = se.simulate(cfg, 150_000, seed=17)
-    cs_all, ncs_all = se.simulate_per_device_psr(cfg, 150_000, seed=17)
+    cs_all, ncs_all = oracles.simulate_per_device_psr(cfg, 150_000, seed=17)
     for tagged, alldev in ((m.Gamma_c, cs_all), (m.Gamma_cbar, ncs_all)):
         sigma = math.hypot(tagged.std_error, alldev.std_error)
         assert abs(tagged.mean - alldev.mean) < 4.0 * sigma
@@ -161,7 +175,7 @@ def test_tagged_psr_consistent_with_all_device_average():
 
 def test_uplink_decode_probability_matches_benchmark():
     cfg = erasure_cfg(L=3, T=1, G=2.0)
-    est = se.simulate_uplink_decode(cfg, 200_000, seed=18)
+    est = oracles.simulate_uplink_decode(cfg, 200_000, seed=18)
     assert abs(z_gap(est, ae.benchmark_bound(cfg))) < 4.0
 
 
