@@ -6,8 +6,11 @@ the three-state AP rule, and the scenario's BS receiver rule (collision or
 superposition).  Each chunk of frames is drawn once (``_draw_frames``) and
 decoded for every tolerance K asked for, so ``simulate_multi_k`` compares K
 values slot by slot; ``coupled_compare`` decodes one realization with both
-receivers.  The uplink and all-device PSR estimators, which only tests
-use, live in ``tests/erasure_oracles.py`` and draw through the same code.
+receivers.  Counting and decoding run on the chunk's occupied cells only,
+those with at least one unerased arrival: an empty cell decodes nothing,
+so at low loads most of a chunk is never decoded.  The uplink and
+all-device PSR estimators, which only tests use, live in
+``tests/erasure_oracles.py`` and draw through the same code.
 
 Determinism contract: results are a pure function of (config, n_frames,
 seed).  Frames are processed in fixed-size chunks, each driven by its own
@@ -63,13 +66,18 @@ def _chunk_frames(spec: _EngineSpec) -> int:
     return int(min(131072, max(256, 6_000_000 // per_frame)))
 
 
-def _class_counts(cells, L, cell_id, arrivals, ids):
-    """Per-(cell, AP) unerased-arrival counts and decoded-identity sums."""
-    dev, ap = np.nonzero(arrivals)
-    bins = cell_id[dev] * L + ap
-    counts = np.bincount(bins, minlength=cells * L).reshape(cells, L)
-    idsum = np.bincount(bins, weights=ids[dev], minlength=cells * L).astype(np.int64)
-    return counts, idsum.reshape(cells, L)
+def _class_counts(rows: int, L: int, dev_row, flat):
+    """Per-(row, AP) unerased-arrival counts and decoded-identity sums.
+
+    ``flat`` lists the unerased arrivals in device order as ``dev * L + ap``
+    and ``dev_row`` gives each device's row; device i carries the identity
+    i + 1.  Each bin sums its identities in device order.
+    """
+    dev = flat // L
+    bins = flat + (dev_row[dev] - dev) * L  # row * L + ap
+    counts = np.bincount(bins, minlength=rows * L).reshape(rows, L)
+    idsum = np.bincount(bins, weights=dev + 1.0, minlength=rows * L).astype(np.int64)
+    return counts, idsum.reshape(rows, L)
 
 
 def _ap_decode(counts_c, counts_n, K: Tolerance):
@@ -118,34 +126,37 @@ def _bs_decode(receiver: str, K: Tolerance, del_c, idsum_c, del_n, idsum_n):
 class _ClassDraws:
     """One class's devices in a chunk of frames and what reaches the APs.
 
-    Device i of the chunk carries the identity i + 1; each frame with at
-    least one active device tags one of them uniformly.
+    Only the occupied cells, those with at least one unerased arrival of
+    either class, get a row; the rows follow the cells' order, and every
+    empty cell maps to the sentinel row, one past the last.  Device i of
+    the chunk carries the identity i + 1; each frame with at least one
+    active device tags one of them uniformly.
     """
 
     n_dev: np.ndarray  # active devices per frame
     frame: np.ndarray  # frame of each device
-    cell: np.ndarray  # (frame, slot) cell of each device
-    counts: np.ndarray  # unerased arrivals per (cell, AP)
-    idsum: np.ndarray  # sum of their identities per (cell, AP)
-    tag_cell: np.ndarray  # per frame: cell of the tagged device (any cell if idle)
-    tag_id: np.ndarray  # per frame: identity of the tagged device
+    row: np.ndarray  # row of each device's (frame, slot) cell
+    counts: np.ndarray  # unerased arrivals per (row, AP)
+    idsum: np.ndarray  # sum of their identities per (row, AP)
+    tag_row: np.ndarray  # row of each tagged device that sits in an occupied cell
+    tag_id: np.ndarray  # identity of each of those devices
 
 
-def _class_draws(spec: _EngineSpec, n_dev, frame, cell, arrivals, u) -> _ClassDraws:
-    F = n_dev.size
-    ids = np.arange(1, frame.size + 1, dtype=np.int64)
-    counts, idsum = _class_counts(F * spec.T, spec.L, cell, arrivals, ids)
+def _class_draws(n_dev, frame, row, counts, idsum, u) -> _ClassDraws:
     # The tagging uniform is drawn for every frame, busy or not, so the
     # stream does not depend on the load.
     pick = np.minimum((u * n_dev).astype(np.int64), np.maximum(n_dev - 1, 0))
-    tag = np.where(n_dev >= 1, np.cumsum(n_dev) - n_dev + pick, 0)
-    tag_cell = cell[tag] if frame.size else np.zeros(F, np.int64)
-    return _ClassDraws(n_dev, frame, cell, counts, idsum, tag_cell, tag + 1)
+    tag = (np.cumsum(n_dev) - n_dev + pick)[n_dev >= 1]
+    tag_row = row[tag]
+    # A tagged device in an empty cell (the sentinel row) fails for every
+    # K, so only those in occupied cells are looked up.
+    seen = tag_row < counts.shape[0]
+    return _ClassDraws(n_dev, frame, row, counts, idsum, tag_row[seen], tag[seen] + 1)
 
 
 def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
     """F frames as ``(cs, ncs, backhaul)``: the two classes' ``_ClassDraws``
-    and the per-(cell, AP) backhaul successes, none of which depends on K
+    and the backhaul successes per (row, AP), none of which depends on K
     or on the BS receiver.
     """
     L, T = spec.L, spec.T
@@ -166,29 +177,44 @@ def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
     slot_n = rng.integers(0, ncs_T, size=D_n) if ncs_T > 0 else np.zeros(D_n, np.int64)
     arr_c = rng.random((D_c, L)) >= spec.eps1
     arr_n = rng.random((D_n, L)) >= spec.eps1
-    backhaul = rng.random((F * T, L)) >= spec.eps2
-    u_c = rng.random(F)
-    u_n = rng.random(F)
-
     if cs_T == 0:
         arr_c &= False  # active devices with no slots never transmit
     if ncs_T == 0:
         arr_n &= False
 
-    cs = _class_draws(spec, n_c, frame_c, frame_c * T + slot_c, arr_c, u_c)
-    ncs = _class_draws(spec, n_n, frame_n, frame_n * T + ncs_base + slot_n, arr_n, u_n)
+    cell_c = frame_c * T + slot_c
+    cell_n = frame_n * T + ncs_base + slot_n
+    # Unerased arrivals as dev * L + ap, in device order.
+    flat_c, flat_n = np.flatnonzero(arr_c), np.flatnonzero(arr_n)
+    occupied = np.zeros(F * T, dtype=bool)
+    occupied[cell_c[flat_c // L]] = True
+    occupied[cell_n[flat_n // L]] = True
+    cells = np.flatnonzero(occupied)
+    rows = cells.size
+    row = np.full(F * T, rows, dtype=np.int64)  # empty cells: the sentinel row
+    row[cells] = np.arange(rows)
+    row_c, row_n = row[cell_c], row[cell_n]
+
+    # The backhaul is drawn for every cell and kept for the occupied ones;
+    # np.take gathers rows faster than fancy indexing does.
+    backhaul = np.take(rng.random((F * T, L)) >= spec.eps2, cells, axis=0)
+    u_c = rng.random(F)
+    u_n = rng.random(F)
+
+    cs = _class_draws(n_c, frame_c, row_c, *_class_counts(rows, L, row_c, flat_c), u_c)
+    ncs = _class_draws(n_n, frame_n, row_n, *_class_counts(rows, L, row_n, flat_n), u_n)
     return cs, ncs, backhaul
 
 
 def _decode(frames, receiver: str, K: Tolerance):
-    """Per-cell BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
+    """Per-row BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
     cs, ncs, backhaul = frames
     cs_dec, ncs_dec = _ap_decode(cs.counts, ncs.counts, K)
     return _bs_decode(receiver, K, cs_dec & backhaul, cs.idsum, ncs_dec & backhaul, ncs.idsum)
 
 
 def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
-    return int(np.sum((draws.n_dev >= 1) & (dec_id[draws.tag_cell] == draws.tag_id)))
+    return int(np.count_nonzero(dec_id[draws.tag_row] == draws.tag_id))
 
 
 def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:

@@ -14,6 +14,7 @@ import numpy as np
 
 from twohop_aloha.core import ScenarioConfig, SimEstimate, bernoulli_estimate
 from twohop_aloha.sim_erasure import (
+    _ID_NONE,
     _ap_decode,
     _decode,
     _draw_frames,
@@ -42,8 +43,9 @@ def _device_psr_chunk(spec, F, rng) -> dict:
     _, cs_id, _, ncs_id = _decode(frames, spec.receiver, spec.k_values[0])
     out = {}
     for tag, draws, dec_id in (("cs", frames[0], cs_id), ("ncs", frames[1], ncs_id)):
-        ids = np.arange(1, draws.cell.size + 1, dtype=np.int64)
-        succ = (dec_id[draws.cell] == ids).astype(np.int64)
+        ids = np.arange(1, draws.row.size + 1, dtype=np.int64)
+        # a device in an empty cell maps to the sentinel row, which decodes nothing
+        succ = (np.append(dec_id, _ID_NONE)[draws.row] == ids).astype(np.int64)
         per_frame = np.bincount(draws.frame, weights=succ, minlength=F)
         active = draws.n_dev >= 1
         frac = per_frame[active] / draws.n_dev[active]

@@ -53,6 +53,8 @@ _TDMA = _erasure(L=2, T=3, G=3.0, gamma_c=0.4, e1=0.2, e2=0.4, allocation=Tdma(a
 _TDMA_ALL_CS = _erasure(T=4, G=8.0, allocation=Tdma(alpha=1.0))
 _TDMA_ALL_NCS = _erasure(T=4, G=8.0, allocation=Tdma(alpha=0.0))
 _MULTI_K = _erasure(T=1, G=2.0, receiver=Receiver.SUPERPOSITION)
+# A validate grid point: most cells hold no unerased arrival.
+_VALIDATE_REGIME = _erasure(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9, e2=0.5)
 # 20,000 slots span two 16,384-slot chunks.
 _FADING = ScenarioConfig(
     L=3, T=1, G=1.5, gamma_c=0.5, channel=FadingParams(alpha2=1.0, beta2=2.0)
@@ -72,6 +74,14 @@ CASES = {
     "simulate_multi_k": lambda: tuple(
         (str(k), _metrics(m))
         for k, m in se.simulate_multi_k(_MULTI_K, (0, 2, INFINITE_K), 20_000, 13).items()
+    ),
+    "simulate_multi_k_validate_regime": lambda: tuple(
+        (str(k), _metrics(m))
+        for k, m in se.simulate_multi_k(_VALIDATE_REGIME, (0, 1, 2, 5), 40_000, 24).items()
+    ),
+    "simulate_multi_k_all_erased": lambda: tuple(
+        (str(k), _metrics(m))
+        for k, m in se.simulate_multi_k(_erasure(e1=1.0), (0, 2, INFINITE_K), 5_000, 25).items()
     ),
     "coupled_compare": lambda: se.coupled_compare(_erasure(L=4), 20_000, 14),
     "simulate_uplink_decode": lambda: _est(
@@ -156,6 +166,48 @@ EXPECTED = {"coupled_compare": 0,
                         (0.42060017511740827, 0.004404478657091536, 12563, 13),
                         (0.19647235624456222, 0.003533810403614965, 12643, 13),
                         ()))),
+ "simulate_multi_k_all_erased": (("0",
+                                 ((0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 4309, 25),
+                                  (0.0, 0.0, 4348, 25),
+                                  ())),
+                                ("2",
+                                 ((0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 4309, 25),
+                                  (0.0, 0.0, 4348, 25),
+                                  ())),
+                                ("INFINITE_K",
+                                 ((0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 10000, 25),
+                                  (0.0, 0.0, 4309, 25),
+                                  (0.0, 0.0, 4348, 25),
+                                  ()))),
+ "simulate_multi_k_validate_regime": (("0",
+                                      ((0.0042, 0.0003233598831647967, 40000, 24),
+                                       (0.0433, 0.0010176706939580376, 40000, 24),
+                                       (0.17803837953091683, 0.01249720203242274, 938, 24),
+                                       (0.2015075376884422, 0.004496264031714856, 7960, 24),
+                                       ())),
+                                     ("1",
+                                      ((0.004525, 0.00033558296257873304, 40000, 24),
+                                       (0.0433, 0.0010176706939580376, 40000, 24),
+                                       (0.1908315565031983, 0.012837331896865178, 938, 24),
+                                       (0.2015075376884422, 0.004496264031714856, 7960, 24),
+                                       ())),
+                                     ("2",
+                                      ((0.004525, 0.00033558296257873304, 40000, 24),
+                                       (0.0433, 0.0010176706939580376, 40000, 24),
+                                       (0.1908315565031983, 0.012837331896865178, 938, 24),
+                                       (0.2015075376884422, 0.004496264031714856, 7960, 24),
+                                       ())),
+                                     ("5",
+                                      ((0.004525, 0.00033558296257873304, 40000, 24),
+                                       (0.0433, 0.0010176706939580376, 40000, 24),
+                                       (0.1908315565031983, 0.012837331896865178, 938, 24),
+                                       (0.2015075376884422, 0.004496264031714856, 7960, 24),
+                                       ()))),
  "simulate_non_orthogonal": ((0.207375, 0.0020271576082224623, 40000, 11),
                              (0.116825, 0.0016060782893625668, 40000, 11),
                              (0.2618510158013544, 0.0033448569351293028, 17277, 11),

@@ -205,8 +205,8 @@ def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
 
     def class_counts(rows):
         arrivals = np.array(rows, dtype=bool).reshape(len(rows), L)
-        cell = np.zeros(len(rows), dtype=np.int64)
-        return se._class_counts(1, L, cell, arrivals, np.arange(1, len(rows) + 1))
+        dev_row = np.zeros(len(rows), dtype=np.int64)
+        return se._class_counts(1, L, dev_row, np.flatnonzero(arrivals))
 
     counts_c, idsum_c = class_counts(cs)
     counts_n, idsum_n = class_counts(ncs)
@@ -258,3 +258,125 @@ def test_bs_rules_on_fixed_realizations():
     for clash in (dict(cs=[[1, 0], [0, 1]], ncs=[]), dict(cs=[], ncs=[[1, 0], [0, 1]])):
         assert _bs(**clash, bh=[1, 1], K=INFINITE_K, receiver=coll) is None
         assert _bs(**clash, bh=[1, 1], K=INFINITE_K, receiver=sup) is None
+
+
+# ---------------------------------------------------------------------------
+# Occupied-cell decoding against the dense per-cell count and decode
+# ---------------------------------------------------------------------------
+
+
+def _dense_frames(spec, F, rng):
+    """Reference draws with one row per (frame, slot) cell, busy or not.
+
+    Makes the engine's draws in the engine's order.  Returns, per class,
+    ``(n_dev, counts, idsum, tag_cell, tag_id)``, then the backhaul mask.
+    """
+    L, T = spec.L, spec.T
+    cs_T = spec.cs_slots if spec.cs_slots is not None else T
+    ncs_T = (T - spec.cs_slots) if spec.cs_slots is not None else T
+    ncs_base = T - ncs_T if ncs_T > 0 else 0
+    n_c = rng.poisson(spec.lam_c, F).astype(np.int64)
+    n_n = rng.poisson(spec.lam_n, F).astype(np.int64)
+    frame_c = np.repeat(np.arange(F, dtype=np.int64), n_c)
+    frame_n = np.repeat(np.arange(F, dtype=np.int64), n_n)
+    slot_c = rng.integers(0, cs_T, size=frame_c.size) if cs_T > 0 else np.zeros_like(frame_c)
+    slot_n = rng.integers(0, ncs_T, size=frame_n.size) if ncs_T > 0 else np.zeros_like(frame_n)
+    arr_c = rng.random((frame_c.size, L)) >= spec.eps1
+    arr_n = rng.random((frame_n.size, L)) >= spec.eps1
+    backhaul = rng.random((F * T, L)) >= spec.eps2
+    u_c, u_n = rng.random(F), rng.random(F)
+    arr_c &= cs_T > 0
+    arr_n &= ncs_T > 0
+
+    def draws(n_dev, cell, arrivals, u):
+        counts = np.zeros((F * T, L), dtype=np.int64)
+        idsum = np.zeros((F * T, L), dtype=np.int64)
+        for i, (c, arrived) in enumerate(zip(cell, arrivals)):
+            counts[c] += arrived
+            idsum[c] += arrived * (i + 1)
+        pick = np.minimum((u * n_dev).astype(np.int64), np.maximum(n_dev - 1, 0))
+        tag = np.where(n_dev >= 1, np.cumsum(n_dev) - n_dev + pick, 0)
+        tag_cell = cell[tag] if cell.size else np.zeros(F, np.int64)
+        return n_dev, counts, idsum, tag_cell, tag + 1
+
+    cs = draws(n_c, frame_c * T + slot_c, arr_c, u_c)
+    ncs = draws(n_n, frame_n * T + ncs_base + slot_n, arr_n, u_n)
+    return cs, ncs, backhaul
+
+
+def _dense_chunk(spec, F, rng):
+    """Reference tallies: the chunk's draws decoded on every cell."""
+    cs, ncs, backhaul = _dense_frames(spec, F, rng)
+    out = {"cs_trials": int(np.sum(cs[0] >= 1)), "ncs_trials": int(np.sum(ncs[0] >= 1))}
+    for ki, K in enumerate(spec.k_values):
+        cs_dec, ncs_dec = se._ap_decode(cs[1], ncs[1], K)
+        cs_ok, cs_id, ncs_ok, ncs_id = se._bs_decode(
+            spec.receiver, K, cs_dec & backhaul, cs[2], ncs_dec & backhaul, ncs[2]
+        )
+        out[(ki, "cs_slots")] = int(cs_ok.sum())
+        out[(ki, "ncs_slots")] = int(ncs_ok.sum())
+        for name, (n_dev, _, _, tag_cell, tag_id), dec_id in (
+            ("cs_tag_succ", cs, cs_id),
+            ("ncs_tag_succ", ncs, ncs_id),
+        ):
+            out[(ki, name)] = int(np.sum((n_dev >= 1) & (dec_id[tag_cell] == tag_id)))
+    return out
+
+
+_DENSE_CASES = [
+    *(
+        dict(L=L, T=T, G=1.5 * T, gamma_c=0.4, receiver=r)
+        for L in (1, 5)
+        for T in (1, 4)
+        for r in (Receiver.COLLISION, Receiver.SUPERPOSITION)
+    ),
+    dict(L=3, T=2, G=3.0, gamma_c=0.5, e1=1.0),  # no cell is occupied
+    dict(L=3, T=2, G=3.0, gamma_c=0.0),
+    dict(L=3, T=2, G=3.0, gamma_c=1.0, receiver=Receiver.SUPERPOSITION),
+    dict(L=3, T=4, G=6.0, gamma_c=0.5, allocation=Tdma(alpha=0.0)),
+    dict(L=3, T=4, G=6.0, gamma_c=0.5, allocation=Tdma(alpha=1.0)),
+    dict(L=3, T=1, G=40.0, gamma_c=0.5, e1=0.1),  # every cell is occupied
+    # long runs of idle frames, whose tags must score nothing
+    dict(L=1, T=1, G=0.05, gamma_c=0.5, e1=0.0),
+]
+
+
+@pytest.mark.parametrize("case", _DENSE_CASES)
+def test_occupied_cell_chunk_matches_dense_decode(case):
+    cfg = erasure_cfg(**{"e1": 0.5, "e2": 0.4, **case})
+    spec = se._spec_from_config(cfg, (0, 2, INFINITE_K))
+    F = 1500
+    for seed in (31, 32):
+        want = _dense_chunk(spec, F, np.random.default_rng(seed))
+        got = se._run_chunk(spec, F, np.random.default_rng(seed))
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is int for v in got.values())
+    rows = len(se._draw_frames(spec, F, np.random.default_rng(31))[2])
+    if case.get("e1") == 1.0:
+        assert rows == 0 and want["cs_trials"] > 0
+    elif case["G"] == 40.0:
+        assert rows == F * cfg.T
+    else:
+        assert 0 < rows < F * cfg.T
+        assert want[(2, "cs_tag_succ")] + want[(2, "ncs_tag_succ")] > 0
+
+
+def test_decode_runs_only_on_occupied_cells(monkeypatch):
+    # validate regime: most cells hold no unerased arrival, and the
+    # per-K decode must not see them
+    cfg = erasure_cfg(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9)
+    spec = se._spec_from_config(cfg, (0, 1, 2, 5))
+    F = 20_000
+    seen = []
+    ap_decode = se._ap_decode
+
+    def counted(counts_c, counts_n, K):
+        seen.append((counts_c.shape[0], counts_n.shape[0]))
+        return ap_decode(counts_c, counts_n, K)
+
+    monkeypatch.setattr(se, "_ap_decode", counted)
+    se._run_chunk(spec, F, np.random.default_rng(33))
+    cs, ncs, _ = _dense_frames(spec, F, np.random.default_rng(33))
+    occupied = int(np.count_nonzero(cs[1].any(axis=1) | ncs[1].any(axis=1)))
+    assert 0 < occupied < F * cfg.T // 2
+    assert seen == [(occupied, occupied)] * 4
