@@ -1,6 +1,6 @@
 """Two-hop grant-free slotted-ALOHA performance toolkit.
 
-Analytic (series and closed-form) and Monte Carlo throughput / packet-success-rate
+Analytic (Poisson series) and Monte Carlo throughput / packet-success-rate
 evaluation for critical and non-critical services sharing a grant-free
 device -> APs -> BS channel, under erasure and Rayleigh-fading links.
 """

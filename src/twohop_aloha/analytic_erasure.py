@@ -8,16 +8,18 @@ TDMA.
   -- is a single-service Poisson expectation.  Its throughput and PSR, and
   the uplink benchmark bound, are series with a relative truncation error of
   1e-12 (``poisson_expectation``), batched over loads.
-* The NCS metrics at K = inf keep closed forms for L <= 64 (``_dispatch``),
-  with the two-class series as fallback; every finite-K metric is a
-  two-class series, truncated at an absolute Poisson tail mass.
-* The literal closed forms of the single-service and finite-K metrics are
-  the test oracle ``tests/closed_form_oracle.py``; ``sim_erasure`` is the
-  independent Monte Carlo oracle.
+* The NCS metrics at K = inf nest that expectation: an outer sum over the CS
+  count around the isolated-class sum over the NCS count, to the same
+  relative error.  Every finite-K metric is a two-class series, truncated at
+  an absolute Poisson tail mass.  A two-class evaluation whose Poisson
+  supports span more than ``MAX_TWO_CLASS_CELLS`` cells is refused.
+* The literal closed forms of the metrics are the test oracle
+  ``tests/closed_form_oracle.py``; ``sim_erasure`` is the independent Monte
+  Carlo oracle.
 
 Notation used throughout the internals: per-slot loads ``g_c`` and ``g_n``
 for the two classes, erasure probabilities ``e1`` (access) and ``e2``
-(backhaul), composite delivery factor ``beta = (1 - e1) * (1 - e2)``.
+(backhaul).
 """
 
 from __future__ import annotations
@@ -29,34 +31,28 @@ import numpy as np
 from scipy import special
 
 from .core import (
-    AUX_H_MAX_ORDER,
-    INFINITE_K,
+    TAIL_MASS_DEFAULT,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
     Tdma,
-    Tolerance,
-    aux_h,
     gamma_k_tolerance_array,
     is_infinite,
     normalized_poisson_weights,
+    poisson_tail_cutoff,
     poisson_weights,
 )
 
-# Below this access-erasure probability the closed forms (which carry powers
-# of 1/eps1) are evaluated through the direct series instead; the limits
-# exist but the printed expressions are 0/0.
-EPS1_CLOSED_FORM_MIN = 1e-6
+# Largest product of the two classes' Poisson supports that one two-class
+# evaluation may span; beyond it the work (and, for the dense finite-K
+# series, the memory) is refused rather than attempted.
+MAX_TWO_CLASS_CELLS = 2**26
 
 # poisson_expectation works on blocks of this many loads and this many
 # support points at a time, which bounds its memory whatever the loads.
 _BLOCK_LOADS = 256
 _BLOCK_TERMS = 64
 _REL_TRUNCATION = 1e-12
-
-
-def _beta(e1: float, e2: float) -> float:
-    return (1.0 - e1) * (1.0 - e2)
 
 
 # ============================================================================
@@ -92,7 +88,7 @@ def _p_cs_array(n: np.ndarray, e1: float) -> np.ndarray:
 
 
 # ============================================================================
-#  Single-service Poisson expectations
+#  Poisson expectations: a class alone, and NCS under ideal tolerance
 # ============================================================================
 
 
@@ -131,41 +127,76 @@ def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
         total = partial[..., -1:]
 
 
+def _class_terms(L: int, e1: float, e2: float, n, survive=1.0, busy=0.0) -> np.ndarray:
+    """The rows (n * tagged, tagged) of a class's metrics at each count in ``n``.
+
+    Given n transmissions of the class in a slot, an AP relays the tagged
+    packet with probability p_u and some packet of the class with
+    probability n * p_u; the BS decodes when exactly one AP relays.
+    ``survive`` scales p_u (the other class's arrivals at the AP must be
+    erased too) and ``busy`` is the probability that the AP relays a packet
+    of the other class; both may be columns, one row per count of it.
+    """
+    p_u = survive * np.where(n == 0, 0.0, (1.0 - e1) * e1 ** np.maximum(n - 1, 0)) * (1.0 - e2)
+    tagged = L * p_u * (1.0 - busy - n * p_u) ** (L - 1)
+    return np.stack([n * tagged, tagged])
+
+
+def _per_active(tagged, loads) -> np.ndarray:
+    """PSR from the tagged-success expectation; zero at zero load."""
+    active = -np.expm1(-np.asarray(loads, dtype=float))
+    return np.divide(tagged, active, out=np.zeros(active.shape), where=active > 0)
+
+
 def isolated_class_metrics(L: int, e1: float, e2: float, loads) -> tuple[np.ndarray, np.ndarray]:
     """Throughput and PSR of a class that contends alone, at each per-slot load.
 
-    Given n transmissions in a slot, an AP relays the tagged packet with
-    probability p_u and some packet with probability q = n * p_u; the BS
-    decodes when exactly one AP relays.  A zero load gets zero PSR by
-    convention.
+    A zero load gets zero PSR by convention.
     """
-    loads = np.asarray(loads, dtype=float)
+    throughput, tagged = poisson_expectation(lambda n: _class_terms(L, e1, e2, n), loads)
+    return throughput, _per_active(tagged, loads)
 
-    def f(n):
-        p_u = np.where(n == 0, 0.0, (1.0 - e1) * e1 ** np.maximum(n - 1, 0)) * (1.0 - e2)
-        tagged = L * p_u * (1.0 - n * p_u) ** (L - 1)
-        return np.stack([n * tagged, tagged])
 
-    throughput, tagged = poisson_expectation(f, loads)
-    active = -np.expm1(-loads)
-    psr = np.divide(tagged, active, out=np.zeros(loads.shape), where=active > 0)
-    return throughput, psr
+def _check_two_class_work(g_c: float, g_n: float) -> None:
+    cells = math.prod(poisson_tail_cutoff(g, TAIL_MASS_DEFAULT) + 1 for g in (g_c, g_n))
+    if cells > MAX_TWO_CLASS_CELLS:
+        raise ValueError(
+            f"per-slot loads g_c={g_c:g}, g_n={g_n:g} span {cells:.3g} cells of "
+            f"Poisson support, over the two-class limit of {MAX_TWO_CLASS_CELLS}"
+        )
+
+
+def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[float, float]:
+    """NCS (throughput, PSR) under ideal tolerance, as a nested expectation.
+
+    The outer sum runs over the CS count n_c and the inner one over the NCS
+    count.  Given n_c, the inner terms are the isolated class's, with each
+    NCS arrival also needing every CS arrival at its AP erased (e1**n_c)
+    and each AP busy with a CS delivery with probability p_cs(n_c)(1 - e2).
+    Both sums carry the relative truncation error of ``poisson_expectation``.
+    """
+    _check_two_class_work(g_c, g_n)
+
+    def outer(n_c):
+        survive = (e1**n_c)[:, None]
+        busy = (_p_cs_array(n_c, e1) * (1.0 - e2))[:, None]
+        inner = poisson_expectation(
+            lambda n: _class_terms(L, e1, e2, n, survive, busy).reshape(-1, n.size), [g_n]
+        )
+        return inner.reshape(2, n_c.size)
+
+    [throughput], [tagged] = poisson_expectation(outer, [g_c])
+    return float(throughput), float(_per_active(tagged, g_n))
 
 
 # ============================================================================
-#  NCS metrics, ideal tolerance
+#  NCS metrics, finite tolerance
 # ============================================================================
 
 
-def _expm1_or_aux(order: int, x: float) -> float:
-    """sum_{n>=1} x**n n**order / n!  (aux_h minus the n = 0 term)."""
-    if order == 0:
-        return math.expm1(x)
-    return aux_h(order, x)
-
-
-def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: Tolerance):
-    """Mean NCS deliveries per slot; covers both ideal and finite K."""
+def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: int):
+    """Mean NCS deliveries per slot under finite K."""
+    _check_two_class_work(g_c, g_n)
     nc, wc = poisson_weights(g_c)
     nn, wn = poisson_weights(g_n)
     NC = nc[:, None]
@@ -176,55 +207,22 @@ def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: Tolerance):
     return float(wc @ val @ wn)
 
 
-def _ncs_throughput_inf_closed(L, e1, e2, g_c, g_n):
-    beta = _beta(e1, e2)
-    total = 0.0
-    for i in range(L):
-        for k in range(i + 1):
-            total += (
-                (-1.0) ** i
-                * math.comb(L - 1, i)
-                * math.comb(i, k)
-                * (beta / e1) ** (i + 1)
-                * math.exp(-(g_c + g_n))
-                * aux_h(i - k, g_c * e1 ** (i + 1))
-                * aux_h(k + 1, g_n * e1 ** (k + 1))
-            )
-    return L * total
-
-
-def _ncs_psr_series(L, e1, e2, g_c, g_n, k: Tolerance):
-    """PSR of a tagged NCS device; covers ideal and finite K.
+def _ncs_psr_series(L, e1, e2, g_c, g_n, k: int):
+    """PSR of a tagged NCS device under finite K.
 
     The CS interference budget at each AP is charged only with what that AP
     actually receives, which is what the slot-level simulation measures.
     """
+    _check_two_class_work(g_c, g_n)
     nc, wc = poisson_weights(g_c)
     nn, wn = normalized_poisson_weights(g_n)
     NC = nc[:, None]
     NN = nn[None, :]
-    if is_infinite(k):
-        tol = np.ones(NN.shape)
-    else:
-        tol = gamma_k_tolerance_array(NN, e1, k)
+    tol = gamma_k_tolerance_array(NN, e1, k)
     p_u = (1.0 - e1) * e1 ** (NN - 1) * e1**NC
     q = (1.0 - e2) * (_p_cs_array(nc, e1)[:, None] * tol + NN * p_u)
     val = L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)
     return float(wc @ val @ wn)
-
-
-def _ncs_psr_inf_closed(L, e1, e2, g_c, g_n):
-    beta = _beta(e1, e2)
-    norm = 1.0 / -math.expm1(-g_n)
-    total = 0.0
-    for l in range(L):
-        inner = 0.0
-        for m in range(l + 1):
-            term_cs = math.exp(-g_c) * aux_h(m, g_c * e1 ** (l + 1))
-            term_ncs = math.exp(-g_n) * _expm1_or_aux(l - m, g_n * e1 ** (l - m + 1))
-            inner += math.comb(l, m) * term_cs * term_ncs
-        total += math.comb(L - 1, l) * (-beta) ** l / e1 ** (l + 1) * inner
-    return L * beta * norm * total
 
 
 # ============================================================================
@@ -239,6 +237,7 @@ def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int):
     NCS packets, and the remaining APs must stay silent.  For K >= L - 1 the
     inner sum collapses to the single-service binomial form.
     """
+    _check_two_class_work(g_c, g_n)
     nc, wc = poisson_weights(g_c)
     nn, wn = poisson_weights(g_n)
     NC = nc[:, None]
@@ -259,6 +258,7 @@ def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
     The delivery pattern of the other L-1 APs is trinomial (CS delivery, NCS
     delivery, silence are mutually exclusive per AP).
     """
+    _check_two_class_work(g_c, g_n)
     npr, wpr = normalized_poisson_weights(g_c)
     nn, wn = poisson_weights(g_n)
     NP = npr[:, None]
@@ -277,112 +277,72 @@ def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
 
 
 # ============================================================================
-#  Closed-form / series dispatch
-# ============================================================================
-
-
-def _dispatch(closed_fn, series_fn, L, e1):
-    """Prefer the closed form; fall back to the series when the closed form
-    is singular (e1 ~ 0), exceeds the recursion order cap, overflows, or
-    loses finiteness."""
-    if e1 < EPS1_CLOSED_FORM_MIN or L > AUX_H_MAX_ORDER:
-        return series_fn()
-    try:
-        value = closed_fn()
-    except OverflowError:
-        return series_fn()
-    if not math.isfinite(value):
-        return series_fn()
-    return value
-
-
-# ============================================================================
 #  Public per-class operations (scenario-level)
 # ============================================================================
 
 
+def _group(cfg: ScenarioConfig) -> tuple:
+    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
+
+
+def _two_class_args(cfg: ScenarioConfig) -> tuple:
+    return (*_group(cfg), cfg.cs_slot_load, cfg.ncs_slot_load)
+
+
+def _finite_k_args(cfg: ScenarioConfig) -> tuple:
+    if is_infinite(cfg.K):
+        raise ValueError("finite-K operation called with infinite tolerance")
+    return (*_two_class_args(cfg), cfg.K)
+
+
 def throughput_cs_single(cfg: ScenarioConfig) -> float:
     """CS throughput with no NCS interference (single-service semantics)."""
-    e = cfg.erasure
-    return float(isolated_class_metrics(cfg.L, e.eps1, e.eps2, [cfg.cs_slot_load])[0][0])
+    return float(isolated_class_metrics(*_group(cfg), [cfg.cs_slot_load])[0][0])
 
 
 def psr_cs_single(cfg: ScenarioConfig) -> float:
     """Single-service CS packet success rate for a tagged active device."""
-    e = cfg.erasure
     if cfg.cs_slot_load <= 0:
         raise ValueError("CS packet success rate requires a positive CS load")
-    return float(isolated_class_metrics(cfg.L, e.eps1, e.eps2, [cfg.cs_slot_load])[1][0])
+    return float(isolated_class_metrics(*_group(cfg), [cfg.cs_slot_load])[1][0])
 
 
 def throughput_ncs_ideal_k(cfg: ScenarioConfig) -> float:
     """NCS throughput under ideal CS interference tolerance."""
-    e = cfg.erasure
-    g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
-    return _dispatch(
-        lambda: _ncs_throughput_inf_closed(cfg.L, e.eps1, e.eps2, g_c, g_n),
-        lambda: _ncs_throughput_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K),
-        cfg.L,
-        e.eps1,
-    )
+    return _ncs_ideal_k(*_two_class_args(cfg))[0]
 
 
 def psr_ncs_ideal_k(cfg: ScenarioConfig) -> float:
     """NCS packet success rate under ideal CS interference tolerance."""
-    e = cfg.erasure
-    g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
-    if g_n <= 0:
+    if cfg.ncs_slot_load <= 0:
         raise ValueError("NCS packet success rate requires a positive NCS load")
-    return _dispatch(
-        lambda: _ncs_psr_inf_closed(cfg.L, e.eps1, e.eps2, g_c, g_n),
-        lambda: _ncs_psr_series(cfg.L, e.eps1, e.eps2, g_c, g_n, INFINITE_K),
-        cfg.L,
-        e.eps1,
-    )
+    return _ncs_ideal_k(*_two_class_args(cfg))[1]
 
 
 def throughput_ncs_finite_k(cfg: ScenarioConfig) -> float:
-    """NCS throughput under finite tolerance K (series primary path)."""
-    e = cfg.erasure
-    if is_infinite(cfg.K):
-        raise ValueError("finite-K operation called with infinite tolerance")
-    return _ncs_throughput_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
-    )
+    """NCS throughput under finite tolerance K."""
+    return _ncs_throughput_series(*_finite_k_args(cfg))
 
 
 def psr_ncs_finite_k(cfg: ScenarioConfig) -> float:
     """NCS packet success rate under finite tolerance K."""
-    e = cfg.erasure
-    if is_infinite(cfg.K):
-        raise ValueError("finite-K operation called with infinite tolerance")
+    args = _finite_k_args(cfg)
     if cfg.ncs_slot_load <= 0:
         raise ValueError("NCS packet success rate requires a positive NCS load")
-    return _ncs_psr_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
-    )
+    return _ncs_psr_series(*args)
 
 
 def throughput_cs_finite_k(cfg: ScenarioConfig) -> float:
-    """CS throughput under finite tolerance K (series primary path)."""
-    e = cfg.erasure
-    if is_infinite(cfg.K):
-        raise ValueError("finite-K operation called with infinite tolerance")
-    return _cs_throughput_k_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
-    )
+    """CS throughput under finite tolerance K."""
+    return _cs_throughput_k_series(*_finite_k_args(cfg))
 
 
 def psr_cs_finite_k(cfg: ScenarioConfig) -> float:
     """CS packet success rate under finite tolerance K."""
-    e = cfg.erasure
-    if is_infinite(cfg.K):
-        raise ValueError("finite-K operation called with infinite tolerance")
+    args = _finite_k_args(cfg)
     if cfg.cs_slot_load <= 0:
         raise ValueError("CS packet success rate requires a positive CS load")
-    return _cs_psr_k_series(
-        cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K
-    )
+    return _cs_psr_k_series(*args)
 
 
 def benchmark_bound(cfg: ScenarioConfig) -> float:
@@ -405,10 +365,6 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
 # ============================================================================
 
 
-def _group(cfg: ScenarioConfig) -> tuple:
-    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
-
-
 def _isolated_loads(cfg: ScenarioConfig) -> tuple[float, ...]:
     """Per-slot loads of the classes of ``cfg`` that contend alone."""
     if isinstance(cfg.allocation, Tdma):
@@ -429,18 +385,12 @@ def _evaluate_one(cfg: ScenarioConfig, isolated: dict) -> ServiceMetrics:
         )
 
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
-    ideal = is_infinite(cfg.K)
-    if ideal:
+    if is_infinite(cfg.K):
         r_c, p_c = alone(g_c)
-    elif g_c > 0:
-        r_c, p_c = throughput_cs_finite_k(cfg), psr_cs_finite_k(cfg)
+        r_n, p_n = _ncs_ideal_k(*_two_class_args(cfg)) if g_n > 0 else (0.0, 0.0)
     else:
-        r_c, p_c = 0.0, 0.0
-    if g_n > 0:
-        r_n = throughput_ncs_ideal_k(cfg) if ideal else throughput_ncs_finite_k(cfg)
-        p_n = psr_ncs_ideal_k(cfg) if ideal else psr_ncs_finite_k(cfg)
-    else:
-        r_n, p_n = 0.0, 0.0
+        r_c, p_c = (throughput_cs_finite_k(cfg), psr_cs_finite_k(cfg)) if g_c > 0 else (0.0, 0.0)
+        r_n, p_n = (throughput_ncs_finite_k(cfg), psr_ncs_finite_k(cfg)) if g_n > 0 else (0.0, 0.0)
     return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
 
 

@@ -809,7 +809,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None, help="parallel workers")
 
     for name, help_text in [
-        ("eval", "closed-form / exact metrics for one scenario"),
+        ("eval", "analytic / exact metrics for one scenario"),
         ("sim", "erasure-channel Monte Carlo for one scenario"),
         ("fading", "fading-channel Monte Carlo for one scenario"),
         ("sweep", "parameter sweep to CSV"),

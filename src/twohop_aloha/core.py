@@ -1,6 +1,6 @@
 """Domain types, distributions, special functions and the Monte Carlo driver.
 
-Everything downstream (closed forms, semi-analytic superposition evaluation,
+Everything downstream (analytic series, semi-analytic superposition evaluation,
 Monte Carlo engines) builds on the primitives defined here.  All functions
 are pure; samplers take an explicit ``numpy.random.Generator``.
 """
@@ -372,6 +372,7 @@ def normalized_poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT)
 # ============================================================================
 
 
+# Only the test oracle calls aux_h; kept here as perfbench/spans.py wraps core.aux_h by name.
 def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:
     """Auxiliary series H_m(x) = sum_n x**n * n**m / n!.
 

@@ -1,8 +1,9 @@
 """Literal closed forms of the erasure-channel metrics, kept as test oracles.
 
-The package evaluates the single-service metrics (throughput, PSR, the
-uplink benchmark bound) and every finite-K metric as Poisson series.  The
-closed forms below are the printed expressions those series must agree
+The package evaluates every metric as a Poisson series: the single-service
+ones (throughput, PSR, the uplink benchmark bound), the NCS metrics at
+K = inf as a nested series and every finite-K metric as a two-class series.
+The closed forms below are the printed expressions those series must agree
 with: alternating sums over ``aux_h``, powers of ``1 / eps1`` and, at finite
 K, the tolerance-weighted tails ``_xi1``, ``_xi2`` and ``_xi_poisson_tail``.
 They cancel catastrophically as L grows, so they are only compared on small
@@ -16,13 +17,24 @@ import math
 import numpy as np
 from scipy import special
 
-from twohop_aloha.analytic_erasure import _beta, _expm1_or_aux
 from twohop_aloha.core import (
     TAIL_MASS_DEFAULT,
     aux_h,
     gamma_k_tolerance_array,
     poisson_tail_cutoff,
 )
+
+
+def _beta(e1: float, e2: float) -> float:
+    """Composite delivery factor: survive the access and the backhaul erasure."""
+    return (1.0 - e1) * (1.0 - e2)
+
+
+def _expm1_or_aux(order: int, x: float) -> float:
+    """sum_{n>=1} x**n n**order / n!  (aux_h minus the n = 0 term)."""
+    if order == 0:
+        return math.expm1(x)
+    return aux_h(order, x)
 
 
 def regularized_gamma_q(k_plus_1: int, x: float) -> float:
@@ -80,6 +92,42 @@ def benchmark_closed(L, e1, g_c):
             * aux_h(l, g_c * e1**l)
         )
     return 1.0 - total
+
+
+# ============================================================================
+#  NCS metrics, ideal tolerance
+# ============================================================================
+
+
+def ncs_throughput_inf_closed(L, e1, e2, g_c, g_n):
+    beta = _beta(e1, e2)
+    total = 0.0
+    for i in range(L):
+        for k in range(i + 1):
+            total += (
+                (-1.0) ** i
+                * math.comb(L - 1, i)
+                * math.comb(i, k)
+                * (beta / e1) ** (i + 1)
+                * math.exp(-(g_c + g_n))
+                * aux_h(i - k, g_c * e1 ** (i + 1))
+                * aux_h(k + 1, g_n * e1 ** (k + 1))
+            )
+    return L * total
+
+
+def ncs_psr_inf_closed(L, e1, e2, g_c, g_n):
+    beta = _beta(e1, e2)
+    norm = 1.0 / -math.expm1(-g_n)
+    total = 0.0
+    for l in range(L):
+        inner = 0.0
+        for m in range(l + 1):
+            term_cs = math.exp(-g_c) * aux_h(m, g_c * e1 ** (l + 1))
+            term_ncs = math.exp(-g_n) * _expm1_or_aux(l - m, g_n * e1 ** (l - m + 1))
+            inner += math.comb(l, m) * term_cs * term_ncs
+        total += math.comb(L - 1, l) * (-beta) ** l / e1 ** (l + 1) * inner
+    return L * beta * norm * total
 
 
 # ============================================================================

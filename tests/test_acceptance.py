@@ -65,12 +65,11 @@ def test_criterion_01_closed_forms_match_series():
         n_checks += 2
         for gamma in gammas:
             gc, gn = gamma * g, (1.0 - gamma) * g
+            ncs_tput, ncs_psr = ae._ncs_ideal_k(L, e1, e2, gc, gn)
             worst = max(worst, rel_err(
-                ae._ncs_throughput_inf_closed(L, e1, e2, gc, gn),
-                ae._ncs_throughput_series(L, e1, e2, gc, gn, INFINITE_K)))
+                oracle.ncs_throughput_inf_closed(L, e1, e2, gc, gn), ncs_tput))
             worst = max(worst, rel_err(
-                ae._ncs_psr_inf_closed(L, e1, e2, gc, gn),
-                ae._ncs_psr_series(L, e1, e2, gc, gn, INFINITE_K)))
+                oracle.ncs_psr_inf_closed(L, e1, e2, gc, gn), ncs_psr))
             n_checks += 2
             for K in ks:
                 worst = max(worst, rel_err(

@@ -77,8 +77,8 @@ def test_psr_cs_single_limits():
         ae.psr_cs_single(erasure_cfg(G=0.0))
 
 
-def test_small_eps1_falls_back_to_series():
-    # continuity across the NCS closed-form/series dispatch threshold
+def test_ncs_ideal_k_continuous_at_small_eps1():
+    # no threshold in eps1: the series is continuous down to eps1 = 0
     lo = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=9e-7))
     hi = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=2e-6))
     assert lo == pytest.approx(hi, rel=1e-3)
@@ -92,16 +92,12 @@ def test_small_eps1_falls_back_to_series():
 
 
 def test_ncs_reduces_to_single_service_without_cs_traffic():
-    # no CS interference: NCS formulas equal the single-service ones with
-    # the loads swapped
+    # no CS interference: the outer sum over the CS count is its n_c = 0
+    # term, which is the single-service sum with the loads swapped, to the bit
     cfg = erasure_cfg(L=3, G=2.0, gamma_c=0.0, e1=0.4, e2=0.6)
     swapped = erasure_cfg(L=3, G=2.0, gamma_c=1.0, e1=0.4, e2=0.6)
-    assert ae.throughput_ncs_ideal_k(cfg) == pytest.approx(
-        ae.throughput_cs_single(swapped), rel=1e-10
-    )
-    assert ae.psr_ncs_ideal_k(cfg) == pytest.approx(
-        ae.psr_cs_single(swapped), rel=1e-10
-    )
+    assert ae.throughput_ncs_ideal_k(cfg) == ae.throughput_cs_single(swapped)
+    assert ae.psr_ncs_ideal_k(cfg) == ae.psr_cs_single(swapped)
 
 
 def test_ncs_ideal_trivial_zeros():
@@ -264,6 +260,61 @@ def test_isolated_class_series_match_mpmath(L):
                     assert x < 1e-280, where
                 else:
                     assert abs(x - ref) <= 1e-12 * ref, where
+
+
+def mpmath_ncs_ideal_k(L, e1, e2, pairs):
+    """NCS (throughput, PSR) at K = inf for each (g_c, g_n), summed at 40 digits.
+
+    The plain two-class double sum.  Each Poisson sum stops where the bound
+    on its tail falls below 1e-45, far below 1e-12 of every value tested.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e1, e2 = mp.mpf(e1), mp.mpf(e2)
+
+        def weights(g):
+            lam, pmf, out = mp.mpf(g), mp.exp(-mp.mpf(g)), []
+            while True:
+                out.append(pmf)
+                n = len(out)
+                pmf = pmf * lam / n
+                if n > g and pmf / (1 - lam / (n + 1)) < mp.mpf(10) ** -45:
+                    return out
+
+        wcs, wns = [weights(g) for g, _ in pairs], [weights(g) for _, g in pairs]
+        size = max(map(len, wcs + wns))
+        # p_u of an NCS arrival among n NCS and n_c CS arrivals, at k = n - 1 + n_c
+        p_u = [(1 - e1) * (1 - e2) * e1**k for k in range(2 * size)]
+        rows = {}  # n_c -> tagged success at n = 1, 2, ...
+
+        def row(n_c, length):
+            if len(rows.get(n_c, ())) < length:
+                busy = n_c * p_u[max(n_c - 1, 0)]
+                rows[n_c] = [
+                    L * p_u[n - 1 + n_c] * (1 - busy - n * p_u[n - 1 + n_c]) ** (L - 1)
+                    for n in range(1, length + 1)
+                ]
+            return rows[n_c][:length]
+
+        out = []
+        for wc, wn, (_, g_n) in zip(wcs, wns, pairs):
+            per_n = [n * w for n, w in enumerate(wn)][1:]
+            tput = mp.fsum(w * mp.fdot(per_n, row(n_c, len(wn) - 1)) for n_c, w in enumerate(wc))
+            tagged = mp.fsum(w * mp.fdot(wn[1:], row(n_c, len(wn) - 1)) for n_c, w in enumerate(wc))
+            out.append((tput, tagged / -mp.expm1(-mp.mpf(g_n))))
+        return out
+
+
+@pytest.mark.parametrize("L", [1, 3, 10, 40, 64, 200])
+def test_ncs_ideal_k_matches_mpmath(L):
+    pairs = ((1e-6, 1e-6), (1e-6, 2.0), (2.0, 1e-6), (0.3, 0.05), (1.0, 1.0), (4.0, 20.0))
+    for e1, e2 in ((0.1, 0.1), (0.5, 0.5), (0.9, 0.1), (0.1, 0.9), (0.3, 0.6)):
+        reference = mpmath_ncs_ideal_k(L, e1, e2, pairs)
+        for (g_c, g_n), want in zip(pairs, reference):
+            got = ae._ncs_ideal_k(L, e1, e2, g_c, g_n)
+            for metric, x, ref in zip(("throughput", "PSR"), got, want):
+                where = f"NCS {metric} at L={L}, eps=({e1}, {e2}), loads=({g_c}, {g_n})"
+                assert abs(x - ref) <= 1e-12 * ref, f"{where}: {x} vs {ref}"
 
 
 # ---------------------------------------------------------------------------

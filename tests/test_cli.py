@@ -1,6 +1,7 @@
 import math
 import os
 import textwrap
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -254,6 +255,21 @@ def test_eval_l64_matches_mpmath(tmp_path, capsys):
     # 40-digit mpmath sums of the same series
     assert float(values["R_c"]) == pytest.approx(0.0044542886442777328552, rel=1e-8)
     assert float(values["Gamma_c"]) == pytest.approx(0.0037204668766009676969, rel=1e-8)
+    # the NCS closed forms at K = inf cancelled here; 40-digit mpmath
+    # two-class sums of (R_cbar, Gamma_cbar)
+    ncs = {
+        40: (6.2681033823852882957e-6, 0.00012627515966464570245),
+        50: (4.4675386152562974812e-7, 8.9232394190102750933e-6),
+        64: (1.0947051652306310017e-8, 2.07883050214062549e-7),
+    }
+    for L, (r_cbar, gamma_cbar) in ncs.items():
+        body = BASE_INI.replace("L = 3", f"L = {L}").replace("T = 8", "T = 1")
+        body = body.replace("G = 16.0", "G = 0.1").replace("gamma_c = 1.0", "gamma_c = 0.5")
+        path = write_ini(tmp_path, body)
+        assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+        values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        assert float(values["R_cbar"]) == pytest.approx(r_cbar, rel=1e-8), L
+        assert float(values["Gamma_cbar"]) == pytest.approx(gamma_cbar, rel=1e-8), L
 
 
 @pytest.mark.parametrize("G, gamma_c", [("790.0", "1.0"), ("1600.0", "0.5")])
@@ -265,6 +281,21 @@ def test_eval_large_load_does_not_overflow(tmp_path, capsys, G, gamma_c):
     path = write_ini(tmp_path, body)
     assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
     assert capsys.readouterr().out.startswith("R_c = ")
+
+
+@pytest.mark.parametrize("K", ["2", "inf"])
+def test_eval_two_class_work_bound_is_numerical_error(tmp_path, capsys, K):
+    # the dense finite-K grid would ask for terabytes, the nested K = inf sum
+    # for hours; both are refused before any work
+    body = BASE_INI.replace("T = 8", "T = 1").replace("G = 16.0", "G = 1e6")
+    body = body.replace("gamma_c = 1.0", "gamma_c = 0.5").replace("K = inf", f"K = {K}")
+    path = write_ini(tmp_path, body)
+    t0 = time.perf_counter()
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "two-class limit" in err
+    assert "Traceback" not in err
 
 
 def test_sim_command_writes_csv_with_seed(tmp_path):

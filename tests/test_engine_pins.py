@@ -119,9 +119,9 @@ EXPECTED = {"coupled_compare": 0,
                                0.30456476018054257,
                                0.1474715016809587),
  "erasure_non_orthogonal_k_inf": (0.2376673485692308,
-                                  0.11180670436369093,
+                                  0.1118067043636909,
                                   0.3110026413271322,
-                                  0.1473218042388488),
+                                  0.14732180423884872),
  "erasure_tdma_alpha_0": (0.0, 0.19414553876226978, 0.0, 0.3507754501347143),
  "erasure_tdma_alpha_0.3": (0.07436981797012117,
                             0.1631252719565178,
