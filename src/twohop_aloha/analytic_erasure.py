@@ -100,7 +100,8 @@ def poisson_expectation(f, loads) -> np.ndarray:
     ``(rows, len(loads))``.  Each sum runs from n = 0 and stops at the first
     n >= load where the bound P(n+1) / (1 - load / (n+2)) on the Poisson
     tail beyond n is at most 1e-12 times the partial sum, so, as f <= 1,
-    every value carries a relative truncation error of at most 1e-12.
+    every value carries a relative truncation error of at most 1e-12.  A
+    partial sum that is negative or not finite raises a ValueError.
     """
     uniq, inverse = np.unique(np.asarray(loads, dtype=float), return_inverse=True)
     blocks = [
@@ -117,6 +118,8 @@ def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
         n = np.arange(lo, lo + _BLOCK_TERMS + 1)
         pmf = np.exp(special.xlogy(n, g) - g - special.gammaln(n + 1.0))
         partial = total + np.cumsum(pmf[:, None, :-1] * f(n[:-1]), axis=2)
+        if not np.all((partial >= 0.0) & (partial < np.inf)):
+            raise ValueError("Poisson partial sum is negative or not finite: f must lie in [0, 1]")
         slack = (1.0 - g / (n[:-1] + 2.0))[:, None, :]
         stop = (n[:-1] >= g)[:, None, :] & (pmf[:, None, 1:] <= _REL_TRUNCATION * slack * partial)
         first = np.take_along_axis(partial, stop.argmax(axis=2)[..., None], axis=2)[..., 0]

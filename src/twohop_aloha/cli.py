@@ -6,8 +6,8 @@ write CSV only; output is byte-stable for fixed inputs (floats rendered
 with 9 significant digits, rows in sweep order, LF line endings) and files
 are written atomically so failed runs never leave partial output behind.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-capacity or other
-numerical error, 4 validation failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical error (a refused
+work size among them), 4 validation failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .core import (
     Tdma,
     is_infinite,
 )
-from .superposition import CapacityError, ConditionedMC, ExactEnum
+from .superposition import ConditionedMC, ExactEnum
 
 #: Fixed default seed (0xC0FFEE); echoed into every stochastic output.
 DEFAULT_SEED = 0xC0FFEE
@@ -253,7 +253,7 @@ Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
 
 def _count_setting(args, sim_sec, key: str, default: int | None = None, minimum: int = 1) -> int:
     """``--key`` when given, else ``[sim] key``, else ``default``; must be >= ``minimum``."""
-    flag = getattr(args, key)
+    flag = getattr(args, key, None)
     value = flag if flag is not None else _get(sim_sec, key, int, default)
     if value is None:
         raise ConfigError(f"no {key} budget: give --{key} or [sim] {key}")
@@ -277,10 +277,12 @@ def backend_from_config(parser, name: str, args) -> Backend:
         slots = _count_setting(args, sim_sec, "slots")
         return FadingBackend(slots=slots, seed=seed, workers=workers)
     if name == "superposition":
+        for key in sup_sec:  # a retired key is refused, not ignored
+            if key not in ("estimator", "mc_samples"):
+                raise ConfigError(f"unknown key '{key}' in [superposition]")
         kind = str(sup_sec.get("estimator", "exact")).strip().lower()
         if kind == "exact":
-            limit = _get(sup_sec, "enum_limit", int, 200_000)
-            return SuperpositionBackend(estimator=ExactEnum(limit=limit))
+            return SuperpositionBackend(estimator=ExactEnum())
         if kind == "mc":
             samples = _get(sup_sec, "mc_samples", int, 1000)
             if samples < 1:
@@ -792,33 +794,38 @@ def _validate_grid_from_config(parser) -> list[ScenarioConfig]:
 # ============================================================================
 
 
+_FLAGS = {
+    "out": dict(help="output CSV path"),
+    "seed": dict(type=int, help="master RNG seed"),
+    "frames": dict(type=int, help="simulated frames"),
+    "slots": dict(type=int, help="simulated slots"),
+    "backend": dict(help="evaluation backend"),
+    "workers": dict(type=int, help="parallel workers"),
+    "target-se": dict(type=float, default=0.002, help="target std error per cell"),
+}
+
+# Each command takes only the flags it reads; any other is a usage error.
+_COMMANDS = {
+    "eval": ("analytic / exact metrics for one scenario", "out seed"),
+    "sim": ("erasure-channel Monte Carlo for one scenario", "out seed frames workers"),
+    "fading": ("fading-channel Monte Carlo for one scenario", "out seed slots workers"),
+    "sweep": ("parameter sweep to CSV", "out seed frames slots backend workers"),
+    "region": ("throughput-region frontier to CSV", "out seed frames slots backend workers"),
+    "validate": ("analytic-vs-simulation oracle report", "out seed workers target-se"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twohop-aloha",
         description="Two-hop grant-free slotted-ALOHA performance toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="scenario file (INI)")
-        p.add_argument("--out", help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--frames", type=int, default=None, help="simulated frames")
-        p.add_argument("--slots", type=int, default=None, help="simulated slots")
-        p.add_argument("--backend", default=None, help="evaluation backend")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers")
-
-    for name, help_text in [
-        ("eval", "analytic / exact metrics for one scenario"),
-        ("sim", "erasure-channel Monte Carlo for one scenario"),
-        ("fading", "fading-channel Monte Carlo for one scenario"),
-        ("sweep", "parameter sweep to CSV"),
-        ("region", "throughput-region frontier to CSV"),
-    ]:
-        add_common(sub.add_parser(name, help=help_text))
-    p_val = sub.add_parser("validate", help="analytic-vs-simulation oracle report")
-    add_common(p_val, needs_config=False)
-    p_val.add_argument("--target-se", type=float, default=0.002)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=name != "validate", help="scenario file (INI)")
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
 
 
@@ -900,9 +907,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
     except ValueError as exc:  # every config fault raised ConfigError above
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

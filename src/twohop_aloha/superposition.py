@@ -1,33 +1,33 @@
 """BS decoding under the superposition receiver.
 
 Copies of the same message relayed by several APs combine constructively at
-the BS; only distinct-message interference destroys.  Evaluation keeps the
-per-slot message-index bookkeeping explicit: conditioned on the per-slot
-transmission counts, the vector of per-message AP copy counts is multinomial
-over (silent, one cell per CS message, one cell per NCS message).
+the BS; only distinct-message interference destroys.  Conditioned on the
+per-slot transmission counts (n_c, n_cbar), the vector of per-message AP
+copy counts is multinomial over (silent, one cell per CS message, one cell
+per NCS message).  The tolerance K enters only through two rows of
+``gamma_k_tolerance_array`` built once per class grid: ``ap_budget[n]``,
+the AP budget at eps1 with n NCS arrivals, and ``bs_budget[m]``, the BS
+budget at eps2 with m NCS copies.
 
-Two estimators for the inner expectation over AP allocations.  Both offer
-``throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)``, the (CS, NCS)
-decode probabilities at fixed per-slot transmission counts, and
-``tagged(L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs)``, the
-decode probability of a tagged CS (or NCS) message.  The tolerance K enters
-only through two rows of ``gamma_k_tolerance_array`` built once per
-parameter set: ``ap_budget[n]``, the AP budget at eps1 with n NCS arrivals
-(a list of floats), and ``bs_budget[m]``, the BS budget at eps2 with m NCS
-copies (an array over 0..L):
+Two estimators of the expectation over AP allocations.  Both offer
+``metrics(L, e1, e2, g_c, g_n, k)``, the class throughputs and packet
+success rates (R_c, R_cbar, Gamma_c, Gamma_cbar) at per-slot loads g_c and
+g_n; a class with no load gets zero packet success rate:
 
-* ``ExactEnum`` -- exact expectation as Python floats; its ``seed`` is
-  None.  Message cells within a class are exchangeable, so the expectation
-  marginalizes onto (copies of a distinguished message, other same-class
-  copies, other-class copies), which equals exhaustive enumeration of the
-  multinomial outcomes at polynomial cost (the equality is pinned against
-  a literal enumerator in ``tests/test_superposition.py``).  The
-  enumeration feasibility budget C(L + cells - 1, cells - 1) <= limit is
-  still enforced; exceeding it raises ``CapacityError`` rather than
-  silently degrading.
+* ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
+  within a class are exchangeable, so the multinomial sum collapses to a
+  difference of powers per (n_c, n_cbar) (``_tagged_decode``), evaluated as
+  one array over the whole Poisson support grid at a cost of about L grid
+  passes; a class delivers n times its tagged-message probability.  It
+  equals exhaustive enumeration of the allocations (pinned against a
+  literal enumerator in ``tests/test_superposition.py``).
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair from
-  dedicated substreams of the master seed and returns the per-allocation
+  dedicated substreams of the master seed and keeps the per-allocation
   values, from which standard errors are reported.
+
+Before either estimator does any work, ``evaluate_superposition`` refuses
+loads whose two Poisson supports span more than
+``analytic_erasure.MAX_TWO_CLASS_CELLS`` cells, the analytic series' rule.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .core import (
     Receiver,
@@ -50,11 +51,7 @@ from .core import (
     normalized_poisson_weights,
     poisson_weights,
 )
-from .analytic_erasure import p_access_cs, p_access_ncs
-
-
-class CapacityError(RuntimeError):
-    """Allocation-enumeration budget exceeded; choose the MC estimator."""
+from .analytic_erasure import _check_two_class_work, _p_cs_array, p_access_cs, p_access_ncs
 
 
 # ============================================================================
@@ -84,115 +81,71 @@ def ap_allocation_probs(
     return np.array(probs)
 
 
-def _budgeted_cs_access(n_c: int, n_cbar: int, eps1: float, ap_budget) -> float:
-    """AP-level CS decode probability including the tolerance budget.
-
-    The three-state AP rule is receiver-independent: a CS decode needs
-    exactly one unerased CS arrival *and* at most k unerased NCS arrivals.
-    The budget factor ``ap_budget[n_cbar]`` is 1 whenever n_cbar <= k, so it
-    only bites under heavy NCS traffic with finite k.
-    """
-    return p_access_cs(n_c, eps1) * ap_budget[n_cbar]
-
-
-def _check_budget(L: int, n_c: int, n_cbar: int, limit: int) -> None:
-    cells = 1 + n_c + n_cbar
-    size = math.comb(L + cells - 1, cells - 1)
-    if size > limit:
-        raise CapacityError(
-            f"allocation enumeration needs {size} outcomes for "
-            f"(n_c={n_c}, n_cbar={n_cbar}, L={L}), over the limit {limit}; "
-            "use the ConditionedMC estimator"
-        )
-
-
 # ============================================================================
-#  Exact inner expectations (marginalized over exchangeable cells)
+#  Exact expectation (one array kernel over the Poisson support grid)
 # ============================================================================
 
 
-def _class_pair_pmf(L: int, p_a: float, p_b: float) -> np.ndarray:
-    """Joint pmf of (#APs holding class A, #APs holding class B)."""
-    rest = max(1.0 - p_a - p_b, 0.0)
-    out = np.zeros((L + 1, L + 1))
-    for a in range(L + 1):
-        for b in range(L + 1 - a):
-            out[a, b] = (
-                math.comb(L, a)
-                * math.comb(L - a, b)
-                * p_a**a
-                * p_b**b
-                * rest ** (L - a - b)
-            )
-    return out
+def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A class's counts 0..n_max with its Poisson weights and its tagged weights.
 
-
-def _combine_kernel(L: int, n_msgs: int, eps2: float) -> np.ndarray:
-    """kernel[a] = E[sum over class messages of (1 - e2**M_m) e2**(a - M_m)]
-    when a copies of the class split uniformly over n_msgs messages."""
-    out = np.zeros(L + 1)
-    if n_msgs == 0:
-        return out
-    p1 = 1.0 / n_msgs
-    for a in range(L + 1):
-        acc = 0.0
-        for j in range(1, a + 1):
-            acc += (
-                math.comb(a, j)
-                * p1**j
-                * (1.0 - p1) ** (a - j)
-                * (1.0 - eps2**j)
-                * eps2 ** (a - j)
-            )
-        out[a] = n_msgs * acc
-    return out
-
-
-def _exact_inner_throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget):
-    """(E[CS decode], E[NCS decode]) over allocations at fixed slot counts."""
-    p_c = _budgeted_cs_access(n_c, n_n, e1, ap_budget)
-    p_n = p_access_ncs(n_c, n_n, e1)
-    pair = _class_pair_pmf(L, p_c, p_n)  # indices [CS copies, NCS copies]
-    e2_pow = e2 ** np.arange(L + 1).astype(float)
-    q_cs = float(_combine_kernel(L, n_c, e2) @ pair @ bs_budget)
-    q_ncs = float(e2_pow @ pair @ _combine_kernel(L, n_n, e2))
-    return q_cs, q_ncs
-
-
-def _exact_inner_psr(L, n_tag, n_other, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
-    """E[tagged-message decode probability] over allocations.
-
-    ``n_tag`` is the tagged class count (>= 1), ``n_other`` the other class.
-    The allocation collapses to four exchangeability classes: tagged copies
-    j, other same-class copies ao, other-class copies b, silence.
+    The tagged weights condition on N >= 1 (zero at N = 0, and everywhere
+    at zero load); both weight vectors are zero-padded to the one support.
     """
-    if tagged_cs:
-        p_tagcls = _budgeted_cs_access(n_tag, n_other, e1, ap_budget)
-        p_other = p_access_ncs(n_tag, n_other, e1)
-    else:
-        p_tagcls = p_access_ncs(n_other, n_tag, e1)
-        p_other = _budgeted_cs_access(n_other, n_tag, e1, ap_budget)
-    bs = bs_budget.tolist()
-    t = p_tagcls / n_tag
-    o = p_tagcls - t
-    rest = max(1.0 - p_tagcls - p_other, 0.0)
-    total = 0.0
-    for j in range(1, L + 1):
-        w_j = math.comb(L, j) * t**j * (1.0 - e2**j)
-        for ao in range(L - j + 1):
-            w_jo = w_j * math.comb(L - j, ao) * o**ao * e2**ao
-            for b in range(L - j - ao + 1):
-                w = (
-                    w_jo
-                    * math.comb(L - j - ao, b)
-                    * p_other**b
-                    * rest ** (L - j - ao - b)
-                )
-                if tagged_cs:
-                    total += w * bs[b]
-                else:
-                    total += w * e2**b
-    return total
+    n, w = poisson_weights(g)
+    if g == 0:
+        return n, w, np.zeros(n.size)
+    n_tag, w_tag = normalized_poisson_weights(g)
+    size = int(n_tag[-1]) + 1
+    return np.arange(size), np.pad(w, (0, size - w.size)), np.concatenate(([0.0], w_tag))
+
+
+def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log s, log1p(-d / s))`` for 0 <= d <= s, elementwise.
+
+    Then s**m - (s - d)**m = exp(m log s) * -expm1(m log1p(-d / s)) with
+    no cancellation, also where s - d is 0 (the second log is -inf) or
+    where s is 0 (both vanish).
+    """
+    ratio = np.divide(d, s, out=np.zeros(s.shape), where=s > 0)
+    with np.errstate(divide="ignore"):
+        return np.log(s), np.log1p(-ratio)
+
+
+def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
+    """BS decode probabilities of a tagged CS and a tagged NCS message.
+
+    Both are arrays over the grid ``n_c[:, None]`` x ``n_n[None, :]`` of
+    per-slot transmission counts; ``ap_budget`` is indexed by the NCS count
+    and ``bs_budget`` by the number of NCS copies at the BS.  Each AP
+    independently relays the tagged message of a class with probability t
+    (p = n t for the class), and is silent with probability
+    rest = 1 - p_c - p_n.  The tagged message decodes when some copy of it
+    survives the backhaul and every copy of every other message of its
+    class is erased; a CS decode also needs the BS budget of its b NCS
+    copies, while an NCS decode needs every CS copy erased.  Summing the
+    multinomial over the copy counts leaves differences of powers: with
+    B = rest + p_c e2 and d = t_c (1 - e2), the CS probability is
+    sum_b C(L, b) p_n**b bs_budget[b] ((B + d)**(L-b) - B**(L-b)); the NCS
+    one is (B' + d')**L - B'**L with B' = rest + (p_c + p_n) e2 and
+    d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
+    factor overflows at large L.
+    """
+    nc, nn = n_c[:, None], n_n[None, :]
+    p_c = _p_cs_array(nc, e1) * ap_budget[nn]
+    p_n = _p_cs_array(nn, e1) * e1**nc
+    t_c, t_n = p_c / np.maximum(nc, 1), p_n / np.maximum(nn, 1)
+    rest = np.maximum(1.0 - p_c - p_n, 0.0)
+    d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
+    log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
+    cs = np.zeros(log_s.shape)
+    for b in range(L):  # b = L leaves no AP for the tagged message
+        m = L - b
+        log_w = math.log(math.comb(L, b)) + special.xlogy(b, p_n) + m * log_s
+        cs += bs_budget[b] * np.exp(log_w) * -np.expm1(m * log_gap)
+    log_s, log_gap = _log_power_gap(rest + (p_c + p_n) * e2 + d_n, d_n)
+    ncs = np.exp(L * log_s) * -np.expm1(L * log_gap)
+    return cs, ncs
 
 
 # ============================================================================
@@ -241,17 +194,14 @@ def _mc_tagged_values(
 
 class _McAccumulator:
     """Weighted mean and propagated standard error over (n_c, n_cbar) pairs
-    of exact values (Python floats) or arrays of Monte Carlo samples."""
+    of arrays of Monte Carlo samples."""
 
     def __init__(self):
         self.mean = 0.0
         self.var = 0.0
         self.n = 0
 
-    def add(self, weight: float, values: float | np.ndarray):
-        if isinstance(values, float):
-            self.mean += weight * values
-            return
+    def add(self, weight: float, values: np.ndarray):
         self.mean += weight * float(values.mean())
         if values.size > 1:
             self.var += weight**2 * float(values.var(ddof=1)) / values.size
@@ -268,6 +218,13 @@ def _pair_rng(seed: int, purpose: int, n_c: int, n_n: int) -> np.random.Generato
     )
 
 
+def _weighted_pairs(ns_a, ws_a, ns_b, ws_b):
+    """Yield (a, b, weight) over the product of two weighted supports."""
+    for i, a in enumerate(ns_a):
+        for j, b in enumerate(ns_b):
+            yield int(a), int(b), float(ws_a[i] * ws_b[j])
+
+
 # ============================================================================
 #  Estimators
 # ============================================================================
@@ -275,19 +232,23 @@ def _pair_rng(seed: int, purpose: int, n_c: int, n_n: int) -> np.random.Generato
 
 @dataclass(frozen=True)
 class ExactEnum:
-    """Exact inner expectation, with an enumeration feasibility budget."""
+    """Exact expectation over AP allocations, summed over the Poisson grid."""
 
-    limit: int = 200_000
     seed = None
 
-    def throughput(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget):
-        _check_budget(L, n_c, n_n, self.limit)
-        return _exact_inner_throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)
-
-    def tagged(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
-        _check_budget(L, n_c, n_n, self.limit)
-        n_tag, n_other = (n_c, n_n) if tagged_cs else (n_n, n_c)
-        return _exact_inner_psr(L, n_tag, n_other, e1, e2, ap_budget, bs_budget, tagged_cs)
+    def metrics(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[float, ...]:
+        # By exchangeability a class delivers n times its tagged probability.
+        n_c, w_c, tag_c = _class_support(g_c)
+        n_n, w_n, tag_n = _class_support(g_n)
+        ap_budget = gamma_k_tolerance_array(n_n, e1, k)
+        bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+        cs, ncs = _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+        return (
+            float(w_c @ (n_c[:, None] * cs) @ w_n),
+            float(w_c @ (ncs * n_n) @ w_n),
+            float(tag_c @ cs @ w_n),
+            float(w_c @ ncs @ tag_n),
+        )
 
 
 @dataclass(frozen=True)
@@ -302,52 +263,32 @@ class ConditionedMC:
         probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
-    def throughput(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget):
-        draws = self._draws(0, L, n_c, n_n, e1, ap_budget)
-        return _mc_throughput_values(draws, n_c, e2, bs_budget)
-
-    def tagged(self, L, n_c, n_n, e1, e2, ap_budget, bs_budget, tagged_cs: bool):
-        draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
-        return _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs)
+    def metrics(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[_McAccumulator, ...]:
+        # Tolerance rows over every NCS count and copy count a pair asks for.
+        r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
+        cs, ncs = poisson_weights(g_c), poisson_weights(g_n)
+        tag_cs = normalized_poisson_weights(g_c) if g_c > 0 else None
+        tag_ncs = normalized_poisson_weights(g_n) if g_n > 0 else None
+        n_max = int(ncs[0][-1] if tag_ncs is None else max(ncs[0][-1], tag_ncs[0][-1]))
+        ap_budget = gamma_k_tolerance_array(np.arange(n_max + 1), e1, k).tolist()
+        bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+        for n_c, n_n, w in _weighted_pairs(*cs, *ncs):
+            draws = self._draws(0, L, n_c, n_n, e1, ap_budget)
+            q_cs, q_ncs = _mc_throughput_values(draws, n_c, e2, bs_budget)
+            r_c.add(w, q_cs)
+            r_n.add(w, q_ncs)
+        for tagged_cs, tag, other, acc in ((True, tag_cs, ncs, p_c), (False, tag_ncs, cs, p_n)):
+            if tag is not None:
+                for n_tag, n_other, w in _weighted_pairs(*tag, *other):
+                    n_c, n_n = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
+                    draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
+                    acc.add(w, _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs))
+        return r_c, r_n, p_c, p_n
 
 
 # ============================================================================
 #  Scenario evaluation
 # ============================================================================
-
-
-def _weighted_pairs(ns_a, ws_a, ns_b, ws_b):
-    """Yield (a, b, weight) over the product of two weighted supports."""
-    for i, a in enumerate(ns_a):
-        for j, b in enumerate(ns_b):
-            yield int(a), int(b), float(ws_a[i] * ws_b[j])
-
-
-def _metric_grid(L, e1, e2, g_c, g_n, k: Tolerance, estimator):
-    """Accumulators of all four metrics for one non-orthogonal parameter set.
-
-    A class with no load keeps an empty (zero) packet-success accumulator.
-    The two tolerance rows are built here, once per parameter set, over
-    every NCS count and copy count the estimator can ask for.
-    """
-    r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
-    cs, ncs = poisson_weights(g_c), poisson_weights(g_n)
-    tag_cs = normalized_poisson_weights(g_c) if g_c > 0 else None
-    tag_ncs = normalized_poisson_weights(g_n) if g_n > 0 else None
-    n_max = int(ncs[0][-1] if tag_ncs is None else max(ncs[0][-1], tag_ncs[0][-1]))
-    ap_budget = gamma_k_tolerance_array(np.arange(n_max + 1), e1, k).tolist()
-    bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
-    for n_c, n_n, w in _weighted_pairs(*cs, *ncs):
-        q_cs, q_ncs = estimator.throughput(L, n_c, n_n, e1, e2, ap_budget, bs_budget)
-        r_c.add(w, q_cs)
-        r_n.add(w, q_ncs)
-    for tagged_cs, tag, other, acc in ((True, tag_cs, ncs, p_c), (False, tag_ncs, cs, p_n)):
-        if tag is not None:
-            for n_tag, n_other, w in _weighted_pairs(*tag, *other):
-                n_cs, n_ncs = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
-                q = estimator.tagged(L, n_cs, n_ncs, e1, e2, ap_budget, bs_budget, tagged_cs)
-                acc.add(w, q)
-    return r_c, r_n, p_c, p_n
 
 
 def evaluate_superposition(
@@ -358,21 +299,23 @@ def evaluate_superposition(
     Returns ``ServiceMetrics`` under ``ExactEnum`` and ``SimulatedMetrics``
     (with standard errors) under ``ConditionedMC``.  TDMA is evaluated per
     class over its slot share with the other class silenced, with class
-    throughput scaled by the share.
+    throughput scaled by the share.  Loads whose two Poisson supports span
+    more than ``MAX_TWO_CLASS_CELLS`` cells are refused with a ValueError.
     """
     e = cfg.erasure
     if cfg.receiver != Receiver.SUPERPOSITION:
         raise ValueError("evaluate_superposition requires the superposition receiver")
     if isinstance(cfg.allocation, Tdma):
         (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-        r_c, _, p_c, _ = _metric_grid(cfg.L, e.eps1, e.eps2, g_c, 0.0, cfg.K, estimator)
-        _, r_n, _, p_n = _metric_grid(cfg.L, e.eps1, e.eps2, 0.0, g_n, cfg.K, estimator)
+        grids = ((g_c, 0.0), (0.0, g_n))
     else:
         share_c = share_n = 1.0
-        r_c, r_n, p_c, p_n = _metric_grid(
-            cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, cfg.K, estimator
-        )
+        grids = ((cfg.cs_slot_load, cfg.ncs_slot_load),)
+    for loads in grids:
+        _check_two_class_work(*loads)
+    per_grid = [estimator.metrics(cfg.L, e.eps1, e.eps2, *loads, cfg.K) for loads in grids]
+    (r_c, _, p_c, _), (_, r_n, _, p_n) = per_grid[0], per_grid[-1]
     scaled = ((r_c, share_c), (r_n, share_n), (p_c, 1.0), (p_n, 1.0))
     if estimator.seed is None:
-        return ServiceMetrics(*(acc.mean * s for acc, s in scaled))
+        return ServiceMetrics(*(value * s for value, s in scaled))
     return SimulatedMetrics(*(acc.estimate(estimator.seed, s) for acc, s in scaled))

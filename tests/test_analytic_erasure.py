@@ -1,6 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 
 import twohop_aloha.analytic_erasure as ae
@@ -67,6 +72,35 @@ def test_reference_series_matches_closed_form_on_grid():
 def test_reference_series_zero_load():
     tput, psr = ae.isolated_class_metrics(3, 0.5, 0.5, [0.0, 0.0])
     assert tput.tolist() == [0.0, 0.0] and psr.tolist() == [0.0, 0.0]
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_poisson_expectation_refuses_values_outside_unit_interval():
+    # such an f once made the sum spin forever; a subprocess with a timeout
+    # turns a regression into a failure rather than a hung suite
+    script = textwrap.dedent("""
+        import numpy as np
+        from twohop_aloha.analytic_erasure import poisson_expectation
+        refused = 0
+        for value in (-0.5, np.nan, np.inf):
+            try:
+                poisson_expectation(lambda n: np.full((1, n.size), value), [2.0])
+            except ValueError:
+                refused += 1
+        raise SystemExit(refused)
+    """)
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_poisson_expectation_of_zero_is_zero():
+    zero = ae.poisson_expectation(lambda n: np.zeros((1, n.size)), [0.0, 2.0, 50.0])
+    assert zero.tolist() == [[0.0, 0.0, 0.0]]
 
 
 def test_psr_cs_single_limits():

@@ -226,12 +226,64 @@ def test_eval_superposition_uses_exact_estimator(tmp_path, capsys):
     assert out.startswith("R_c = ")
 
 
-def test_eval_capacity_error_exit_code(tmp_path):
-    body = BASE_INI.replace("receiver = collision", "receiver = superposition")
-    body = body.replace("gamma_c = 1.0", "gamma_c = 0.5")
-    body += "\n[superposition]\nestimator = exact\nenum_limit = 5\n"
-    path = write_ini(tmp_path, body)
-    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+# The README scenario under the superposition receiver.
+SUPERPOSITION_INI = (
+    BASE_INI.replace("receiver = collision", "receiver = superposition")
+    .replace("gamma_c = 1.0", "gamma_c = 0.5")
+    .replace("K = inf", "K = 2")
+)
+
+
+def test_eval_capacity_error_exit_code(tmp_path, capsys):
+    # loads whose two Poisson supports span more than 2**26 cells are
+    # refused by both estimators before any work
+    body = SUPERPOSITION_INI.replace("T = 8", "T = 1").replace("G = 16.0", "G = 2e4")
+    for estimator in ("exact", "mc"):
+        path = write_ini(tmp_path, body + f"\n[superposition]\nestimator = {estimator}\n")
+        t0 = time.perf_counter()
+        assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+        assert time.perf_counter() - t0 < 10.0
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "two-class limit" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "region"])
+def test_retired_superposition_key_is_config_error(tmp_path, capsys, command):
+    # the exact estimator has no enumeration budget any more; its old key
+    # is refused by name instead of being ignored
+    body = SUPERPOSITION_INI + "\n[superposition]\nestimator = exact\nenum_limit = 5\n"
+    path = write_ini(tmp_path, body + "\n[region]\nbackend = superposition\n")
+    out = str(tmp_path / "region.csv")
+    assert cli.main([command, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    assert "'enum_limit'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_eval_superposition_many_aps(tmp_path, capsys):
+    # L = 1100 overflows float binomial coefficients; the kernel takes logs
+    path = write_ini(tmp_path, SUPERPOSITION_INI.replace("L = 3", "L = 1100"))
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+    values = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert all(0.0 <= float(v) <= 1.0 for v in values.values()), values
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--backend", "fading"]),
+    ("eval", ["--frames", "5"]),
+    ("eval", ["--slots", "3"]),
+    ("eval", ["--workers", "9"]),
+    ("sim", ["--slots", "3"]),
+    ("sim", ["--backend", "fading"]),
+    ("fading", ["--frames", "5"]),
+    ("validate", ["--backend", "sim"]),
+    ("validate", ["--frames", "5"]),
+    ("region", ["--target-se", "0.1"]),
+])
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, command, flags):
+    path = write_ini(tmp_path, BASE_INI)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", path, *flags])
+    assert exc.value.code == cli.EXIT_CONFIG
 
 
 def test_eval_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -231,14 +231,14 @@ EXPECTED = {"coupled_compare": 0,
                            (0.0, 0.0, 19619, 23),
                            ("ncs-class-has-zero-slots",)),
  "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15),
- "superposition_exact": (0.270714961890864,
-                         0.14550697337070734,
-                         0.3675825146611995,
-                         0.1958204862309792),
- "superposition_exact_tdma": (0.09145290680710472,
-                              0.2170024069196753,
-                              0.24491081070912354,
-                              0.43634954507757784),
+ "superposition_exact": (0.27071496189086386,
+                         0.1455069733707074,
+                         0.3675825146611997,
+                         0.19582048623097922),
+ "superposition_exact_tdma": (0.0914529068071047,
+                              0.21700240691967523,
+                              0.2449108107091235,
+                              0.4363495450775778),
  "superposition_mc": ((0.27578643470912106, 0.002992561694824768, 45000, 18),
                       (0.14294993995433858, 0.0026206701975356604, 45000, 18),
                       (0.357747760007771, 0.004784849077600639, 42000, 18),

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.superposition as sp
@@ -144,28 +146,81 @@ def test_enumerated_weights_sum_to_one():
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def _kernel(L, n_c, n_n, e1, e2, k):
+    """The exact kernel's (tagged CS, tagged NCS) decode probabilities at one pair."""
+    ap, bs = _budgets(L, n_n, e1, e2, k)
+    cs, ncs = sp._tagged_decode(L, e1, e2, np.array([n_c]), np.array([n_n]), np.array(ap), bs)
+    return float(cs[0, 0]), float(ncs[0, 0])
+
+
+def _literal(L, n_c, n_n, e1, e2, k):
+    """(CS, NCS) throughputs and tagged terms by enumerating every allocation;
+    a tagged term of a class with no message is None."""
+    ap, bs = _budgets(L, n_n, e1, e2, k)
+    rows, w = _enumerated(L, sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n]))
+    r_cs, r_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, bs))
+    tag_cs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, True) if n_c else None
+    tag_ncs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, False) if n_n else None
+    return r_cs, r_ncs, tag_cs, tag_ncs
+
+
+def _assert_kernel_is_literal(L, n_c, n_n, e1, e2, k, abs_tol=1e-12):
+    tag_cs, tag_ncs = _kernel(L, n_c, n_n, e1, e2, k)
+    lit_r_cs, lit_r_ncs, lit_cs, lit_ncs = _literal(L, n_c, n_n, e1, e2, k)
+    # a class delivers n times its tagged-message probability
+    assert n_c * tag_cs == pytest.approx(lit_r_cs, abs=abs_tol)
+    assert n_n * tag_ncs == pytest.approx(lit_r_ncs, abs=abs_tol)
+    if lit_cs is not None:
+        assert tag_cs == pytest.approx(lit_cs, abs=abs_tol)
+    if lit_ncs is not None:
+        assert tag_ncs == pytest.approx(lit_ncs, abs=abs_tol)
+
+
 @pytest.mark.parametrize("n_c,n_n", [(2, 3), (1, 0), (0, 2), (3, 3)])
 def test_marginalized_inner_equals_literal_enumeration(n_c, n_n):
-    L, e1, e2, K = 3, 0.4, 0.5, 1
-    ap, bs = _budgets(L, n_n, e1, e2, K)
-    probs = sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n])
-    rows, w = _enumerated(L, probs)
-    lit_cs, lit_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, bs))
-    q_cs, q_ncs = sp._exact_inner_throughput(L, n_c, n_n, e1, e2, ap, bs)
-    assert q_cs == pytest.approx(lit_cs, abs=1e-12)
-    assert q_ncs == pytest.approx(lit_ncs, abs=1e-12)
+    _assert_kernel_is_literal(3, n_c, n_n, 0.4, 0.5, 1)
 
 
 @pytest.mark.parametrize("n_tag,n_oth,tagged_cs", [(2, 3, True), (1, 0, True), (3, 2, False), (1, 1, False)])
 def test_marginalized_psr_equals_literal_enumeration(n_tag, n_oth, tagged_cs):
-    L, e1, e2, K = 4, 0.3, 0.6, 1
     n_c, n_n = (n_tag, n_oth) if tagged_cs else (n_oth, n_tag)
-    ap, bs = _budgets(L, n_n, e1, e2, K)
-    probs = sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n])
-    rows, w = _enumerated(L, probs)
-    lit = w @ sp._mc_tagged_values(rows, n_c, e2, bs, tagged_cs)
-    marg = sp._exact_inner_psr(L, n_tag, n_oth, e1, e2, ap, bs, tagged_cs)
-    assert marg == pytest.approx(lit, abs=1e-12)
+    _assert_kernel_is_literal(4, n_c, n_n, 0.3, 0.6, 1)
+
+
+@given(
+    L=st.integers(1, 5),
+    n_c=st.integers(0, 4),
+    n_n=st.integers(0, 4),
+    e1=st.floats(0.0, 1.0),
+    e2=st.floats(0.0, 1.0),
+    k=st.sampled_from([0, 1, 2, 3, INFINITE_K]),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_equals_literal_enumeration(L, n_c, n_n, e1, e2, k):
+    _assert_kernel_is_literal(L, n_c, n_n, e1, e2, k)
+
+
+def test_kernel_has_no_cancellation_near_full_access_erasure():
+    # e1 = 1 - 1e-9 leaves d ~ 1e-11 against B ~ 1: the plain difference of
+    # powers (B + d)**m - B**m loses about 1e-7 of its value here
+    L, e1, e2 = 3, 1.0 - 1e-9, 0.99
+    for n_c, n_n, k in ((1, 1, 2), (2, 3, 1), (4, 2, INFINITE_K)):
+        tag_cs, tag_ncs = _kernel(L, n_c, n_n, e1, e2, k)
+        _, _, lit_cs, lit_ncs = _literal(L, n_c, n_n, e1, e2, k)
+        assert tag_cs == pytest.approx(lit_cs, rel=1e-12, abs=0)
+        assert tag_ncs == pytest.approx(lit_ncs, rel=1e-12, abs=0)
+    # (R_c, R_cbar, Gamma_c, Gamma_cbar) at T = 1, G = 2, gamma_c = 0.5 from
+    # per-pair sums of positive terms, which have no difference of powers
+    pinned = {
+        2: (2.9999999120497525e-11, 2.999999908989752e-11,
+            2.9999999133410377e-11, 2.999999910281037e-11),
+        INFINITE_K: (2.9999999120497525e-11, 2.999999908989752e-11,
+                     2.9999999133410377e-11, 2.999999910281037e-11),
+    }
+    for k, values in pinned.items():
+        m = sp.evaluate_superposition(sup_cfg(L=L, e1=e1, e2=e2, K=k))
+        got = (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)
+        assert got == pytest.approx(values, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +269,37 @@ def test_exact_and_mc_estimators_agree():
     assert mc == mc2
 
 
-def test_capacity_error_never_silently_degrades():
-    cfg = sup_cfg(L=5, G=12.0)
-    with pytest.raises(sp.CapacityError):
-        sp.evaluate_superposition(cfg, sp.ExactEnum(limit=50))
+@pytest.mark.parametrize("L", [5, 8, 20])
+def test_many_aps_are_answered_and_match_mc(L):
+    # the README load with more APs than enumerating the allocations affords
+    cfg = sup_cfg(L=L, T=8, G=16.0, K=2)
+    exact = sp.evaluate_superposition(cfg)
+    mc = sp.evaluate_superposition(cfg, sp.ConditionedMC(n_alloc_samples=2000, seed=L))
+    for name in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+        est = getattr(mc, name)
+        assert abs(est.mean - getattr(exact, name)) <= 4.0 * est.std_error, name
+
+
+def test_l1100_is_finite():
+    # float binomial coefficients overflow from L = 1030 on
+    m = sp.evaluate_superposition(sup_cfg(L=1100, T=8, G=16.0, K=2))
+    values = (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in values), values
+
+
+def test_capacity_error_never_silently_degrades(monkeypatch):
+    # both estimators refuse a grid beyond 2**26 support cells, before any
+    # work; a TDMA class grid spans one class's support only
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(sp, "poisson_weights", no_work)
+    monkeypatch.setattr(sp, "gamma_k_tolerance_array", no_work)
+    for cfg in (sup_cfg(L=5, T=1, G=2e4, K=2),
+                sup_cfg(L=5, T=1, G=2e8, K=2, allocation=Tdma(alpha=0.5))):
+        for estimator in (sp.ExactEnum(), sp.ConditionedMC(n_alloc_samples=10)):
+            with pytest.raises(ValueError, match="two-class limit"):
+                sp.evaluate_superposition(cfg, estimator)
 
 
 def test_zero_load_class_metrics():
