@@ -413,8 +413,18 @@ def gamma_k_tolerance_array(x, eps: float, k: Tolerance) -> np.ndarray:
         raise ValueError(f"k must be >= 0 (or INFINITE_K), got {k}")
     if k == -1:
         return np.zeros(x.shape)
-    out = stats.binom.cdf(k, x, 1.0 - eps)
-    return np.where(x <= k, 1.0, out)
+    n = 1 << int(x.max(initial=0)).bit_length()
+    return _tolerance_row(n, float(eps), int(k))[x]
+
+
+@functools.lru_cache(maxsize=64)
+def _tolerance_row(n: int, eps: float, k: int) -> np.ndarray:
+    """Read-only tolerance row at the counts 0..n; indexing it copies.
+    Memoized: each ``stats.binom.cdf`` call costs far more than its row."""
+    x = np.arange(n + 1)
+    row = np.where(x <= k, 1.0, stats.binom.cdf(k, x, 1.0 - eps))
+    row.flags.writeable = False
+    return row
 
 
 # ============================================================================

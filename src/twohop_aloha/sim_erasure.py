@@ -5,11 +5,13 @@ device activation, uniform slot choice, i.i.d. access/backhaul erasures,
 the three-state AP rule, and the scenario's BS receiver rule (collision or
 superposition).  Each chunk of frames is drawn once (``_draw_frames``) and
 decoded for every tolerance K asked for, so ``simulate_multi_k`` compares K
-values slot by slot; ``coupled_compare`` decodes one realization with both
-receivers.  Counting and decoding run on the chunk's occupied cells only,
-those with at least one unerased arrival: an empty cell decodes nothing,
-so at low loads most of a chunk is never decoded.  The uplink and
-all-device PSR estimators, which only tests use, live in
+values slot by slot; what does not depend on K is decoded once per chunk.
+``coupled_compare`` decodes one realization with both receivers.  Counting
+and decoding run on the chunk's occupied cells only, those with at least
+one unerased arrival, in (AP, occupied cell) arrays: the BS rule loops
+over L contiguous rows.  An AP decodes only a sole arrival, so each
+(AP, cell) keeps one arrival's identity, read only where it is alone.  The
+uplink and all-device PSR estimators, which only tests use, live in
 ``tests/erasure_oracles.py`` and draw through the same code.
 
 Determinism contract: results are a pure function of (config, n_frames,
@@ -37,7 +39,6 @@ from .core import (
 )
 
 _ID_NONE = 0  # BS/AP "decoded nothing" marker; device ids start at 1
-_BIG = np.int64(2**62)
 
 
 # ============================================================================
@@ -66,60 +67,74 @@ def _chunk_frames(spec: _EngineSpec) -> int:
     return int(min(131072, max(256, 6_000_000 // per_frame)))
 
 
-def _class_counts(rows: int, L: int, dev_row, flat):
-    """Per-(row, AP) unerased-arrival counts and decoded-identity sums.
+_UNIFORM_ROWS = 1 << 13  # rows of one block of blocked uniform draws
 
-    ``flat`` lists the unerased arrivals in device order as ``dev * L + ap``
-    and ``dev_row`` gives each device's row; device i carries the identity
-    i + 1.  Each bin sums its identities in device order.
+
+def _uniform_blocks(rng: np.random.Generator, n: int, L: int):
+    """``rng.random((n, L))`` as ``(first_row, block)`` pairs of at most
+    ``_UNIFORM_ROWS`` rows, each valid until the next is drawn into the one
+    buffer.  Each value takes one 64-bit output, so the values and the
+    generator state afterwards are those of the one large draw.
+    """
+    buf = np.empty((min(n, _UNIFORM_ROWS), L))
+    for start in range(0, n, _UNIFORM_ROWS):
+        block = buf[: min(_UNIFORM_ROWS, n - start)]
+        rng.random(out=block)
+        yield start, block
+
+
+def _arrivals(rng: np.random.Generator, n_dev: int, L: int, eps1: float, n_slots: int):
+    """Unerased access arrivals as ``dev * L + ap`` in device order; none for
+    a class without slots, whose active devices never transmit."""
+    hits = [np.flatnonzero(b >= eps1) + s * L for s, b in _uniform_blocks(rng, n_dev, L)]
+    return np.concatenate(hits) if hits and n_slots else np.zeros(0, np.intp)
+
+
+def _class_counts(rows: int, L: int, dev_row, flat):
+    """Per-(AP, row) counts and identities of the arrivals ``flat``.
+
+    ``dev_row`` gives each device's row; device i carries the identity
+    i + 1.  Where arrivals collide the stored identity is any of theirs:
+    it is read only where an arrival is alone.
     """
     dev = flat // L
-    bins = flat + (dev_row[dev] - dev) * L  # row * L + ap
-    counts = np.bincount(bins, minlength=rows * L).reshape(rows, L)
-    idsum = np.bincount(bins, weights=dev + 1.0, minlength=rows * L).astype(np.int64)
-    return counts, idsum.reshape(rows, L)
+    bins = (flat - dev * L) * rows + dev_row[dev]  # ap * rows + row
+    counts = np.bincount(bins, minlength=L * rows).reshape(L, rows)
+    ids = np.zeros(L * rows, dtype=np.int32)  # a chunk holds far fewer than 2**31 devices
+    dev += 1
+    ids[bins] = dev
+    return counts, ids.reshape(L, rows)
 
 
-def _ap_decode(counts_c, counts_n, K: Tolerance):
-    """Per-(cell, AP) CS and NCS decodes under the three-state AP rule.
-
-    An AP decodes a CS packet iff exactly one CS copy arrives and at most K
-    NCS copies do; an NCS packet iff exactly one NCS copy and no CS copy
-    arrive; otherwise it stays silent.
+def _ap_decode(counts_c, counts_n):
+    """(AP, row) decodes under the three-state AP rule, before the K budget:
+    an AP decodes a CS packet iff exactly one CS copy arrives and at most K
+    NCS copies do (``_within``); an NCS packet iff exactly one NCS copy and
+    no CS copy arrive; otherwise it stays silent.
     """
-    within_budget = True if is_infinite(K) else counts_n <= K
-    cs_dec = (counts_c == 1) & within_budget
-    ncs_dec = (counts_n == 1) & (counts_c == 0)
-    return cs_dec, ncs_dec
+    return counts_c == 1, (counts_n == 1) & (counts_c == 0)
 
 
-def _bs_decode(receiver: str, K: Tolerance, del_c, idsum_c, del_n, idsum_n):
-    """Per-cell BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` from AP deliveries.
+def _within(count, K: Tolerance):
+    return True if is_infinite(K) else count <= K
 
-    ``del_*`` marks the (cell, AP) decodes that survived the backhaul and
-    ``idsum_*`` holds the decoded identities.  The collision receiver needs
-    exactly one delivery of the class; the superposition receiver needs at
-    least one, all of the same message.  A CS decode also needs at most K
-    NCS deliveries, an NCS decode none of the CS class.
+
+def _bs_class(receiver: str, dels, ids):
+    """Per-row deliveries ``dels`` of one class and the identity the BS
+    decodes (``_ID_NONE`` for none): the collision receiver needs exactly one
+    delivery, the superposition receiver at least one, all of one message.
     """
-    ndc = del_c.sum(axis=1)
-    ndn = del_n.sum(axis=1)
-    within_budget = True if is_infinite(K) else ndn <= K
+    n = np.zeros(dels.shape[1], dtype=np.min_scalar_type(len(dels)))
+    got = np.zeros(dels.shape[1], dtype=ids.dtype)  # largest delivered identity
+    clash = np.zeros(dels.shape[1], dtype=bool)
+    for d, v in zip(dels, ids):  # the L contiguous AP rows
+        n += d
+        if receiver == Receiver.SUPERPOSITION:
+            clash |= d & (got != _ID_NONE) & (got != v)
+        np.maximum(got, v * d, out=got)
     if receiver == Receiver.COLLISION:
-        cs_ok = (ndc == 1) & within_budget
-        cs_id = np.where(cs_ok, (idsum_c * del_c).sum(axis=1), _ID_NONE)
-        ncs_ok = (ndn == 1) & (ndc == 0)
-        ncs_id = np.where(ncs_ok, (idsum_n * del_n).sum(axis=1), _ID_NONE)
-        return cs_ok, cs_id, ncs_ok, ncs_id
-    mx_c = np.max(np.where(del_c, idsum_c, 0), axis=1)
-    mn_c = np.min(np.where(del_c, idsum_c, _BIG), axis=1)
-    cs_ok = (ndc >= 1) & (mx_c == mn_c) & within_budget
-    cs_id = np.where(cs_ok, mx_c, _ID_NONE)
-    mx_n = np.max(np.where(del_n, idsum_n, 0), axis=1)
-    mn_n = np.min(np.where(del_n, idsum_n, _BIG), axis=1)
-    ncs_ok = (ndn >= 1) & (mx_n == mn_n) & (ndc == 0)
-    ncs_id = np.where(ncs_ok, mx_n, _ID_NONE)
-    return cs_ok, cs_id, ncs_ok, ncs_id
+        clash = n != 1
+    return n, np.where(clash, _ID_NONE, got)
 
 
 @dataclass(frozen=True)
@@ -134,29 +149,35 @@ class _ClassDraws:
     """
 
     n_dev: np.ndarray  # active devices per frame
-    frame: np.ndarray  # frame of each device
     row: np.ndarray  # row of each device's (frame, slot) cell
-    counts: np.ndarray  # unerased arrivals per (row, AP)
-    idsum: np.ndarray  # sum of their identities per (row, AP)
+    counts: np.ndarray  # unerased arrivals per (AP, row)
+    ids: np.ndarray  # identity of a sole arrival per (AP, row)
     tag_row: np.ndarray  # row of each tagged device that sits in an occupied cell
     tag_id: np.ndarray  # identity of each of those devices
 
 
-def _class_draws(n_dev, frame, row, counts, idsum, u) -> _ClassDraws:
+def _class_draws(n_dev, busy, row, counts, ids, u) -> _ClassDraws:
     # The tagging uniform is drawn for every frame, busy or not, so the
-    # stream does not depend on the load.
-    pick = np.minimum((u * n_dev).astype(np.int64), np.maximum(n_dev - 1, 0))
-    tag = (np.cumsum(n_dev) - n_dev + pick)[n_dev >= 1]
+    # stream does not depend on the load; only the busy frames tag.
+    n_busy = n_dev[busy]
+    pick = np.minimum((u[busy] * n_busy).astype(np.int64), n_busy - 1)
+    tag = np.cumsum(n_busy) - n_busy + pick
     tag_row = row[tag]
     # A tagged device in an empty cell (the sentinel row) fails for every
     # K, so only those in occupied cells are looked up.
-    seen = tag_row < counts.shape[0]
-    return _ClassDraws(n_dev, frame, row, counts, idsum, tag_row[seen], tag[seen] + 1)
+    seen = tag_row < counts.shape[1]
+    return _ClassDraws(n_dev, row, counts, ids, tag_row[seen], tag[seen] + 1)
+
+
+def _cells(rng: np.random.Generator, n_dev, busy, T: int, first: int, n_slots: int):
+    """Each device's (frame, slot) cell; a class without slots sits in ``first``."""
+    cell = np.repeat(busy, n_dev[busy]) * T + first
+    return cell + rng.integers(0, n_slots, size=cell.size) if n_slots else cell
 
 
 def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
     """F frames as ``(cs, ncs, backhaul)``: the two classes' ``_ClassDraws``
-    and the backhaul successes per (row, AP), none of which depends on K
+    and the backhaul successes per (AP, row), none of which depends on K
     or on the BS receiver.
     """
     L, T = spec.L, spec.T
@@ -168,49 +189,57 @@ def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
 
     # Fixed draw order: counts, slot choices, access erasures, backhaul
     # erasures, tagging uniforms.
-    n_c = rng.poisson(spec.lam_c, F).astype(np.int64)
-    n_n = rng.poisson(spec.lam_n, F).astype(np.int64)
-    frame_c = np.repeat(np.arange(F, dtype=np.int64), n_c)
-    frame_n = np.repeat(np.arange(F, dtype=np.int64), n_n)
-    D_c, D_n = frame_c.size, frame_n.size
-    slot_c = rng.integers(0, cs_T, size=D_c) if cs_T > 0 else np.zeros(D_c, np.int64)
-    slot_n = rng.integers(0, ncs_T, size=D_n) if ncs_T > 0 else np.zeros(D_n, np.int64)
-    arr_c = rng.random((D_c, L)) >= spec.eps1
-    arr_n = rng.random((D_n, L)) >= spec.eps1
-    if cs_T == 0:
-        arr_c &= False  # active devices with no slots never transmit
-    if ncs_T == 0:
-        arr_n &= False
+    n_c = rng.poisson(spec.lam_c, F)
+    n_n = rng.poisson(spec.lam_n, F)
+    busy_c, busy_n = np.flatnonzero(n_c > 0), np.flatnonzero(n_n > 0)
+    cell_c = _cells(rng, n_c, busy_c, T, 0, cs_T)
+    cell_n = _cells(rng, n_n, busy_n, T, ncs_base, ncs_T)
+    flat_c = _arrivals(rng, cell_c.size, L, spec.eps1, cs_T)
+    flat_n = _arrivals(rng, cell_n.size, L, spec.eps1, ncs_T)
 
-    cell_c = frame_c * T + slot_c
-    cell_n = frame_n * T + ncs_base + slot_n
-    # Unerased arrivals as dev * L + ap, in device order.
-    flat_c, flat_n = np.flatnonzero(arr_c), np.flatnonzero(arr_n)
     occupied = np.zeros(F * T, dtype=bool)
     occupied[cell_c[flat_c // L]] = True
     occupied[cell_n[flat_n // L]] = True
     cells = np.flatnonzero(occupied)
     rows = cells.size
-    row = np.full(F * T, rows, dtype=np.int64)  # empty cells: the sentinel row
+    row = np.full(F * T, rows, dtype=np.intp)  # empty cells: the sentinel row
     row[cells] = np.arange(rows)
     row_c, row_n = row[cell_c], row[cell_n]
+    del occupied, row, cell_c, cell_n  # freed before the counts allocate
 
     # The backhaul is drawn for every cell and kept for the occupied ones;
     # np.take gathers rows faster than fancy indexing does.
-    backhaul = np.take(rng.random((F * T, L)) >= spec.eps2, cells, axis=0)
+    backhaul = np.empty((L, rows), dtype=bool)
+    for start, block in _uniform_blocks(rng, F * T, L):
+        lo, hi = np.searchsorted(cells, (start, start + len(block)))
+        backhaul[:, lo:hi] = (np.take(block, cells[lo:hi] - start, axis=0) >= spec.eps2).T
     u_c = rng.random(F)
     u_n = rng.random(F)
 
-    cs = _class_draws(n_c, frame_c, row_c, *_class_counts(rows, L, row_c, flat_c), u_c)
-    ncs = _class_draws(n_n, frame_n, row_n, *_class_counts(rows, L, row_n, flat_n), u_n)
+    cs = _class_draws(n_c, busy_c, row_c, *_class_counts(rows, L, row_c, flat_c), u_c)
+    del flat_c
+    ncs = _class_draws(n_n, busy_n, row_n, *_class_counts(rows, L, row_n, flat_n), u_n)
     return cs, ncs, backhaul
+
+
+def _decodes(frames, receiver: str, k_values):
+    """Per-row BS identities ``(cs_id, ncs_id)`` of drawn frames, one pair
+    per K.  A CS decode also needs at most K NCS deliveries, an NCS decode
+    none of the CS class; what does not depend on K is decoded once.
+    """
+    cs, ncs, backhaul = frames
+    cs_dec, ncs_dec = _ap_decode(cs.counts, ncs.counts)
+    cs_dec &= backhaul
+    n_ncs, ncs_id = _bs_class(receiver, ncs_dec & backhaul, ncs.ids)
+    for K in k_values:
+        n_cs, cs_id = _bs_class(receiver, cs_dec & _within(ncs.counts, K), cs.ids)
+        yield np.where(_within(n_ncs, K), cs_id, _ID_NONE), np.where(n_cs == 0, ncs_id, _ID_NONE)
 
 
 def _decode(frames, receiver: str, K: Tolerance):
     """Per-row BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
-    cs, ncs, backhaul = frames
-    cs_dec, ncs_dec = _ap_decode(cs.counts, ncs.counts, K)
-    return _bs_decode(receiver, K, cs_dec & backhaul, cs.idsum, ncs_dec & backhaul, ncs.idsum)
+    ((cs_id, ncs_id),) = _decodes(frames, receiver, (K,))
+    return cs_id != _ID_NONE, cs_id, ncs_id != _ID_NONE, ncs_id
 
 
 def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
@@ -220,11 +249,11 @@ def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
 def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     frames = _draw_frames(spec, F, rng)
     cs, ncs, _ = frames
-    out = {"cs_trials": int(np.sum(cs.n_dev >= 1)), "ncs_trials": int(np.sum(ncs.n_dev >= 1))}
-    for ki, K in enumerate(spec.k_values):
-        cs_ok, cs_id, ncs_ok, ncs_id = _decode(frames, spec.receiver, K)
-        out[(ki, "cs_slots")] = int(cs_ok.sum())
-        out[(ki, "ncs_slots")] = int(ncs_ok.sum())
+    out = {"cs_trials": int(np.count_nonzero(cs.n_dev))}
+    out["ncs_trials"] = int(np.count_nonzero(ncs.n_dev))
+    for ki, (cs_id, ncs_id) in enumerate(_decodes(frames, spec.receiver, spec.k_values)):
+        out[(ki, "cs_slots")] = int(np.count_nonzero(cs_id))
+        out[(ki, "ncs_slots")] = int(np.count_nonzero(ncs_id))
         out[(ki, "cs_tag_succ")] = _tagged_successes(cs, cs_id)
         out[(ki, "ncs_tag_succ")] = _tagged_successes(ncs, ncs_id)
     return out

@@ -3,7 +3,7 @@
 Each estimator draws its frames with ``sim_erasure._draw_frames`` on the
 engine's own chunks and substreams, so at a given seed it sees exactly the
 realization that ``simulate`` sees, and decodes it with the engine's
-``_ap_decode`` and ``_bs_decode``.
+``_ap_decode`` and ``_decode``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,15 @@ from twohop_aloha.sim_erasure import (
     _draw_frames,
     _run_engine,
     _spec_from_config,
+    _within,
 )
 
 
 def _uplink_chunk(spec, F, rng) -> dict:
     cs, ncs, _ = _draw_frames(spec, F, rng)
-    cs_dec, _ = _ap_decode(cs.counts, ncs.counts, spec.k_values[0])
-    return {"succ": int(cs_dec.any(axis=1).sum())}
+    cs_dec, _ = _ap_decode(cs.counts, ncs.counts)
+    cs_dec &= _within(ncs.counts, spec.k_values[0])
+    return {"succ": int(cs_dec.any(axis=0).sum())}
 
 
 def simulate_uplink_decode(
@@ -46,7 +48,8 @@ def _device_psr_chunk(spec, F, rng) -> dict:
         ids = np.arange(1, draws.row.size + 1, dtype=np.int64)
         # a device in an empty cell maps to the sentinel row, which decodes nothing
         succ = (np.append(dec_id, _ID_NONE)[draws.row] == ids).astype(np.int64)
-        per_frame = np.bincount(draws.frame, weights=succ, minlength=F)
+        frame = np.repeat(np.arange(F), draws.n_dev)
+        per_frame = np.bincount(frame, weights=succ, minlength=F)
         active = draws.n_dev >= 1
         frac = per_frame[active] / draws.n_dev[active]
         out[(tag, "trials")] = int(active.sum())

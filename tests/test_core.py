@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from twohop_aloha.core import (
     INFINITE_K,
@@ -192,6 +193,27 @@ def test_gamma_k_array_matches_scalar():
         assert v == pytest.approx(brute_gamma_k(int(x), 0.4, 2), abs=1e-12)
     assert np.all(gamma_k_tolerance_array(xs, 0.4, INFINITE_K) == 1.0)
     assert np.all(gamma_k_tolerance_array(xs, 0.4, -1) == 0.0)
+
+
+@given(
+    x=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=24),
+    rows=st.sampled_from([1, 2, 4]),
+    eps=st.one_of(
+        st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+    ),
+    k=st.integers(min_value=0, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_gamma_k_memoized_rows_are_bit_identical(x, rows, eps, k):
+    # unsorted counts, padded with k (at or below the budget) into 1 to 4 rows
+    x = np.array(x + [k] * (-len(x) % rows)).reshape(rows, -1)
+    want = np.where(x <= k, 1.0, stats.binom.cdf(k, x, 1.0 - eps))
+    got = gamma_k_tolerance_array(x, eps, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # a caller's in-place write stays with the caller
+    got[...] = -1.0
+    assert gamma_k_tolerance_array(x, eps, k).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

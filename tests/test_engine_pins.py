@@ -55,6 +55,8 @@ _TDMA_ALL_NCS = _erasure(T=4, G=8.0, allocation=Tdma(alpha=0.0))
 _MULTI_K = _erasure(T=1, G=2.0, receiver=Receiver.SUPERPOSITION)
 # A validate grid point: most cells hold no unerased arrival.
 _VALIDATE_REGIME = _erasure(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9, e2=0.5)
+# L=5, T=8, G=16 gives 50,000-frame chunks: 60,000 frames span two.
+_MULTI_K_SUP_TWO_CHUNKS = _erasure(L=5, T=8, G=16.0, receiver=Receiver.SUPERPOSITION)
 # 20,000 slots span two 16,384-slot chunks.
 _FADING = ScenarioConfig(
     L=3, T=1, G=1.5, gamma_c=0.5, channel=FadingParams(alpha2=1.0, beta2=2.0)
@@ -78,6 +80,12 @@ CASES = {
     "simulate_multi_k_validate_regime": lambda: tuple(
         (str(k), _metrics(m))
         for k, m in se.simulate_multi_k(_VALIDATE_REGIME, (0, 1, 2, 5), 40_000, 24).items()
+    ),
+    "simulate_multi_k_superposition_two_chunks": lambda: tuple(
+        (str(k), _metrics(m))
+        for k, m in se.simulate_multi_k(
+            _MULTI_K_SUP_TWO_CHUNKS, (0, 1, 2, 5, INFINITE_K), 60_000, 26
+        ).items()
     ),
     "simulate_multi_k_all_erased": lambda: tuple(
         (str(k), _metrics(m))
@@ -184,6 +192,36 @@ EXPECTED = {"coupled_compare": 0,
                                   (0.0, 0.0, 4309, 25),
                                   (0.0, 0.0, 4348, 25),
                                   ()))),
+ "simulate_multi_k_superposition_two_chunks": (("0",
+                                                ((0.20842708333333335, 0.0005862763462211585, 480000, 26),
+                                                 (0.209775, 0.0005876680517249566, 480000, 26),
+                                                 (0.22757056871800857, 0.0017119800718747023, 59977, 26),
+                                                 (0.22707642026979707, 0.001710752855164431, 59971, 26),
+                                                 ())),
+                                               ("1",
+                                                ((0.35088125, 0.0006888457630143018, 480000, 26),
+                                                 (0.17924583333333333, 0.0005536189104803018, 480000, 26),
+                                                 (0.38414725644830516, 0.0019860883285825917, 59977, 26),
+                                                 (0.1934935218689033, 0.001613132794626988, 59971, 26),
+                                                 ())),
+                                               ("2",
+                                                ((0.3954729166666667, 0.0007057422022858313, 480000, 26),
+                                                 (0.17369583333333333, 0.0005468201445406941, 480000, 26),
+                                                 (0.4327158744185271, 0.0020230796444805233, 59977, 26),
+                                                 (0.1880408864284404, 0.001595607984462606, 59971, 26),
+                                                 ())),
+                                               ("5",
+                                                ((0.4055125, 0.0007086851301564923, 480000, 26),
+                                                 (0.17313333333333333, 0.0005461197984971195, 480000, 26),
+                                                 (0.44385347716624707, 0.002028736661538751, 59977, 26),
+                                                 (0.18764069300161745, 0.0015943019229437863, 59971, 26),
+                                                 ())),
+                                               ("INFINITE_K",
+                                                ((0.40553333333333336, 0.0007086909163081718, 480000, 26),
+                                                 (0.17313333333333333, 0.0005461197984971195, 480000, 26),
+                                                 (0.4438868232822582, 0.0020287520443005415, 59977, 26),
+                                                 (0.18764069300161745, 0.0015943019229437863, 59971, 26),
+                                                 ()))),
  "simulate_multi_k_validate_regime": (("0",
                                       ((0.0042, 0.0003233598831647967, 40000, 24),
                                        (0.0433, 0.0010176706939580376, 40000, 24),

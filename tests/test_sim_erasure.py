@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,14 +208,15 @@ def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
     def class_counts(rows):
         arrivals = np.array(rows, dtype=bool).reshape(len(rows), L)
         dev_row = np.zeros(len(rows), dtype=np.int64)
-        return se._class_counts(1, L, dev_row, np.flatnonzero(arrivals))
+        counts, ids = se._class_counts(1, L, dev_row, np.flatnonzero(arrivals))
+        return SimpleNamespace(counts=counts, ids=ids)
 
-    counts_c, idsum_c = class_counts(cs)
-    counts_n, idsum_n = class_counts(ncs)
-    cs_dec, ncs_dec = se._ap_decode(counts_c, counts_n, K)
-    ap = [_outcome(cs_dec[0, l], idsum_c[0, l], ncs_dec[0, l], idsum_n[0, l]) for l in range(L)]
-    backhaul = np.array([bh], dtype=bool)
-    bs = se._bs_decode(receiver, K, cs_dec & backhaul, idsum_c, ncs_dec & backhaul, idsum_n)
+    c, n = class_counts(cs), class_counts(ncs)
+    cs_dec, ncs_dec = se._ap_decode(c.counts, n.counts)
+    cs_dec &= se._within(n.counts, K)
+    ap = [_outcome(cs_dec[l, 0], c.ids[l, 0], ncs_dec[l, 0], n.ids[l, 0]) for l in range(L)]
+    backhaul = np.array([bh], dtype=bool).T  # (AP, cell)
+    bs = se._decode((c, n, backhaul), receiver, K)
     return ap, _outcome(*(x[0] for x in bs))
 
 
@@ -304,13 +307,45 @@ def _dense_frames(spec, F, rng):
     return cs, ncs, backhaul
 
 
+def _dense_ap_decode(counts_c, counts_n, K):
+    within_budget = True if K is INFINITE_K else counts_n <= K
+    return (counts_c == 1) & within_budget, (counts_n == 1) & (counts_c == 0)
+
+
+def _dense_bs_decode(receiver, K, del_c, idsum_c, del_n, idsum_n):
+    """Per-cell BS decodes from (cell, AP) deliveries and identity sums."""
+    big = np.int64(2**62)
+    ndc = del_c.sum(axis=1)
+    ndn = del_n.sum(axis=1)
+    within_budget = True if K is INFINITE_K else ndn <= K
+    if receiver == Receiver.COLLISION:
+        cs_ok = (ndc == 1) & within_budget
+        cs_id = np.where(cs_ok, (idsum_c * del_c).sum(axis=1), 0)
+        ncs_ok = (ndn == 1) & (ndc == 0)
+        ncs_id = np.where(ncs_ok, (idsum_n * del_n).sum(axis=1), 0)
+        return cs_ok, cs_id, ncs_ok, ncs_id
+    mx_c = np.max(np.where(del_c, idsum_c, 0), axis=1)
+    mn_c = np.min(np.where(del_c, idsum_c, big), axis=1)
+    cs_ok = (ndc >= 1) & (mx_c == mn_c) & within_budget
+    cs_id = np.where(cs_ok, mx_c, 0)
+    mx_n = np.max(np.where(del_n, idsum_n, 0), axis=1)
+    mn_n = np.min(np.where(del_n, idsum_n, big), axis=1)
+    ncs_ok = (ndn >= 1) & (mx_n == mn_n) & (ndc == 0)
+    ncs_id = np.where(ncs_ok, mx_n, 0)
+    return cs_ok, cs_id, ncs_ok, ncs_id
+
+
 def _dense_chunk(spec, F, rng):
-    """Reference tallies: the chunk's draws decoded on every cell."""
+    """Reference tallies: the chunk's draws decoded on every cell.
+
+    The decoders reduce (cell, AP) arrays of counts and identity sums along
+    the AP axis, a layout and an algorithm the engine does not share.
+    """
     cs, ncs, backhaul = _dense_frames(spec, F, rng)
     out = {"cs_trials": int(np.sum(cs[0] >= 1)), "ncs_trials": int(np.sum(ncs[0] >= 1))}
     for ki, K in enumerate(spec.k_values):
-        cs_dec, ncs_dec = se._ap_decode(cs[1], ncs[1], K)
-        cs_ok, cs_id, ncs_ok, ncs_id = se._bs_decode(
+        cs_dec, ncs_dec = _dense_ap_decode(cs[1], ncs[1], K)
+        cs_ok, cs_id, ncs_ok, ncs_id = _dense_bs_decode(
             spec.receiver, K, cs_dec & backhaul, cs[2], ncs_dec & backhaul, ncs[2]
         )
         out[(ki, "cs_slots")] = int(cs_ok.sum())
@@ -322,6 +357,8 @@ def _dense_chunk(spec, F, rng):
             out[(ki, name)] = int(np.sum((n_dev >= 1) & (dec_id[tag_cell] == tag_id)))
     return out
 
+
+_VALIDATE_KS = (0, 1, 2, 5, INFINITE_K)
 
 _DENSE_CASES = [
     *(
@@ -338,20 +375,29 @@ _DENSE_CASES = [
     dict(L=3, T=1, G=40.0, gamma_c=0.5, e1=0.1),  # every cell is occupied
     # long runs of idle frames, whose tags must score nothing
     dict(L=1, T=1, G=0.05, gamma_c=0.5, e1=0.0),
+    # the validate regime: most cells hold no unerased arrival
+    *(
+        dict(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9, receiver=r, ks=_VALIDATE_KS)
+        for r in (Receiver.COLLISION, Receiver.SUPERPOSITION)
+    ),
+    # the cells' and each class's uniforms span two blocks
+    dict(L=3, T=8, G=12.0, gamma_c=0.5, receiver=Receiver.SUPERPOSITION, ks=_VALIDATE_KS),
 ]
 
 
 @pytest.mark.parametrize("case", _DENSE_CASES)
 def test_occupied_cell_chunk_matches_dense_decode(case):
+    case = dict(case)
+    ks = case.pop("ks", (0, 2, INFINITE_K))
     cfg = erasure_cfg(**{"e1": 0.5, "e2": 0.4, **case})
-    spec = se._spec_from_config(cfg, (0, 2, INFINITE_K))
+    spec = se._spec_from_config(cfg, ks)
     F = 1500
     for seed in (31, 32):
         want = _dense_chunk(spec, F, np.random.default_rng(seed))
         got = se._run_chunk(spec, F, np.random.default_rng(seed))
         assert got == want and list(got) == list(want)
         assert all(type(v) is int for v in got.values())
-    rows = len(se._draw_frames(spec, F, np.random.default_rng(31))[2])
+    rows = se._draw_frames(spec, F, np.random.default_rng(31))[2].shape[1]
     if case.get("e1") == 1.0:
         assert rows == 0 and want["cs_trials"] > 0
     elif case["G"] == 40.0:
@@ -359,24 +405,69 @@ def test_occupied_cell_chunk_matches_dense_decode(case):
     else:
         assert 0 < rows < F * cfg.T
         assert want[(2, "cs_tag_succ")] + want[(2, "ncs_tag_succ")] > 0
+    if case["G"] == 12.0:
+        cs, ncs, _ = _dense_frames(spec, F, np.random.default_rng(31))
+        assert min(F * cfg.T, cs[0].sum(), ncs[0].sum()) > se._UNIFORM_ROWS
 
 
 def test_decode_runs_only_on_occupied_cells(monkeypatch):
     # validate regime: most cells hold no unerased arrival, and the
-    # per-K decode must not see them
+    # decode must not see them; the AP rule runs once per chunk, the BS
+    # rule once for the NCS class and once per K for the CS class
     cfg = erasure_cfg(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9)
     spec = se._spec_from_config(cfg, (0, 1, 2, 5))
     F = 20_000
-    seen = []
-    ap_decode = se._ap_decode
+    seen = {"ap": [], "bs": []}
+    ap_decode, bs_class = se._ap_decode, se._bs_class
 
-    def counted(counts_c, counts_n, K):
-        seen.append((counts_c.shape[0], counts_n.shape[0]))
-        return ap_decode(counts_c, counts_n, K)
+    def ap_counted(counts_c, counts_n):
+        seen["ap"].append((counts_c.shape, counts_n.shape))
+        return ap_decode(counts_c, counts_n)
 
-    monkeypatch.setattr(se, "_ap_decode", counted)
+    def bs_counted(receiver, dels, ids):
+        seen["bs"].append((dels.shape, ids.shape))
+        return bs_class(receiver, dels, ids)
+
+    monkeypatch.setattr(se, "_ap_decode", ap_counted)
+    monkeypatch.setattr(se, "_bs_class", bs_counted)
     se._run_chunk(spec, F, np.random.default_rng(33))
     cs, ncs, _ = _dense_frames(spec, F, np.random.default_rng(33))
     occupied = int(np.count_nonzero(cs[1].any(axis=1) | ncs[1].any(axis=1)))
     assert 0 < occupied < F * cfg.T // 2
-    assert seen == [(occupied, occupied)] * 4
+    shape = (cfg.L, occupied)
+    assert seen["ap"] == [(shape, shape)]
+    assert seen["bs"] == [(shape, shape)] * (1 + len(spec.k_values))
+
+
+@pytest.mark.parametrize("L", [1, 3])
+def test_uniform_blocks_equal_one_draw(L):
+    B = se._UNIFORM_ROWS
+    for n in (0, 1, B - 1, B, B + 1, 3 * B + 7):
+        one, blocked = np.random.default_rng(n), np.random.default_rng(n)
+        want = one.random((n, L))
+        starts, blocks = [], []
+        for start, block in se._uniform_blocks(blocked, n, L):
+            starts.append(start)
+            blocks.append(block.copy())
+        got = np.concatenate(blocks) if blocks else np.zeros((0, L))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert starts == list(range(0, n, B))
+        assert blocked.bit_generator.state == one.bit_generator.state
+
+
+def test_points_chunk_memory_stays_below_the_row_major_kernel():
+    # One chunk of the benchmark's points scenario (83,333 frames at L=3,
+    # T=8, G=16).  The row-major kernel with whole (cells, L) and
+    # (devices, L) uniform draws peaked at 160.7 MB under tracemalloc
+    # (Python 3.11, numpy 2.4); the (AP, cell) kernel with blocked draws
+    # peaked at about 85 MB.
+    cfg = erasure_cfg(L=3, T=8, G=16.0, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
+    spec = se._spec_from_config(cfg, (2,))
+    assert se._chunk_frames(spec) == 83_333
+    tracemalloc.start()
+    try:
+        se._run_chunk(spec, 83_333, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160.7e6
