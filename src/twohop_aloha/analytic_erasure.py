@@ -10,9 +10,15 @@ TDMA.
   1e-12 (``poisson_expectation``), batched over loads.
 * The NCS metrics at K = inf nest that expectation: an outer sum over the CS
   count around the isolated-class sum over the NCS count, to the same
-  relative error.  Every finite-K metric is a two-class series, truncated at
-  an absolute Poisson tail mass.  A two-class evaluation whose Poisson
-  supports span more than ``MAX_TWO_CLASS_CELLS`` cells is refused.
+  relative error.
+* All four metrics under a finite K come from one two-class evaluator,
+  ``_finite_k_metrics``: dense series over the Poisson supports of both
+  classes, truncated at an absolute tail mass.  It builds the supports
+  once for every K of a scenario, and ``evaluate_erasure_batch`` calls it
+  once per (L, eps1, eps2, g_c, g_n).  A K whose CS tolerance sum needs a
+  binomial coefficient beyond the floats is refused.
+* A two-class evaluation whose Poisson supports span more than
+  ``MAX_TWO_CLASS_CELLS`` cells is refused.
 * The literal closed forms of the metrics are the test oracle
   ``tests/closed_form_oracle.py``; ``sim_erasure`` is the independent Monte
   Carlo oracle.
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 from scipy import special
@@ -193,159 +200,90 @@ def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[
 
 
 # ============================================================================
-#  NCS metrics, finite tolerance
+#  Both classes under finite tolerance
 # ============================================================================
 
 
-def _ncs_throughput_series(L, e1, e2, g_c, g_n, k: int):
-    """Mean NCS deliveries per slot under finite K."""
-    _check_two_class_work(g_c, g_n)
-    nc, wc = poisson_weights(g_c)
-    nn, wn = poisson_weights(g_n)
-    NC = nc[:, None]
-    NN = nn[None, :]
-    q_cs = _p_cs_array(nc, e1)[:, None] * gamma_k_tolerance_array(NN, e1, k) * (1.0 - e2)
-    q_ncs = _p_cs_array(nn, e1)[None, :] * e1**NC * (1.0 - e2)
-    val = L * q_ncs * (1.0 - q_cs - q_ncs) ** (L - 1)
-    return float(wc @ val @ wn)
+def _tolerance_sum(L: int, k: int, q, rest) -> np.ndarray:
+    """P(at most K of the other L-1 APs relay an NCS packet and the rest none).
+
+    Each AP relays an NCS packet with probability ``q`` and nothing with
+    probability ``rest``; the per-AP outcomes are trinomial.
+    """
+    total = np.zeros(q.shape)
+    for i in range(min(k, L - 1) + 1):
+        total += math.comb(L - 1, i) * q**i * rest ** (L - 1 - i)
+    return total
 
 
-def _ncs_psr_series(L, e1, e2, g_c, g_n, k: int):
-    """PSR of a tagged NCS device under finite K.
+def _finite_k_metrics(L, e1, e2, g_c, g_n, ks) -> dict:
+    """{K: the four metrics of a non-orthogonal scenario} for each finite K in ``ks``.
 
-    The CS interference budget at each AP is charged only with what that AP
-    actually receives, which is what the slot-level simulation measures.
+    Two-class series over the Poisson supports of both classes, built once
+    for every K and truncated at an absolute tail mass; a class with zero
+    load gets zero throughput and PSR.  ``psi`` and ``qn`` are the
+    probabilities that an AP relays a CS and an NCS packet.  A CS delivery
+    needs one AP to relay it, at most K of the others an NCS packet and the
+    rest nothing.  The CS interference budget at each AP is charged only
+    with what that AP actually receives, as in the slot-level simulation.
+    The throughputs, the CS PSR and the NCS PSR each run over every K in
+    turn, so the grids of one are freed before those of the next are built.
     """
     _check_two_class_work(g_c, g_n)
-    nc, wc = poisson_weights(g_c)
-    nn, wn = normalized_poisson_weights(g_n)
-    NC = nc[:, None]
-    NN = nn[None, :]
-    tol = gamma_k_tolerance_array(NN, e1, k)
-    p_u = (1.0 - e1) * e1 ** (NN - 1) * e1**NC
-    q = (1.0 - e2) * (_p_cs_array(nc, e1)[:, None] * tol + NN * p_u)
-    val = L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)
-    return float(wc @ val @ wn)
-
-
-# ============================================================================
-#  CS metrics, finite tolerance
-# ============================================================================
-
-
-def _cs_throughput_k_series(L, e1, e2, g_c, g_n, K: int):
-    """Exact finite-K CS throughput via the trinomial delivery expansion.
-
-    One AP must deliver the CS packet, at most min(K, L-1) APs may deliver
-    NCS packets, and the remaining APs must stay silent.  For K >= L - 1 the
-    inner sum collapses to the single-service binomial form.
-    """
-    _check_two_class_work(g_c, g_n)
+    ks = set(ks)
+    if g_c > 0 and math.comb(L - 1, min(max(ks), (L - 1) // 2)) > sys.float_info.max:
+        raise ValueError(
+            f"L={L}, K={max(ks)}: a binomial coefficient of the CS tolerance sum overflows a float"
+        )
     nc, wc = poisson_weights(g_c)
     nn, wn = poisson_weights(g_n)
-    NC = nc[:, None]
-    NN = nn[None, :]
-    psi = _p_cs_array(nc, e1)[:, None] * gamma_k_tolerance_array(NN, e1, K) * (1.0 - e2)
+    NC, NN = nc[:, None], nn[None, :]
+    p_cs = _p_cs_array(nc, e1)[:, None]
+    r_c, r_n, s_c, s_n = (dict.fromkeys(ks, 0.0) for _ in range(4))
+
     qn = _p_cs_array(nn, e1)[None, :] * e1**NC * (1.0 - e2)
-    rest = np.clip(1.0 - psi - qn, 0.0, 1.0)
-    val = np.zeros(psi.shape)
-    for i in range(min(K, L - 1) + 1):
-        val += math.comb(L - 1, i) * qn**i * rest ** (L - 1 - i)
-    val *= L * psi
-    return float(wc @ val @ wn)
+    for k in ks:
+        psi = p_cs * gamma_k_tolerance_array(NN, e1, k) * (1.0 - e2)
+        rest = 1.0 - psi - qn
+        if g_n > 0:
+            r_n[k] = float(wc @ (L * qn * rest ** (L - 1)) @ wn)
+        if g_c > 0:
+            np.clip(rest, 0.0, 1.0, out=rest)
+            r_c[k] = float(wc @ (_tolerance_sum(L, k, qn, rest) * (L * psi)) @ wn)
+        del psi, rest
+    del qn
 
+    if g_c > 0:  # a tagged CS device: n_c >= 1
+        npr, wpr = normalized_poisson_weights(g_c)
+        NP = npr[:, None]
+        head = (1.0 - e1) * e1 ** (NP - 1)
+        phi = np.where(
+            NN == 0, 0.0, NN * (1.0 - e1) * e1**NP * e1 ** np.maximum(NN - 1, 0) * (1.0 - e2)
+        )
+        for k in ks:
+            p_u = head * gamma_k_tolerance_array(NN, e1, k)
+            rest = 1.0 - NP * p_u * (1.0 - e2) - phi
+            np.clip(rest, 0.0, 1.0, out=rest)
+            rest = _tolerance_sum(L, k, phi, rest)
+            s_c[k] = float(wpr @ (L * p_u * (1.0 - e2) * rest) @ wn)
+            del p_u, rest
+        del phi
 
-def _cs_psr_k_series(L, e1, e2, g_c, g_n, K: int):
-    """Exact finite-K CS PSR for a tagged device.
+    if g_n > 0:  # a tagged NCS device: n_n >= 1
+        nr, wr = normalized_poisson_weights(g_n)
+        NR = nr[None, :]
+        p_u = (1.0 - e1) * e1 ** (NR - 1) * e1**NC
+        for k in ks:
+            q = (1.0 - e2) * (p_cs * gamma_k_tolerance_array(NR, e1, k) + NR * p_u)
+            s_n[k] = float(wc @ (L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)) @ wr)
+            del q
 
-    The delivery pattern of the other L-1 APs is trinomial (CS delivery, NCS
-    delivery, silence are mutually exclusive per AP).
-    """
-    _check_two_class_work(g_c, g_n)
-    npr, wpr = normalized_poisson_weights(g_c)
-    nn, wn = poisson_weights(g_n)
-    NP = npr[:, None]
-    NN = nn[None, :]
-    tol = gamma_k_tolerance_array(NN, e1, K)
-    p_u = (1.0 - e1) * e1 ** (NP - 1) * tol
-    psi = NP * p_u * (1.0 - e2)
-    phi = np.where(NN == 0, 0.0, NN * (1.0 - e1) * e1**NP * e1 ** np.maximum(NN - 1, 0) * (1.0 - e2))
-    imax = min(K, L - 1)
-    rest = np.clip(1.0 - psi - phi, 0.0, 1.0)
-    block = np.zeros(psi.shape)
-    for i in range(imax + 1):
-        block += math.comb(L - 1, i) * phi**i * rest ** (L - 1 - i)
-    val = L * p_u * (1.0 - e2) * block
-    return float(wpr @ val @ wn)
+    return {k: ServiceMetrics(r_c[k], r_n[k], s_c[k], s_n[k]) for k in ks}
 
 
 # ============================================================================
-#  Public per-class operations (scenario-level)
+#  Benchmark uplink bound
 # ============================================================================
-
-
-def _group(cfg: ScenarioConfig) -> tuple:
-    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
-
-
-def _two_class_args(cfg: ScenarioConfig) -> tuple:
-    return (*_group(cfg), cfg.cs_slot_load, cfg.ncs_slot_load)
-
-
-def _finite_k_args(cfg: ScenarioConfig) -> tuple:
-    if is_infinite(cfg.K):
-        raise ValueError("finite-K operation called with infinite tolerance")
-    return (*_two_class_args(cfg), cfg.K)
-
-
-def throughput_cs_single(cfg: ScenarioConfig) -> float:
-    """CS throughput with no NCS interference (single-service semantics)."""
-    return float(isolated_class_metrics(*_group(cfg), [cfg.cs_slot_load])[0][0])
-
-
-def psr_cs_single(cfg: ScenarioConfig) -> float:
-    """Single-service CS packet success rate for a tagged active device."""
-    if cfg.cs_slot_load <= 0:
-        raise ValueError("CS packet success rate requires a positive CS load")
-    return float(isolated_class_metrics(*_group(cfg), [cfg.cs_slot_load])[1][0])
-
-
-def throughput_ncs_ideal_k(cfg: ScenarioConfig) -> float:
-    """NCS throughput under ideal CS interference tolerance."""
-    return _ncs_ideal_k(*_two_class_args(cfg))[0]
-
-
-def psr_ncs_ideal_k(cfg: ScenarioConfig) -> float:
-    """NCS packet success rate under ideal CS interference tolerance."""
-    if cfg.ncs_slot_load <= 0:
-        raise ValueError("NCS packet success rate requires a positive NCS load")
-    return _ncs_ideal_k(*_two_class_args(cfg))[1]
-
-
-def throughput_ncs_finite_k(cfg: ScenarioConfig) -> float:
-    """NCS throughput under finite tolerance K."""
-    return _ncs_throughput_series(*_finite_k_args(cfg))
-
-
-def psr_ncs_finite_k(cfg: ScenarioConfig) -> float:
-    """NCS packet success rate under finite tolerance K."""
-    args = _finite_k_args(cfg)
-    if cfg.ncs_slot_load <= 0:
-        raise ValueError("NCS packet success rate requires a positive NCS load")
-    return _ncs_psr_series(*args)
-
-
-def throughput_cs_finite_k(cfg: ScenarioConfig) -> float:
-    """CS throughput under finite tolerance K."""
-    return _cs_throughput_k_series(*_finite_k_args(cfg))
-
-
-def psr_cs_finite_k(cfg: ScenarioConfig) -> float:
-    """CS packet success rate under finite tolerance K."""
-    args = _finite_k_args(cfg)
-    if cfg.cs_slot_load <= 0:
-        raise ValueError("CS packet success rate requires a positive CS load")
-    return _cs_psr_k_series(*args)
 
 
 def benchmark_bound(cfg: ScenarioConfig) -> float:
@@ -368,15 +306,11 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
 # ============================================================================
 
 
-def _isolated_loads(cfg: ScenarioConfig) -> tuple[float, ...]:
-    """Per-slot loads of the classes of ``cfg`` that contend alone."""
-    if isinstance(cfg.allocation, Tdma):
-        (_, g_c), (_, g_n) = cfg.tdma_shares()
-        return g_c, g_n
-    return (cfg.cs_slot_load,) if is_infinite(cfg.K) else ()
+def _group(cfg: ScenarioConfig) -> tuple:
+    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
 
 
-def _evaluate_one(cfg: ScenarioConfig, isolated: dict) -> ServiceMetrics:
+def _evaluate_one(cfg: ScenarioConfig, isolated: dict, finite: dict) -> ServiceMetrics:
     def alone(load):
         return isolated[(*_group(cfg), load)]
 
@@ -388,12 +322,10 @@ def _evaluate_one(cfg: ScenarioConfig, isolated: dict) -> ServiceMetrics:
         )
 
     g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
-    if is_infinite(cfg.K):
-        r_c, p_c = alone(g_c)
-        r_n, p_n = _ncs_ideal_k(*_two_class_args(cfg)) if g_n > 0 else (0.0, 0.0)
-    else:
-        r_c, p_c = (throughput_cs_finite_k(cfg), psr_cs_finite_k(cfg)) if g_c > 0 else (0.0, 0.0)
-        r_n, p_n = (throughput_ncs_finite_k(cfg), psr_ncs_finite_k(cfg)) if g_n > 0 else (0.0, 0.0)
+    if not is_infinite(cfg.K):
+        return finite[(*_group(cfg), g_c, g_n)][cfg.K]
+    r_c, p_c = alone(g_c)
+    r_n, p_n = _ncs_ideal_k(*_group(cfg), g_c, g_n) if g_n > 0 else (0.0, 0.0)
     return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
 
 
@@ -401,23 +333,34 @@ def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
     """``evaluate_erasure`` of every scenario in ``cfgs``, in order.
 
     The loads of all classes that contend alone are evaluated together, one
-    ``isolated_class_metrics`` call per (L, eps1, eps2).
+    ``isolated_class_metrics`` call per (L, eps1, eps2), and the finite-K
+    non-orthogonal scenarios one ``_finite_k_metrics`` call per (L, eps1,
+    eps2, g_c, g_n), with all their K values on one grid.
     """
     cfgs = list(cfgs)
     loads: dict = {}
+    tolerances: dict = {}
     for cfg in cfgs:
         if cfg.receiver != Receiver.COLLISION:
             raise ValueError(
                 "evaluate_erasure handles the collision receiver; use the "
                 "superposition module for the superposition receiver"
             )
-        loads.setdefault(_group(cfg), []).extend(_isolated_loads(cfg))
+        alone = loads.setdefault(_group(cfg), [])
+        if isinstance(cfg.allocation, Tdma):
+            alone.extend(load for _, load in cfg.tdma_shares())
+        elif is_infinite(cfg.K):
+            alone.append(cfg.cs_slot_load)
+        else:
+            key = (*_group(cfg), cfg.cs_slot_load, cfg.ncs_slot_load)
+            tolerances.setdefault(key, set()).add(cfg.K)
     isolated = {}
     for key, group in loads.items():
         if group:
             for load, r, p in zip(group, *isolated_class_metrics(*key, group)):
                 isolated[(*key, load)] = (float(r), float(p))
-    return [_evaluate_one(cfg, isolated) for cfg in cfgs]
+    finite = {key: _finite_k_metrics(*key, ks) for key, ks in tolerances.items()}
+    return [_evaluate_one(cfg, isolated, finite) for cfg in cfgs]
 
 
 def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:

@@ -46,6 +46,9 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_VALIDATION = 4
 
+# The four class metrics, in the order of every CSV column and printed line.
+_METRICS = ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar")
+
 
 class ConfigError(ValueError):
     """Scenario/spec file violates the documented grammar or domains."""
@@ -329,29 +332,21 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _metric_header(seed) -> list[str]:
-    header = ["R_c", "R_cbar", "Gamma_c", "Gamma_cbar"]
+    header = list(_METRICS)
     if seed is not None:
-        header += ["R_c_se", "R_cbar_se", "Gamma_c_se", "Gamma_cbar_se", "seed"]
+        header += [name + "_se" for name in _METRICS] + ["seed"]
     return header
 
 
 def _metric_row(result, seed=None) -> list:
     """Metric means; a stochastic backend's ``seed`` adds std errors and the seed."""
     if isinstance(result, ServiceMetrics):
-        row = [result.R_c, result.R_cbar, result.Gamma_c, result.Gamma_cbar]
+        row = [getattr(result, name) for name in _METRICS]
         if seed is not None:  # exact result on a stochastic path
-            row += [0.0, 0.0, 0.0, 0.0]
+            row += [0.0] * len(_METRICS)
     else:
-        row = [
-            result.R_c.mean,
-            result.R_cbar.mean,
-            result.Gamma_c.mean,
-            result.Gamma_cbar.mean,
-            result.R_c.std_error,
-            result.R_cbar.std_error,
-            result.Gamma_c.std_error,
-            result.Gamma_cbar.std_error,
-        ]
+        estimates = [getattr(result, name) for name in _METRICS]
+        row = [e.mean for e in estimates] + [e.std_error for e in estimates]
     if seed is not None:
         row.append(seed)
     return row
@@ -631,9 +626,6 @@ def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfi
     return configs
 
 
-_METRICS = ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar")
-
-
 def _error_cells(cfg: ScenarioConfig, exc: Exception) -> list[ValidationCell]:
     """The cells of a config whose evaluation raised ``exc``, one per metric."""
     nan = math.nan
@@ -655,19 +647,20 @@ def validate(
     target_se: float = 0.002,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-    analytic_fn=None,
 ) -> ValidationReport:
     """Analytic-vs-simulation oracle over a config grid.
 
-    Groups configs that differ only in K onto one shared realization.  The
-    frame budget per group targets ``target_se`` on the scarcest metric
-    (PSR trials of the rarer class).  Pass/fail: |z| <= 3 on at least 99%
-    of scored cells and no |z| > 5 (and no per-cell backend errors).
+    Groups configs that differ only in K onto one shared realization, and
+    evaluates each group's analytic metrics in one ``evaluate_erasure_batch``
+    call, which puts the group's finite K values on one Poisson grid.  If
+    either the simulation or the evaluation of a group raises, every config
+    of the group becomes error cells and the run continues.  The frame
+    budget per group targets ``target_se`` on the scarcest metric (PSR
+    trials of the rarer class).  Pass/fail: |z| <= 3 on at least 99% of
+    scored cells and no |z| > 5 (and no per-cell backend errors).
     """
     if not target_se > 0:
         raise ConfigError("target_se must be positive")
-    if analytic_fn is None:
-        analytic_fn = analytic_erasure.evaluate_erasure
     if grid is None:
         grid = default_validation_grid()
     if not grid:
@@ -692,16 +685,12 @@ def validate(
         k_values = [c.K for c in cfgs]
         try:
             sim_by_k = sim_erasure.simulate_multi_k(base, k_values, n_frames, seed, workers)
+            analytic = analytic_erasure.evaluate_erasure_batch(cfgs)
         except Exception as exc:  # surfaced per-cell, run continues
             cells += [cell for cfg in cfgs for cell in _error_cells(cfg, exc)]
             continue
-        for cfg in cfgs:
+        for cfg, ana in zip(cfgs, analytic):
             sim = sim_by_k[cfg.K]
-            try:
-                ana = analytic_fn(cfg)
-            except Exception as exc:
-                cells += _error_cells(cfg, exc)
-                continue
             for metric in _METRICS:
                 mean, se, z = _z_score(getattr(ana, metric), getattr(sim, metric))
                 if abs(z) <= 3.0:
@@ -832,10 +821,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _metrics_lines(result, seed=None) -> list[str]:
     lines = []
     if isinstance(result, ServiceMetrics):
-        for name in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+        for name in _METRICS:
             lines.append(f"{name} = {fmt_value(getattr(result, name))}")
     else:
-        for name in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+        for name in _METRICS:
             est = getattr(result, name)
             lines.append(
                 f"{name} = {fmt_value(est.mean)} +- {fmt_value(est.std_error)}"
@@ -869,12 +858,8 @@ def _cmd_point(args, backend_name: str) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "eval":
-            return _cmd_point(args, "eval")
-        if args.command == "sim":
-            return _cmd_point(args, "sim")
-        if args.command == "fading":
-            return _cmd_point(args, "fading")
+        if args.command in ("eval", "sim", "fading"):
+            return _cmd_point(args, args.command)
         if args.command == "sweep":
             parser = load_config_file(args.config)
             cfg = scenario_from_config(parser)

@@ -71,15 +71,13 @@ def test_criterion_01_closed_forms_match_series():
             worst = max(worst, rel_err(
                 oracle.ncs_psr_inf_closed(L, e1, e2, gc, gn), ncs_psr))
             n_checks += 2
-            for K in ks:
+            for K, m in ae._finite_k_metrics(L, e1, e2, gc, gn, ks).items():
                 worst = max(worst, rel_err(
-                    oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K),
-                    ae._ncs_throughput_series(L, e1, e2, gc, gn, K)))
+                    oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K), m.R_cbar))
                 n_checks += 1
                 if L <= K + 1:
                     worst = max(worst, rel_err(
-                        oracle.cs_throughput_k_closed(L, e1, e2, gc, gn, K),
-                        ae._cs_throughput_k_series(L, e1, e2, gc, gn, K)))
+                        oracle.cs_throughput_k_closed(L, e1, e2, gc, gn, K), m.R_c))
                     n_checks += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0 and n_checks >= 400
@@ -119,9 +117,9 @@ def test_criterion_03_frame_size_tradeoff():
     ts = range(1, 65)
     tput, psr = [], []
     for T in ts:
-        cfg = ecfg(L=3, T=T, G=16.0, gamma_c=1.0, e1=0.5, e2=0.5)
-        tput.append(ae.throughput_cs_single(cfg))
-        psr.append(ae.psr_cs_single(cfg))
+        m = ae.evaluate_erasure(ecfg(L=3, T=T, G=16.0, gamma_c=1.0, e1=0.5, e2=0.5))
+        tput.append(m.R_c)
+        psr.append(m.Gamma_c)
     elapsed = time.perf_counter() - t0
     psr_monotone = all(b >= a - 1e-12 for a, b in zip(psr, psr[1:]))
     m = int(np.argmax(tput))
@@ -146,10 +144,8 @@ _GAMMA_GRID = [i / 100 for i in range(1, 100)]
 
 
 def _ncs_curve(G, eps):
-    return [
-        ae.throughput_ncs_ideal_k(ecfg(L=3, T=4, G=G, gamma_c=g, e1=eps, e2=eps))
-        for g in _GAMMA_GRID
-    ]
+    cfgs = [ecfg(L=3, T=4, G=G, gamma_c=g, e1=eps, e2=eps) for g in _GAMMA_GRID]
+    return [m.R_cbar for m in ae.evaluate_erasure_batch(cfgs)]
 
 
 def test_criterion_04_ncs_throughput_decreasing():
@@ -282,14 +278,13 @@ def test_criterion_07_tolerance_saturation():
     worst = 0.0
     for L, e1, e2, gamma in ((3, 0.5, 0.5, 0.5), (2, 0.3, 0.7, 0.25), (5, 0.5, 0.1, 0.5)):
         cfg = ecfg(L=L, T=1, G=8.0, gamma_c=gamma, e1=e1, e2=e2, K=60)
-        worst = max(worst, rel_err(ae.throughput_ncs_finite_k(cfg),
-                                   ae.throughput_ncs_ideal_k(cfg)))
-        worst = max(worst, rel_err(ae.psr_ncs_finite_k(cfg), ae.psr_ncs_ideal_k(cfg)))
+        finite, ideal = ae.evaluate_erasure_batch([cfg, cfg.replace(K=INFINITE_K)])
+        worst = max(worst, rel_err(finite.R_cbar, ideal.R_cbar))
+        worst = max(worst, rel_err(finite.Gamma_cbar, ideal.Gamma_cbar))
         # the closed-form tolerance factor saturates to 1, so the finite-K CS
         # metrics equal the single-service forms
-        worst = max(worst, rel_err(ae.throughput_cs_finite_k(cfg),
-                                   ae.throughput_cs_single(cfg)))
-        worst = max(worst, rel_err(ae.psr_cs_finite_k(cfg), ae.psr_cs_single(cfg)))
+        worst = max(worst, rel_err(finite.R_c, ideal.R_c))
+        worst = max(worst, rel_err(finite.Gamma_c, ideal.Gamma_c))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
     report("07 tolerance-saturation", ok, f"worst rel err {worst:.2e}, {elapsed:.1f}s")
@@ -305,10 +300,10 @@ def test_criterion_07_tolerance_saturation():
 def test_criterion_08_many_ap_asymptotics():
     t0 = time.perf_counter()
     base = dict(T=1, G=2.0, gamma_c=1.0, e1=0.5, e2=0.5)
-    scan_t = [ae.throughput_cs_single(ecfg(L=L, **base)) for L in range(1, 51)]
-    scan_p = [ae.psr_cs_single(ecfg(L=L, **base)) for L in range(1, 51)]
-    big = ecfg(L=200, **base)
-    t200, p200 = ae.throughput_cs_single(big), ae.psr_cs_single(big)
+    scan = ae.evaluate_erasure_batch(ecfg(L=L, **base) for L in range(1, 51))
+    scan_t, scan_p = [m.R_c for m in scan], [m.Gamma_c for m in scan]
+    big = ae.evaluate_erasure(ecfg(L=200, **base))
+    t200, p200 = big.R_c, big.Gamma_c
     elapsed = time.perf_counter() - t0
     ok = t200 < 1e-2 and p200 < 1e-2 and t200 < max(scan_t) and p200 < max(scan_p)
     ok = ok and elapsed < 5.0

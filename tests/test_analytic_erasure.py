@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from twohop_aloha.core import (
     Receiver,
     ScenarioConfig,
     Tdma,
+    poisson_weights,
 )
 
 
@@ -50,14 +52,15 @@ def test_p_access_ncs_examples():
 
 
 def test_throughput_cs_single_examples():
-    assert ae.throughput_cs_single(
-        erasure_cfg(L=1, G=1.0, e1=0.0, e2=0.0)
-    ) == pytest.approx(math.exp(-1.0), abs=1e-12)
-    assert ae.throughput_cs_single(erasure_cfg(e1=1.0)) == 0.0
-    assert ae.throughput_cs_single(erasure_cfg(e2=1.0)) == 0.0
-    assert ae.throughput_cs_single(
-        erasure_cfg(L=1, G=1.0, e1=0.5, e2=0.0)
-    ) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
+    sa, no_access, no_backhaul, half = (m.R_c for m in ae.evaluate_erasure_batch([
+        erasure_cfg(L=1, G=1.0, e1=0.0, e2=0.0),
+        erasure_cfg(e1=1.0),
+        erasure_cfg(e2=1.0),
+        erasure_cfg(L=1, G=1.0, e1=0.5, e2=0.0),
+    ]))
+    assert sa == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert no_access == 0.0 and no_backhaul == 0.0
+    assert half == pytest.approx(0.5 * math.exp(-0.5), rel=1e-12)
 
 
 def test_reference_series_matches_closed_form_on_grid():
@@ -65,7 +68,7 @@ def test_reference_series_matches_closed_form_on_grid():
         (1, 2, 5), (0.1, 0.5, 0.9), (0.1, 0.9), (0.25, 2.0)
     ):
         closed = oracle.cs_throughput_closed(L, e1, e2, g)
-        series = ae.throughput_cs_single(erasure_cfg(L=L, G=g, e1=e1, e2=e2))
+        [series], _ = ae.isolated_class_metrics(L, e1, e2, [g])
         assert closed == pytest.approx(series, rel=1e-9, abs=1e-14)
 
 
@@ -104,20 +107,25 @@ def test_poisson_expectation_of_zero_is_zero():
 
 
 def test_psr_cs_single_limits():
-    assert ae.psr_cs_single(erasure_cfg(L=1, G=1e-9)) == pytest.approx(0.25, abs=1e-6)
-    assert ae.psr_cs_single(erasure_cfg(L=2, G=1e-9)) == pytest.approx(0.375, abs=1e-6)
-    assert ae.psr_cs_single(erasure_cfg(e1=1.0, G=1.0)) == 0.0
-    with pytest.raises(ValueError):
-        ae.psr_cs_single(erasure_cfg(G=0.0))
+    one, two, erased, idle = (m.Gamma_c for m in ae.evaluate_erasure_batch([
+        erasure_cfg(L=1, G=1e-9),
+        erasure_cfg(L=2, G=1e-9),
+        erasure_cfg(e1=1.0, G=1.0),
+        erasure_cfg(G=0.0),
+    ]))
+    assert one == pytest.approx(0.25, abs=1e-6)
+    assert two == pytest.approx(0.375, abs=1e-6)
+    assert erased == 0.0
+    assert idle == 0.0  # no active device: zero by convention
 
 
 def test_ncs_ideal_k_continuous_at_small_eps1():
     # no threshold in eps1: the series is continuous down to eps1 = 0
-    lo = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=9e-7))
-    hi = ae.throughput_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=2e-6))
+    lo, _ = ae._ncs_ideal_k(3, 9e-7, 0.5, 1.0, 1.0)
+    hi, _ = ae._ncs_ideal_k(3, 2e-6, 0.5, 1.0, 1.0)
     assert lo == pytest.approx(hi, rel=1e-3)
-    assert ae.psr_ncs_ideal_k(erasure_cfg(L=3, G=2.0, gamma_c=0.5, e1=0.0)) > 0.0
-    assert ae.psr_cs_single(erasure_cfg(L=3, G=2.0, e1=0.0)) > 0.0
+    assert ae._ncs_ideal_k(3, 0.0, 0.5, 1.0, 1.0)[1] > 0.0
+    assert ae.evaluate_erasure(erasure_cfg(L=3, G=2.0, e1=0.0)).Gamma_c > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +138,20 @@ def test_ncs_reduces_to_single_service_without_cs_traffic():
     # term, which is the single-service sum with the loads swapped, to the bit
     cfg = erasure_cfg(L=3, G=2.0, gamma_c=0.0, e1=0.4, e2=0.6)
     swapped = erasure_cfg(L=3, G=2.0, gamma_c=1.0, e1=0.4, e2=0.6)
-    assert ae.throughput_ncs_ideal_k(cfg) == ae.throughput_cs_single(swapped)
-    assert ae.psr_ncs_ideal_k(cfg) == ae.psr_cs_single(swapped)
+    m, alone = ae.evaluate_erasure(cfg), ae.evaluate_erasure(swapped)
+    assert (m.R_cbar, m.Gamma_cbar) == (alone.R_c, alone.Gamma_c)
 
 
 def test_ncs_ideal_trivial_zeros():
-    assert ae.throughput_ncs_ideal_k(erasure_cfg(gamma_c=0.5, e1=1.0)) == 0.0
-    assert ae.psr_ncs_ideal_k(erasure_cfg(gamma_c=0.5, e2=1.0)) == 0.0
+    assert ae.evaluate_erasure(erasure_cfg(gamma_c=0.5, e1=1.0)).R_cbar == 0.0
+    assert ae.evaluate_erasure(erasure_cfg(gamma_c=0.5, e2=1.0)).Gamma_cbar == 0.0
 
 
 def test_psr_ncs_ideal_single_user_limit():
     cfg = erasure_cfg(L=1, G=2e-9, gamma_c=0.5)
-    assert ae.psr_ncs_ideal_k(cfg) == pytest.approx(0.25, abs=1e-6)
-    with pytest.raises(ValueError):
-        ae.psr_ncs_ideal_k(erasure_cfg(gamma_c=1.0))
+    assert ae.evaluate_erasure(cfg).Gamma_cbar == pytest.approx(0.25, abs=1e-6)
+    # no active NCS device: zero by convention
+    assert ae.evaluate_erasure(erasure_cfg(gamma_c=1.0)).Gamma_cbar == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +159,36 @@ def test_psr_ncs_ideal_single_user_limit():
 # ---------------------------------------------------------------------------
 
 
-def test_finite_k_requires_finite_k():
-    for fn in (
-        ae.throughput_ncs_finite_k,
-        ae.psr_ncs_finite_k,
-        ae.throughput_cs_finite_k,
-        ae.psr_cs_finite_k,
-    ):
-        with pytest.raises(ValueError):
-            fn(erasure_cfg(gamma_c=0.5, K=INFINITE_K))
+def test_finite_k_requires_finite_k(monkeypatch):
+    # only non-orthogonal scenarios at a finite K reach the finite-K evaluator
+    def refuse(*args):
+        raise AssertionError("finite-K evaluator called")
+
+    monkeypatch.setattr(ae, "_finite_k_metrics", refuse)
+    ae.evaluate_erasure(erasure_cfg(gamma_c=0.5, K=INFINITE_K))
+    ae.evaluate_erasure(erasure_cfg(T=2, gamma_c=0.5, K=1, allocation=Tdma(alpha=0.5)))
+    with pytest.raises(AssertionError):
+        ae.evaluate_erasure(erasure_cfg(gamma_c=0.5, K=1))
 
 
 def test_finite_k_saturates_to_ideal():
     cfg = erasure_cfg(L=3, G=4.0, gamma_c=0.5, K=60)
-    assert ae.throughput_ncs_finite_k(cfg) == pytest.approx(
-        ae.throughput_ncs_ideal_k(cfg), rel=1e-8
-    )
-    assert ae.psr_ncs_finite_k(cfg) == pytest.approx(
-        ae.psr_ncs_ideal_k(cfg), rel=1e-8
-    )
-    assert ae.throughput_cs_finite_k(cfg) == pytest.approx(
-        ae.throughput_cs_single(cfg), rel=1e-9
-    )
-    assert ae.psr_cs_finite_k(cfg) == pytest.approx(ae.psr_cs_single(cfg), rel=1e-8)
+    finite, ideal = ae.evaluate_erasure(cfg), ae.evaluate_erasure(cfg.replace(K=INFINITE_K))
+    assert finite.R_cbar == pytest.approx(ideal.R_cbar, rel=1e-8)
+    assert finite.Gamma_cbar == pytest.approx(ideal.Gamma_cbar, rel=1e-8)
+    assert finite.R_c == pytest.approx(ideal.R_c, rel=1e-9)
+    assert finite.Gamma_c == pytest.approx(ideal.Gamma_c, rel=1e-8)
 
 
 def test_cs_metrics_nondecreasing_in_k():
     base = erasure_cfg(L=3, G=4.0, gamma_c=0.5)
-    tputs, psrs = [], []
-    for k in (0, 1, 2, 3, 5, 8, 15, 40):
-        cfg = base.replace(K=k)
-        tputs.append(ae.throughput_cs_finite_k(cfg))
-        psrs.append(ae.psr_cs_finite_k(cfg))
+    ms = ae.evaluate_erasure_batch([base.replace(K=k) for k in (0, 1, 2, 3, 5, 8, 15, 40)])
+    tputs, psrs = [m.R_c for m in ms], [m.Gamma_c for m in ms]
     assert all(b >= a - 1e-12 for a, b in zip(tputs, tputs[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(psrs, psrs[1:]))
-    assert tputs[-1] <= ae.throughput_cs_single(base) + 1e-12
-    assert psrs[-1] <= ae.psr_cs_single(base) + 1e-12
+    ideal = ae.evaluate_erasure(base)
+    assert tputs[-1] <= ideal.R_c + 1e-12
+    assert psrs[-1] <= ideal.Gamma_c + 1e-12
 
 
 def test_cs_throughput_finite_k_branches_agree_at_boundary():
@@ -196,23 +198,58 @@ def test_cs_throughput_finite_k_branches_agree_at_boundary():
     closed = oracle.cs_throughput_k_closed(
         cfg.L, e.eps1, e.eps2, cfg.cs_slot_load, cfg.ncs_slot_load, 2
     )
-    series = ae.throughput_cs_finite_k(cfg)
+    series = ae.evaluate_erasure(cfg).R_c
     assert closed == pytest.approx(series, rel=1e-8)
     with pytest.raises(ValueError):
         oracle.cs_throughput_k_closed(4, 0.5, 0.5, 2.0, 2.0, 2)  # L > K + 1
 
 
 def test_finite_k_trivial_cases():
-    assert ae.throughput_ncs_finite_k(erasure_cfg(gamma_c=1.0, K=2)) == 0.0
-    assert ae.throughput_cs_finite_k(erasure_cfg(gamma_c=0.0, K=2)) == 0.0
-    assert ae.psr_ncs_finite_k(erasure_cfg(gamma_c=0.5, e1=1.0, K=2)) == 0.0
-    assert ae.psr_cs_finite_k(erasure_cfg(gamma_c=0.5, e2=1.0, K=2)) == 0.0
+    cs_only, ncs_only, no_access, no_backhaul = ae.evaluate_erasure_batch([
+        erasure_cfg(gamma_c=1.0, K=2),
+        erasure_cfg(gamma_c=0.0, K=2),
+        erasure_cfg(gamma_c=0.5, e1=1.0, K=2),
+        erasure_cfg(gamma_c=0.5, e2=1.0, K=2),
+    ])
+    assert cs_only.R_cbar == 0.0
+    assert ncs_only.R_c == 0.0
+    assert no_access.Gamma_cbar == 0.0
+    assert no_backhaul.Gamma_c == 0.0
 
 
 def test_psr_finite_k_single_user_limits():
-    cfg = erasure_cfg(L=1, G=2e-9, gamma_c=0.5, K=0)
-    assert ae.psr_cs_finite_k(cfg) == pytest.approx(0.25, abs=1e-6)
-    assert ae.psr_ncs_finite_k(cfg) == pytest.approx(0.25, abs=1e-6)
+    m = ae.evaluate_erasure(erasure_cfg(L=1, G=2e-9, gamma_c=0.5, K=0))
+    assert m.Gamma_c == pytest.approx(0.25, abs=1e-6)
+    assert m.Gamma_cbar == pytest.approx(0.25, abs=1e-6)
+
+
+def test_finite_k_refuses_binomials_beyond_floats():
+    # C(1099, 549) exceeds the largest float; C(1029, 514) does not
+    cfg = erasure_cfg(L=1100, G=0.5, gamma_c=0.5, K=600)
+    with pytest.raises(ValueError, match="L=1100, K=600"):
+        ae.evaluate_erasure(cfg)
+    for m in ae.evaluate_erasure_batch([cfg.replace(K=2), cfg.replace(L=1030, K=600)]):
+        assert 0.0 < m.R_c < 1e-10 and 0.0 < m.Gamma_c < 1e-10
+    # without CS load the tolerance sum is never needed
+    assert ae.evaluate_erasure(cfg.replace(gamma_c=0.0)).R_cbar > 0.0
+
+
+@pytest.mark.parametrize("ks", [(2,), (0, 1, 2, 5)])
+def test_finite_k_memory_per_cell(ks):
+    # per-slot loads of 200 per class: 308 x 308 cells of Poisson support
+    cfg = erasure_cfg(L=3, T=1, G=400.0, gamma_c=0.5)
+    args = (3, 0.5, 0.5, cfg.cs_slot_load, cfg.ncs_slot_load, ks)
+    cells = poisson_weights(cfg.cs_slot_load)[0].size * poisson_weights(cfg.ncs_slot_load)[0].size
+    assert cells == 94_864
+    ae._finite_k_metrics(*args)  # fills the memoized Poisson cutoffs and tolerance rows
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        ae._finite_k_metrics(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * cells, f"{peak / cells:.1f} B per cell"
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +269,7 @@ def test_benchmark_trivial_and_dominance():
     assert ae.benchmark_bound(erasure_cfg(e1=1.0)) == 0.0
     for L, e1, g in itertools.product((1, 2, 5), (0.1, 0.5, 0.9), (0.5, 2.0, 4.0)):
         cfg = erasure_cfg(L=L, G=g, e1=e1, e2=0.0)
-        assert ae.benchmark_bound(cfg) >= ae.throughput_cs_single(cfg) - 1e-12
+        assert ae.benchmark_bound(cfg) >= ae.evaluate_erasure(cfg).R_c - 1e-12
 
 
 def test_benchmark_bound_at_l64():
@@ -357,14 +394,12 @@ def test_ncs_ideal_k_matches_mpmath(L):
 
 
 def test_large_l_throughput_and_psr_vanish():
-    base = dict(G=2.0, e1=0.5, e2=0.5)
-    scan_tput = [ae.throughput_cs_single(erasure_cfg(L=L, **base)) for L in range(1, 51)]
-    scan_psr = [ae.psr_cs_single(erasure_cfg(L=L, **base)) for L in range(1, 51)]
-    big = erasure_cfg(L=200, **base)
-    assert ae.throughput_cs_single(big) < 1e-2
-    assert ae.psr_cs_single(big) < 1e-2
-    assert ae.throughput_cs_single(big) < max(scan_tput)
-    assert ae.psr_cs_single(big) < max(scan_psr)
+    scan = [ae.isolated_class_metrics(L, 0.5, 0.5, [2.0]) for L in range(1, 51)]
+    [tput], [psr] = ae.isolated_class_metrics(200, 0.5, 0.5, [2.0])
+    assert tput < 1e-2
+    assert psr < 1e-2
+    assert tput < max(t for [t], _ in scan)
+    assert psr < max(p for _, [p] in scan)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +410,7 @@ def test_large_l_throughput_and_psr_vanish():
 def test_evaluate_erasure_dispatch():
     m = ae.evaluate_erasure(erasure_cfg(gamma_c=1.0))
     assert m.R_cbar == 0.0 and m.Gamma_cbar == 0.0
-    assert m.R_c == pytest.approx(ae.throughput_cs_single(erasure_cfg(gamma_c=1.0)))
+    assert m.R_c == pytest.approx(ae.isolated_class_metrics(3, 0.5, 0.5, [2.0])[0][0])
     with pytest.raises(ValueError):
         ae.evaluate_erasure(erasure_cfg(receiver=Receiver.SUPERPOSITION))
     z = ae.evaluate_erasure(erasure_cfg(G=0.0, gamma_c=0.5))
@@ -385,11 +420,17 @@ def test_evaluate_erasure_dispatch():
 
 def test_evaluate_erasure_finite_k_uses_finite_forms():
     cfg = erasure_cfg(L=3, G=4.0, gamma_c=0.5, K=1)
-    m = ae.evaluate_erasure(cfg)
-    assert m.R_c == pytest.approx(ae.throughput_cs_finite_k(cfg))
-    assert m.R_cbar == pytest.approx(ae.throughput_ncs_finite_k(cfg))
-    assert m.Gamma_c == pytest.approx(ae.psr_cs_finite_k(cfg))
-    assert m.Gamma_cbar == pytest.approx(ae.psr_ncs_finite_k(cfg))
+    assert ae.evaluate_erasure(cfg) == ae._finite_k_metrics(3, 0.5, 0.5, 2.0, 2.0, [1])[1]
+
+
+def test_batch_equals_single_evaluations():
+    base = erasure_cfg(L=3, G=2.0, gamma_c=0.5)
+    other = erasure_cfg(L=2, T=2, G=6.0, gamma_c=0.25, e1=0.3, e2=0.6)
+    cfgs = [base.replace(K=k) for k in (0, 1, 2, 5, 2)]  # a validate group, K repeated
+    cfgs += [base, other.replace(K=3), other.replace(K=0)]  # K = inf, a second group
+    cfgs += [other.replace(K=1, allocation=Tdma(alpha=a)) for a in (0.0, 0.3, 1.0)]
+    cfgs += [base.replace(gamma_c=g, K=2) for g in (0.0, 1.0)]
+    assert ae.evaluate_erasure_batch(cfgs) == [ae.evaluate_erasure(c) for c in cfgs]
 
 
 def test_evaluate_tdma_degenerate_alpha():
@@ -411,7 +452,7 @@ def test_evaluate_tdma_splits_loads():
     cfg = erasure_cfg(T=4, G=8.0, gamma_c=0.5, allocation=Tdma(alpha=0.5))
     m = ae.evaluate_erasure(cfg)
     # both classes see per-slot load (0.5 * 8) / (0.5 * 4) = 2 on their share
-    single = ae.throughput_cs_single(erasure_cfg(G=2.0))
+    [single], _ = ae.isolated_class_metrics(3, 0.5, 0.5, [2.0])
     assert m.R_c == pytest.approx(0.5 * single, rel=1e-12)
     assert m.R_cbar == pytest.approx(0.5 * single, rel=1e-12)
     assert m.Gamma_c == pytest.approx(m.Gamma_cbar, rel=1e-12)
@@ -437,7 +478,6 @@ def test_scheme_comparison_fig6_config():
 
 def test_throughputs_vanish_with_load():
     tiny = erasure_cfg(G=1e-9, gamma_c=0.5, K=1)
-    assert ae.throughput_cs_finite_k(tiny) < 1e-8
-    assert ae.throughput_ncs_finite_k(tiny) < 1e-8
-    assert ae.throughput_cs_single(tiny) < 1e-8
-    assert ae.throughput_ncs_ideal_k(tiny) < 1e-8
+    for m in ae.evaluate_erasure_batch([tiny, tiny.replace(K=INFINITE_K)]):
+        assert m.R_c < 1e-8
+        assert m.R_cbar < 1e-8

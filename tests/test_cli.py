@@ -350,6 +350,25 @@ def test_eval_two_class_work_bound_is_numerical_error(tmp_path, capsys, K):
     assert "Traceback" not in err
 
 
+def test_eval_tolerance_sum_beyond_floats_is_numerical_error(tmp_path, capsys):
+    # C(1099, 549) does not fit in a float: K = 600 at L = 1100 is refused
+    # (it used to die with an OverflowError traceback), while K = 2 at the
+    # same load answers with the bytes it always had
+    body = BASE_INI.replace("L = 3", "L = 1100").replace("T = 8", "T = 1")
+    body = body.replace("G = 16.0", "G = 0.5").replace("gamma_c = 1.0", "gamma_c = 0.5")
+    path = write_ini(tmp_path, body.replace("K = inf", "K = 600"))
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "L=1100, K=600" in err
+    assert "Traceback" not in err
+    path = write_ini(tmp_path, body.replace("K = inf", "K = 2"))
+    assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        "R_c = 5.01535922e-15\nR_cbar = 3.92732077e-15\n"
+        "Gamma_c = 2.52992252e-15\nGamma_cbar = 2.11339071e-15\n"
+    )
+
+
 def test_sim_command_writes_csv_with_seed(tmp_path):
     path = write_ini(tmp_path, BASE_INI + "\n[sim]\nframes = 2000\n")
     out = str(tmp_path / "sim.csv")
@@ -536,15 +555,20 @@ def test_validate_small_grid_passes():
     assert "PASS" in cli.render_validation_summary(report)
 
 
-def test_validate_negative_control_fails():
-    def corrupted(cfg):
-        m = cli.analytic_erasure.evaluate_erasure(cfg)
-        return ServiceMetrics(
-            R_c=m.R_c * 1.10 + 0.01, R_cbar=m.R_cbar, Gamma_c=m.Gamma_c,
-            Gamma_cbar=m.Gamma_cbar,
-        )
+def test_validate_negative_control_fails(monkeypatch):
+    real_batch = cli.analytic_erasure.evaluate_erasure_batch
 
-    report = cli.validate(small_grid(), target_se=0.005, seed=123, analytic_fn=corrupted)
+    def corrupted(cfgs):
+        return [
+            ServiceMetrics(
+                R_c=m.R_c * 1.10 + 0.01, R_cbar=m.R_cbar, Gamma_c=m.Gamma_c,
+                Gamma_cbar=m.Gamma_cbar,
+            )
+            for m in real_batch(cfgs)
+        ]
+
+    monkeypatch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", corrupted)
+    report = cli.validate(small_grid(), target_se=0.005, seed=123)
     assert not report.passed
     assert any(c.status == "fail" for c in report.cells)
     assert "FAIL" in cli.render_validation_summary(report)
@@ -554,9 +578,18 @@ def test_validate_surfaces_per_cell_errors(monkeypatch):
     def broken(*args):
         raise RuntimeError("deliberately broken")
 
-    report = cli.validate(small_grid(), target_se=0.005, seed=1, analytic_fn=broken)
+    # a group's K values are evaluated in one call: if it raises, every
+    # config of the group becomes error cells
+    two_k = cli.default_validation_grid(
+        {"L": (2,), "eps1": (0.5,), "eps2": (0.5,), "load": (2.0,),
+         "gamma_c": (0.5,), "K": (1, 2)}
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", broken)
+        report = cli.validate(two_k, target_se=0.005, seed=1)
     assert not report.passed
-    assert report.n_errors == 4
+    assert report.n_errors == 8
+    assert {c.status for c in report.cells} == {"error: deliberately broken"}
     monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", broken)
     report = cli.validate(small_grid(), target_se=0.005, seed=1)
     assert not report.passed
@@ -574,10 +607,11 @@ def test_validate_cli_exit_code_on_failure(tmp_path, monkeypatch, capsys):
     real_validate = cli.validate
 
     def fake_validate(grid, target_se, seed, workers):
-        return real_validate(small_grid(), target_se=0.005, seed=1,
-                             analytic_fn=lambda c: ServiceMetrics(0.9, 0.0, 0.9, 0.9))
+        return real_validate(small_grid(), target_se=0.005, seed=1)
 
     monkeypatch.setattr(cli, "validate", fake_validate)
+    monkeypatch.setattr(cli.analytic_erasure, "evaluate_erasure_batch",
+                        lambda cfgs: [ServiceMetrics(0.9, 0.0, 0.9, 0.9) for _ in cfgs])
     out = str(tmp_path / "report.csv")
     rc = cli.main(["validate", "--out", out])
     assert rc == cli.EXIT_VALIDATION

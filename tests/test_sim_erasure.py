@@ -65,8 +65,9 @@ def test_matches_analytic_single_service():
     # analytic normalized-Poisson form at T = 1
     cfg = erasure_cfg(L=3, T=1, G=2.0)
     m = se.simulate(cfg, 200_000, seed=4)
-    assert abs(z_gap(m.R_c, ae.throughput_cs_single(cfg))) < 4.0
-    assert abs(z_gap(m.Gamma_c, ae.psr_cs_single(cfg))) < 4.0
+    an = ae.evaluate_erasure(cfg)
+    assert abs(z_gap(m.R_c, an.R_c)) < 4.0
+    assert abs(z_gap(m.Gamma_c, an.Gamma_c)) < 4.0
 
 
 def test_matches_analytic_finite_k_quadruple():
@@ -88,7 +89,7 @@ def test_throughput_unaffected_by_frame_size():
     gap = m1.R_c.mean - m8.R_c.mean
     sigma = math.hypot(m1.R_c.std_error, m8.R_c.std_error)
     assert abs(gap) < 4.0 * sigma
-    assert abs(z_gap(m8.R_c, ae.throughput_cs_single(cfg8))) < 4.0
+    assert abs(z_gap(m8.R_c, ae.evaluate_erasure(cfg8).R_c)) < 4.0
 
 
 def test_matches_analytic_heterogeneous_throughputs_at_frame_level():
@@ -96,11 +97,12 @@ def test_matches_analytic_heterogeneous_throughputs_at_frame_level():
     # and finite tolerance against the closed/series forms
     cfg_inf = erasure_cfg(L=3, T=4, G=8.0, gamma_c=0.5, e1=0.4, e2=0.4)
     m = se.simulate(cfg_inf, 60_000, seed=19)
-    assert abs(z_gap(m.R_cbar, ae.throughput_ncs_ideal_k(cfg_inf))) < 4.0
+    assert abs(z_gap(m.R_cbar, ae.evaluate_erasure(cfg_inf).R_cbar)) < 4.0
     cfg_k = erasure_cfg(L=3, T=2, G=8.0, gamma_c=0.5, K=2)
     m2 = se.simulate(cfg_k, 100_000, seed=20)
-    assert abs(z_gap(m2.R_cbar, ae.throughput_ncs_finite_k(cfg_k))) < 4.0
-    assert abs(z_gap(m2.R_c, ae.throughput_cs_finite_k(cfg_k))) < 4.0
+    an = ae.evaluate_erasure(cfg_k)
+    assert abs(z_gap(m2.R_cbar, an.R_cbar)) < 4.0
+    assert abs(z_gap(m2.R_c, an.R_c)) < 4.0
 
 
 def test_multi_k_shares_realization():
