@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 import textwrap
 import time
 
@@ -245,6 +247,31 @@ def test_eval_capacity_error_exit_code(tmp_path, capsys):
         assert time.perf_counter() - t0 < 10.0
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and "two-class limit" in err
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_eval_imports_no_heavy_scipy_subpackages(tmp_path):
+    # a cold CLI start pays for every module it imports; scipy.special alone
+    # carries the numbers, so the heavy subpackages must stay out
+    collision = write_ini(tmp_path, BASE_INI.replace("K = inf", "K = 2"), "collision.ini")
+    exact = write_ini(tmp_path, SUPERPOSITION_INI + "\n[superposition]\nestimator = exact\n",
+                      "exact.ini")
+    script = textwrap.dedent(f"""
+        import sys
+        import twohop_aloha.cli as cli
+        for path in ({collision!r}, {exact!r}):
+            assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
+        heavy = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
+        print(" ".join(m for m in heavy if m in sys.modules))
+    """)
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == ""
 
 
 @pytest.mark.parametrize("command", ["eval", "region"])

@@ -8,6 +8,7 @@ from scipy import stats
 
 from twohop_aloha.core import (
     INFINITE_K,
+    TAIL_MASS_DEFAULT,
     ErasureParams,
     FadingParams,
     OrderLimitError,
@@ -72,6 +73,55 @@ def test_poisson_tail_cutoff_defining_property(lam, delta):
     if n_max > 0:
         head_short = sum(poisson_pmf(k, lam) for k in range(n_max))
         assert head_short < 1.0 - delta
+
+
+def linear_walk_tail_cutoff(lam, delta):
+    """The cutoff search as first written: scipy.stats survival function,
+    forward strides from the mean, then a walk back one n at a time."""
+    if lam == 0.0:
+        return 0
+    # Start near the mean and extend until the survival function drops.
+    n = max(int(lam), 0)
+    while stats.poisson.sf(n, lam) >= delta:
+        n += max(1, int(0.1 * math.sqrt(lam)) if lam > 100 else 1)
+    # Walk back to the smallest qualifying n.
+    while n > 0 and stats.poisson.sf(n - 1, lam) < delta:
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-6, 0.5])
+@pytest.mark.parametrize(
+    "lam", [0.0, 1e-300, 1e-8, 0.25, 1.0, 16.0, 99.9, 100.1, 1e4, 7e5, 5e11]
+)
+def test_poisson_tail_cutoff_bisection_matches_linear_walk(lam, delta):
+    poisson_tail_cutoff.cache_clear()
+    assert poisson_tail_cutoff(lam, delta) == linear_walk_tail_cutoff(lam, delta)
+
+
+@pytest.mark.parametrize("lam", [0.25, 16.0, 99.9, 100.1, 1e4, 7e5])
+def test_poisson_tail_cutoff_below_the_mean_matches_linear_walk(lam):
+    # a tail mass this large is crossed below int(lam), with no forward stride
+    poisson_tail_cutoff.cache_clear()
+    assert poisson_tail_cutoff(lam, 0.999) == linear_walk_tail_cutoff(lam, 0.999)
+
+
+def test_poisson_tail_cutoff_calls_at_huge_rate(monkeypatch):
+    # walking back one n at a time took up to 70,710 tail evaluations here
+    from twohop_aloha import core
+
+    calls = 0
+    pdtrc = core.special.pdtrc
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pdtrc(*args)
+
+    monkeypatch.setattr(core.special, "pdtrc", counted)
+    poisson_tail_cutoff.cache_clear()
+    poisson_tail_cutoff(5e11, TAIL_MASS_DEFAULT)
+    assert 0 < calls <= 200
 
 
 def test_poisson_pmf_sums_to_one_over_cutoff_support():
@@ -196,12 +246,12 @@ def test_gamma_k_array_matches_scalar():
 
 
 @given(
-    x=st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=24),
+    x=st.lists(st.integers(min_value=0, max_value=1100), min_size=1, max_size=24),
     rows=st.sampled_from([1, 2, 4]),
     eps=st.one_of(
         st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), st.floats(min_value=0.0, max_value=1.0)
     ),
-    k=st.integers(min_value=0, max_value=8),
+    k=st.integers(min_value=0, max_value=40),
 )
 @settings(max_examples=200, deadline=None)
 def test_gamma_k_memoized_rows_are_bit_identical(x, rows, eps, k):

@@ -324,11 +324,11 @@ def test_tdma_evaluation():
 @pytest.mark.parametrize("allocation", [None, Tdma(alpha=0.5)])
 def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
     # README scenario: every tolerance value comes from at most two rows per
-    # class grid, never from a scipy call per (n_c, n_cbar) pair or term
-    from scipy import stats
+    # class grid, never from a binomial-CDF call per (n_c, n_cbar) pair or term
+    from twohop_aloha import core
 
     calls = {"rows": 0, "cdf": 0}
-    rows, cdf = sp.gamma_k_tolerance_array, stats.binom.cdf
+    rows, cdf = sp.gamma_k_tolerance_array, core._binom_cdf
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -336,10 +336,12 @@ def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
             return fn(*args, **kwargs)
         return wrapper
 
+    core._tolerance_row.cache_clear()
     monkeypatch.setattr(sp, "gamma_k_tolerance_array", counted("rows", rows))
-    monkeypatch.setattr(stats.binom, "cdf", counted("cdf", cdf))
+    monkeypatch.setattr(core, "_binom_cdf", counted("cdf", cdf))
     extra = {} if allocation is None else {"allocation": allocation}
     m = sp.evaluate_superposition(sup_cfg(T=8, G=16.0, K=2, **extra))
     assert m.R_c > 0.0 and m.R_cbar > 0.0
     assert 1 <= calls["rows"] <= 4
     assert calls["cdf"] <= calls["rows"]
+    assert calls["cdf"] >= 1  # the rows were built here, not read from the cache
