@@ -18,7 +18,7 @@ TDMA.
   once per (L, eps1, eps2, g_c, g_n).  A K whose CS tolerance sum needs a
   binomial coefficient beyond the floats is refused.
 * A two-class evaluation whose Poisson supports span more than
-  ``MAX_TWO_CLASS_CELLS`` cells is refused.
+  ``MAX_TWO_CLASS_CELLS`` cells is refused, as is a lone class's support.
 * The literal closed forms of the metrics are the test oracle
   ``tests/closed_form_oracle.py``; ``sim_erasure`` is the independent Monte
   Carlo oracle.
@@ -50,9 +50,9 @@ from .core import (
     poisson_weights,
 )
 
-# Largest product of the two classes' Poisson supports that one two-class
-# evaluation may span; beyond it the work (and, for the dense finite-K
-# series, the memory) is refused rather than attempted.
+# Most cells of Poisson support that one evaluation may span: the product of
+# the two classes' supports, or one support for a class that contends alone.
+# Beyond it the work (and the dense finite-K series' memory) is refused.
 MAX_TWO_CLASS_CELLS = 2**26
 
 # poisson_expectation works on blocks of this many loads and this many
@@ -108,9 +108,17 @@ def poisson_expectation(f, loads) -> np.ndarray:
     n >= load where the bound P(n+1) / (1 - load / (n+2)) on the Poisson
     tail beyond n is at most 1e-12 times the partial sum, so, as f <= 1,
     every value carries a relative truncation error of at most 1e-12.  A
-    partial sum that is negative or not finite raises a ValueError.
+    partial sum that is negative or not finite raises a ValueError, and so,
+    before any work, does a largest load whose Poisson support spans more
+    than ``MAX_TWO_CLASS_CELLS`` terms.
     """
     uniq, inverse = np.unique(np.asarray(loads, dtype=float), return_inverse=True)
+    terms = poisson_tail_cutoff(float(uniq[-1]), TAIL_MASS_DEFAULT) + 1
+    if terms > MAX_TWO_CLASS_CELLS:
+        raise ValueError(
+            f"per-slot load {uniq[-1]:g} spans {terms:.3g} terms of Poisson support, "
+            f"over the limit of {MAX_TWO_CLASS_CELLS}"
+        )
     blocks = [
         _expectation_block(f, uniq[lo : lo + _BLOCK_LOADS])
         for lo in range(0, uniq.size, _BLOCK_LOADS)
@@ -306,29 +314,6 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
 # ============================================================================
 
 
-def _group(cfg: ScenarioConfig) -> tuple:
-    return cfg.L, cfg.erasure.eps1, cfg.erasure.eps2
-
-
-def _evaluate_one(cfg: ScenarioConfig, isolated: dict, finite: dict) -> ServiceMetrics:
-    def alone(load):
-        return isolated[(*_group(cfg), load)]
-
-    if isinstance(cfg.allocation, Tdma):
-        (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-        (r_c, p_c), (r_n, p_n) = alone(g_c), alone(g_n)
-        return ServiceMetrics(
-            R_c=share_c * r_c, R_cbar=share_n * r_n, Gamma_c=p_c, Gamma_cbar=p_n
-        )
-
-    g_c, g_n = cfg.cs_slot_load, cfg.ncs_slot_load
-    if not is_infinite(cfg.K):
-        return finite[(*_group(cfg), g_c, g_n)][cfg.K]
-    r_c, p_c = alone(g_c)
-    r_n, p_n = _ncs_ideal_k(*_group(cfg), g_c, g_n) if g_n > 0 else (0.0, 0.0)
-    return ServiceMetrics(R_c=r_c, R_cbar=r_n, Gamma_c=p_c, Gamma_cbar=p_n)
-
-
 def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
     """``evaluate_erasure`` of every scenario in ``cfgs``, in order.
 
@@ -337,30 +322,44 @@ def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
     non-orthogonal scenarios one ``_finite_k_metrics`` call per (L, eps1,
     eps2, g_c, g_n), with all their K values on one grid.
     """
-    cfgs = list(cfgs)
-    loads: dict = {}
-    tolerances: dict = {}
+    alone: dict = {}  # (L, eps1, eps2) -> the loads of classes that contend alone
+    tolerances: dict = {}  # (L, eps1, eps2, g_c, g_n) -> its finite K values
+    plans = []  # per scenario: its path, its group and where its values are
     for cfg in cfgs:
         if cfg.receiver != Receiver.COLLISION:
             raise ValueError(
                 "evaluate_erasure handles the collision receiver; use the "
                 "superposition module for the superposition receiver"
             )
-        alone = loads.setdefault(_group(cfg), [])
+        e, g_c, g_n = cfg.erasure, cfg.cs_slot_load, cfg.ncs_slot_load
+        key = (cfg.L, e.eps1, e.eps2)
         if isinstance(cfg.allocation, Tdma):
-            alone.extend(load for _, load in cfg.tdma_shares())
+            (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
+            plans.append(("tdma", key, len(alone.setdefault(key, [])), share_c, share_n))
+            alone[key] += (g_c, g_n)
         elif is_infinite(cfg.K):
-            alone.append(cfg.cs_slot_load)
+            plans.append(("ideal", key, len(alone.setdefault(key, [])), g_c, g_n))
+            alone[key].append(g_c)
         else:
-            key = (*_group(cfg), cfg.cs_slot_load, cfg.ncs_slot_load)
-            tolerances.setdefault(key, set()).add(cfg.K)
-    isolated = {}
-    for key, group in loads.items():
-        if group:
-            for load, r, p in zip(group, *isolated_class_metrics(*key, group)):
-                isolated[(*key, load)] = (float(r), float(p))
+            tolerances.setdefault((*key, g_c, g_n), set()).add(cfg.K)
+            plans.append(("finite", (*key, g_c, g_n), cfg.K))
+    isolated = {
+        key: [values.tolist() for values in isolated_class_metrics(*key, loads)]
+        for key, loads in alone.items()
+    }
     finite = {key: _finite_k_metrics(*key, ks) for key, ks in tolerances.items()}
-    return [_evaluate_one(cfg, isolated, finite) for cfg in cfgs]
+    out = []
+    for path, key, *where in plans:
+        if path == "finite":
+            out.append(finite[key][where[0]])
+            continue
+        (tput, psr), (at, a, b) = isolated[key], where
+        if path == "tdma":  # a, b are the slot shares
+            out.append(ServiceMetrics(a * tput[at], b * tput[at + 1], psr[at], psr[at + 1]))
+        else:  # a, b are the per-slot loads
+            r_n, p_n = _ncs_ideal_k(*key, a, b) if b > 0 else (0.0, 0.0)
+            out.append(ServiceMetrics(tput[at], r_n, psr[at], p_n))
+    return out
 
 
 def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:

@@ -248,7 +248,7 @@ class SuperpositionBackend:
             )
 
     def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
-        return [superposition.evaluate_superposition(cfg, self.estimator) for cfg in cfgs]
+        return superposition.evaluate_superposition_batch(cfgs, self.estimator)
 
 
 Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
@@ -537,7 +537,8 @@ def compute_region(spec: RegionSpec) -> list[list]:
     if "non_orthogonal" in spec.schemes:
         grid += [("non_orthogonal", g, "", NON_ORTHOGONAL) for g in spec.gamma_grid]
     if "tdma" in spec.schemes:
-        grid += [("tdma", g, a, Tdma(alpha=a)) for g in spec.gamma_grid for a in spec.alpha_grid]
+        tdma = [(a, Tdma(alpha=a)) for a in spec.alpha_grid]
+        grid += [("tdma", g, a, alloc) for g in spec.gamma_grid for a, alloc in tdma]
     cfgs = [spec.base.replace(gamma_c=g, allocation=alloc) for _, g, _, alloc in grid]
     for cfg in cfgs:
         spec.backend.check(cfg)

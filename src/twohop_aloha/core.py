@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -235,7 +235,7 @@ class ScenarioConfig:
         return (alpha, g_c), (1.0 - alpha, g_n)
 
     def replace(self, **changes) -> "ScenarioConfig":
-        return replace(self, **changes)
+        return type(self)(**{**vars(self), **changes})
 
 
 # ============================================================================

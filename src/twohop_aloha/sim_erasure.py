@@ -170,9 +170,9 @@ def _class_draws(n_dev, busy, row, counts, ids, u) -> _ClassDraws:
 
 
 def _cells(rng: np.random.Generator, n_dev, busy, T: int, first: int, n_slots: int):
-    """Each device's (frame, slot) cell; a class without slots sits in ``first``."""
+    """Each device's (frame, slot) cell; a class with one slot or none sits in ``first``."""
     cell = np.repeat(busy, n_dev[busy]) * T + first
-    return cell + rng.integers(0, n_slots, size=cell.size) if n_slots else cell
+    return cell + rng.integers(0, n_slots, size=cell.size) if n_slots > 1 else cell
 
 
 def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):

@@ -5,28 +5,29 @@ the BS; only distinct-message interference destroys.  Conditioned on the
 per-slot transmission counts (n_c, n_cbar), the vector of per-message AP
 copy counts is multinomial over (silent, one cell per CS message, one cell
 per NCS message).  The tolerance K enters only through two rows of
-``gamma_k_tolerance_array`` built once per class grid: ``ap_budget[n]``,
-the AP budget at eps1 with n NCS arrivals, and ``bs_budget[m]``, the BS
-budget at eps2 with m NCS copies.
+``gamma_k_tolerance_array``, built once per class grid (once per batch of
+grids by ``ExactEnum``): ``ap_budget[n]``, the AP budget at eps1 with n NCS
+arrivals, and ``bs_budget[m]``, the BS budget at eps2 with m NCS copies.
 
 Two estimators of the expectation over AP allocations.  Both offer
-``metrics(L, e1, e2, g_c, g_n, k)``, the class throughputs and packet
-success rates (R_c, R_cbar, Gamma_c, Gamma_cbar) at per-slot loads g_c and
-g_n; a class with no load gets zero packet success rate:
+``metrics(L, e1, e2, k, loads)``: for each (g_c, g_n) pair of per-slot loads,
+the class throughputs and packet success rates (R_c, R_cbar, Gamma_c,
+Gamma_cbar); a class with no load gets zero packet success rate:
 
 * ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
   within a class are exchangeable, so the multinomial sum collapses to a
-  difference of powers per (n_c, n_cbar) (``_tagged_decode``), evaluated as
-  one array over the whole Poisson support grid at a cost of about L grid
-  passes; a class delivers n times its tagged-message probability.  It
-  equals exhaustive enumeration of the allocations (pinned against a
-  literal enumerator in ``tests/test_superposition.py``).
-* ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair from
-  dedicated substreams of the master seed and keeps the per-allocation
-  values, from which standard errors are reported.
+  difference of powers per (n_c, n_cbar) (``_tagged_decode``), evaluated
+  elementwise over the cells of every pair's Poisson support grid, in blocks
+  of ``_BLOCK_CELLS`` cells, at a cost of about L grid passes; a class
+  delivers n times its tagged-message probability.  It equals exhaustive
+  enumeration of the allocations (pinned against a literal enumerator in
+  ``tests/test_superposition.py``).
+* ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair, pair by
+  pair, from dedicated substreams of the master seed and keeps the
+  per-allocation values, from which standard errors are reported.
 
-Before either estimator does any work, ``evaluate_superposition`` refuses
-loads whose two Poisson supports span more than
+Before either estimator does any work, ``evaluate_superposition_batch``
+refuses loads whose two Poisson supports span more than
 ``analytic_erasure.MAX_TWO_CLASS_CELLS`` cells, the analytic series' rule.
 """
 
@@ -82,8 +83,12 @@ def ap_allocation_probs(
 
 
 # ============================================================================
-#  Exact expectation (one array kernel over the Poisson support grid)
+#  Exact expectation (one array kernel over the Poisson support grids)
 # ============================================================================
+
+
+# Cells per call of the exact kernel, which bounds its temporaries.
+_BLOCK_CELLS = 2**13
 
 
 def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -115,8 +120,8 @@ def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     """BS decode probabilities of a tagged CS and a tagged NCS message.
 
-    Both are arrays over the grid ``n_c[:, None]`` x ``n_n[None, :]`` of
-    per-slot transmission counts; ``ap_budget`` is indexed by the NCS count
+    Both are elementwise over the cells (``n_c``, ``n_n``) of per-slot
+    transmission counts; ``ap_budget`` is indexed by the NCS count
     and ``bs_budget`` by the number of NCS copies at the BS.  Each AP
     independently relays the tagged message of a class with probability t
     (p = n t for the class), and is silent with probability
@@ -131,10 +136,9 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
     factor overflows at large L.
     """
-    nc, nn = n_c[:, None], n_n[None, :]
-    p_c = _p_cs_array(nc, e1) * ap_budget[nn]
-    p_n = _p_cs_array(nn, e1) * e1**nc
-    t_c, t_n = p_c / np.maximum(nc, 1), p_n / np.maximum(nn, 1)
+    p_c = _p_cs_array(n_c, e1) * ap_budget[n_n]
+    p_n = _p_cs_array(n_n, e1) * e1**n_c
+    t_c, t_n = p_c / np.maximum(n_c, 1), p_n / np.maximum(n_n, 1)
     rest = np.maximum(1.0 - p_c - p_n, 0.0)
     d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
     log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
@@ -236,19 +240,31 @@ class ExactEnum:
 
     seed = None
 
-    def metrics(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[float, ...]:
-        # By exchangeability a class delivers n times its tagged probability.
-        n_c, w_c, tag_c = _class_support(g_c)
-        n_n, w_n, tag_n = _class_support(g_n)
-        ap_budget = gamma_k_tolerance_array(n_n, e1, k)
+    def metrics(self, L, e1, e2, k: Tolerance, loads) -> list[tuple[float, ...]]:
+        supports = [(_class_support(g_c), _class_support(g_n)) for g_c, g_n in loads]
+        shapes = np.array([(c[0].size, n[0].size) for c, n in supports])
+        ap_budget = gamma_k_tolerance_array(np.arange(shapes[:, 1].max()), e1, k)
         bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
-        cs, ncs = _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
-        return (
-            float(w_c @ (n_c[:, None] * cs) @ w_n),
-            float(w_c @ (ncs * n_n) @ w_n),
-            float(tag_c @ cs @ w_n),
-            float(w_c @ ncs @ tag_n),
-        )
+        # The grids lie row-major in one array, each from a multiple of 8
+        # cells (64 bytes), so each is aligned as a fresh array of its own.
+        starts = np.concatenate(([0], np.cumsum(-(-shapes.prod(axis=1) // 8) * 8)))
+        flat = np.empty((2, starts[-1]))
+        for lo in range(0, starts[-1], _BLOCK_CELLS):
+            cell = np.arange(lo, min(lo + _BLOCK_CELLS, starts[-1]))
+            grid = np.searchsorted(starts, cell, side="right") - 1
+            n_c, n_n = np.divmod(cell - starts[grid], shapes[grid, 1])
+            flat[:, cell] = _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+        grids = [flat[:, a : a + r * c].reshape(2, r, c) for a, (r, c) in zip(starts, shapes)]
+        # By exchangeability a class delivers n times its tagged probability.
+        return [
+            (
+                float(w_c @ (n_c[:, None] * cs) @ w_n),
+                float(w_c @ (ncs * n_n) @ w_n),
+                float(tag_c @ cs @ w_n),
+                float(w_c @ ncs @ tag_n),
+            )
+            for ((n_c, w_c, tag_c), (n_n, w_n, tag_n)), (cs, ncs) in zip(supports, grids)
+        ]
 
 
 @dataclass(frozen=True)
@@ -263,7 +279,10 @@ class ConditionedMC:
         probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
-    def metrics(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[_McAccumulator, ...]:
+    def metrics(self, L, e1, e2, k: Tolerance, loads) -> list[tuple[_McAccumulator, ...]]:
+        return [self._grid(L, e1, e2, g_c, g_n, k) for g_c, g_n in loads]
+
+    def _grid(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[_McAccumulator, ...]:
         # Tolerance rows over every NCS count and copy count a pair asks for.
         r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
         cs, ncs = poisson_weights(g_c), poisson_weights(g_n)
@@ -291,31 +310,51 @@ class ConditionedMC:
 # ============================================================================
 
 
-def evaluate_superposition(
-    cfg: ScenarioConfig, estimator: ExactEnum | ConditionedMC = ExactEnum()
-):
-    """Class metrics for a superposition-receiver erasure scenario.
+def evaluate_superposition_batch(
+    cfgs, estimator: ExactEnum | ConditionedMC = ExactEnum()
+) -> list:
+    """Class metrics of superposition-receiver erasure scenarios, in order.
 
     Returns ``ServiceMetrics`` under ``ExactEnum`` and ``SimulatedMetrics``
     (with standard errors) under ``ConditionedMC``.  TDMA is evaluated per
     class over its slot share with the other class silenced, with class
-    throughput scaled by the share.  Loads whose two Poisson supports span
-    more than ``MAX_TWO_CLASS_CELLS`` cells are refused with a ValueError.
+    throughput scaled by the share.  Every scenario's class grids are
+    checked, in order, before any work: loads whose two Poisson supports
+    span more than ``MAX_TWO_CLASS_CELLS`` cells are refused with a
+    ValueError.  The distinct grids of each (L, eps1, eps2, K) then go to
+    one ``estimator.metrics`` call.
     """
-    e = cfg.erasure
-    if cfg.receiver != Receiver.SUPERPOSITION:
-        raise ValueError("evaluate_superposition requires the superposition receiver")
-    if isinstance(cfg.allocation, Tdma):
-        (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-        grids = ((g_c, 0.0), (0.0, g_n))
-    else:
-        share_c = share_n = 1.0
-        grids = ((cfg.cs_slot_load, cfg.ncs_slot_load),)
-    for loads in grids:
-        _check_two_class_work(*loads)
-    per_grid = [estimator.metrics(cfg.L, e.eps1, e.eps2, *loads, cfg.K) for loads in grids]
-    (r_c, _, p_c, _), (_, r_n, _, p_n) = per_grid[0], per_grid[-1]
-    scaled = ((r_c, share_c), (r_n, share_n), (p_c, 1.0), (p_n, 1.0))
-    if estimator.seed is None:
-        return ServiceMetrics(*(value * s for value, s in scaled))
-    return SimulatedMetrics(*(acc.estimate(estimator.seed, s) for acc, s in scaled))
+    groups: dict = {}  # (L, eps1, eps2, K) -> {(g_c, g_n): its position}
+    plans = []  # per scenario: its group, its grids' positions and its shares
+    for cfg in cfgs:
+        e = cfg.erasure
+        if cfg.receiver != Receiver.SUPERPOSITION:
+            raise ValueError("evaluate_superposition requires the superposition receiver")
+        if isinstance(cfg.allocation, Tdma):
+            (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
+            grids = ((g_c, 0.0), (0.0, g_n))
+        else:
+            share_c = share_n = 1.0
+            grids = ((cfg.cs_slot_load, cfg.ncs_slot_load),)
+        for loads in grids:
+            _check_two_class_work(*loads)
+        key = (cfg.L, e.eps1, e.eps2, cfg.K)
+        pairs = groups.setdefault(key, {})
+        plans.append((key, [pairs.setdefault(g, len(pairs)) for g in grids], share_c, share_n))
+    results = {key: estimator.metrics(*key, list(pairs)) for key, pairs in groups.items()}
+    out = []
+    for key, at, share_c, share_n in plans:
+        (r_c, _, p_c, _), (_, r_n, _, p_n) = results[key][at[0]], results[key][at[-1]]
+        scaled = ((r_c, share_c), (r_n, share_n), (p_c, 1.0), (p_n, 1.0))
+        if estimator.seed is None:
+            out.append(ServiceMetrics(*(value * s for value, s in scaled)))
+        else:
+            out.append(SimulatedMetrics(*(acc.estimate(estimator.seed, s) for acc, s in scaled)))
+    return out
+
+
+def evaluate_superposition(
+    cfg: ScenarioConfig, estimator: ExactEnum | ConditionedMC = ExactEnum()
+):
+    """The metrics of one scenario, as ``evaluate_superposition_batch`` gives them."""
+    return evaluate_superposition_batch([cfg], estimator)[0]

@@ -377,6 +377,45 @@ def test_eval_two_class_work_bound_is_numerical_error(tmp_path, capsys, K):
     assert "Traceback" not in err
 
 
+def test_eval_isolated_series_work_bound_is_numerical_error(tmp_path):
+    # CS at K = inf contends alone at a per-slot load of 5e11: its series
+    # would run for hours, so it is refused before any work
+    body = BASE_INI.replace("T = 8", "T = 1").replace("G = 16.0", "G = 1e12")
+    path = write_ini(tmp_path, body.replace("gamma_c = 1.0", "gamma_c = 0.5"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "twohop_aloha.cli", "eval", "--config", path],
+                          env=env, timeout=300, capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr
+    assert proc.stderr.startswith("numerical error: ")
+    assert "terms of Poisson support" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_region_tdma_high_load_still_answers():
+    # the 71 x 71 TDMA grid at G = 1e4 reaches a CS load of 7e5 per slot,
+    # under the series' work bound: the values are those it always had
+    base = ScenarioConfig(L=3, T=1, G=1e4, gamma_c=0.5, channel=ErasureParams(0.999, 0.5))
+    spec = cli.RegionSpec(base=base, gamma_grid=(1.0,), alpha_grid=(1 / 70,),
+                          backend=cli.AnalyticBackend(), schemes=("tdma",))
+    assert cli.compute_region(spec) == [("tdma", 1.0, 1 / 70, 1.4789514829565166e-303, 0.0)]
+
+
+@pytest.mark.parametrize("name", ["scenario", "superposition"])
+def test_region_bytes_match_the_benchmark_references(tmp_path, name):
+    # the figures workload's two regions, read from the benchmark's own
+    # scenario files, must keep the bytes of its stored references
+    bench = os.path.join(os.path.dirname(_SRC), "perfbench")
+    reference = "analytic" if name == "scenario" else name
+    out = str(tmp_path / "region.csv")
+    config = os.path.join(bench, "scenarios", f"{name}.ini")
+    assert cli.main(["region", "--config", config, "--out", out]) == cli.EXIT_OK
+    with open(out, "rb") as got, open(
+        os.path.join(bench, "reference", f"region_{reference}.csv"), "rb"
+    ) as want:
+        assert got.read() == want.read()
+
+
 def test_eval_tolerance_sum_beyond_floats_is_numerical_error(tmp_path, capsys):
     # C(1099, 549) does not fit in a float: K = 600 at L = 1100 is refused
     # (it used to die with an OverflowError traceback), while K = 2 at the

@@ -292,3 +292,27 @@ EXPECTED = {"coupled_compare": 0,
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_engine_output_is_pinned(name):
     assert CASES[name]() == EXPECTED[name]
+
+
+_ERASURE_PINS = {
+    "erasure_non_orthogonal_k_inf": _erasure(K=INFINITE_K),
+    "erasure_non_orthogonal_k2": _erasure(K=2),
+    "erasure_tdma_alpha_0": _erasure(T=3, allocation=Tdma(alpha=0.0)),
+    "erasure_tdma_alpha_0.3": _erasure(T=3, allocation=Tdma(alpha=0.3)),
+    "erasure_tdma_alpha_1": _erasure(T=3, allocation=Tdma(alpha=1.0)),
+}
+
+
+def test_batches_reproduce_the_pins():
+    # one batch per backend, a scenario repeated, gives every evaluator pin
+    names = list(_ERASURE_PINS) + ["erasure_tdma_alpha_0.3"]
+    got = ae.evaluate_erasure_batch([_ERASURE_PINS[n] for n in names])
+    assert [_service(m) for m in got] == [EXPECTED[n] for n in names]
+    cfgs = [_SUP, _SUP_TDMA, _SUP]
+    for estimator, summary, names in (
+        (sp.ExactEnum(), _service, ("superposition_exact", "superposition_exact_tdma")),
+        (sp.ConditionedMC(n_alloc_samples=200, seed=18), _metrics,
+         ("superposition_mc", "superposition_mc_tdma")),
+    ):
+        got = sp.evaluate_superposition_batch(cfgs, estimator)
+        assert [summary(m) for m in got] == [EXPECTED[n] for n in (*names, names[0])]

@@ -457,6 +457,16 @@ def test_uniform_blocks_equal_one_draw(L):
         assert blocked.bit_generator.state == one.bit_generator.state
 
 
+def test_one_slot_draw_consumes_no_randomness():
+    # a class with one slot draws no slot choice: numpy's integers(0, 1)
+    # returns zeros without advancing the generator, so skipping it keeps
+    # every stream (the dense reference above still makes the call)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    assert not rng.integers(0, 1, size=1000).any()
+    assert rng.bit_generator.state == state
+
+
 def test_points_chunk_memory_stays_below_the_row_major_kernel():
     # One chunk of the benchmark's points scenario (83,333 frames at L=3,
     # T=8, G=16).  The row-major kernel with whole (cells, L) and

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -150,7 +152,7 @@ def _kernel(L, n_c, n_n, e1, e2, k):
     """The exact kernel's (tagged CS, tagged NCS) decode probabilities at one pair."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
     cs, ncs = sp._tagged_decode(L, e1, e2, np.array([n_c]), np.array([n_n]), np.array(ap), bs)
-    return float(cs[0, 0]), float(ncs[0, 0])
+    return float(cs[0]), float(ncs[0])
 
 
 def _literal(L, n_c, n_n, e1, e2, k):
@@ -345,3 +347,97 @@ def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
     assert 1 <= calls["rows"] <= 4
     assert calls["cdf"] <= calls["rows"]
     assert calls["cdf"] >= 1  # the rows were built here, not read from the cache
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _mixed_scenarios(receiver, Ls=(1, 2, 3, 5, 64)):
+    """Scenarios over L, K, allocation and gamma_c, cycling through access and
+    backhaul erasures that include 0 and 1; the first three come again last."""
+    eps = [(0.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.3, 0.7)]
+    allocations = [None, Tdma(alpha=0.0), Tdma(alpha=0.3), Tdma(alpha=1.0)]
+    cfgs = []
+    for i, (L, k, alloc, g) in enumerate(
+        itertools.product(Ls, (0, 1, 2, INFINITE_K), allocations, (0.0, 0.5, 1.0))
+    ):
+        e1, e2 = eps[i % len(eps)]
+        extra = {} if alloc is None else {"allocation": alloc}
+        cfgs.append(ScenarioConfig(
+            L=L, T=2, G=3.0, gamma_c=g, channel=ErasureParams(e1, e2), K=k,
+            receiver=receiver, **extra,
+        ))
+    return cfgs + cfgs[:3]
+
+
+@pytest.mark.parametrize("backend", ["analytic", "exact", "mc"])
+def test_batch_equals_one_scenario_evaluation(backend):
+    if backend == "analytic":
+        cfgs = _mixed_scenarios(Receiver.COLLISION)
+        batch, one = ae.evaluate_erasure_batch, ae.evaluate_erasure
+    else:
+        estimator = sp.ExactEnum() if backend == "exact" else sp.ConditionedMC(20, seed=5)
+        Ls = (1, 3) if backend == "mc" else (1, 2, 3, 5, 64)
+        cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, Ls)
+        def batch(cfgs):
+            return sp.evaluate_superposition_batch(cfgs, estimator)
+        def one(cfg):
+            return sp.evaluate_superposition(cfg, estimator)
+    assert [repr(m) for m in batch(cfgs)] == [repr(one(c)) for c in cfgs]
+
+
+def test_exact_batch_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks of 7 cells split every grid and straddle grid boundaries
+    cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, (1, 3, 64))
+    expected = [repr(m) for m in sp.evaluate_superposition_batch(cfgs)]
+    monkeypatch.setattr(sp, "_BLOCK_CELLS", 7)
+    assert [repr(m) for m in sp.evaluate_superposition_batch(cfgs)] == expected
+
+
+def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
+    # the 11 x 11 README region: every class grid of its one (L, eps1, eps2, K)
+    # group goes through the kernel together, block by block
+    from twohop_aloha import cli
+
+    calls = []
+    kernel = sp._tagged_decode
+
+    def counted(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
+        calls.append(n_c.size)
+        return kernel(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+
+    monkeypatch.setattr(sp, "_tagged_decode", counted)
+    base = sup_cfg(T=8, G=16.0, K=2)
+    grid = tuple(i / 10 for i in range(11))
+    spec = cli.RegionSpec(base=base, gamma_grid=grid, alpha_grid=grid,
+                          backend=cli.SuperpositionBackend())
+    cli.compute_region(spec)
+    loads = {(base.replace(gamma_c=g).cs_slot_load, base.replace(gamma_c=g).ncs_slot_load)
+             for g in grid}
+    for g, a in itertools.product(grid, grid):
+        (_, g_c), (_, g_n) = base.replace(gamma_c=g, allocation=Tdma(alpha=a)).tdma_shares()
+        loads |= {(g_c, 0.0), (0.0, g_n)}
+    # each grid starts on a whole 8 cells (64 bytes)
+    cells = sum(-(-sp._class_support(g_c)[0].size * sp._class_support(g_n)[0].size // 8) * 8
+                for g_c, g_n in loads)
+    assert len(calls) == math.ceil(cells / sp._BLOCK_CELLS)
+    assert sum(calls) == cells
+    assert all(size == sp._BLOCK_CELLS for size in calls[:-1])
+
+
+def test_exact_memory_per_cell():
+    # per-slot loads of 200 per class: 308 x 308 cells of Poisson support
+    cfg = sup_cfg(L=3, T=1, G=400.0, gamma_c=0.5, K=2)
+    cells = math.prod(sp._class_support(g)[0].size for g in (cfg.cs_slot_load, cfg.ncs_slot_load))
+    assert cells == 94_864
+    sp.evaluate_superposition(cfg)  # fills the memoized Poisson cutoffs and tolerance rows
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        sp.evaluate_superposition(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * cells, f"{peak / cells:.1f} B per cell"
