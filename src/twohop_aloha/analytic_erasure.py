@@ -38,13 +38,13 @@ import numpy as np
 from scipy import special
 
 from .core import (
+    INFINITE_K,
     TAIL_MASS_DEFAULT,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
     Tdma,
     gamma_k_tolerance_array,
-    is_infinite,
     normalized_poisson_weights,
     poisson_tail_cutoff,
     poisson_weights,
@@ -129,7 +129,12 @@ def poisson_expectation(f, loads) -> np.ndarray:
 def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
     g = lam[:, None]
     total, value, done = 0.0, 0.0, False
-    for lo in itertools.count(0, _BLOCK_TERMS):
+    # Below min(lam) - 40 sqrt(min(lam)) every pmf underflows to exactly 0
+    # and no sum can stop, so the blocks start at the last block boundary
+    # there: the partial sums, and so every bit, stay those from n = 0.
+    low = float(lam.min())
+    start = int(max(0.0, low - 40.0 * math.sqrt(low)) // _BLOCK_TERMS) * _BLOCK_TERMS
+    for lo in itertools.count(start, _BLOCK_TERMS):
         n = np.arange(lo, lo + _BLOCK_TERMS + 1)
         pmf = np.exp(special.xlogy(n, g) - g - special.gammaln(n + 1.0))
         partial = total + np.cumsum(pmf[:, None, :-1] * f(n[:-1]), axis=2)
@@ -337,7 +342,7 @@ def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
             (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
             plans.append(("tdma", key, len(alone.setdefault(key, [])), share_c, share_n))
             alone[key] += (g_c, g_n)
-        elif is_infinite(cfg.K):
+        elif cfg.K == INFINITE_K:
             plans.append(("ideal", key, len(alone.setdefault(key, [])), g_c, g_n))
             alone[key].append(g_c)
         else:

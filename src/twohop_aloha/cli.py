@@ -30,9 +30,7 @@ from .core import (
     FadingParams,
     Receiver,
     ScenarioConfig,
-    ServiceMetrics,
     Tdma,
-    is_infinite,
 )
 from .superposition import ConditionedMC, ExactEnum
 
@@ -181,8 +179,8 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 # Every backend offers the same three members: ``check(cfg)`` raises a
 # ConfigError for a scenario it cannot evaluate, ``evaluate(cfgs)`` returns
 # one ServiceMetrics or SimulatedMetrics per scenario of a list, in order,
-# and ``seed`` is the master seed echoed into stochastic output, or None for
-# a deterministic backend.
+# and ``seed`` is the master seed echoed into stochastic output, or None
+# exactly for a backend that returns ServiceMetrics.
 
 
 @dataclass(frozen=True)
@@ -303,12 +301,8 @@ def backend_from_config(parser, name: str, args) -> Backend:
 
 
 def fmt_value(x) -> str:
-    if is_infinite(x):
-        return "inf"
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
-        return str(int(x))
     if isinstance(x, int):
         return str(x)
     return f"{float(x):.9g}"
@@ -338,125 +332,112 @@ def _metric_header(seed) -> list[str]:
     return header
 
 
-def _metric_row(result, seed=None) -> list:
+def _metric_row(result, seed) -> list:
     """Metric means; a stochastic backend's ``seed`` adds std errors and the seed."""
-    if isinstance(result, ServiceMetrics):
-        row = [getattr(result, name) for name in _METRICS]
-        if seed is not None:  # exact result on a stochastic path
-            row += [0.0] * len(_METRICS)
-    else:
-        estimates = [getattr(result, name) for name in _METRICS]
-        row = [e.mean for e in estimates] + [e.std_error for e in estimates]
-    if seed is not None:
-        row.append(seed)
-    return row
+    values = [getattr(result, name) for name in _METRICS]
+    if seed is None:
+        return values
+    return [e.mean for e in values] + [e.std_error for e in values] + [seed]
+
+
+def _evaluate(backend: Backend, cfgs: list[ScenarioConfig]) -> list:
+    """Every scenario checked before any work, then all of them in one call."""
+    for cfg in cfgs:
+        backend.check(cfg)
+    return backend.evaluate(cfgs)
+
+
+def _command_section(parser, command: str):
+    if command not in parser:
+        raise ConfigError(f"{command} command needs a [{command}] section")
+    return parser[command]
+
+
+def _section_backend(parser, sec, command: str, args) -> Backend:
+    """``--backend``, else the section's ``backend``, else analytic; ``--out`` is required."""
+    name = args.backend or _get(sec, "backend", str, default="analytic").strip()
+    backend = backend_from_config(parser, name, args)
+    if not args.out:
+        raise ConfigError(f"{command} requires --out")
+    return backend
 
 
 # ============================================================================
 #  Parameter sweeps
 # ============================================================================
 
-SWEEPABLE = ("gamma_c", "T", "L", "eps1", "eps2", "alpha", "alpha2", "beta2", "K", "G")
+
+def _whole_or_inf(k):
+    return k if k == INFINITE_K else int(k)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    base: ScenarioConfig
-    parameter: str
-    values: tuple
-    backend: Backend
-    out_path: str
+# Each sweepable parameter: the converter of its values, and the channel or
+# allocation type the base scenario needs for it (None: any scenario).
+_SWEEP = {
+    "gamma_c": (float, None),
+    "T": (int, None),
+    "L": (int, None),
+    "eps1": (float, ErasureParams),
+    "eps2": (float, ErasureParams),
+    "alpha": (float, Tdma),
+    "alpha2": (float, FadingParams),
+    "beta2": (float, FadingParams),
+    "K": (_whole_or_inf, ErasureParams),
+    "G": (float, None),
+}
+SWEEPABLE = tuple(_SWEEP)
+_REQUIREMENT = {
+    ErasureParams: "the erasure channel",
+    FadingParams: "the fading channel",
+    Tdma: "the tdma allocation",
+}
 
 
 def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
+    if name not in _SWEEP:
+        raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE}")
+    convert, needs = _SWEEP[name]
+    if needs and not (isinstance(cfg.channel, needs) or isinstance(cfg.allocation, needs)):
+        raise ConfigError(f"sweeping {name} requires {_REQUIREMENT[needs]}")
     try:
-        if name == "gamma_c":
-            return cfg.replace(gamma_c=float(value))
-        if name == "T":
-            return cfg.replace(T=int(value))
-        if name == "L":
-            return cfg.replace(L=int(value))
-        if name == "G":
-            return cfg.replace(G=float(value))
-        if name == "K":
-            if not isinstance(cfg.channel, ErasureParams):
-                raise ConfigError("sweeping K requires the erasure channel")
-            return cfg.replace(K=value if is_infinite(value) else int(value))
-        if name in ("eps1", "eps2"):
-            if not isinstance(cfg.channel, ErasureParams):
-                raise ConfigError(f"sweeping {name} requires the erasure channel")
-            return cfg.replace(
-                channel=dataclasses.replace(cfg.channel, **{name: float(value)})
-            )
-        if name in ("alpha2", "beta2"):
-            if not isinstance(cfg.channel, FadingParams):
-                raise ConfigError(f"sweeping {name} requires the fading channel")
-            return cfg.replace(
-                channel=dataclasses.replace(cfg.channel, **{name: float(value)})
-            )
+        converted = convert(value)
         if name == "alpha":
-            if not isinstance(cfg.allocation, Tdma):
-                raise ConfigError("sweeping alpha requires the tdma allocation")
-            return cfg.replace(allocation=Tdma(alpha=float(value)))
-    except ConfigError:
-        raise
+            return cfg.replace(allocation=Tdma(alpha=converted))
+        if name in vars(cfg):
+            return cfg.replace(**{name: converted})
+        return cfg.replace(channel=dataclasses.replace(cfg.channel, **{name: converted}))
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for parameter {name}: {exc}") from exc
-    raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE}")
 
 
-def sweep_spec_from_config(parser, base: ScenarioConfig, args) -> SweepSpec:
-    if "sweep" not in parser:
-        raise ConfigError("sweep command needs a [sweep] section")
-    sec = parser["sweep"]
+def _sweep_from_config(parser, args) -> tuple[str, tuple, Backend]:
+    """``(parameter, values, backend)`` of the ``[sweep]`` section."""
+    sec = _command_section(parser, "sweep")
     parameter = _get(sec, "parameter", str, required=True).strip()
     if parameter not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEPABLE}")
-    raw_values = _get(sec, "values", str, required=True)
-    if parameter == "K":
-        values = tuple(_parse_tolerance(v) for v in raw_values.split())
-    elif parameter in ("T", "L"):
-        values = _get(sec, "values", lambda text: tuple(int(v) for v in text.split()))
-    else:
-        values = tuple(_get(sec, "values", _float_list))
+    if _SWEEP[parameter][0] is float:
+        values = tuple(_get(sec, "values", _float_list, required=True))
+    else:  # whole numbers, or K: split at whitespace only
+        token = _parse_tolerance if parameter == "K" else int
+        values = _get(sec, "values", lambda text: tuple(map(token, text.split())), required=True)
     if not values:
         raise ConfigError("sweep value list is empty")
-    backend_name = args.backend or _get(sec, "backend", str, default="analytic").strip()
-    backend = backend_from_config(parser, backend_name, args)
-    if not args.out:
-        raise ConfigError("sweep requires --out")
-    return SweepSpec(
-        base=base, parameter=parameter, values=values, backend=backend, out_path=args.out
-    )
+    return parameter, values, _section_backend(parser, sec, "sweep", args)
 
 
-def run_sweep(spec: SweepSpec) -> list[list]:
-    """Evaluate every swept point; returns rows and writes the CSV."""
-    backend = spec.backend
-    cfgs = [_apply_parameter(spec.base, spec.parameter, value) for value in spec.values]
-    for cfg in cfgs:
-        backend.check(cfg)
-    rows = [
+def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) -> list[list]:
+    """One row per swept value: the value, then the metric columns."""
+    cfgs = [_apply_parameter(base, parameter, value) for value in values]
+    return [
         [value] + _metric_row(result, backend.seed)
-        for value, result in zip(spec.values, backend.evaluate(cfgs))
+        for value, result in zip(values, _evaluate(backend, cfgs))
     ]
-    write_csv(spec.out_path, [spec.parameter] + _metric_header(backend.seed), rows)
-    return rows
 
 
 # ============================================================================
 #  Throughput regions
 # ============================================================================
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    base: ScenarioConfig
-    gamma_grid: tuple
-    alpha_grid: tuple
-    backend: Backend
-    schemes: tuple = ("non_orthogonal", "tdma")
-    out_path: str = ""
 
 
 def _region_grid(sec, name: str) -> tuple:
@@ -472,30 +453,18 @@ def _region_grid(sec, name: str) -> tuple:
     return tuple(i / (count - 1) for i in range(count))
 
 
-def region_spec_from_config(parser, base: ScenarioConfig, args) -> RegionSpec:
-    if "region" not in parser:
-        raise ConfigError("region command needs a [region] section")
-    sec = parser["region"]
+def _region_from_config(parser, args) -> tuple[tuple, tuple, tuple, Backend]:
+    """``(gammas, alphas, schemes, backend)`` of the ``[region]`` section."""
+    sec = _command_section(parser, "region")
     gammas = _region_grid(sec, "gamma")
     alphas = _region_grid(sec, "alpha")
-    if not gammas or not alphas:
-        raise ConfigError("region grids must be non-empty")
     if any(not 0 <= v <= 1 for v in gammas) or any(not 0 <= v <= 1 for v in alphas):
         raise ConfigError("region grid values must lie in [0, 1]")
-    schemes = tuple(
-        _get(sec, "schemes", str, default="non_orthogonal tdma").split()
-    )
+    schemes = tuple(_get(sec, "schemes", str, default="non_orthogonal tdma").split())
     for s in schemes:
         if s not in ("non_orthogonal", "tdma"):
             raise ConfigError(f"unknown scheme {s!r} in region spec")
-    backend_name = args.backend or _get(sec, "backend", str, default="analytic").strip()
-    backend = backend_from_config(parser, backend_name, args)
-    if not args.out:
-        raise ConfigError("region requires --out")
-    return RegionSpec(
-        base=base, gamma_grid=gammas, alpha_grid=alphas, backend=backend,
-        schemes=schemes, out_path=args.out,
-    )
+    return gammas, alphas, schemes, _section_backend(parser, sec, "region", args)
 
 
 def pareto_filter(points: list[tuple]) -> list[tuple]:
@@ -531,27 +500,23 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
     return kept
 
 
-def compute_region(spec: RegionSpec) -> list[list]:
+def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backend) -> list[tuple]:
     """Pareto-nondominated (R_c, R_cbar) frontier per allocation scheme."""
     grid = []  # (scheme, gamma_c, alpha, allocation)
-    if "non_orthogonal" in spec.schemes:
-        grid += [("non_orthogonal", g, "", NON_ORTHOGONAL) for g in spec.gamma_grid]
-    if "tdma" in spec.schemes:
-        tdma = [(a, Tdma(alpha=a)) for a in spec.alpha_grid]
-        grid += [("tdma", g, a, alloc) for g in spec.gamma_grid for a, alloc in tdma]
-    cfgs = [spec.base.replace(gamma_c=g, allocation=alloc) for _, g, _, alloc in grid]
-    for cfg in cfgs:
-        spec.backend.check(cfg)
-    results = spec.backend.evaluate(cfgs)
+    if "non_orthogonal" in schemes:
+        grid += [("non_orthogonal", g, "", NON_ORTHOGONAL) for g in gammas]
+    if "tdma" in schemes:
+        tdma = [(a, Tdma(alpha=a)) for a in alphas]
+        grid += [("tdma", g, a, alloc) for g in gammas for a, alloc in tdma]
+    cfgs = [base.replace(gamma_c=g, allocation=alloc) for _, g, _, alloc in grid]
+    results = _evaluate(backend, cfgs)
     rows = []
     for scheme in ("non_orthogonal", "tdma"):
         rows += pareto_filter([
-            (s, g, a, *_metric_row(result)[:2])
+            (s, g, a, *_metric_row(result, backend.seed)[:2])
             for (s, g, a, _), result in zip(grid, results)
             if s == scheme
         ])
-    if spec.out_path:
-        write_csv(spec.out_path, ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"], rows)
     return rows
 
 
@@ -607,24 +572,11 @@ def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfi
     grid = dict(_VALIDATE_DEFAULTS)
     if overrides:
         grid.update(overrides)
-    configs = []
-    for L in grid["L"]:
-        for e1 in grid["eps1"]:
-            for e2 in grid["eps2"]:
-                for load in grid["load"]:
-                    for gc in grid["gamma_c"]:
-                        for k in grid["K"]:
-                            configs.append(
-                                ScenarioConfig(
-                                    L=int(L),
-                                    T=1,
-                                    G=float(load),
-                                    gamma_c=float(gc),
-                                    channel=ErasureParams(float(e1), float(e2)),
-                                    K=k if is_infinite(k) else int(k),
-                                )
-                            )
-    return configs
+    return [
+        ScenarioConfig(L=int(L), T=1, G=float(load), gamma_c=float(gc),
+                       channel=ErasureParams(float(e1), float(e2)), K=_whole_or_inf(k))
+        for L, e1, e2, load, gc, k in itertools.product(*(grid[a] for a in _VALIDATE_DEFAULTS))
+    ]
 
 
 def _error_cells(cfg: ScenarioConfig, exc: Exception) -> list[ValidationCell]:
@@ -728,13 +680,11 @@ def validation_rows(report: ValidationReport) -> tuple[list[str], list[list]]:
     rows = []
     for c in report.cells:
         e = c.cfg.erasure
-        rows.append(
-            [
-                c.cfg.L, c.cfg.T, c.cfg.G, e.eps1, e.eps2, c.cfg.gamma_c,
-                c.cfg.K, c.metric, c.analytic, c.simulated, c.std_error,
-                c.z, c.status, report.seed,
-            ]
-        )
+        rows.append([
+            c.cfg.L, c.cfg.T, c.cfg.G, e.eps1, e.eps2, c.cfg.gamma_c,
+            c.cfg.K, c.metric, c.analytic, c.simulated, c.std_error,
+            c.z, c.status, report.seed,
+        ])
     return header, rows
 
 
@@ -819,77 +769,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metrics_lines(result, seed=None) -> list[str]:
-    lines = []
-    if isinstance(result, ServiceMetrics):
-        for name in _METRICS:
-            lines.append(f"{name} = {fmt_value(getattr(result, name))}")
-    else:
-        for name in _METRICS:
-            est = getattr(result, name)
-            lines.append(
-                f"{name} = {fmt_value(est.mean)} +- {fmt_value(est.std_error)}"
-            )
-        if result.flags:
-            lines.append("flags = " + ",".join(result.flags))
-        if seed is not None:
-            lines.append(f"seed = {seed}")
-    return lines
+def _metrics_lines(row: list, flags=()) -> list[str]:
+    """The printed form of a ``_metric_row``: each mean, with its std error
+    when the row has them, then the flags and the seed."""
+    n = len(_METRICS)
+    if len(row) == n:
+        return [f"{name} = {fmt_value(v)}" for name, v in zip(_METRICS, row)]
+    lines = [
+        f"{name} = {fmt_value(mean)} +- {fmt_value(se)}"
+        for name, mean, se in zip(_METRICS, row, row[n:])
+    ]
+    if flags:
+        lines.append("flags = " + ",".join(flags))
+    return lines + [f"seed = {row[-1]}"]
 
 
-def _cmd_point(args, backend_name: str) -> int:
+def _point_backend(parser, cfg: ScenarioConfig, args) -> Backend:
+    """``eval`` picks its backend by receiver; ``sim`` and ``fading`` are their own."""
+    if args.command != "eval":
+        return backend_from_config(parser, args.command, args)
+    if cfg.receiver == Receiver.SUPERPOSITION:
+        return backend_from_config(parser, "superposition", args)
+    return AnalyticBackend()  # ignores [sim]
+
+
+def _run(args) -> int:
+    """Read a command's scenarios, evaluate them on one backend, render the rows."""
+    if args.command == "validate":
+        parser = load_config_file(args.config) if args.config else None
+        report = validate(
+            _validate_grid_from_config(parser),
+            target_se=args.target_se,
+            seed=_count_setting(args, {}, "seed", DEFAULT_SEED, minimum=0),
+            workers=_count_setting(args, {}, "workers", 1),
+        )
+        print(render_validation_summary(report))
+        if args.out:
+            write_csv(args.out, *validation_rows(report))
+        return EXIT_OK if report.passed else EXIT_VALIDATION
+
     parser = load_config_file(args.config)
     cfg = scenario_from_config(parser)
-    if backend_name == "eval":
-        if cfg.receiver == Receiver.SUPERPOSITION:
-            backend = backend_from_config(parser, "superposition", args)
-        else:
-            backend = AnalyticBackend()
+    if args.command == "sweep":
+        parameter, values, backend = _sweep_from_config(parser, args)
+        header = [parameter] + _metric_header(backend.seed)
+        rows = run_sweep(cfg, parameter, values, backend)
+        wrote = f"{len(rows)} rows"
+    elif args.command == "region":
+        *grids, backend = _region_from_config(parser, args)
+        header = ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"]
+        rows = compute_region(cfg, *grids, backend)
+        wrote = f"{len(rows)} frontier points"
     else:
-        backend = backend_from_config(parser, backend_name, args)
-    backend.check(cfg)
-    [result] = backend.evaluate([cfg])
-    for line in _metrics_lines(result, backend.seed):
-        print(line)
+        backend = _point_backend(parser, cfg, args)
+        [result] = _evaluate(backend, [cfg])
+        header, rows = _metric_header(backend.seed), [_metric_row(result, backend.seed)]
+        print("\n".join(_metrics_lines(rows[0], getattr(result, "flags", ()))))
+        wrote = None
     if args.out:
-        write_csv(args.out, _metric_header(backend.seed), [_metric_row(result, backend.seed)])
+        write_csv(args.out, header, rows)
+    if wrote:
+        print(f"wrote {args.out} ({wrote})")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command in ("eval", "sim", "fading"):
-            return _cmd_point(args, args.command)
-        if args.command == "sweep":
-            parser = load_config_file(args.config)
-            cfg = scenario_from_config(parser)
-            spec = sweep_spec_from_config(parser, cfg, args)
-            run_sweep(spec)
-            print(f"wrote {spec.out_path} ({len(spec.values)} rows)")
-            return EXIT_OK
-        if args.command == "region":
-            parser = load_config_file(args.config)
-            cfg = scenario_from_config(parser)
-            spec = region_spec_from_config(parser, cfg, args)
-            rows = compute_region(spec)
-            print(f"wrote {spec.out_path} ({len(rows)} frontier points)")
-            return EXIT_OK
-        if args.command == "validate":
-            parser = load_config_file(args.config) if args.config else None
-            grid = _validate_grid_from_config(parser)
-            report = validate(
-                grid,
-                target_se=args.target_se,
-                seed=_count_setting(args, {}, "seed", DEFAULT_SEED, minimum=0),
-                workers=_count_setting(args, {}, "workers", 1),
-            )
-            print(render_validation_summary(report))
-            if args.out:
-                header, rows = validation_rows(report)
-                write_csv(args.out, header, rows)
-            return EXIT_OK if report.passed else EXIT_VALIDATION
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

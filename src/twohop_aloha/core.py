@@ -33,34 +33,9 @@ class OrderLimitError(ValueError):
     """Requested auxiliary-function order exceeds the configured maximum."""
 
 
-# ============================================================================
-#  Interference tolerance (finite K or infinite)
-# ============================================================================
-
-
-class _InfiniteTolerance:
-    """Ideal NCS-to-CS interference tolerance (no budget)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE_K"
-
-
-#: Singleton marking ideal interference tolerance.  Kept distinct from any
-#: integer so dispatch between the finite and ideal formulas is unambiguous.
-INFINITE_K = _InfiniteTolerance()
-
-Tolerance = int | _InfiniteTolerance
-
-
-def is_infinite(k: Tolerance) -> bool:
-    return isinstance(k, _InfiniteTolerance)
+#: Ideal NCS-to-CS interference tolerance (no budget): a count of surviving
+#: NCS copies is always within it.
+INFINITE_K = math.inf
 
 
 # ============================================================================
@@ -175,7 +150,7 @@ class ScenarioConfig:
     G: float
     gamma_c: float
     channel: ErasureParams | FadingParams
-    K: Tolerance = INFINITE_K
+    K: int | float = INFINITE_K
     receiver: str = Receiver.COLLISION
     allocation: Allocation = NON_ORTHOGONAL
 
@@ -187,11 +162,8 @@ class ScenarioConfig:
         if not 0 <= self.G < math.inf:
             raise ValueError(f"G must be finite and >= 0, got {self.G}")
         _check_prob("gamma_c", self.gamma_c)
-        if not is_infinite(self.K):
-            if not isinstance(self.K, (int, np.integer)) or self.K < 0:
-                raise ValueError(
-                    f"K must be a non-negative integer or INFINITE_K, got {self.K!r}"
-                )
+        if self.K != INFINITE_K and not (isinstance(self.K, (int, np.integer)) and self.K >= 0):
+            raise ValueError(f"K must be a non-negative integer or INFINITE_K, got {self.K!r}")
         if self.receiver not in Receiver.ALL:
             raise ValueError(f"unknown receiver model {self.receiver!r}")
         if not isinstance(self.allocation, (NonOrthogonal, Tdma)):
@@ -357,9 +329,9 @@ def poisson_tail_cutoff(lam: float, delta: float) -> int:
     return hi
 
 
-def poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT):
-    """Support 0..n_max and pmf values covering all but ``tail_mass``."""
-    n_max = poisson_tail_cutoff(lam, tail_mass)
+def poisson_weights(lam: float):
+    """Support 0..n_max and pmf values covering all but ``TAIL_MASS_DEFAULT``."""
+    n_max = poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT)
     n = np.arange(n_max + 1)
     if lam == 0.0:
         w = np.zeros(n_max + 1)
@@ -369,11 +341,11 @@ def poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT):
     return n, w
 
 
-def normalized_poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT):
+def normalized_poisson_weights(lam: float):
     """Support 1..n_max and weights of a Poisson conditioned on N >= 1."""
     if lam <= 0:
         raise ValueError("normalized Poisson requires a positive rate")
-    n_max = max(1, poisson_tail_cutoff(lam, tail_mass))
+    n_max = max(1, poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT))
     n = np.arange(1, n_max + 1)
     w = np.exp(n * math.log(lam) - lam - special.gammaln(n + 1))
     return n, w / (-math.expm1(-lam))
@@ -385,7 +357,7 @@ def normalized_poisson_weights(lam: float, tail_mass: float = TAIL_MASS_DEFAULT)
 
 
 # Only the test oracle calls aux_h; kept here as perfbench/spans.py wraps core.aux_h by name.
-def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:
+def aux_h(m: int, x: float) -> float:
     """Auxiliary series H_m(x) = sum_n x**n * n**m / n!.
 
     Evaluated through the exact recursion H_0 = exp(x),
@@ -393,9 +365,9 @@ def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:
     """
     if m < 0:
         raise ValueError(f"order must be >= 0, got {m}")
-    if m > max_order:
+    if m > AUX_H_MAX_ORDER:
         raise OrderLimitError(
-            f"aux_h order {m} exceeds the supported maximum {max_order}"
+            f"aux_h order {m} exceeds the supported maximum {AUX_H_MAX_ORDER}"
         )
     if math.isnan(x) or math.isinf(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -408,23 +380,20 @@ def aux_h(m: int, x: float, max_order: int = AUX_H_MAX_ORDER) -> float:
     return row[m]
 
 
-def gamma_k_tolerance_array(x, eps: float, k: Tolerance) -> np.ndarray:
+def gamma_k_tolerance_array(x, eps: float, k) -> np.ndarray:
     """Probability that at most ``k`` of ``x`` transmissions survive erasure.
 
     Elementwise over an integer array of counts ``x``: 1 where x <= k (or k
     is infinite), otherwise the Binomial(x, 1-eps) CDF evaluated at k.
-    ``k = -1`` is the degenerate empty budget.
     """
     x = np.asarray(x)
     if np.any(x < 0):
         raise ValueError(f"counts must be >= 0, got min {x.min()}")
     _check_prob("eps", eps)
-    if is_infinite(k):
+    if k == INFINITE_K:  # the row below takes int(k)
         return np.ones(x.shape)
-    if k < -1:
+    if k < 0:
         raise ValueError(f"k must be >= 0 (or INFINITE_K), got {k}")
-    if k == -1:
-        return np.zeros(x.shape)
     n = 1 << int(x.max(initial=0)).bit_length()
     return _tolerance_row(n, float(eps), int(k))[x]
 

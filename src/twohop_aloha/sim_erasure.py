@@ -32,9 +32,7 @@ from .core import (
     ScenarioConfig,
     SimulatedMetrics,
     Tdma,
-    Tolerance,
     bernoulli_estimate,
-    is_infinite,
     run_chunked,
 )
 
@@ -109,14 +107,10 @@ def _class_counts(rows: int, L: int, dev_row, flat):
 def _ap_decode(counts_c, counts_n):
     """(AP, row) decodes under the three-state AP rule, before the K budget:
     an AP decodes a CS packet iff exactly one CS copy arrives and at most K
-    NCS copies do (``_within``); an NCS packet iff exactly one NCS copy and
-    no CS copy arrive; otherwise it stays silent.
+    NCS copies do; an NCS packet iff exactly one NCS copy and no CS copy
+    arrive; otherwise it stays silent.
     """
     return counts_c == 1, (counts_n == 1) & (counts_c == 0)
-
-
-def _within(count, K: Tolerance):
-    return True if is_infinite(K) else count <= K
 
 
 def _bs_class(receiver: str, dels, ids):
@@ -232,11 +226,11 @@ def _decodes(frames, receiver: str, k_values):
     cs_dec &= backhaul
     n_ncs, ncs_id = _bs_class(receiver, ncs_dec & backhaul, ncs.ids)
     for K in k_values:
-        n_cs, cs_id = _bs_class(receiver, cs_dec & _within(ncs.counts, K), cs.ids)
-        yield np.where(_within(n_ncs, K), cs_id, _ID_NONE), np.where(n_cs == 0, ncs_id, _ID_NONE)
+        n_cs, cs_id = _bs_class(receiver, cs_dec & (ncs.counts <= K), cs.ids)
+        yield np.where(n_ncs <= K, cs_id, _ID_NONE), np.where(n_cs == 0, ncs_id, _ID_NONE)
 
 
-def _decode(frames, receiver: str, K: Tolerance):
+def _decode(frames, receiver: str, K):
     """Per-row BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
     ((cs_id, ncs_id),) = _decodes(frames, receiver, (K,))
     return cs_id != _ID_NONE, cs_id, ncs_id != _ID_NONE, ncs_id

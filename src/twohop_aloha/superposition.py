@@ -46,7 +46,6 @@ from .core import (
     SimEstimate,
     SimulatedMetrics,
     Tdma,
-    Tolerance,
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
@@ -240,7 +239,7 @@ class ExactEnum:
 
     seed = None
 
-    def metrics(self, L, e1, e2, k: Tolerance, loads) -> list[tuple[float, ...]]:
+    def metrics(self, L, e1, e2, k, loads) -> list[tuple[float, ...]]:
         supports = [(_class_support(g_c), _class_support(g_n)) for g_c, g_n in loads]
         shapes = np.array([(c[0].size, n[0].size) for c, n in supports])
         ap_budget = gamma_k_tolerance_array(np.arange(shapes[:, 1].max()), e1, k)
@@ -279,10 +278,10 @@ class ConditionedMC:
         probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
-    def metrics(self, L, e1, e2, k: Tolerance, loads) -> list[tuple[_McAccumulator, ...]]:
+    def metrics(self, L, e1, e2, k, loads) -> list[tuple[_McAccumulator, ...]]:
         return [self._grid(L, e1, e2, g_c, g_n, k) for g_c, g_n in loads]
 
-    def _grid(self, L, e1, e2, g_c, g_n, k: Tolerance) -> tuple[_McAccumulator, ...]:
+    def _grid(self, L, e1, e2, g_c, g_n, k) -> tuple[_McAccumulator, ...]:
         # Tolerance rows over every NCS count and copy count a pair asks for.
         r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
         cs, ncs = poisson_weights(g_c), poisson_weights(g_n)

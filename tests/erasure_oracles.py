@@ -20,14 +20,13 @@ from twohop_aloha.sim_erasure import (
     _draw_frames,
     _run_engine,
     _spec_from_config,
-    _within,
 )
 
 
 def _uplink_chunk(spec, F, rng) -> dict:
     cs, ncs, _ = _draw_frames(spec, F, rng)
     cs_dec, _ = _ap_decode(cs.counts, ncs.counts)
-    cs_dec &= _within(ncs.counts, spec.k_values[0])
+    cs_dec &= ncs.counts <= spec.k_values[0]
     return {"succ": int(cs_dec.any(axis=0).sum())}
 
 

@@ -430,18 +430,11 @@ def test_criterion_11_benchmark_bound():
 def test_criterion_12_determinism(tmp_path):
     t0 = time.perf_counter()
     base = ecfg(L=3, T=2, G=6.0, gamma_c=0.5, e1=0.5, e2=0.5, K=1)
-    spec = cli.SweepSpec(
-        base=base, parameter="gamma_c", values=(0.3, 0.6),
-        backend=cli.SimBackend(frames=20_000, seed=SEED, workers=1),
-        out_path=str(tmp_path / "a.csv"),
-    )
-    cli.run_sweep(spec)
-    cli.run_sweep(cli.SweepSpec(
-        base=base, parameter="gamma_c", values=(0.3, 0.6),
-        backend=cli.SimBackend(frames=20_000, seed=SEED, workers=3),
-        out_path=str(tmp_path / "b.csv"),
-    ))
-    same_csv = open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+    for name, workers in (("a.csv", 1), ("b.csv", 3)):
+        backend = cli.SimBackend(frames=20_000, seed=SEED, workers=workers)
+        rows = cli.run_sweep(base, "gamma_c", (0.3, 0.6), backend)
+        cli.write_csv(str(tmp_path / name), ["gamma_c"], rows)
+    same_csv = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     fcfg = ScenarioConfig(L=2, T=2, G=4.0, gamma_c=0.5,
                           channel=FadingParams(alpha2=1.0, beta2=1.0))

@@ -77,6 +77,25 @@ def test_reference_series_zero_load():
     assert tput.tolist() == [0.0, 0.0] and psr.tolist() == [0.0, 0.0]
 
 
+# float.hex of (throughput, PSR) of a class alone at L=3, eps=(0.999, 0.5),
+# recorded with every Poisson sum taken from n = 0.
+_HIGH_LOAD_PINS = {
+    1e3: ("0x1.784e55102ce72p-2", "0x1.81b9255b89149p-12"),
+    1e4: ("0x1.64e04d5f0eef3p-11", "0x1.24a53ef820e3cp-24"),
+    1e5: ("0x1.f1c346c815bf0p-138", "0x1.468a5591be16ep-154"),
+    6.3e5: ("0x1.fb28be96f632bp-900", "0x1.a67b60a485085p-919"),
+    7e5: ("0x1.1bfada7e72b1dp-1000", "0x1.a9d1663ef651dp-1020"),
+}
+
+
+@pytest.mark.parametrize("loads", [[1e3], [1e4], [1e5], [7e5], [6.3e5, 7e5]])
+def test_high_load_series_keep_their_bits(loads):
+    # the sums skip the terms below the loads whose pmf is exactly 0
+    tput, psr = ae.isolated_class_metrics(3, 0.999, 0.5, loads)
+    got = [(float(t).hex(), float(p).hex()) for t, p in zip(tput, psr)]
+    assert got == [_HIGH_LOAD_PINS[g] for g in loads]
+
+
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,7 +124,7 @@ def test_run_sweep_analytic_fig2(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = cli.main(["sweep", "--config", path, "--out", out])
     assert rc == cli.EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "T,R_c,R_cbar,Gamma_c,Gamma_cbar"
     assert len(lines) == 6
     psr = [float(l.split(",")[3]) for l in lines[1:]]
@@ -147,8 +148,8 @@ def test_sweep_csv_is_byte_stable(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert cli.main(["sweep", "--config", path, "--out", out1]) == cli.EXIT_OK
     assert cli.main(["sweep", "--config", path, "--out", out2]) == cli.EXIT_OK
-    assert open(out1, "rb").read() == open(out2, "rb").read()
-    header = open(out1).read().splitlines()[0]
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
+    header = Path(out1).read_text().splitlines()[0]
     assert header.endswith("R_c_se,R_cbar_se,Gamma_c_se,Gamma_cbar_se,seed")
 
 
@@ -188,7 +189,7 @@ def test_sweep_k_values_and_inf(tmp_path):
     path = write_ini(tmp_path, body)
     out = str(tmp_path / "k.csv")
     assert cli.main(["sweep", "--config", path, "--out", out]) == cli.EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[1].startswith("0,") and lines[3].startswith("inf,")
     r_c = [float(l.split(",")[1]) for l in lines[1:]]
     assert r_c[0] <= r_c[1] <= r_c[2]  # CS throughput grows with tolerance
@@ -396,9 +397,8 @@ def test_region_tdma_high_load_still_answers():
     # the 71 x 71 TDMA grid at G = 1e4 reaches a CS load of 7e5 per slot,
     # under the series' work bound: the values are those it always had
     base = ScenarioConfig(L=3, T=1, G=1e4, gamma_c=0.5, channel=ErasureParams(0.999, 0.5))
-    spec = cli.RegionSpec(base=base, gamma_grid=(1.0,), alpha_grid=(1 / 70,),
-                          backend=cli.AnalyticBackend(), schemes=("tdma",))
-    assert cli.compute_region(spec) == [("tdma", 1.0, 1 / 70, 1.4789514829565166e-303, 0.0)]
+    rows = cli.compute_region(base, (1.0,), (1 / 70,), ("tdma",), cli.AnalyticBackend())
+    assert rows == [("tdma", 1.0, 1 / 70, 1.4789514829565166e-303, 0.0)]
 
 
 @pytest.mark.parametrize("name", ["scenario", "superposition"])
@@ -440,7 +440,7 @@ def test_sim_command_writes_csv_with_seed(tmp_path):
     out = str(tmp_path / "sim.csv")
     rc = cli.main(["sim", "--config", path, "--out", out, "--seed", "7"])
     assert rc == cli.EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].endswith("seed")
     assert lines[1].endswith(",7")
 
@@ -513,7 +513,7 @@ def test_region_single_point_is_the_frontier(tmp_path):
     path = write_ini(tmp_path, body)
     out = str(tmp_path / "region.csv")
     assert cli.main(["region", "--config", path, "--out", out]) == cli.EXIT_OK
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("non_orthogonal,0.4,")
 
@@ -523,12 +523,10 @@ def test_region_output_is_minimal_and_covers_endpoints(tmp_path):
         L=3, T=2, G=8.0, gamma_c=0.5, channel=ErasureParams(0.5, 0.5), K=2
     )
     gammas = tuple(i / 10 for i in range(11))
-    spec = cli.RegionSpec(
-        base=base, gamma_grid=gammas, alpha_grid=(0.0, 0.5, 1.0),
-        backend=cli.AnalyticBackend(), schemes=("non_orthogonal", "tdma"),
+    rows = cli.compute_region(
+        base, gammas, (0.0, 0.5, 1.0), ("non_orthogonal", "tdma"), cli.AnalyticBackend()
     )
-    rows = cli.compute_region(spec)
-    assert 0.0 in spec.gamma_grid and 1.0 in spec.gamma_grid  # boundary coverage
+    assert 0.0 in gammas and 1.0 in gammas  # boundary coverage
     for scheme in ("non_orthogonal", "tdma"):
         pts = [(r[-2], r[-1]) for r in rows if r[0] == scheme]
         assert pts
@@ -696,3 +694,168 @@ def test_float_rendering_contract():
     assert cli.fmt_value(INFINITE_K) == "inf"
     assert cli.fmt_value(7) == "7"
     assert cli.fmt_value(1e-12) == "1e-12"
+
+
+# ---------------------------------------------------------------------------
+# Every command's sweeps and refusals, through cli.main
+# ---------------------------------------------------------------------------
+
+
+FADING_INI = BASE_INI.replace(
+    "[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1.0\nbeta2 = 1.0"
+)
+TDMA_INI = BASE_INI.replace(
+    "allocation = non_orthogonal", "allocation = tdma\nalpha = 0.5"
+).replace("gamma_c = 1.0", "gamma_c = 0.5")
+
+
+def run_cli(capsys, argv):
+    """Exit code, stdout and stderr of one in-process run, which never shows a traceback."""
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return rc, out, err
+
+
+def spy_scenarios(monkeypatch, module, name):
+    """Record the scenarios that reach ``module.name``, which still runs."""
+    seen = []
+    real = getattr(module, name)
+
+    def spy(cfgs, *args):
+        seen.extend(cfgs if isinstance(cfgs, list) else [cfgs])
+        return real(cfgs, *args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("body,parameter,values,field", [
+    (BASE_INI, "L", "1 2 4", lambda c: c.L),
+    (BASE_INI, "G", "2.5 8", lambda c: c.G),
+    (TDMA_INI, "alpha", "0.25 0.75", lambda c: c.allocation.alpha),
+    (FADING_INI, "alpha2", "0.5 2", lambda c: c.fading.alpha2),
+    (FADING_INI, "beta2", "0.5 2", lambda c: c.fading.beta2),
+])
+def test_sweep_sets_the_swept_field(tmp_path, capsys, monkeypatch, body, parameter, values,
+                                    field):
+    fading = body is FADING_INI
+    seen = spy_scenarios(monkeypatch, *(
+        (cli.sim_fading, "estimate_fading_metrics") if fading
+        else (cli.analytic_erasure, "evaluate_erasure_batch")
+    ))
+    backend = "fading\n[sim]\nslots = 500" if fading else "analytic"
+    path = write_ini(tmp_path, body + f"\n[sweep]\nparameter = {parameter}\n"
+                     f"values = {values}\nbackend = {backend}\n")
+    out = str(tmp_path / "sweep.csv")
+    rc, stdout, err = run_cli(capsys, ["sweep", "--config", path, "--out", out])
+    assert (rc, err) == (cli.EXIT_OK, "")
+    assert stdout == f"wrote {out} ({len(values.split())} rows)\n"
+    want = [float(v) for v in values.split()]
+    assert [field(cfg) for cfg in seen] == want
+    rows = Path(out).read_text().splitlines()
+    assert rows[0].startswith(parameter + ",")
+    assert [float(row.split(",")[0]) for row in rows[1:]] == want
+
+
+def sweep_body(body, parameter, values="1", backend="analytic"):
+    return body + f"\n[sweep]\nparameter = {parameter}\nvalues = {values}\nbackend = {backend}\n"
+
+
+SUPERPOSITION_RECEIVER = BASE_INI.replace("receiver = collision", "receiver = superposition")
+_REGION = "\n[region]\ngamma_values = 0.5\nalpha_values = 0.5\n"
+
+# (command, scenario file, extra flags, stderr) of runs that are refused
+_REFUSALS = {
+    "alpha_without_tdma": ("sweep", sweep_body(BASE_INI, "alpha", "0.5"), [],
+                           "sweeping alpha requires the tdma allocation"),
+    "alpha2_on_erasure": ("sweep", sweep_body(BASE_INI, "alpha2"), [],
+                          "sweeping alpha2 requires the fading channel"),
+    "eps1_on_fading": ("sweep", sweep_body(FADING_INI, "eps1", "0.5", "fading"),
+                       ["--slots", "100"],
+                       "sweeping eps1 requires the erasure channel"),
+    "unknown_parameter": ("sweep", sweep_body(BASE_INI, "rho"), [],
+                          "unknown sweep parameter 'rho'; choose from "
+                          f"{cli.SWEEPABLE}"),
+    "k_not_a_number": ("eval", BASE_INI.replace("K = inf", "K = two"), [],
+                       "K must be a non-negative integer or 'inf', got 'two'"),
+    "missing_key": ("eval", BASE_INI.replace("G = 16.0\n", ""), [],
+                    "missing required key 'g' in section [scenario]"),
+    "empty_float_list": ("sweep", sweep_body(BASE_INI, "G", ""), [], "empty value list"),
+    "missing_scenario": ("eval", BASE_INI.replace("[scenario]", "[setting]"), [],
+                         "config must contain a [scenario] section"),
+    "unknown_allocation": ("eval", BASE_INI.replace("allocation = non_orthogonal",
+                                                    "allocation = fdma"), [],
+                           "unknown allocation 'fdma'"),
+    "analytic_with_superposition": ("sweep", sweep_body(SUPERPOSITION_RECEIVER, "G"), [],
+                                    "analytic backend requires the erasure channel and "
+                                    "collision receiver"),
+    "sim_with_fading": ("sim", FADING_INI, ["--frames", "100"],
+                        "sim backend requires the erasure channel"),
+    "fading_with_erasure": ("fading", BASE_INI, ["--slots", "100"],
+                            "fading backend requires fading channel parameters"),
+    "fading_with_tdma": ("fading", FADING_INI.replace(
+        "allocation = non_orthogonal", "allocation = tdma\nalpha = 0.5"), ["--slots", "100"],
+        "fading backend supports non-orthogonal allocation only"),
+    "superposition_with_collision": ("region", BASE_INI + _REGION, ["--backend", "superposition"],
+                                     "superposition backend requires the erasure channel and "
+                                     "superposition receiver"),
+    "mc_samples_zero": ("eval", SUPERPOSITION_RECEIVER + "\n[superposition]\nestimator = mc\n"
+                        "mc_samples = 0\n", [], "mc_samples must be >= 1, got 0"),
+    "unknown_estimator": ("eval", SUPERPOSITION_RECEIVER
+                          + "\n[superposition]\nestimator = magic\n", [],
+                          "unknown superposition estimator 'magic'"),
+    "unknown_backend": ("sweep", sweep_body(BASE_INI, "G"), ["--backend", "foo"],
+                        "unknown backend 'foo'"),
+    "sweep_without_section": ("sweep", BASE_INI, [], "sweep command needs a [sweep] section"),
+    "region_without_section": ("region", BASE_INI, [],
+                               "region command needs a [region] section"),
+    "sweep_without_out": ("sweep", sweep_body(BASE_INI, "G"), None, "sweep requires --out"),
+    "region_without_out": ("region", BASE_INI + _REGION, None, "region requires --out"),
+    "unknown_scheme": ("region", BASE_INI + _REGION + "schemes = fdma\n", [],
+                       "unknown scheme 'fdma' in region spec"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_refusal_is_a_config_error(tmp_path, capsys, case):
+    command, body, flags, message = _REFUSALS[case]
+    path = write_ini(tmp_path, body)
+    out = str(tmp_path / "never.csv")
+    argv = [command, "--config", path] + (["--out", out] + flags if flags is not None else [])
+    rc, stdout, err = run_cli(capsys, argv)
+    assert (rc, stdout) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+def test_malformed_ini_is_a_config_error(tmp_path, capsys):
+    path = write_ini(tmp_path, BASE_INI.replace("[erasure]", "[erasure"))
+    rc, stdout, err = run_cli(capsys, ["eval", "--config", path])
+    assert (rc, stdout) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"config error: malformed config file {path}: ")
+
+
+def test_validate_k_values_include_inf(tmp_path, capsys):
+    grid = "l = 2\neps1 = 0.5\neps2 = 0.5\nload = 2\ngamma_c = 0.5\nk = 0 inf\n"
+    path = write_ini(tmp_path, BASE_INI + "\n[validate]\n" + grid)
+    out = str(tmp_path / "report.csv")
+    rc, stdout, err = run_cli(capsys, ["validate", "--config", path, "--out", out,
+                                       "--target-se", "0.02", "--seed", "5"])
+    assert (rc, err) == (cli.EXIT_OK, "")
+    assert stdout.startswith("validation cells: 8 (ok 8, warn 0, fail 0, errors 0)\n")
+    rows = [row.split(",") for row in Path(out).read_text().splitlines()]
+    assert rows[0][6] == "K"
+    assert [row[6] for row in rows[1:]] == ["0"] * 4 + ["inf"] * 4
+
+
+def test_sim_prints_the_zero_slot_flag(tmp_path, capsys):
+    body = TDMA_INI.replace("alpha = 0.5", "alpha = 1.0")
+    path = write_ini(tmp_path, body)
+    rc, stdout, err = run_cli(capsys, ["sim", "--config", path, "--frames", "500",
+                                       "--seed", "9"])
+    assert (rc, err) == (cli.EXIT_OK, "")
+    lines = stdout.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == [*cli._METRICS, "flags", "seed"]
+    assert lines[-2:] == ["flags = ncs-class-has-zero-slots", "seed = 9"]
+    assert lines[1] == "R_cbar = 0 +- 0"

@@ -126,13 +126,13 @@ def test_poisson_tail_cutoff_calls_at_huge_rate(monkeypatch):
 
 def test_poisson_pmf_sums_to_one_over_cutoff_support():
     for lam in (0.1, 1.0, 4.0, 25.0):
-        n, w = poisson_weights(lam, 1e-12)
+        n, w = poisson_weights(lam)
         assert n[-1] == poisson_tail_cutoff(lam, 1e-12)
         assert w.sum() == pytest.approx(1.0, abs=1e-11)
 
 
 def test_normalized_poisson_weights():
-    n, w = normalized_poisson_weights(2.0, 1e-12)
+    n, w = normalized_poisson_weights(2.0)
     assert n[0] == 1
     assert w.sum() == pytest.approx(1.0, abs=1e-11)
     with pytest.raises(ValueError):
@@ -193,7 +193,6 @@ def test_aux_h_matches_series(m, x):
 def test_aux_h_order_cap():
     with pytest.raises(OrderLimitError):
         aux_h(65, 1.0)
-    aux_h(70, 1.0, max_order=80)  # raised cap is honored
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,6 @@ def test_gamma_k_array_matches_scalar():
         assert v == gamma_k(int(x), 0.4, 2)
         assert v == pytest.approx(brute_gamma_k(int(x), 0.4, 2), abs=1e-12)
     assert np.all(gamma_k_tolerance_array(xs, 0.4, INFINITE_K) == 1.0)
-    assert np.all(gamma_k_tolerance_array(xs, 0.4, -1) == 0.0)
 
 
 @given(

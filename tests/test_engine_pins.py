@@ -168,7 +168,7 @@ EXPECTED = {"coupled_compare": 0,
                         (0.40889914829260526, 0.004386412808153181, 12563, 13),
                         (0.19655145139602942, 0.003534347682135608, 12643, 13),
                         ())),
-                      ("INFINITE_K",
+                      ("inf",
                        ((0.3081, 0.0032648510628546486, 20000, 13),
                         (0.1446, 0.0024869361154967627, 20000, 13),
                         (0.42060017511740827, 0.004404478657091536, 12563, 13),
@@ -186,7 +186,7 @@ EXPECTED = {"coupled_compare": 0,
                                   (0.0, 0.0, 4309, 25),
                                   (0.0, 0.0, 4348, 25),
                                   ())),
-                                ("INFINITE_K",
+                                ("inf",
                                  ((0.0, 0.0, 10000, 25),
                                   (0.0, 0.0, 10000, 25),
                                   (0.0, 0.0, 4309, 25),
@@ -216,7 +216,7 @@ EXPECTED = {"coupled_compare": 0,
                                                  (0.44385347716624707, 0.002028736661538751, 59977, 26),
                                                  (0.18764069300161745, 0.0015943019229437863, 59971, 26),
                                                  ())),
-                                               ("INFINITE_K",
+                                               ("inf",
                                                 ((0.40553333333333336, 0.0007086909163081718, 480000, 26),
                                                  (0.17313333333333333, 0.0005461197984971195, 480000, 26),
                                                  (0.4438868232822582, 0.0020287520443005415, 59977, 26),

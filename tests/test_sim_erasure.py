@@ -215,7 +215,7 @@ def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
 
     c, n = class_counts(cs), class_counts(ncs)
     cs_dec, ncs_dec = se._ap_decode(c.counts, n.counts)
-    cs_dec &= se._within(n.counts, K)
+    cs_dec &= n.counts <= K
     ap = [_outcome(cs_dec[l, 0], c.ids[l, 0], ncs_dec[l, 0], n.ids[l, 0]) for l in range(L)]
     backhaul = np.array([bh], dtype=bool).T  # (AP, cell)
     bs = se._decode((c, n, backhaul), receiver, K)

@@ -411,9 +411,7 @@ def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
     monkeypatch.setattr(sp, "_tagged_decode", counted)
     base = sup_cfg(T=8, G=16.0, K=2)
     grid = tuple(i / 10 for i in range(11))
-    spec = cli.RegionSpec(base=base, gamma_grid=grid, alpha_grid=grid,
-                          backend=cli.SuperpositionBackend())
-    cli.compute_region(spec)
+    cli.compute_region(base, grid, grid, ("non_orthogonal", "tdma"), cli.SuperpositionBackend())
     loads = {(base.replace(gamma_c=g).cs_slot_load, base.replace(gamma_c=g).ncs_slot_load)
              for g in grid}
     for g, a in itertools.product(grid, grid):
