@@ -13,10 +13,10 @@ TDMA.
   relative error.
 * All four metrics under a finite K come from one two-class evaluator,
   ``_finite_k_metrics``: dense series over the Poisson supports of both
-  classes, truncated at an absolute tail mass.  It builds the supports
-  once for every K of a scenario, and ``evaluate_erasure_batch`` calls it
-  once per (L, eps1, eps2, g_c, g_n).  A K whose CS tolerance sum needs a
-  binomial coefficient beyond the floats is refused.
+  classes, truncated at an absolute tail mass.  ``evaluate_erasure_batch``
+  calls it once per (L, eps1, eps2), for every (g_c, g_n) pair at its own K
+  values, on grids laid out by ``_reduce_grids``.  A K whose CS tolerance
+  sum needs a binomial coefficient beyond the floats is refused.
 * A two-class evaluation whose Poisson supports span more than
   ``MAX_TWO_CLASS_CELLS`` cells is refused, as is a lone class's support.
 * The literal closed forms of the metrics are the test oracle
@@ -30,6 +30,7 @@ for the two classes, erasure probabilities ``e1`` (access) and ``e2``
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -60,6 +61,10 @@ MAX_TWO_CLASS_CELLS = 2**26
 _BLOCK_LOADS = 256
 _BLOCK_TERMS = 64
 _REL_TRUNCATION = 1e-12
+
+# _reduce_grids's cells per block (bounding temporaries) and per run (memory)
+_BLOCK_CELLS = 2**13
+_RUN_CELLS = 2**16
 
 
 # ============================================================================
@@ -217,81 +222,111 @@ def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[
 # ============================================================================
 
 
-def _tolerance_sum(L: int, k: int, q, rest) -> np.ndarray:
+def _reduce_grids(shapes, width, cells, reduce) -> list:
+    """``reduce(i, values)`` for each grid i of (rows, cols) = ``shapes[i]``.
+
+    ``cells(row, col, grid)`` gives the ``width`` values of cells elementwise,
+    ``_BLOCK_CELLS`` at a time, and ``values`` is a C-contiguous (width, rows,
+    cols) view of grid i's.  The grids lie row-major in a flat array, each
+    from a multiple of 8 cells (64 bytes) like a fresh array; consecutive
+    grids share one while they fit ``_RUN_CELLS`` (a larger grid is alone),
+    and a run is reduced before the next is built.
+    """
+    sizes = [rows * cols for rows, cols in shapes]
+    ends = [0, *itertools.accumulate(-(-size // 8) * 8 for size in sizes)]
+    # per grid: its first cell, its final cell's offset (padding repeats it), its row length
+    begin, final, cols = np.array([ends[:-1], [s - 1 for s in sizes], [c for _, c in shapes]])
+    out, first = [], 0
+    while first < len(shapes):  # the run of grids first..last-1, at least one
+        last = bisect.bisect_right(ends, ends[first] + _RUN_CELLS, lo=first + 2) - 1
+        base, end = ends[first], ends[last]
+        flat = np.empty((width, end - base))
+        for lo in range(base, end, _BLOCK_CELLS):
+            cell = np.arange(lo, min(lo + _BLOCK_CELLS, end))
+            grid = begin.searchsorted(cell, side="right") - 1
+            row_col = np.divmod(np.minimum(cell - begin[grid], final[grid]), cols[grid])
+            flat[:, lo - base : lo - base + cell.size] = cells(*row_col, grid)
+        for i in range(first, last):
+            at = ends[i] - base
+            out.append(reduce(i, flat[:, at : at + sizes[i]].reshape(width, *shapes[i])))
+        del flat
+        first = last
+    return out
+
+
+def _tolerance_sum(L: int, k, q, rest) -> np.ndarray:
     """P(at most K of the other L-1 APs relay an NCS packet and the rest none).
 
     Each AP relays an NCS packet with probability ``q`` and nothing with
-    probability ``rest``; the per-AP outcomes are trinomial.
+    probability ``rest``, trinomially; ``k`` is each cell's K (-1: no term).
     """
     total = np.zeros(q.shape)
-    for i in range(min(k, L - 1) + 1):
-        total += math.comb(L - 1, i) * q**i * rest ** (L - 1 - i)
+    for i in range(min(int(k.max()), L - 1) + 1):
+        total += np.where(i <= k, math.comb(L - 1, i) * q**i * rest ** (L - 1 - i), 0.0)
     return total
 
 
-def _finite_k_metrics(L, e1, e2, g_c, g_n, ks) -> dict:
-    """{K: the four metrics of a non-orthogonal scenario} for each finite K in ``ks``.
+def _finite_k_metrics(L, e1, e2, pairs) -> dict:
+    """{(g_c, g_n): {K: the four metrics}} for each pair of per-slot loads in
+    ``pairs``, a mapping to its finite K values, at those K only.
 
-    Two-class series over the Poisson supports of both classes, built once
-    for every K and truncated at an absolute tail mass; a class with zero
-    load gets zero throughput and PSR.  ``psi`` and ``qn`` are the
-    probabilities that an AP relays a CS and an NCS packet.  A CS delivery
-    needs one AP to relay it, at most K of the others an NCS packet and the
-    rest nothing.  The CS interference budget at each AP is charged only
-    with what that AP actually receives, as in the slot-level simulation.
-    The throughputs, the CS PSR and the NCS PSR each run over every K in
-    turn, so the grids of one are freed before those of the next are built.
+    Two-class series over the Poisson supports of both classes, truncated at
+    an absolute tail mass; a class with zero load gets zero throughput and
+    PSR.  ``psi`` and ``qn`` are the probabilities that an AP relays a CS and
+    an NCS packet.  A CS delivery needs one AP to relay it, at most K of the
+    others an NCS packet and the rest nothing.  The CS interference budget
+    at each AP is charged only with what that AP actually receives, as in
+    the slot-level simulation.  A cell depends only on its counts and K, so
+    per-count factors and each load's weights are built once.  Each (pair,
+    K) has a throughput, a CS PSR and an NCS PSR grid, and each kind takes
+    one ``_reduce_grids`` pass.  The caller refuses what cannot be done.
     """
-    _check_two_class_work(g_c, g_n)
-    ks = set(ks)
-    if g_c > 0 and math.comb(L - 1, min(max(ks), (L - 1) // 2)) > sys.float_info.max:
-        raise ValueError(
-            f"L={L}, K={max(ks)}: a binomial coefficient of the CS tolerance sum overflows a float"
-        )
-    nc, wc = poisson_weights(g_c)
-    nn, wn = poisson_weights(g_n)
-    NC, NN = nc[:, None], nn[None, :]
-    p_cs = _p_cs_array(nc, e1)[:, None]
-    r_c, r_n, s_c, s_n = (dict.fromkeys(ks, 0.0) for _ in range(4))
+    weights = {g: (poisson_weights(g)[1], normalized_poisson_weights(g)[1] if g > 0 else None)
+               for g in {g for pair in pairs for g in pair}}  # the second given N >= 1
+    n = np.arange(max(2, max(w.size for w, _ in weights.values())))  # the counts
+    m = n[1:]  # a tagged class's counts: its row or column i is the count i + 1
+    p_cs, e1_n, head = _p_cs_array(n, e1), e1**n, (1.0 - e1) * e1 ** (m - 1)
+    n_free, e1_rest = n * (1.0 - e1), e1 ** np.maximum(n - 1, 0)
+    ks = {k: at for at, k in enumerate(dict.fromkeys(itertools.chain(*pairs.values())))}
+    tol = np.array([gamma_k_tolerance_array(n, e1, k) for k in ks])  # a row per K
 
-    qn = _p_cs_array(nn, e1)[None, :] * e1**NC * (1.0 - e2)
-    for k in ks:
-        psi = p_cs * gamma_k_tolerance_array(NN, e1, k) * (1.0 - e2)
+    def throughputs(i, j, t, k):  # (R_c, R_cbar); t is the row of K in tol
+        qn = p_cs[j] * e1_n[i] * (1.0 - e2)
+        psi = p_cs[i] * tol[t, j] * (1.0 - e2)
         rest = 1.0 - psi - qn
-        if g_n > 0:
-            r_n[k] = float(wc @ (L * qn * rest ** (L - 1)) @ wn)
-        if g_c > 0:
-            np.clip(rest, 0.0, 1.0, out=rest)
-            r_c[k] = float(wc @ (_tolerance_sum(L, k, qn, rest) * (L * psi)) @ wn)
-        del psi, rest
-    del qn
+        r_n = L * qn * rest ** (L - 1)
+        np.clip(rest, 0.0, 1.0, out=rest)
+        return _tolerance_sum(L, k, qn, rest) * (L * psi), r_n
 
-    if g_c > 0:  # a tagged CS device: n_c >= 1
-        npr, wpr = normalized_poisson_weights(g_c)
-        NP = npr[:, None]
-        head = (1.0 - e1) * e1 ** (NP - 1)
-        phi = np.where(
-            NN == 0, 0.0, NN * (1.0 - e1) * e1**NP * e1 ** np.maximum(NN - 1, 0) * (1.0 - e2)
-        )
-        for k in ks:
-            p_u = head * gamma_k_tolerance_array(NN, e1, k)
-            rest = 1.0 - NP * p_u * (1.0 - e2) - phi
-            np.clip(rest, 0.0, 1.0, out=rest)
-            rest = _tolerance_sum(L, k, phi, rest)
-            s_c[k] = float(wpr @ (L * p_u * (1.0 - e2) * rest) @ wn)
-            del p_u, rest
-        del phi
+    def cs_psr(i, j, t, k):  # a tagged CS device: n_c >= 1
+        p_u = head[i] * tol[t, j]
+        phi = np.where(j == 0, 0.0, n_free[j] * e1_n[1:][i] * e1_rest[j] * (1.0 - e2))
+        rest = 1.0 - m[i] * p_u * (1.0 - e2) - phi
+        np.clip(rest, 0.0, 1.0, out=rest)
+        return (L * p_u * (1.0 - e2) * _tolerance_sum(L, k, phi, rest),)
 
-    if g_n > 0:  # a tagged NCS device: n_n >= 1
-        nr, wr = normalized_poisson_weights(g_n)
-        NR = nr[None, :]
-        p_u = (1.0 - e1) * e1 ** (NR - 1) * e1**NC
-        for k in ks:
-            q = (1.0 - e2) * (p_cs * gamma_k_tolerance_array(NR, e1, k) + NR * p_u)
-            s_n[k] = float(wc @ (L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1)) @ wr)
-            del q
+    def ncs_psr(i, j, t, k):  # a tagged NCS device: n_n >= 1
+        p_u = head[j] * e1_n[i]
+        q = (1.0 - e2) * (p_cs[i] * tol[:, 1:][t, j] + m[j] * p_u)
+        return (L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1),)
 
-    return {k: ServiceMetrics(r_c[k], r_n[k], s_c[k], s_n[k]) for k in ks}
+    out = {(pair, k): [0.0] * 4 for pair, pair_ks in pairs.items() for k in pair_ks}
+    for cells, slots, tags in ((throughputs, (0, 1), (0, 0)), (cs_psr, (2,), (1, 0)),
+                               (ncs_psr, (3,), (0, 1))):  # tags: 1 on a tagged class
+        grids = [(p, k) for p, k in out if all(g > 0 for g, tag in zip(p, tags) if tag)]
+        sides = [(weights[g_c][tags[0]], weights[g_n][tags[1]]) for (g_c, g_n), _ in grids]
+        rows = np.array([ks[k] for _, k in grids])  # each grid's row in tol
+        cs_k = np.array([k if pair[0] > 0 else -1 for pair, k in grids])  # no CS load: no sum
+
+        def reduce(x, values):  # slot s holds a metric of the class of load s % 2
+            for s, grid in zip(slots, values):
+                if grids[x][0][s % 2] > 0:
+                    out[grids[x]][s] = float(sides[x][0] @ grid @ sides[x][1])
+
+        shapes = [(r.size, c.size) for r, c in sides]
+        _reduce_grids(shapes, len(slots), lambda i, j, x: cells(i, j, rows[x], cs_k[x]), reduce)
+
+    return {pair: {k: ServiceMetrics(*out[pair, k]) for k in pks} for pair, pks in pairs.items()}
 
 
 # ============================================================================
@@ -323,9 +358,9 @@ def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
     """``evaluate_erasure`` of every scenario in ``cfgs``, in order.
 
     The loads of all classes that contend alone are evaluated together, one
-    ``isolated_class_metrics`` call per (L, eps1, eps2), and the finite-K
-    non-orthogonal scenarios one ``_finite_k_metrics`` call per (L, eps1,
-    eps2, g_c, g_n), with all their K values on one grid.
+    ``isolated_class_metrics`` call per (L, eps1, eps2).  The finite-K
+    non-orthogonal scenarios are checked pair by pair in order, then go to
+    one ``_finite_k_metrics`` call per (L, eps1, eps2) with all their K.
     """
     alone: dict = {}  # (L, eps1, eps2) -> the loads of classes that contend alone
     tolerances: dict = {}  # (L, eps1, eps2, g_c, g_n) -> its finite K values
@@ -347,16 +382,23 @@ def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
             alone[key].append(g_c)
         else:
             tolerances.setdefault((*key, g_c, g_n), set()).add(cfg.K)
-            plans.append(("finite", (*key, g_c, g_n), cfg.K))
+            plans.append(("finite", key, (g_c, g_n), cfg.K))
     isolated = {
         key: [values.tolist() for values in isolated_class_metrics(*key, loads)]
         for key, loads in alone.items()
     }
-    finite = {key: _finite_k_metrics(*key, ks) for key, ks in tolerances.items()}
+    groups: dict = {}  # (L, eps1, eps2) -> {(g_c, g_n): its finite K values}
+    for (L, e1, e2, g_c, g_n), ks in tolerances.items():  # refused in this order
+        _check_two_class_work(g_c, g_n)
+        if g_c > 0 and math.comb(L - 1, min(max(ks), (L - 1) // 2)) > sys.float_info.max:
+            raise ValueError(f"L={L}, K={max(ks)}: a binomial coefficient of the CS "
+                             "tolerance sum overflows a float")
+        groups.setdefault((L, e1, e2), {})[g_c, g_n] = ks
+    finite = {key: _finite_k_metrics(*key, pairs) for key, pairs in groups.items()}
     out = []
     for path, key, *where in plans:
-        if path == "finite":
-            out.append(finite[key][where[0]])
+        if path == "finite":  # where is the pair of loads and K
+            out.append(finite[key][where[0]][where[1]])
             continue
         (tput, psr), (at, a, b) = isolated[key], where
         if path == "tdma":  # a, b are the slot shares

@@ -795,6 +795,9 @@ def _point_backend(parser, cfg: ScenarioConfig, args) -> Backend:
 
 def _run(args) -> int:
     """Read a command's scenarios, evaluate them on one backend, render the rows."""
+    out_dir = os.path.dirname(os.path.abspath(args.out or "."))  # checked before any work
+    if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out directory {out_dir} is not a writable directory")
     if args.command == "validate":
         parser = load_config_file(args.config) if args.config else None
         report = validate(

@@ -17,9 +17,10 @@ Gamma_cbar); a class with no load gets zero packet success rate:
 * ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
   within a class are exchangeable, so the multinomial sum collapses to a
   difference of powers per (n_c, n_cbar) (``_tagged_decode``), evaluated
-  elementwise over the cells of every pair's Poisson support grid, in blocks
-  of ``_BLOCK_CELLS`` cells, at a cost of about L grid passes; a class
-  delivers n times its tagged-message probability.  It equals exhaustive
+  elementwise over the cells of every pair's Poisson support grid (laid
+  out by ``analytic_erasure._reduce_grids``, each load's support built
+  once), at a cost of about L grid passes; a class delivers n times its
+  tagged-message probability.  It equals exhaustive
   enumeration of the allocations (pinned against a literal enumerator in
   ``tests/test_superposition.py``).
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair, pair by
@@ -51,7 +52,8 @@ from .core import (
     normalized_poisson_weights,
     poisson_weights,
 )
-from .analytic_erasure import _check_two_class_work, _p_cs_array, p_access_cs, p_access_ncs
+from .analytic_erasure import _check_two_class_work, _p_cs_array, _reduce_grids
+from .analytic_erasure import p_access_cs, p_access_ncs
 
 
 # ============================================================================
@@ -86,10 +88,6 @@ def ap_allocation_probs(
 # ============================================================================
 
 
-# Cells per call of the exact kernel, which bounds its temporaries.
-_BLOCK_CELLS = 2**13
-
-
 def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A class's counts 0..n_max with its Poisson weights and its tagged weights.
 
@@ -101,7 +99,9 @@ def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return n, w, np.zeros(n.size)
     n_tag, w_tag = normalized_poisson_weights(g)
     size = int(n_tag[-1]) + 1
-    return np.arange(size), np.pad(w, (0, size - w.size)), np.concatenate(([0.0], w_tag))
+    padded, tagged = np.zeros(size), np.zeros(size)
+    padded[: w.size], tagged[1:] = w, w_tag
+    return np.arange(size), padded, tagged
 
 
 def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,30 +240,25 @@ class ExactEnum:
     seed = None
 
     def metrics(self, L, e1, e2, k, loads) -> list[tuple[float, ...]]:
-        supports = [(_class_support(g_c), _class_support(g_n)) for g_c, g_n in loads]
-        shapes = np.array([(c[0].size, n[0].size) for c, n in supports])
-        ap_budget = gamma_k_tolerance_array(np.arange(shapes[:, 1].max()), e1, k)
+        supports = {g: _class_support(g) for g in {g for pair in loads for g in pair}}
+        grids = [(supports[g_c], supports[g_n]) for g_c, g_n in loads]
+        shapes = [(c[0].size, n[0].size) for c, n in grids]
+        ap_budget = gamma_k_tolerance_array(np.arange(max(s[1] for s in shapes)), e1, k)
         bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
-        # The grids lie row-major in one array, each from a multiple of 8
-        # cells (64 bytes), so each is aligned as a fresh array of its own.
-        starts = np.concatenate(([0], np.cumsum(-(-shapes.prod(axis=1) // 8) * 8)))
-        flat = np.empty((2, starts[-1]))
-        for lo in range(0, starts[-1], _BLOCK_CELLS):
-            cell = np.arange(lo, min(lo + _BLOCK_CELLS, starts[-1]))
-            grid = np.searchsorted(starts, cell, side="right") - 1
-            n_c, n_n = np.divmod(cell - starts[grid], shapes[grid, 1])
-            flat[:, cell] = _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
-        grids = [flat[:, a : a + r * c].reshape(2, r, c) for a, (r, c) in zip(starts, shapes)]
-        # By exchangeability a class delivers n times its tagged probability.
-        return [
-            (
+
+        def cells(n_c, n_n, _):
+            return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+
+        def reduce(i, values):  # a class delivers n times its tagged probability
+            ((n_c, w_c, tag_c), (n_n, w_n, tag_n)), (cs, ncs) = grids[i], values
+            return (
                 float(w_c @ (n_c[:, None] * cs) @ w_n),
                 float(w_c @ (ncs * n_n) @ w_n),
                 float(tag_c @ cs @ w_n),
                 float(w_c @ ncs @ tag_n),
             )
-            for ((n_c, w_c, tag_c), (n_n, w_n, tag_n)), (cs, ncs) in zip(supports, grids)
-        ]
+
+        return _reduce_grids(shapes, 2, cells, reduce)
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def test_criterion_01_closed_forms_match_series():
             worst = max(worst, rel_err(
                 oracle.ncs_psr_inf_closed(L, e1, e2, gc, gn), ncs_psr))
             n_checks += 2
-            for K, m in ae._finite_k_metrics(L, e1, e2, gc, gn, ks).items():
+            for K, m in ae._finite_k_metrics(L, e1, e2, {(gc, gn): ks})[gc, gn].items():
                 worst = max(worst, rel_err(
                     oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K), m.R_cbar))
                 n_checks += 1

@@ -257,7 +257,7 @@ def test_finite_k_refuses_binomials_beyond_floats():
 def test_finite_k_memory_per_cell(ks):
     # per-slot loads of 200 per class: 308 x 308 cells of Poisson support
     cfg = erasure_cfg(L=3, T=1, G=400.0, gamma_c=0.5)
-    args = (3, 0.5, 0.5, cfg.cs_slot_load, cfg.ncs_slot_load, ks)
+    args = (3, 0.5, 0.5, {(cfg.cs_slot_load, cfg.ncs_slot_load): ks})
     cells = poisson_weights(cfg.cs_slot_load)[0].size * poisson_weights(cfg.ncs_slot_load)[0].size
     assert cells == 94_864
     ae._finite_k_metrics(*args)  # fills the memoized Poisson cutoffs and tolerance rows
@@ -439,7 +439,8 @@ def test_evaluate_erasure_dispatch():
 
 def test_evaluate_erasure_finite_k_uses_finite_forms():
     cfg = erasure_cfg(L=3, G=4.0, gamma_c=0.5, K=1)
-    assert ae.evaluate_erasure(cfg) == ae._finite_k_metrics(3, 0.5, 0.5, 2.0, 2.0, [1])[1]
+    [metrics] = ae._finite_k_metrics(3, 0.5, 0.5, {(2.0, 2.0): [1]}).values()
+    assert ae.evaluate_erasure(cfg) == metrics[1]
 
 
 def test_batch_equals_single_evaluations():
@@ -450,6 +451,105 @@ def test_batch_equals_single_evaluations():
     cfgs += [other.replace(K=1, allocation=Tdma(alpha=a)) for a in (0.0, 0.3, 1.0)]
     cfgs += [base.replace(gamma_c=g, K=2) for g in (0.0, 1.0)]
     assert ae.evaluate_erasure_batch(cfgs) == [ae.evaluate_erasure(c) for c in cfgs]
+
+
+def _finite_k_batch():
+    """Several load pairs per (L, eps1, eps2), each with its own K values:
+    some shared with another pair and some not, zero loads on either class
+    and on both, and a pair at a K near the float limit of the binomials."""
+    cfgs = []
+    eps = [(0.0, 0.5), (0.5, 0.5), (1.0, 0.0), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)]
+    for i, L in enumerate((1, 2, 3, 5, 64)):
+        for e1, e2 in eps[i % 3 : i % 3 + 4]:
+            base = erasure_cfg(L=L, T=2, G=3.0, e1=e1, e2=e2)
+            for gamma_c, ks in ((0.5, (0, 2)), (0.0, (2, 5)), (1.0, (1,)), (0.25, (2,)),
+                                (0.5, (2, 7)), (0.25, (3, 0))):
+                cfgs += [base.replace(gamma_c=gamma_c, K=k) for k in ks]
+            cfgs.append(base.replace(G=0.0, K=1))
+    near = erasure_cfg(L=1030, G=0.5, gamma_c=0.5)  # C(1029, 514) is still a float
+    return cfgs + [near.replace(K=600), near.replace(G=0.3, K=2), near.replace(K=2)]
+
+
+def test_finite_k_batch_equals_batches_of_one():
+    cfgs = _finite_k_batch()
+    assert [repr(m) for m in ae.evaluate_erasure_batch(cfgs)] == [
+        repr(ae.evaluate_erasure(c)) for c in cfgs
+    ]
+
+
+def test_finite_k_batch_does_not_depend_on_the_run_budget_or_block_size(monkeypatch):
+    # runs and blocks of 7 cells split every grid and straddle grid boundaries
+    cfgs = _finite_k_batch()
+    expected = [repr(m) for m in ae.evaluate_erasure_batch(cfgs)]
+    monkeypatch.setattr(ae, "_RUN_CELLS", 7)
+    monkeypatch.setattr(ae, "_BLOCK_CELLS", 7)
+    assert [repr(m) for m in ae.evaluate_erasure_batch(cfgs)] == expected
+
+
+def test_finite_k_batch_refuses_its_first_refused_pair():
+    # the two refused scenarios lie in different (L, eps1, eps2) groups, the
+    # later one in the group of the first scenario
+    ok = erasure_cfg(L=3, G=2.0, gamma_c=0.5, K=2)
+    overflow = erasure_cfg(L=1100, G=0.5, gamma_c=0.5, K=600)
+    too_big = erasure_cfg(L=3, G=2e4, gamma_c=0.5, K=1)
+    with pytest.raises(ValueError, match="L=1100, K=600"):
+        ae.evaluate_erasure_batch([ok, overflow, ok.replace(K=1), too_big])
+    with pytest.raises(ValueError, match="two-class limit"):
+        ae.evaluate_erasure_batch([ok, too_big, ok.replace(K=1), overflow])
+
+
+def test_region_makes_one_finite_k_evaluation_per_group(monkeypatch):
+    # the 71 non-orthogonal points of the README region share (L, eps1, eps2)
+    from twohop_aloha import cli
+
+    calls = []
+    evaluate = ae._finite_k_metrics
+
+    def counted(L, e1, e2, pairs):
+        calls.append(len(pairs))
+        return evaluate(L, e1, e2, pairs)
+
+    monkeypatch.setattr(ae, "_finite_k_metrics", counted)
+    grid = tuple(i / 70 for i in range(71))
+    base = erasure_cfg(T=8, G=16.0, K=2)
+    cli.compute_region(base, grid, grid, ("non_orthogonal",), cli.AnalyticBackend())
+    assert calls == [71]
+
+
+def test_each_load_support_is_built_once_per_call(monkeypatch):
+    # every distinct per-slot load of a batch, as g_c or as g_n, once; a
+    # second identical batch builds them again (no cache outlives a call)
+    built = []
+    weights = ae.poisson_weights
+
+    def counted(g):
+        built.append(g)
+        return weights(g)
+
+    monkeypatch.setattr(ae, "poisson_weights", counted)
+    cfgs = [erasure_cfg(T=8, G=16.0, gamma_c=i / 10, K=k) for i in range(11) for k in (1, 2)]
+    loads = {g for c in cfgs for g in (c.cs_slot_load, c.ncs_slot_load)}
+    for _ in range(2):
+        built.clear()
+        ae.evaluate_erasure_batch(cfgs)
+        assert sorted(built) == sorted(loads)
+
+
+def test_finite_k_batch_memory_is_that_of_its_largest_grid():
+    # 20 pairs at per-slot loads (200 + 0.01 i, 200), 94,864 cells or more each
+    cfgs = [erasure_cfg(L=3, G=400.0 + 0.01 * i, gamma_c=(200.0 + 0.01 * i) / (400.0 + 0.01 * i),
+                        K=2) for i in range(20)]
+    peaks = []
+    for batch in (cfgs[:1], cfgs):
+        ae.evaluate_erasure_batch(batch)  # fills the memoized Poisson cutoffs and tolerance rows
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            ae.evaluate_erasure_batch(batch)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_evaluate_tdma_degenerate_alpha():

@@ -683,6 +683,26 @@ def test_validate_cli_exit_code_on_failure(tmp_path, monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["eval", "region", "validate"])
+@pytest.mark.parametrize("parent", ["missing", "a_file"])
+def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys, command, parent):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    path = write_ini(tmp_path, BASE_INI + "\n[region]\ngamma_values = 0.5\nalpha_values = 0.5\n")
+    (tmp_path / "a_file").write_text("")
+    for module, name in ((cli, "load_config_file"), (cli.analytic_erasure, "evaluate_erasure_batch"),
+                         (cli.sim_erasure, "simulate_multi_k")):
+        monkeypatch.setattr(module, name, no_work)
+    argv = [command, "--out", str(tmp_path / parent / "x.csv")]
+    if command != "validate":
+        argv += ["--config", path]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: --out directory {tmp_path / parent} is not a writable directory\n"
+
+
 # ---------------------------------------------------------------------------
 # Formatting
 # ---------------------------------------------------------------------------

@@ -392,7 +392,7 @@ def test_exact_batch_does_not_depend_on_the_block_size(monkeypatch):
     # blocks of 7 cells split every grid and straddle grid boundaries
     cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, (1, 3, 64))
     expected = [repr(m) for m in sp.evaluate_superposition_batch(cfgs)]
-    monkeypatch.setattr(sp, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(ae, "_BLOCK_CELLS", 7)
     assert [repr(m) for m in sp.evaluate_superposition_batch(cfgs)] == expected
 
 
@@ -420,9 +420,9 @@ def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
     # each grid starts on a whole 8 cells (64 bytes)
     cells = sum(-(-sp._class_support(g_c)[0].size * sp._class_support(g_n)[0].size // 8) * 8
                 for g_c, g_n in loads)
-    assert len(calls) == math.ceil(cells / sp._BLOCK_CELLS)
+    assert len(calls) == math.ceil(cells / ae._BLOCK_CELLS)
     assert sum(calls) == cells
-    assert all(size == sp._BLOCK_CELLS for size in calls[:-1])
+    assert all(size == ae._BLOCK_CELLS for size in calls[:-1])
 
 
 def test_exact_memory_per_cell():
@@ -439,3 +439,54 @@ def test_exact_memory_per_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * cells, f"{peak / cells:.1f} B per cell"
+
+
+def test_exact_batch_does_not_depend_on_the_run_budget(monkeypatch):
+    # runs of 7 cells put every grid on a run of its own
+    cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, (1, 3, 64))
+    expected = [repr(m) for m in sp.evaluate_superposition_batch(cfgs)]
+    monkeypatch.setattr(ae, "_RUN_CELLS", 7)
+    monkeypatch.setattr(ae, "_BLOCK_CELLS", 7)
+    assert [repr(m) for m in sp.evaluate_superposition_batch(cfgs)] == expected
+
+
+def test_each_load_support_is_built_once_per_call(monkeypatch):
+    # the README region's distinct loads, among its non-orthogonal and TDMA
+    # class grids, once per batch; a second identical batch builds them again
+    built = []
+    weights = sp.poisson_weights
+
+    def counted(g):
+        built.append(g)
+        return weights(g)
+
+    monkeypatch.setattr(sp, "poisson_weights", counted)
+    base = sup_cfg(T=8, G=16.0, K=2)
+    grid = tuple(i / 10 for i in range(11))
+    cfgs = [base.replace(gamma_c=g) for g in grid]
+    cfgs += [base.replace(gamma_c=g, allocation=Tdma(alpha=a)) for g in grid for a in grid]
+    loads = {0.0} | {g for c in cfgs[:11] for g in (c.cs_slot_load, c.ncs_slot_load)}
+    for c in cfgs[11:]:
+        loads |= {g for _, g in c.tdma_shares()}
+    for _ in range(2):
+        built.clear()
+        sp.evaluate_superposition_batch(cfgs)
+        assert sorted(built) == sorted(loads)
+
+
+def test_exact_batch_memory_is_that_of_its_largest_grid():
+    # 20 pairs at per-slot loads (200 + 0.01 i, 200), 94,864 cells or more
+    # each; the whole batch on one flat array peaked at 11 times one pair
+    cfgs = [sup_cfg(L=3, G=400.0 + 0.01 * i, gamma_c=(200.0 + 0.01 * i) / (400.0 + 0.01 * i),
+                    K=2) for i in range(20)]
+    peaks = []
+    for batch in (cfgs[:1], cfgs):
+        sp.evaluate_superposition_batch(batch)  # fills the memoized cutoffs and tolerance rows
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            sp.evaluate_superposition_batch(batch)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
