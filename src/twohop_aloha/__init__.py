@@ -20,7 +20,7 @@ from .core import (
 )
 from .analytic_erasure import benchmark_bound, evaluate_erasure
 from .superposition import ConditionedMC, ExactEnum, evaluate_superposition
-from .sim_erasure import coupled_compare, simulate
+from .sim_erasure import simulate
 from .sim_fading import estimate_fading_metrics
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ConditionedMC",
     "ExactEnum",
     "evaluate_superposition",
-    "coupled_compare",
     "simulate",
     "estimate_fading_metrics",
 ]

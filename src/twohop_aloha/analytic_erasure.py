@@ -11,12 +11,15 @@ TDMA.
 * The NCS metrics at K = inf nest that expectation: an outer sum over the CS
   count around the isolated-class sum over the NCS count, to the same
   relative error.
-* All four metrics under a finite K come from one two-class evaluator,
-  ``_finite_k_metrics``: dense series over the Poisson supports of both
-  classes, truncated at an absolute tail mass.  ``evaluate_erasure_batch``
-  calls it once per (L, eps1, eps2), for every (g_c, g_n) pair at its own K
-  values, on grids laid out by ``_reduce_grids``.  A K whose CS tolerance
-  sum needs a binomial coefficient beyond the floats is refused.
+* All four metrics under a finite K come from ``_finite_k_metrics``, the
+  collision receiver's cell kernel run by the two-class driver
+  ``_two_class_metrics``: dense series over the Poisson supports of both
+  classes, truncated at an absolute tail mass, on grids laid out by
+  ``_reduce_grids``.  The exact superposition estimator runs its own kernel
+  through the same driver.  ``evaluate_erasure_batch`` calls
+  ``_finite_k_metrics`` once per (L, eps1, eps2), for every (g_c, g_n)
+  pair at its own K values.  A K whose CS tolerance sum needs a binomial
+  coefficient beyond the floats is refused.
 * A two-class evaluation whose Poisson supports span more than
   ``MAX_TWO_CLASS_CELLS`` cells is refused, as is a lone class's support.
 * The literal closed forms of the metrics are the test oracle
@@ -266,67 +269,84 @@ def _tolerance_sum(L: int, k, q, rest) -> np.ndarray:
     return total
 
 
+def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A class's counts 0..n_max with its Poisson weights and its tagged weights.
+
+    The tagged weights condition on N >= 1 (zero at N = 0, and everywhere
+    at zero load); both weight vectors are zero-padded to the one support.
+    """
+    n, w = poisson_weights(g)
+    if g == 0:
+        return n, w, np.zeros(n.size)
+    n_tag, w_tag = normalized_poisson_weights(g)
+    size = int(n_tag[-1]) + 1
+    padded, tagged = np.zeros(size), np.zeros(size)
+    padded[: w.size], tagged[1:] = w, w_tag
+    return np.arange(size), padded, tagged
+
+
+def _two_class_metrics(e1, grids, kernel) -> list[tuple[float, float, float, float]]:
+    """(R_c, R_cbar, Gamma_c, Gamma_cbar) of each grid ((g_c, g_n), K) in ``grids``.
+
+    A grid spans the padded supports of its two loads (``_class_support``,
+    each load's built once).  ``kernel(n_c, n_n, budget, k)`` gives,
+    elementwise over the cells, the probabilities that a tagged CS and a
+    tagged NCS message decode; ``budget`` is the AP tolerance at eps1 of
+    the cell's n_n NCS arrivals (one row per K) and ``k`` its grid's K.  A
+    class delivers n times its tagged probability and its PSR weighs the
+    tagged one given N >= 1, so a class without load gets zeros.
+    """
+    supports = {g: _class_support(g) for g in {g for pair, _ in grids for g in pair}}
+    sides = [(supports[g_c], supports[g_n]) for (g_c, g_n), _ in grids]
+    shapes = [(c[0].size, n[0].size) for c, n in sides]
+    ks = list(dict.fromkeys(k for _, k in grids))
+    counts = np.arange(max(cols for _, cols in shapes))
+    budget = np.array([gamma_k_tolerance_array(counts, e1, k) for k in ks])
+    rows = np.array([ks.index(k) for _, k in grids])  # each grid's row of budget
+    k_of = np.array([k for _, k in grids], dtype=float)
+
+    def cells(n_c, n_n, x):
+        return kernel(n_c, n_n, budget[rows[x], n_n], k_of[x])
+
+    def reduce(i, values):
+        ((n_c, w_c, tag_c), (n_n, w_n, tag_n)), (cs, ncs) = sides[i], values
+        return (
+            float(w_c @ (n_c[:, None] * cs) @ w_n),
+            float(w_c @ (ncs * n_n) @ w_n),
+            float(tag_c @ cs @ w_n),
+            float(w_c @ ncs @ tag_n),
+        )
+
+    return _reduce_grids(shapes, 2, cells, reduce)
+
+
 def _finite_k_metrics(L, e1, e2, pairs) -> dict:
     """{(g_c, g_n): {K: the four metrics}} for each pair of per-slot loads in
     ``pairs``, a mapping to its finite K values, at those K only.
 
     Two-class series over the Poisson supports of both classes, truncated at
-    an absolute tail mass; a class with zero load gets zero throughput and
-    PSR.  ``psi`` and ``qn`` are the probabilities that an AP relays a CS and
-    an NCS packet.  A CS delivery needs one AP to relay it, at most K of the
-    others an NCS packet and the rest nothing.  The CS interference budget
-    at each AP is charged only with what that AP actually receives, as in
-    the slot-level simulation.  A cell depends only on its counts and K, so
-    per-count factors and each load's weights are built once.  Each (pair,
-    K) has a throughput, a CS PSR and an NCS PSR grid, and each kind takes
-    one ``_reduce_grids`` pass.  The caller refuses what cannot be done.
+    an absolute tail mass, through ``_two_class_metrics``.  Given (n_c, n_n),
+    an AP relays the tagged CS packet with probability p_u (the other
+    arrivals erased, the CS interference budget charged only with what that
+    AP actually receives, as in the slot-level simulation), some NCS packet
+    with probability q_n, and nothing with probability rest.  A CS delivery
+    needs one AP to relay it, at most K of the others an NCS packet and the
+    rest nothing; an NCS delivery needs the others all silent.  Where
+    n_c = 0 the cell's K is -1, so a pair without CS load forms no binomial.
+    The caller refuses what cannot be done.
     """
-    weights = {g: (poisson_weights(g)[1], normalized_poisson_weights(g)[1] if g > 0 else None)
-               for g in {g for pair in pairs for g in pair}}  # the second given N >= 1
-    n = np.arange(max(2, max(w.size for w, _ in weights.values())))  # the counts
-    m = n[1:]  # a tagged class's counts: its row or column i is the count i + 1
-    p_cs, e1_n, head = _p_cs_array(n, e1), e1**n, (1.0 - e1) * e1 ** (m - 1)
-    n_free, e1_rest = n * (1.0 - e1), e1 ** np.maximum(n - 1, 0)
-    ks = {k: at for at, k in enumerate(dict.fromkeys(itertools.chain(*pairs.values())))}
-    tol = np.array([gamma_k_tolerance_array(n, e1, k) for k in ks])  # a row per K
 
-    def throughputs(i, j, t, k):  # (R_c, R_cbar); t is the row of K in tol
-        qn = p_cs[j] * e1_n[i] * (1.0 - e2)
-        psi = p_cs[i] * tol[t, j] * (1.0 - e2)
-        rest = 1.0 - psi - qn
-        r_n = L * qn * rest ** (L - 1)
-        np.clip(rest, 0.0, 1.0, out=rest)
-        return _tolerance_sum(L, k, qn, rest) * (L * psi), r_n
+    def kernel(n_c, n_n, budget, k):
+        p_u = (1.0 - e1) * e1 ** np.maximum(n_c - 1, 0) * budget * (1.0 - e2)
+        q_n = _p_cs_array(n_n, e1) * e1**n_c * (1.0 - e2)
+        rest = np.clip(1.0 - n_c * p_u - q_n, 0.0, 1.0)
+        cs = L * p_u * _tolerance_sum(L, np.where(n_c == 0, -1.0, k), q_n, rest)
+        head_n = (1.0 - e1) * e1 ** np.maximum(n_n - 1, 0) * e1**n_c * (1.0 - e2)
+        return cs, L * head_n * rest ** (L - 1)
 
-    def cs_psr(i, j, t, k):  # a tagged CS device: n_c >= 1
-        p_u = head[i] * tol[t, j]
-        phi = np.where(j == 0, 0.0, n_free[j] * e1_n[1:][i] * e1_rest[j] * (1.0 - e2))
-        rest = 1.0 - m[i] * p_u * (1.0 - e2) - phi
-        np.clip(rest, 0.0, 1.0, out=rest)
-        return (L * p_u * (1.0 - e2) * _tolerance_sum(L, k, phi, rest),)
-
-    def ncs_psr(i, j, t, k):  # a tagged NCS device: n_n >= 1
-        p_u = head[j] * e1_n[i]
-        q = (1.0 - e2) * (p_cs[i] * tol[:, 1:][t, j] + m[j] * p_u)
-        return (L * p_u * (1.0 - e2) * (1.0 - q) ** (L - 1),)
-
-    out = {(pair, k): [0.0] * 4 for pair, pair_ks in pairs.items() for k in pair_ks}
-    for cells, slots, tags in ((throughputs, (0, 1), (0, 0)), (cs_psr, (2,), (1, 0)),
-                               (ncs_psr, (3,), (0, 1))):  # tags: 1 on a tagged class
-        grids = [(p, k) for p, k in out if all(g > 0 for g, tag in zip(p, tags) if tag)]
-        sides = [(weights[g_c][tags[0]], weights[g_n][tags[1]]) for (g_c, g_n), _ in grids]
-        rows = np.array([ks[k] for _, k in grids])  # each grid's row in tol
-        cs_k = np.array([k if pair[0] > 0 else -1 for pair, k in grids])  # no CS load: no sum
-
-        def reduce(x, values):  # slot s holds a metric of the class of load s % 2
-            for s, grid in zip(slots, values):
-                if grids[x][0][s % 2] > 0:
-                    out[grids[x]][s] = float(sides[x][0] @ grid @ sides[x][1])
-
-        shapes = [(r.size, c.size) for r, c in sides]
-        _reduce_grids(shapes, len(slots), lambda i, j, x: cells(i, j, rows[x], cs_k[x]), reduce)
-
-    return {pair: {k: ServiceMetrics(*out[pair, k]) for k in pks} for pair, pks in pairs.items()}
+    grids = [(pair, k) for pair, ks in pairs.items() for k in ks]
+    values = dict(zip(grids, _two_class_metrics(e1, grids, kernel)))
+    return {pair: {k: ServiceMetrics(*values[pair, k]) for k in ks} for pair, ks in pairs.items()}
 
 
 # ============================================================================

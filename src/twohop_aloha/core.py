@@ -288,17 +288,6 @@ class SimulatedMetrics:
 # ============================================================================
 
 
-def poisson_pmf(k: int, lam: float) -> float:
-    """P(N = k) for N ~ Poisson(lam), evaluated in log space."""
-    if lam < 0 or math.isnan(lam) or math.isinf(lam):
-        raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
-    if k < 0:
-        return 0.0
-    if lam == 0.0:
-        return 1.0 if k == 0 else 0.0
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
 @functools.lru_cache(maxsize=4096)
 def poisson_tail_cutoff(lam: float, delta: float) -> int:
     """Smallest n with P(Poisson(lam) > n) < delta.

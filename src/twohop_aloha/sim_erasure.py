@@ -6,12 +6,12 @@ the three-state AP rule, and the scenario's BS receiver rule (collision or
 superposition).  Each chunk of frames is drawn once (``_draw_frames``) and
 decoded for every tolerance K asked for, so ``simulate_multi_k`` compares K
 values slot by slot; what does not depend on K is decoded once per chunk.
-``coupled_compare`` decodes one realization with both receivers.  Counting
-and decoding run on the chunk's occupied cells only, those with at least
-one unerased arrival, in (AP, occupied cell) arrays: the BS rule loops
-over L contiguous rows.  An AP decodes only a sole arrival, so each
+Counting and decoding run on the chunk's occupied cells only, those with
+at least one unerased arrival, in (AP, occupied cell) arrays: the BS rule
+loops over L contiguous rows.  An AP decodes only a sole arrival, so each
 (AP, cell) keeps one arrival's identity, read only where it is alone.  The
-uplink and all-device PSR estimators, which only tests use, live in
+uplink and all-device PSR estimators and the comparison of both receivers
+on one realization, which only tests use, live in
 ``tests/erasure_oracles.py`` and draw through the same code.
 
 Determinism contract: results are a pure function of (config, n_frames,
@@ -230,12 +230,6 @@ def _decodes(frames, receiver: str, k_values):
         yield np.where(n_ncs <= K, cs_id, _ID_NONE), np.where(n_cs == 0, ncs_id, _ID_NONE)
 
 
-def _decode(frames, receiver: str, K):
-    """Per-row BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
-    ((cs_id, ncs_id),) = _decodes(frames, receiver, (K,))
-    return cs_id != _ID_NONE, cs_id, ncs_id != _ID_NONE, ncs_id
-
-
 def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
     return int(np.count_nonzero(dec_id[draws.tag_row] == draws.tag_id))
 
@@ -251,14 +245,6 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
         out[(ki, "cs_tag_succ")] = _tagged_successes(cs, cs_id)
         out[(ki, "ncs_tag_succ")] = _tagged_successes(ncs, ncs_id)
     return out
-
-
-def _coupled_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
-    frames = _draw_frames(spec, F, rng)
-    (K,) = spec.k_values
-    coll = _decode(frames, Receiver.COLLISION, K)
-    sup = _decode(frames, Receiver.SUPERPOSITION, K)
-    return {"violations": int(np.sum(coll[0] & ~sup[0]) + np.sum(coll[2] & ~sup[2]))}
 
 
 def _run_engine(chunk_fn, spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> dict:
@@ -321,16 +307,6 @@ def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) ->
     spec = _spec_from_config(cfg, (cfg.K,))
     tallies = _run_engine(_run_chunk, spec, n_frames, seed, workers)
     return _metrics_from_tallies(tallies, spec, n_frames, seed, 0)
-
-
-def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> int:
-    """Count slots where the collision receiver succeeds but superposition fails.
-
-    Both BS rules are evaluated on identical realizations; by success-event
-    inclusion the count must be zero.
-    """
-    spec = _spec_from_config(cfg, (cfg.K,))
-    return _run_engine(_coupled_chunk, spec, n_frames, seed, workers)["violations"]
 
 
 def simulate_multi_k(

@@ -6,8 +6,8 @@ per-slot transmission counts (n_c, n_cbar), the vector of per-message AP
 copy counts is multinomial over (silent, one cell per CS message, one cell
 per NCS message).  The tolerance K enters only through two rows of
 ``gamma_k_tolerance_array``, built once per class grid (once per batch of
-grids by ``ExactEnum``): ``ap_budget[n]``, the AP budget at eps1 with n NCS
-arrivals, and ``bs_budget[m]``, the BS budget at eps2 with m NCS copies.
+grids by ``ExactEnum``): the AP budget at eps1 of n NCS arrivals, and
+``bs_budget[m]``, the BS budget at eps2 with m NCS copies.
 
 Two estimators of the expectation over AP allocations.  Both offer
 ``metrics(L, e1, e2, k, loads)``: for each (g_c, g_n) pair of per-slot loads,
@@ -16,13 +16,12 @@ Gamma_cbar); a class with no load gets zero packet success rate:
 
 * ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
   within a class are exchangeable, so the multinomial sum collapses to a
-  difference of powers per (n_c, n_cbar) (``_tagged_decode``), evaluated
-  elementwise over the cells of every pair's Poisson support grid (laid
-  out by ``analytic_erasure._reduce_grids``, each load's support built
-  once), at a cost of about L grid passes; a class delivers n times its
-  tagged-message probability.  It equals exhaustive
-  enumeration of the allocations (pinned against a literal enumerator in
-  ``tests/test_superposition.py``).
+  difference of powers per (n_c, n_cbar): the cell kernel
+  ``_tagged_decode``, which ``analytic_erasure._two_class_metrics`` (the
+  collision receiver's finite-K driver too) runs elementwise over the
+  cells of every pair's Poisson support grid, at a cost of about L grid
+  passes.  It equals exhaustive enumeration of the allocations (pinned
+  against a literal enumerator in ``tests/test_superposition.py``).
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair, pair by
   pair, from dedicated substreams of the master seed and keeps the
   per-allocation values, from which standard errors are reported.
@@ -52,7 +51,7 @@ from .core import (
     normalized_poisson_weights,
     poisson_weights,
 )
-from .analytic_erasure import _check_two_class_work, _p_cs_array, _reduce_grids
+from .analytic_erasure import _check_two_class_work, _p_cs_array, _two_class_metrics
 from .analytic_erasure import p_access_cs, p_access_ncs
 
 
@@ -88,22 +87,6 @@ def ap_allocation_probs(
 # ============================================================================
 
 
-def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A class's counts 0..n_max with its Poisson weights and its tagged weights.
-
-    The tagged weights condition on N >= 1 (zero at N = 0, and everywhere
-    at zero load); both weight vectors are zero-padded to the one support.
-    """
-    n, w = poisson_weights(g)
-    if g == 0:
-        return n, w, np.zeros(n.size)
-    n_tag, w_tag = normalized_poisson_weights(g)
-    size = int(n_tag[-1]) + 1
-    padded, tagged = np.zeros(size), np.zeros(size)
-    padded[: w.size], tagged[1:] = w, w_tag
-    return np.arange(size), padded, tagged
-
-
 def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(log s, log1p(-d / s))`` for 0 <= d <= s, elementwise.
 
@@ -120,10 +103,10 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     """BS decode probabilities of a tagged CS and a tagged NCS message.
 
     Both are elementwise over the cells (``n_c``, ``n_n``) of per-slot
-    transmission counts; ``ap_budget`` is indexed by the NCS count
-    and ``bs_budget`` by the number of NCS copies at the BS.  Each AP
-    independently relays the tagged message of a class with probability t
-    (p = n t for the class), and is silent with probability
+    transmission counts; ``ap_budget`` is each cell's AP budget (at its NCS
+    count) and ``bs_budget`` is indexed by the number of NCS copies at the
+    BS.  Each AP independently relays the tagged message of a class with
+    probability t (p = n t for the class), and is silent with probability
     rest = 1 - p_c - p_n.  The tagged message decodes when some copy of it
     survives the backhaul and every copy of every other message of its
     class is erased; a CS decode also needs the BS budget of its b NCS
@@ -135,7 +118,7 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
     factor overflows at large L.
     """
-    p_c = _p_cs_array(n_c, e1) * ap_budget[n_n]
+    p_c = _p_cs_array(n_c, e1) * ap_budget
     p_n = _p_cs_array(n_n, e1) * e1**n_c
     t_c, t_n = p_c / np.maximum(n_c, 1), p_n / np.maximum(n_n, 1)
     rest = np.maximum(1.0 - p_c - p_n, 0.0)
@@ -240,25 +223,12 @@ class ExactEnum:
     seed = None
 
     def metrics(self, L, e1, e2, k, loads) -> list[tuple[float, ...]]:
-        supports = {g: _class_support(g) for g in {g for pair in loads for g in pair}}
-        grids = [(supports[g_c], supports[g_n]) for g_c, g_n in loads]
-        shapes = [(c[0].size, n[0].size) for c, n in grids]
-        ap_budget = gamma_k_tolerance_array(np.arange(max(s[1] for s in shapes)), e1, k)
         bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
 
-        def cells(n_c, n_n, _):
+        def kernel(n_c, n_n, ap_budget, _):
             return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
 
-        def reduce(i, values):  # a class delivers n times its tagged probability
-            ((n_c, w_c, tag_c), (n_n, w_n, tag_n)), (cs, ncs) = grids[i], values
-            return (
-                float(w_c @ (n_c[:, None] * cs) @ w_n),
-                float(w_c @ (ncs * n_n) @ w_n),
-                float(tag_c @ cs @ w_n),
-                float(w_c @ ncs @ tag_n),
-            )
-
-        return _reduce_grids(shapes, 2, cells, reduce)
+        return _two_class_metrics(e1, [(pair, k) for pair in loads], kernel)
 
 
 @dataclass(frozen=True)

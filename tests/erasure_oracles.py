@@ -3,7 +3,7 @@
 Each estimator draws its frames with ``sim_erasure._draw_frames`` on the
 engine's own chunks and substreams, so at a given seed it sees exactly the
 realization that ``simulate`` sees, and decodes it with the engine's
-``_ap_decode`` and ``_decode``.
+``_ap_decode`` and ``_decodes``.
 """
 
 from __future__ import annotations
@@ -12,15 +12,21 @@ import math
 
 import numpy as np
 
-from twohop_aloha.core import ScenarioConfig, SimEstimate, bernoulli_estimate
+from twohop_aloha.core import Receiver, ScenarioConfig, SimEstimate, bernoulli_estimate
 from twohop_aloha.sim_erasure import (
     _ID_NONE,
     _ap_decode,
-    _decode,
+    _decodes,
     _draw_frames,
     _run_engine,
     _spec_from_config,
 )
+
+
+def _decode(frames, receiver: str, K):
+    """Per-row BS decodes ``(cs_ok, cs_id, ncs_ok, ncs_id)`` of drawn frames."""
+    ((cs_id, ncs_id),) = _decodes(frames, receiver, (K,))
+    return cs_id != _ID_NONE, cs_id, ncs_id != _ID_NONE, ncs_id
 
 
 def _uplink_chunk(spec, F, rng) -> dict:
@@ -79,3 +85,21 @@ def simulate_per_device_psr(
         return SimEstimate(mean=mean, std_error=se, n_samples=n, seed=seed)
 
     return estimate("cs"), estimate("ncs")
+
+
+def _coupled_chunk(spec, F, rng) -> dict:
+    frames = _draw_frames(spec, F, rng)
+    (K,) = spec.k_values
+    coll = _decode(frames, Receiver.COLLISION, K)
+    sup = _decode(frames, Receiver.SUPERPOSITION, K)
+    return {"violations": int(np.sum(coll[0] & ~sup[0]) + np.sum(coll[2] & ~sup[2]))}
+
+
+def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> int:
+    """Count slots where the collision receiver succeeds but superposition fails.
+
+    Both BS rules are evaluated on identical realizations; by success-event
+    inclusion the count must be zero.
+    """
+    spec = _spec_from_config(cfg, (cfg.K,))
+    return _run_engine(_coupled_chunk, spec, n_frames, seed, workers)["violations"]

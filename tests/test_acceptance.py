@@ -222,7 +222,7 @@ def test_criterion_05_region_dominance_and_coupling():
         ok_parts[f"Kinf>K2({receiver})"] = _contains(outer, inner)
     violations = 0
     for K in (2, INFINITE_K):
-        violations += se.coupled_compare(
+        violations += erasure_oracles.coupled_compare(
             ecfg(L=3, T=2, G=8.0, gamma_c=0.5, e1=0.5, e2=0.5, K=K), 100_000, SEED
         )
     elapsed = time.perf_counter() - t0

@@ -17,6 +17,7 @@ from twohop_aloha.core import (
     Receiver,
     ScenarioConfig,
     Tdma,
+    poisson_tail_cutoff,
     poisson_weights,
 )
 
@@ -407,6 +408,74 @@ def test_ncs_ideal_k_matches_mpmath(L):
                 assert abs(x - ref) <= 1e-12 * ref, f"{where}: {x} vs {ref}"
 
 
+def mpmath_finite_k(L, e1, e2, k, pairs):
+    """(R_c, R_cbar, Gamma_c, Gamma_cbar) at a finite K for each (g_c, g_n),
+    summed at 40 digits over the evaluator's supports.
+
+    The counts run to ``poisson_tail_cutoff(g, 1e-12)``, the tagged ones
+    from N = 1 with weights conditioned on N >= 1.  Given (n_c, n_n), an AP
+    relays the tagged CS packet when its arrival survives, every other CS
+    arrival is erased, at most K NCS arrivals survive and the backhaul
+    holds; it relays some NCS packet when exactly one NCS arrival and no CS
+    arrival survive and the backhaul holds.  A tagged CS packet gets through
+    when one AP relays it, at most K others relay an NCS packet and the
+    rest nothing; a tagged NCS packet when one AP relays it and the others
+    nothing.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        e1, e2 = mp.mpf(e1), mp.mpf(e2)
+        cut = {g: poisson_tail_cutoff(g, 1e-12) for pair in pairs for g in pair}
+        size = max(max(cut.values()), 1) + 1
+        budget = [mp.fsum(mp.binomial(n, j) * (1 - e1) ** j * e1 ** (n - j)
+                          for j in range(min(k, n) + 1)) for n in range(size)]
+        cs, ncs = {}, {}
+        for n_c, n_n in itertools.product(range(size), repeat=2):
+            p_u = (1 - e1) * e1 ** (n_c - 1) * budget[n_n] * (1 - e2) if n_c else mp.mpf(0)
+            head = (1 - e1) * e1 ** (n_n - 1) * e1**n_c * (1 - e2) if n_n else mp.mpf(0)
+            rest = 1 - n_c * p_u - n_n * head
+            cs[n_c, n_n] = L * p_u * mp.fsum(
+                mp.binomial(L - 1, i) * (n_n * head) ** i * rest ** (L - 1 - i)
+                for i in range(min(k, L - 1) + 1)
+            )
+            ncs[n_c, n_n] = L * head * rest ** (L - 1)
+
+        def weights(g):  # {n: P(N = n)} and {n: P(N = n | N >= 1)}
+            lam = mp.mpf(g)
+            pmf = [mp.exp(-lam) * lam**n / mp.factorial(n) for n in range(max(cut[g], 1) + 1)]
+            return dict(enumerate(pmf[: cut[g] + 1])), {
+                n: pmf[n] / -mp.expm1(-lam) for n in range(1, len(pmf))}
+
+        def expectation(side_c, side_n, f):
+            return mp.fsum(a * b * f(c, n) for c, a in side_c.items() for n, b in side_n.items())
+
+        out = []
+        for g_c, g_n in pairs:
+            (w_c, tag_c), (w_n, tag_n) = weights(g_c), weights(g_n)
+            out.append((
+                expectation(w_c, w_n, lambda c, n: c * cs[c, n]),
+                expectation(w_c, w_n, lambda c, n: n * ncs[c, n]),
+                expectation(tag_c, w_n, lambda c, n: cs[c, n]),
+                expectation(w_c, tag_n, lambda c, n: ncs[c, n]),
+            ))
+        return out
+
+
+@pytest.mark.parametrize("L", [1, 3, 5, 64])
+def test_finite_k_matches_mpmath(L):
+    loads = ((0.5, 1.5), (2.0, 2.0), (3.0, 0.25))  # (g_c, g_n) per slot
+    for (e1, e2), k in itertools.product(((0.5, 0.5), (0.1, 0.9), (0.9, 0.1)), (0, 2)):
+        cfgs = [erasure_cfg(L=L, G=g_c + g_n, gamma_c=g_c / (g_c + g_n), e1=e1, e2=e2, K=k)
+                for g_c, g_n in loads]
+        pairs = [(c.cs_slot_load, c.ncs_slot_load) for c in cfgs]
+        reference = mpmath_finite_k(L, e1, e2, k, pairs)
+        for pair, m, want in zip(pairs, ae.evaluate_erasure_batch(cfgs), reference):
+            got = (m.R_c, m.R_cbar, m.Gamma_c, m.Gamma_cbar)
+            for metric, x, ref in zip(("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"), got, want):
+                where = f"{metric} at L={L}, eps=({e1}, {e2}), K={k}, loads={pair}"
+                assert abs(x - ref) <= 1e-14 * ref, f"{where}: {x} vs {ref}"
+
+
 # ---------------------------------------------------------------------------
 # Asymptotics in the number of APs
 # ---------------------------------------------------------------------------
@@ -514,6 +583,21 @@ def test_region_makes_one_finite_k_evaluation_per_group(monkeypatch):
     base = erasure_cfg(T=8, G=16.0, K=2)
     cli.compute_region(base, grid, grid, ("non_orthogonal",), cli.AnalyticBackend())
     assert calls == [71]
+
+
+def test_finite_k_evaluation_makes_one_grid_pass(monkeypatch):
+    # all four metrics of every pair at each of its K, zero loads included
+    passes = []
+    reduce_grids = ae._reduce_grids
+
+    def counted(shapes, *args):
+        passes.append(len(shapes))
+        return reduce_grids(shapes, *args)
+
+    monkeypatch.setattr(ae, "_reduce_grids", counted)
+    pairs = {(2.0, 2.0): {1, 2}, (0.0, 1.0): {2}, (1.0, 0.0): {0}, (0.5, 3.0): {5}}
+    ae._finite_k_metrics(3, 0.5, 0.5, pairs)
+    assert passes == [5]
 
 
 def test_each_load_support_is_built_once_per_call(monkeypatch):

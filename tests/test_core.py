@@ -21,7 +21,6 @@ from twohop_aloha.core import (
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
-    poisson_pmf,
     poisson_tail_cutoff,
     poisson_weights,
 )
@@ -32,6 +31,17 @@ from closed_form_oracle import regularized_gamma_q
 # ---------------------------------------------------------------------------
 # Poisson pmf and truncation
 # ---------------------------------------------------------------------------
+
+
+def poisson_pmf(k: int, lam: float) -> float:
+    """P(N = k) for N ~ Poisson(lam), evaluated in log space."""
+    if lam < 0 or math.isnan(lam) or math.isinf(lam):
+        raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
+    if k < 0:
+        return 0.0
+    if lam == 0.0:
+        return 1.0 if k == 0 else 0.0
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
 
 
 def brute_poisson_pmf(k, lam):

@@ -91,7 +91,7 @@ CASES = {
         (str(k), _metrics(m))
         for k, m in se.simulate_multi_k(_erasure(e1=1.0), (0, 2, INFINITE_K), 5_000, 25).items()
     ),
-    "coupled_compare": lambda: se.coupled_compare(_erasure(L=4), 20_000, 14),
+    "coupled_compare": lambda: oracles.coupled_compare(_erasure(L=4), 20_000, 14),
     "simulate_uplink_decode": lambda: _est(
         oracles.simulate_uplink_decode(_erasure(), 20_000, 15)
     ),
@@ -124,7 +124,7 @@ CASES = {
 EXPECTED = {"coupled_compare": 0,
  "erasure_non_orthogonal_k2": (0.23245962153035446,
                                0.11210514797720499,
-                               0.30456476018054257,
+                               0.30456476018054246,
                                0.1474715016809587),
  "erasure_non_orthogonal_k_inf": (0.2376673485692308,
                                   0.1118067043636909,

@@ -115,9 +115,9 @@ def test_multi_k_shares_realization():
 
 
 def test_coupled_compare_no_violations():
-    assert se.coupled_compare(erasure_cfg(T=2, G=4.0, gamma_c=0.5, K=2), 30_000, seed=11) == 0
-    assert se.coupled_compare(erasure_cfg(e2=1.0, gamma_c=0.5), 5_000, seed=11) == 0
-    assert se.coupled_compare(erasure_cfg(L=1, gamma_c=0.5, K=0), 30_000, seed=12) == 0
+    assert oracles.coupled_compare(erasure_cfg(T=2, G=4.0, gamma_c=0.5, K=2), 30_000, seed=11) == 0
+    assert oracles.coupled_compare(erasure_cfg(e2=1.0, gamma_c=0.5), 5_000, seed=11) == 0
+    assert oracles.coupled_compare(erasure_cfg(L=1, gamma_c=0.5, K=0), 30_000, seed=12) == 0
 
 
 def test_coupled_decodes_nest_on_one_realization():
@@ -125,8 +125,8 @@ def test_coupled_decodes_nest_on_one_realization():
     # check the decodes themselves on one realization
     cfg = erasure_cfg(T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=2)
     frames = se._draw_frames(se._spec_from_config(cfg, (2,)), 2_000, np.random.default_rng(5))
-    coll = se._decode(frames, Receiver.COLLISION, 2)
-    sup = se._decode(frames, Receiver.SUPERPOSITION, 2)
+    coll = oracles._decode(frames, Receiver.COLLISION, 2)
+    sup = oracles._decode(frames, Receiver.SUPERPOSITION, 2)
     for c_ok, c_id, s_ok, s_id in ((*coll[:2], *sup[:2]), (*coll[2:], *sup[2:])):
         assert not np.any(c_ok & ~s_ok)
         assert np.array_equal(c_id[c_ok], s_id[c_ok])
@@ -218,7 +218,7 @@ def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
     cs_dec &= n.counts <= K
     ap = [_outcome(cs_dec[l, 0], c.ids[l, 0], ncs_dec[l, 0], n.ids[l, 0]) for l in range(L)]
     backhaul = np.array([bh], dtype=bool).T  # (AP, cell)
-    bs = se._decode((c, n, backhaul), receiver, K)
+    bs = oracles._decode((c, n, backhaul), receiver, K)
     return ap, _outcome(*(x[0] for x in bs))
 
 

@@ -151,7 +151,8 @@ def test_enumerated_weights_sum_to_one():
 def _kernel(L, n_c, n_n, e1, e2, k):
     """The exact kernel's (tagged CS, tagged NCS) decode probabilities at one pair."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
-    cs, ncs = sp._tagged_decode(L, e1, e2, np.array([n_c]), np.array([n_n]), np.array(ap), bs)
+    counts = np.array([n_c]), np.array([n_n])
+    cs, ncs = sp._tagged_decode(L, e1, e2, *counts, np.array([ap[n_n]]), bs)
     return float(cs[0]), float(ncs[0])
 
 
@@ -295,8 +296,9 @@ def test_capacity_error_never_silently_degrades(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    monkeypatch.setattr(sp, "poisson_weights", no_work)
-    monkeypatch.setattr(sp, "gamma_k_tolerance_array", no_work)
+    for module in (sp, ae):
+        monkeypatch.setattr(module, "poisson_weights", no_work)
+        monkeypatch.setattr(module, "gamma_k_tolerance_array", no_work)
     for cfg in (sup_cfg(L=5, T=1, G=2e4, K=2),
                 sup_cfg(L=5, T=1, G=2e8, K=2, allocation=Tdma(alpha=0.5))):
         for estimator in (sp.ExactEnum(), sp.ConditionedMC(n_alloc_samples=10)):
@@ -339,7 +341,8 @@ def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
         return wrapper
 
     core._tolerance_row.cache_clear()
-    monkeypatch.setattr(sp, "gamma_k_tolerance_array", counted("rows", rows))
+    for module in (sp, ae):
+        monkeypatch.setattr(module, "gamma_k_tolerance_array", counted("rows", rows))
     monkeypatch.setattr(core, "_binom_cdf", counted("cdf", cdf))
     extra = {} if allocation is None else {"allocation": allocation}
     m = sp.evaluate_superposition(sup_cfg(T=8, G=16.0, K=2, **extra))
@@ -418,7 +421,7 @@ def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
         (_, g_c), (_, g_n) = base.replace(gamma_c=g, allocation=Tdma(alpha=a)).tdma_shares()
         loads |= {(g_c, 0.0), (0.0, g_n)}
     # each grid starts on a whole 8 cells (64 bytes)
-    cells = sum(-(-sp._class_support(g_c)[0].size * sp._class_support(g_n)[0].size // 8) * 8
+    cells = sum(-(-ae._class_support(g_c)[0].size * ae._class_support(g_n)[0].size // 8) * 8
                 for g_c, g_n in loads)
     assert len(calls) == math.ceil(cells / ae._BLOCK_CELLS)
     assert sum(calls) == cells
@@ -428,7 +431,7 @@ def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
 def test_exact_memory_per_cell():
     # per-slot loads of 200 per class: 308 x 308 cells of Poisson support
     cfg = sup_cfg(L=3, T=1, G=400.0, gamma_c=0.5, K=2)
-    cells = math.prod(sp._class_support(g)[0].size for g in (cfg.cs_slot_load, cfg.ncs_slot_load))
+    cells = math.prod(ae._class_support(g)[0].size for g in (cfg.cs_slot_load, cfg.ncs_slot_load))
     assert cells == 94_864
     sp.evaluate_superposition(cfg)  # fills the memoized Poisson cutoffs and tolerance rows
     tracemalloc.start()
@@ -454,13 +457,13 @@ def test_each_load_support_is_built_once_per_call(monkeypatch):
     # the README region's distinct loads, among its non-orthogonal and TDMA
     # class grids, once per batch; a second identical batch builds them again
     built = []
-    weights = sp.poisson_weights
+    weights = ae.poisson_weights
 
     def counted(g):
         built.append(g)
         return weights(g)
 
-    monkeypatch.setattr(sp, "poisson_weights", counted)
+    monkeypatch.setattr(ae, "poisson_weights", counted)
     base = sup_cfg(T=8, G=16.0, K=2)
     grid = tuple(i / 10 for i in range(11))
     cfgs = [base.replace(gamma_c=g) for g in grid]
