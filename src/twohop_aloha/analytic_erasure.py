@@ -39,7 +39,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import special
 
 from .core import (
     INFINITE_K,
@@ -48,6 +47,8 @@ from .core import (
     ScenarioConfig,
     ServiceMetrics,
     Tdma,
+    _c_log,
+    _poisson_pmf,
     gamma_k_tolerance_array,
     normalized_poisson_weights,
     poisson_tail_cutoff,
@@ -142,9 +143,10 @@ def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
     # there: the partial sums, and so every bit, stay those from n = 0.
     low = float(lam.min())
     start = int(max(0.0, low - 40.0 * math.sqrt(low)) // _BLOCK_TERMS) * _BLOCK_TERMS
+    log_g = _c_log(g)
     for lo in itertools.count(start, _BLOCK_TERMS):
         n = np.arange(lo, lo + _BLOCK_TERMS + 1)
-        pmf = np.exp(special.xlogy(n, g) - g - special.gammaln(n + 1.0))
+        pmf = _poisson_pmf(n, g, log_g)
         partial = total + np.cumsum(pmf[:, None, :-1] * f(n[:-1]), axis=2)
         if not np.all((partial >= 0.0) & (partial < np.inf)):
             raise ValueError("Poisson partial sum is negative or not finite: f must lie in [0, 1]")
@@ -262,11 +264,18 @@ def _tolerance_sum(L: int, k, q, rest) -> np.ndarray:
 
     Each AP relays an NCS packet with probability ``q`` and nothing with
     probability ``rest``, trinomially; ``k`` is each cell's K (-1: no term).
+    A cell pays for its own K + 1 terms only: the cells are taken in order
+    of decreasing K, so term i runs over those with K >= i.
     """
+    order = np.argsort(-k, kind="stable")
+    k, q, rest = k[order], q[order], rest[order]
+    counts = np.searchsorted(-k, -np.arange(min(k[0], L - 1) + 1), side="right")
     total = np.zeros(q.shape)
-    for i in range(min(int(k.max()), L - 1) + 1):
-        total += np.where(i <= k, math.comb(L - 1, i) * q**i * rest ** (L - 1 - i), 0.0)
-    return total
+    for i, m in enumerate(counts.tolist()):
+        total[:m] += math.comb(L - 1, i) * q[:m] ** i * rest[:m] ** (L - 1 - i)
+    out = np.empty(total.shape)
+    out[order] = total
+    return out
 
 
 def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

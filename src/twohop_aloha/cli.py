@@ -440,30 +440,43 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) ->
 # ============================================================================
 
 
-def _region_grid(sec, name: str) -> tuple:
-    """``{name}_values`` as listed, else ``{name}_count`` even steps over [0, 1]."""
+# Most scenarios one region may evaluate
+MAX_REGION_SCENARIOS = 2**20
+
+
+def _region_grid(sec, name: str) -> tuple[int, object]:
+    """``(size, values)``: ``{name}_values`` as listed, else ``{name}_count``
+    even steps over [0, 1] as a generator, so nothing is built before the
+    region's size is checked."""
     if f"{name}_values" in sec:
-        return tuple(_get(sec, f"{name}_values", _float_list))
+        values = _get(sec, f"{name}_values", _float_list)
+        return len(values), values
     count = _get(sec, f"{name}_count", int, default=21)
     if count < 2:
         raise ConfigError(
             f"{name}_count must be >= 2, got {count}; "
             f"use {name}_values for a single point"
         )
-    return tuple(i / (count - 1) for i in range(count))
+    return count, (i / (count - 1) for i in range(count))
 
 
 def _region_from_config(parser, args) -> tuple[tuple, tuple, tuple, Backend]:
     """``(gammas, alphas, schemes, backend)`` of the ``[region]`` section."""
     sec = _command_section(parser, "region")
-    gammas = _region_grid(sec, "gamma")
-    alphas = _region_grid(sec, "alpha")
-    if any(not 0 <= v <= 1 for v in gammas) or any(not 0 <= v <= 1 for v in alphas):
-        raise ConfigError("region grid values must lie in [0, 1]")
+    (n_gammas, gammas), (n_alphas, alphas) = _region_grid(sec, "gamma"), _region_grid(sec, "alpha")
     schemes = tuple(_get(sec, "schemes", str, default="non_orthogonal tdma").split())
     for s in schemes:
         if s not in ("non_orthogonal", "tdma"):
             raise ConfigError(f"unknown scheme {s!r} in region spec")
+    size = n_gammas * ("non_orthogonal" in schemes) + n_gammas * n_alphas * ("tdma" in schemes)
+    # both axes are built, whether or not a scheme uses them
+    for count, what in ((size, "scenarios in the region"), (n_gammas, "gamma values"),
+                        (n_alphas, "alpha values")):
+        if count > MAX_REGION_SCENARIOS:
+            raise ConfigError(f"{count} {what}, over the limit of {MAX_REGION_SCENARIOS}")
+    gammas, alphas = tuple(gammas), tuple(alphas)
+    if any(not 0 <= v <= 1 for v in gammas) or any(not 0 <= v <= 1 for v in alphas):
+        raise ConfigError("region grid values must lie in [0, 1]")
     return gammas, alphas, schemes, _section_backend(parser, sec, "region", args)
 
 

@@ -11,14 +11,9 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
-from scipy import special
-
-# The ufunc that SciPy's binom.cdf calls (binom_gen._cdf in SciPy's
-# _discrete_distns.py); the public special.bdtr and special.betaincc give
-# other bits in the tails, so the private name is used.
-from scipy.special._ufuncs import _binom_cdf
 
 # Default tail mass at which the two-class Poisson sums are truncated (an
 # absolute error bound; the single-service series bound theirs relatively).
@@ -284,18 +279,208 @@ class SimulatedMetrics:
 
 
 # ============================================================================
-#  Poisson machinery
+#  Poisson machinery: log-factorials, pmf, upper tail and truncation
 # ============================================================================
+
+# Cephes' lgam, the code behind scipy.special.gammaln, at integer arguments:
+# the log of the exact factorial below 12 and Stirling's series above, with
+# these constants (the shorter series from lgam(1000) on)
+_LOG_SMALL_FACTORIALS = np.array([math.log(math.factorial(n)) for n in range(12)])
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+                   0.0833333333333333333333)
+
+# Counts per memoized page of log-factorials
+_LOG_FACTORIAL_PAGE = 4096
+# Loads from which the Poisson tail is an asymptotic expansion, not a pmf sum
+_TAIL_EXPANSION_LOAD = 1e4
+# Stirling's coefficients g_0..g_3 of Gamma*(a) ~ sum g_k a**-k (DLMF 5.11.3)
+_GAMMA_STAR = (Fraction(1), Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840))
+# Taylor order in eta of Temme's c_0; it covers |eta| <= 0.5, where
+# _large_load_tail uses the expansion, to below 1e-16
+_TEMME_ORDER = 20
+
+
+def _horner(coefficients, x):
+    """The polynomial with ``coefficients`` (highest power first) at ``x``."""
+    total = coefficients[0]
+    for c in coefficients[1:]:
+        total = total * x + c
+    return total
+
+
+def log_factorial(n) -> np.ndarray:
+    """log(n!) elementwise over an array of counts, bit for bit Cephes'
+    ``lgam(n + 1)`` (what ``scipy.special.gammaln`` runs).
+
+    Every logarithm is ``math.log``, the C library's, as in Cephes; numpy's
+    vectorized log differs from it in the last bit on some arguments.
+    Counts that fall in one or two pages of ``_LOG_FACTORIAL_PAGE`` are
+    read from those pages, which are memoized.
+    """
+    n = np.asarray(n)
+    last = int(n.max(initial=0)) // _LOG_FACTORIAL_PAGE
+    if last == 0:
+        # the first page's bits without copying it: about 5 us less a call,
+        # of some 440 calls in the figures benchmark's two regions
+        return _log_factorial_page(0)[n]
+    first = int(n.min()) // _LOG_FACTORIAL_PAGE
+    if last - first > 1:
+        return _log_factorial(n)
+    pages = [_log_factorial_page(k) for k in range(first, last + 1)]
+    return np.concatenate(pages)[n - first * _LOG_FACTORIAL_PAGE]
+
+
+@functools.lru_cache(maxsize=64)
+def _log_factorial_page(k: int) -> np.ndarray:
+    page = _log_factorial(np.arange(k * _LOG_FACTORIAL_PAGE, (k + 1) * _LOG_FACTORIAL_PAGE))
+    page.flags.writeable = False
+    return page
+
+
+def _log_factorial(n: np.ndarray) -> np.ndarray:
+    x = n + 1.0
+    q = (x - 0.5) * _c_log(x) - x + _LOG_SQRT_2PI
+    p = 1.0 / (x * x)
+    series = _horner(_STIRLING_SHORT, p)
+    if x.min() < 1000.0:  # the longer series, below lgam(1000)
+        series = np.where(x >= 1000.0, series, _horner(_STIRLING, p))
+    q = np.where(x > 1e8, q, q + series / x)
+    return np.where(n < 12, _LOG_SMALL_FACTORIALS[np.minimum(n, 11)], q)
+
+
+def poisson_pmf(n: np.ndarray, lam):
+    """P(N = n) for N ~ Poisson(lam): exp(n log(lam) - lam - log(n!)).
+
+    Over the counts ``n`` for one load, or as one row per load of an array.
+    The bits are those of the same expression in SciPy, ``xlogy(n, lam) -
+    lam - gammaln(n + 1)``: n log(lam) is 0 at n = 0 and takes the C
+    library's log of each load, and log(n!) is ``log_factorial``.
+    """
+    if np.ndim(lam) == 0 and lam > 0.0:
+        # the same bits without the masks that 0 log(0) needs: about 3 us
+        # less a call, of some 440 calls in the figures benchmark's regions
+        return np.exp(n * math.log(lam) - lam - log_factorial(n))
+    loads = np.asarray(lam, dtype=float)[..., None]
+    return _poisson_pmf(n, loads, _c_log(loads))
+
+
+def _poisson_pmf(n: np.ndarray, loads: np.ndarray, log_loads: np.ndarray) -> np.ndarray:
+    """``poisson_pmf`` at a column of loads whose ``_c_log`` is given."""
+    n_log = np.multiply(n, log_loads, out=np.zeros(loads.shape[:-1] + n.shape), where=n > 0)
+    return np.exp(n_log - loads - log_factorial(n))
+
+
+def _c_log(x: np.ndarray) -> np.ndarray:
+    """The C library's log elementwise (``math.log``), -inf at 0."""
+    logs = [math.log(v) if v > 0.0 else -math.inf for v in x.ravel().tolist()]
+    return np.array(logs).reshape(x.shape)
+
+
+def _half_eta_squared(mu: float) -> float:
+    """mu - log(1 + mu) for mu > -1, without cancellation near 0.
+
+    Near 0 it is mu v - 2 (v**3/3 + v**5/5 + ...) with v = mu / (2 + mu),
+    as log(1 + mu) = 2 atanh(v) and mu - 2 v = mu v.
+    """
+    if abs(mu) >= 0.5:
+        return mu - math.log1p(mu)
+    v = mu / (2.0 + mu)
+    power, total = v, mu * v
+    for j in range(3, 200, 2):
+        power *= v * v
+        term = 2.0 * power / j
+        total -= term
+        if abs(term) <= 2**-60 * total:
+            break
+    return total
+
+
+@functools.cache
+def _temme_coefficients() -> tuple:
+    """Taylor coefficients in eta of Temme's c_0(eta) .. c_3(eta), highest
+    power first (DLMF 8.12.9-10).
+
+    With mu = lambda - 1 = sum a_m eta**m, eta (1 + mu) = mu mu' gives each
+    a_m from the lower ones; then c_0 = 1/mu - 1/eta and, for k >= 1,
+    c_k = c_{k-1}'/eta + (-1)**k g_k / mu, all in exact fractions.
+    """
+    order = _TEMME_ORDER
+    a = [Fraction(0), Fraction(1)]
+    for m in range(2, order + 3):
+        a.append((a[m - 1] - sum(j * a[m + 1 - j] * a[j] for j in range(2, m))) / (m + 1))
+    # 1/mu = (1/eta) sum r_n eta**n, so c_0 = sum r_{n+1} eta**n
+    r = [Fraction(1)]
+    for n in range(1, order + 2):
+        r.append(-sum(a[j + 1] * r[n - j] for j in range(1, n + 1)))
+    d = [r[1:]]
+    for k in range(1, len(_GAMMA_STAR)):
+        d.append([(n + 2) * d[-1][n + 2] + (-1) ** k * _GAMMA_STAR[k] * d[0][n]
+                  for n in range(len(d[-1]) - 2)])
+    return tuple(tuple(float(c) for c in reversed(row)) for row in d)
+
+
+def _large_load_tail(lam: float, n: int) -> float:
+    """P(N > n) for N ~ Poisson(lam) at a large lam: P(a, lam), the
+    regularized lower incomplete gamma function, at a = n + 1.
+
+    This follows Cephes' igam (behind ``scipy.special.pdtrc``).  Where it
+    takes its asymptotic series, |lam - a| < 4.5 sqrt(a), and above that,
+    this is Temme's uniform expansion to a**-3 (DLMF 8.12.3 and 8.12.8).
+    Further below the load it is igam's power series, capped like it at
+    2000 terms; at loads above about 1e6 the cap cuts the series short, so
+    the tail there, and the cutoff found on it, fall below the exact ones
+    exactly as SciPy's do.  A tail within exp(-745) of 0 or 1 is 0 or 1.
+    """
+    a = n + 1.0
+    mu = (lam - a) / a
+    half = _half_eta_squared(mu)  # eta**2 / 2
+    if a * half > 745.0:
+        return 1.0 if mu > 0 else 0.0
+    if mu <= -4.5 / math.sqrt(a):
+        # the pmf at a: lam**a e**-lam / Gamma(a + 1) = e**(-a eta**2 / 2) /
+        # (sqrt(2 pi a) Gamma*(a))
+        gamma_star = sum(float(g) / a**k for k, g in enumerate(_GAMMA_STAR))
+        pmf = math.exp(-a * half) / (math.sqrt(2.0 * math.pi * a) * gamma_star)
+        r, term, total = a, 1.0, 1.0
+        for _ in range(2000):
+            r += 1.0
+            term *= lam / r
+            total += term
+            if term <= 2**-53 * total:
+                break
+        return pmf * total
+    eta = math.copysign(math.sqrt(2.0 * half), mu)
+    series = sum(_horner(c, eta) / a**k for k, c in enumerate(_temme_coefficients()))
+    rest = math.exp(-a * half) / math.sqrt(2.0 * math.pi * a) * series
+    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - rest
+
+
+def _poisson_tail(lam: float):
+    """The function n -> P(N > n) for N ~ Poisson(lam), lam > 0, n >= 0.
+
+    From ``_TAIL_EXPANSION_LOAD`` on it is ``_large_load_tail``.  Below, the
+    pmf is summed from the far end, from lam + 40 sqrt(lam) + 200, where it
+    is below the smallest normal float.
+    """
+    if lam >= _TAIL_EXPANSION_LOAD:
+        return functools.partial(_large_load_tail, lam)
+    pmf = poisson_pmf(np.arange(int(lam + 40.0 * math.sqrt(lam)) + 200), lam)
+    tails = np.cumsum(pmf[:0:-1])[::-1]  # tails[j] = P(N > j)
+    return lambda j: float(tails[j]) if j < tails.size else 0.0
 
 
 @functools.lru_cache(maxsize=4096)
 def poisson_tail_cutoff(lam: float, delta: float) -> int:
     """Smallest n with P(Poisson(lam) > n) < delta.
 
-    The tail is ``special.pdtrc``, the ufunc behind SciPy's ``poisson.sf``.
-    Probes forward from the mean in strides of about 0.1*sqrt(lam), then
-    bisects the last stride, so even lam = 5e11 takes about a hundred calls.
-    Memoized: the evaluators ask for the same few rates many times.
+    The tail is ``_poisson_tail``.  Probes forward from the mean in strides
+    of about 0.1*sqrt(lam), then bisects the last stride, so even lam = 5e11
+    takes about a hundred probes.  Memoized: the evaluators ask for the same
+    few rates many times.
     """
     if lam < 0 or math.isnan(lam) or math.isinf(lam):
         raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
@@ -303,15 +488,16 @@ def poisson_tail_cutoff(lam: float, delta: float) -> int:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if lam == 0.0:
         return 0
+    tail = _poisson_tail(lam)
     step = max(1, int(0.1 * math.sqrt(lam)) if lam > 100 else 1)
     # The tail at n = -1 is 1 >= delta, so lo = -1 always qualifies.
     lo, hi = -1, int(lam)
-    while special.pdtrc(hi, lam) >= delta:
+    while tail(hi) >= delta:
         lo, hi = hi, hi + step
     # The answer lies in (lo, hi]: bisect to the smallest qualifying n.
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if special.pdtrc(mid, lam) < delta:
+        if tail(mid) < delta:
             hi = mid
         else:
             lo = mid
@@ -320,24 +506,16 @@ def poisson_tail_cutoff(lam: float, delta: float) -> int:
 
 def poisson_weights(lam: float):
     """Support 0..n_max and pmf values covering all but ``TAIL_MASS_DEFAULT``."""
-    n_max = poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT)
-    n = np.arange(n_max + 1)
-    if lam == 0.0:
-        w = np.zeros(n_max + 1)
-        w[0] = 1.0
-        return n, w
-    w = np.exp(n * math.log(lam) - lam - special.gammaln(n + 1))
-    return n, w
+    n = np.arange(poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT) + 1)
+    return n, poisson_pmf(n, lam)
 
 
 def normalized_poisson_weights(lam: float):
     """Support 1..n_max and weights of a Poisson conditioned on N >= 1."""
     if lam <= 0:
         raise ValueError("normalized Poisson requires a positive rate")
-    n_max = max(1, poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT))
-    n = np.arange(1, n_max + 1)
-    w = np.exp(n * math.log(lam) - lam - special.gammaln(n + 1))
-    return n, w / (-math.expm1(-lam))
+    n = np.arange(1, max(1, poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT)) + 1)
+    return n, poisson_pmf(n, lam) / (-math.expm1(-lam))
 
 
 # ============================================================================
@@ -387,17 +565,166 @@ def gamma_k_tolerance_array(x, eps: float, k) -> np.ndarray:
     return _tolerance_row(n, float(eps), int(k))[x]
 
 
+# counts per _binomial_cdf call while a tolerance row is built
+_ROW_BLOCK = 2**16
+
+
 @functools.lru_cache(maxsize=64)
 def _tolerance_row(n: int, eps: float, k: int) -> np.ndarray:
     """Read-only tolerance row at the counts 0..n; indexing it copies.
 
-    The counts above ``k`` take ``_binom_cdf``, the ufunc behind SciPy's
-    ``binom.cdf``.  Memoized: a row costs about 0.1 us per count to build,
-    some 50 times what indexing it costs."""
+    The counts above ``k`` take ``_binomial_cdf``, ``_ROW_BLOCK`` at a time.
+    Memoized: a row costs far more to build than to index."""
     row = np.ones(n + 1)
-    row[k + 1:] = _binom_cdf(k, np.arange(k + 1, n + 1), 1.0 - eps)
+    for lo in range(k + 1, n + 1, _ROW_BLOCK):
+        x = np.arange(lo, min(lo + _ROW_BLOCK, n + 1))
+        row[x] = _binomial_cdf(k, x, eps)
     row.flags.writeable = False
     return row
+
+
+def _binomial_cdf(k: int, x: np.ndarray, eps: float) -> np.ndarray:
+    """P(at most ``k`` of ``x`` transmissions survive erasure), at counts x > k.
+
+    The Binomial(x, p) CDF at k, with p = 1 - eps and q = 1 - p in floats,
+    as ``binom.cdf(k, x, 1 - eps)`` takes them.  Where Boost's incomplete
+    beta function, which SciPy's ``binom.cdf`` runs, sums the binomial terms
+    itself, ``_boost_finite_sum`` sums them as it does, with its bits (but
+    at k = 0, see there); at the other counts it is ``_summed_cdf``.
+    """
+    p = 1.0 - eps
+    q = 1.0 - p  # exact, so p + q = 1
+    if q == 0.0 or p == 0.0:
+        return np.full(x.shape, 1.0 if p == 0.0 else 0.0)
+    out = np.empty(x.shape)
+    done = _boost_finite_sum(k, x, p, q, out)
+    out[~done] = _summed_cdf(k, x[~done], p, q)
+    return out
+
+
+def _boost_finite_sum(k: int, x: np.ndarray, p: float, q: float, out: np.ndarray) -> np.ndarray:
+    """Write the CDF into ``out`` wherever Boost's ``ibetac(k + 1, x - k, p)``
+    takes a finite binomial sum, in its order of operations; return where.
+
+    With k = 0 that is the power q**x.  With x = k + 1 it is 1 - p**x.
+    Otherwise Boost swaps (k + 1, p) with (x - k, q) where the mean x p lies
+    above k, and if the second parameter is then below 40 it sums its
+    ``binomial_ccdf``: from the first term u**x (a normal float) along the
+    other terms of one tail, by their ratio.  Every power, exp, expm1 and
+    log1p is the C library's, as in Boost.
+    """
+    if k == 0:
+        # ibetac(1, x, p) is ibeta(x, 1, q) = q**x.  Boost takes it as
+        # exp(x log1p(-p)) where p < 0.5, which loses about x |log q| ulps
+        # at large x; pow is within an ulp, and is what Boost takes elsewhere
+        out[:] = [math.pow(q, n) for n in x.tolist()]
+        return np.ones(x.shape, dtype=bool)
+    # ibetac(x, 1, p); Boost's powm1 takes pow here, as (k + 1) q >= 1
+    done = x == k + 1
+    out[done] = -math.expm1((k + 1) * math.log1p(-q)) if q < 0.5 else 1.0 - math.pow(p, k + 1)
+    a, b = k + 1.0, (x - k).astype(float)
+    swap = np.where(a < b, a - (a + b) * p, (a + b) * q - b) < 0.0
+    b, u, v = np.where(swap, a, b), np.where(swap, q, p), np.where(swap, p, q)
+    at = np.flatnonzero(~done & (b < 40.0))
+    first = np.array([math.pow(u_, n) for u_, n in zip(u[at].tolist(), x[at].tolist())])
+    at, first = at[first > np.finfo(float).tiny], first[first > np.finfo(float).tiny]
+    n, b, u, v = x[at, None], b[at, None].astype(np.int64), u[at, None], v[at, None]
+    # each cell's b terms, by cumulative products and sums (both sequential,
+    # as Boost's loop), in runs of about _ROW_BLOCK terms
+    j = np.arange(1, int(b.max(initial=1)))
+    total = np.empty(at.size)
+    step = _ROW_BLOCK // (j.size + 1)
+    for lo in range(0, at.size, step):
+        s = slice(lo, lo + step)
+        # Boost's term *= ((i + 1) * y) / ((n - i) * x) at i = n - j, j < b
+        ratios = np.where(j < b[s], (n[s] - j + 1) * v[s] / (j * u[s]), 1.0)
+        terms = np.cumprod(np.column_stack([first[s], ratios]), axis=1)
+        total[s] = np.cumsum(terms, axis=1)[np.arange(len(terms)), b[s, 0] - 1]
+    out[at] = np.where(swap[at], total, 1.0 - total)
+    done[at] = True
+    return done
+
+
+def _summed_cdf(k: int, x: np.ndarray, p: float, q: float) -> np.ndarray:
+    """The Binomial(x, p) CDF at k, summed from its largest term outwards:
+    where k lies below the mean, the terms C(x, i) p**i q**(x-i) for i = k,
+    k-1, ...; elsewhere one minus those for i = k+1, k+2, ...  Each term
+    comes from the one before by their ratio, until the terms no longer
+    count; the first is ``_binomial_term``.
+    """
+    out = np.empty(x.shape)
+    below = k < x * p
+    xs, i = x[below], k
+    if xs.size:
+        term, total = _binomial_term(xs, i, p, q), np.zeros(xs.shape)
+        while _add_terms(total, term) and i > 0:
+            term *= (i * q) / ((xs - i + 1) * p)
+            i -= 1
+        out[below] = total
+    xs, i = x[~below], k + 1
+    if xs.size:
+        term, total = _binomial_term(xs, i, p, q), np.zeros(xs.shape)
+        while _add_terms(total, term):  # a term is 0 from i = x on
+            term *= ((xs - i) * p) / ((i + 1) * q)
+            i += 1
+        out[~below] = 1.0 - total
+    return out
+
+
+def _add_terms(total: np.ndarray, term: np.ndarray) -> bool:
+    """Add each term that still counts to its sum, in place; whether any did.
+
+    A term that no longer counts is zeroed, so its sum takes no more terms:
+    each sum stops at its own term, whatever the others in the array."""
+    term[term <= 2**-64 * total] = 0.0
+    total += term
+    return bool(term.any())
+
+
+def _binomial_term(x: np.ndarray, j: int, p: float, q: float) -> np.ndarray:
+    """C(x, j) p**j q**(x - j) elementwise over counts x >= j (not empty).
+
+    The factors are kept as mantissas and binary exponents, so none of them
+    under- or overflows before the product is scaled back.  The j
+    consecutive counts x - j + 1 .. x are multiplied in blocks of 2**s
+    counts, one for each bit s of j, each block built by doubling; so a
+    term takes about 2 log2(j) roundings, over log2(j) passes.
+    """
+    lo = int(x.min()) - j + 1
+    m, e = np.frexp(np.arange(lo, int(x.max()) + 1, dtype=float))  # blocks of 1
+    c, c_exp = np.ones(x.shape), np.zeros(x.shape, dtype=np.int64)
+    start, size, bits = x - j + 1 - lo, 1, j
+    while bits:
+        if bits & 1:
+            c, de = np.frexp(c * m[start])
+            c_exp += e[start] + de
+            start = start + size
+        bits >>= 1
+        if bits:
+            m, de = np.frexp(m[:-size] * m[size:])
+            e = e[:-size] + e[size:] + de
+            size *= 2
+    f = math.factorial(j)
+    f_exp = f.bit_length()
+    p_m, p_exp = _scaled_power(p, j)
+    q_m, q_exp = _scaled_power(q, x - j)
+    return np.ldexp(c / (f / (1 << f_exp)) * p_m * q_m, c_exp - f_exp + p_exp + q_exp)
+
+
+def _scaled_power(base: float, e):
+    """``(m, s)`` with base**e = m * 2**s, 1/4 <= m <= 1, for 0 < base <= 1
+    and integer powers ``e`` up to about 1e6 (an array or a number).
+
+    The mantissa of ``base`` is raised in runs whose powers stay normal
+    floats, and the binary exponents are summed as integers.
+    """
+    m, s = math.frexp(base)
+    run = int(min(1000.0 / -math.log2(m), 2.0**62))  # m**run >= 2**-1000
+    m_run, s_run = math.frexp(m**run)
+    runs, rest = np.divmod(e, run)
+    m1, e1 = np.frexp(m_run**runs)
+    m2, e2 = np.frexp(m**rest)
+    return m1 * m2, s * e + s_run * runs + e1 + e2
 
 
 # ============================================================================

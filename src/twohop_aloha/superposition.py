@@ -33,11 +33,11 @@ refuses loads whose two Poisson supports span more than
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import (
     Receiver,
@@ -46,6 +46,7 @@ from .core import (
     SimEstimate,
     SimulatedMetrics,
     Tdma,
+    _c_log,
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
@@ -99,6 +100,16 @@ def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return np.log(s), np.log1p(-ratio)
 
 
+@functools.lru_cache(maxsize=512)
+def _log_ncs_row(e1: float, n_c: int, width: int) -> np.ndarray:
+    """log p_n (``_tagged_decode``'s) at n_c CS arrivals and NCS counts
+    0..width-1, by ``math.log``, with the bits the cells' own p_n have."""
+    n_n = np.arange(width)
+    row = _c_log(_p_cs_array(n_n, e1) * e1 ** np.full(width, n_c))
+    row.flags.writeable = False
+    return row
+
+
 def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     """BS decode probabilities of a tagged CS and a tagged NCS message.
 
@@ -124,10 +135,15 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     rest = np.maximum(1.0 - p_c - p_n, 0.0)
     d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
     log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
+    # b log(p_n) as xlogy gives it: 0 at b = 0 and the C library's log,
+    # from memoized rows of log p_n, one per n_c (grids share their counts)
+    rows, at = np.unique(n_c, return_inverse=True)
+    width = 1 << int(n_n.max()).bit_length()
+    log_p = np.stack([_log_ncs_row(e1, n, width) for n in rows.tolist()])[at, n_n]
     cs = np.zeros(log_s.shape)
     for b in range(L):  # b = L leaves no AP for the tagged message
         m = L - b
-        log_w = math.log(math.comb(L, b)) + special.xlogy(b, p_n) + m * log_s
+        log_w = math.log(math.comb(L, b)) + (b * log_p if b else 0.0) + m * log_s
         cs += bs_budget[b] * np.exp(log_w) * -np.expm1(m * log_gap)
     log_s, log_gap = _log_power_gap(rest + (p_c + p_n) * e2 + d_n, d_n)
     ncs = np.exp(L * log_s) * -np.expm1(L * log_gap)

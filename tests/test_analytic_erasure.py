@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 import twohop_aloha.analytic_erasure as ae
 import closed_form_oracle as oracle
@@ -17,6 +18,7 @@ from twohop_aloha.core import (
     Receiver,
     ScenarioConfig,
     Tdma,
+    poisson_pmf,
     poisson_tail_cutoff,
     poisson_weights,
 )
@@ -95,6 +97,54 @@ def test_high_load_series_keep_their_bits(loads):
     tput, psr = ae.isolated_class_metrics(3, 0.999, 0.5, loads)
     got = [(float(t).hex(), float(p).hex()) for t, p in zip(tput, psr)]
     assert got == [_HIGH_LOAD_PINS[g] for g in loads]
+
+
+# per-slot loads of the benchmark's workloads: the figures regions' classes
+# alone and their non-orthogonal pairs, and validate's
+_BENCH_LOADS = sorted({g * s for g in (0.0, 0.1, 0.5, 0.9, 1.0) for s in (2.0, 140.0)}
+                      | {f * g for f in (0.1, 0.9) for g in (0.25, 1.0, 2.0, 4.0)})
+
+
+@pytest.mark.parametrize("loads,window", [
+    (_BENCH_LOADS, None),
+    (list(np.geomspace(1e3, 7e5, 24)), None),
+    (list(np.exp(np.random.default_rng(5).uniform(math.log(1e-3), math.log(7e5), 1000))), 65),
+], ids=["benchmark", "high", "random"])
+def test_poisson_pmf_keeps_the_scipy_bits(loads, window):
+    # the pmf _expectation_block sums, over the counts its blocks visit for
+    # each load (from 40 standard deviations below it; or a block of counts
+    # at the load), is SciPy's xlogy/gammaln expression bit for bit
+    for g in loads:
+        lo = int(max(0.0, g - 40.0 * math.sqrt(g)) if window is None else g)
+        n = np.arange(lo, int(g + 20.0 * math.sqrt(g)) + 64 if window is None else lo + window)
+        want = np.exp(special.xlogy(n, g) - g - special.gammaln(n + 1.0))
+        assert poisson_pmf(n, np.array([g])).tobytes() == want[None].tobytes(), g
+
+
+class _CountedPowers(np.ndarray):
+    """An array that counts the elements it raises to a power."""
+
+    elements = 0
+
+    def __pow__(self, exponent):
+        _CountedPowers.elements += self.size
+        return np.asarray(self) ** exponent
+
+
+def test_tolerance_sum_pays_each_cell_its_own_terms():
+    # cells of K = 2 and K = 600 in one block (and -1, no term): each cell
+    # sums its own K + 1 terms, the same bits as in a block of its K alone
+    ks = np.array([2, 600, -1, 2, 600, 2] * 5, dtype=float)
+    rng = np.random.default_rng(3)
+    q = rng.uniform(0.0, 0.01, ks.size)
+    rest = 1.0 - q - rng.uniform(0.0, 0.5, ks.size)
+    _CountedPowers.elements = 0
+    mixed = ae._tolerance_sum(1030, ks, q.view(_CountedPowers), rest)
+    assert _CountedPowers.elements == np.sum(ks + 1)
+    for k in (2, 600, -1):
+        at = ks == k
+        assert mixed[at].tobytes() == ae._tolerance_sum(1030, ks[at], q[at], rest[at]).tobytes()
+    assert np.all(mixed[ks == -1] == 0.0)
 
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

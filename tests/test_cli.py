@@ -253,19 +253,33 @@ def test_eval_capacity_error_exit_code(tmp_path, capsys):
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def test_eval_imports_no_heavy_scipy_subpackages(tmp_path):
-    # a cold CLI start pays for every module it imports; scipy.special alone
-    # carries the numbers, so the heavy subpackages must stay out
+def test_commands_load_no_scipy_module(tmp_path):
+    # a cold CLI start pays for every module it imports; SciPy is a test
+    # oracle only, so no command may load any of it
     collision = write_ini(tmp_path, BASE_INI.replace("K = inf", "K = 2"), "collision.ini")
     exact = write_ini(tmp_path, SUPERPOSITION_INI + "\n[superposition]\nestimator = exact\n",
                       "exact.ini")
+    region = write_ini(tmp_path, BASE_INI.replace("K = inf", "K = 2")
+                       + "\n[region]\ngamma_count = 3\nalpha_count = 3\n", "region.ini")
+    fading = write_ini(tmp_path, BASE_INI.replace(
+        "[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1.0\nbeta2 = 1.0"
+    ), "fading.ini")
+    grid = write_ini(tmp_path, "[meta]\nschema_version = 1\n\n[validate]\nl = 2\neps1 = 0.5\n"
+                     "eps2 = 0.5\nload = 0.25\ngamma_c = 0.5\nk = 1\n", "validate.ini")
+    runs = [
+        ["eval", "--config", collision],
+        ["eval", "--config", exact],
+        ["region", "--config", region, "--out", str(tmp_path / "region.csv")],
+        ["sim", "--config", collision, "--frames", "2000"],
+        ["fading", "--config", fading, "--slots", "2000"],
+        ["validate", "--config", grid, "--target-se", "0.05"],
+    ]
     script = textwrap.dedent(f"""
         import sys
         import twohop_aloha.cli as cli
-        for path in ({collision!r}, {exact!r}):
-            assert cli.main(["eval", "--config", path]) == cli.EXIT_OK
-        heavy = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse", "scipy.spatial")
-        print(" ".join(m for m in heavy if m in sys.modules))
+        for argv in {runs!r}:
+            assert cli.main(argv) in (cli.EXIT_OK, cli.EXIT_VALIDATION), argv
+        print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     """)
     path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -273,6 +287,40 @@ def test_eval_imports_no_heavy_scipy_subpackages(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == ""
+
+
+_OVER_THE_LIMIT = [
+    ("gamma_count = 100000000\nalpha_count = 3", "400000000 scenarios in the region"),
+    ("gamma_count = 3\nalpha_count = 100000000", "300000003 scenarios in the region"),
+    ("gamma_values = " + " ".join(["0.5"] * 1100) + "\nalpha_count = 1000",
+     "1101100 scenarios in the region"),
+    ("schemes = non_orthogonal\ngamma_count = 3\nalpha_count = 1000000000",
+     "1000000000 alpha values"),
+]
+
+
+def test_region_over_the_scenario_limit_is_config_error(tmp_path):
+    # the region's size and each axis are checked from their counts and
+    # lists before any grid is built: a 1e8-point axis once ran for minutes
+    # before any check, and an axis no scheme uses is built all the same
+    # (the 71 x 71 benchmark region still answers, in the bytes test below).
+    # One interpreter runs every grid, under one timeout.
+    runs = [["region", "--config", write_ini(tmp_path, BASE_INI + f"\n[region]\n{grid}\n",
+                                             f"region{i}.ini"),
+             "--out", str(tmp_path / f"region{i}.csv")]
+            for i, (grid, _) in enumerate(_OVER_THE_LIMIT)]
+    script = f"import twohop_aloha.cli as cli; print([cli.main(argv) for argv in {runs!r}])"
+    pythonpath = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=pythonpath),
+                          timeout=20, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == str([cli.EXIT_CONFIG] * len(runs)), proc.stderr
+    errors = proc.stderr.splitlines()
+    assert len(errors) == len(runs)
+    for line, (_, refused), argv in zip(errors, _OVER_THE_LIMIT, runs):
+        assert line.startswith("config error: ") and refused in line
+        assert str(cli.MAX_REGION_SCENARIOS) in line
+        assert not os.path.exists(argv[-1])
 
 
 @pytest.mark.parametrize("command", ["eval", "region"])

@@ -1,11 +1,14 @@
+import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
+from twohop_aloha import core
 from twohop_aloha.core import (
     INFINITE_K,
     TAIL_MASS_DEFAULT,
@@ -19,6 +22,7 @@ from twohop_aloha.core import (
     aux_h,
     bernoulli_estimate,
     gamma_k_tolerance_array,
+    log_factorial,
     multinomial_sample,
     normalized_poisson_weights,
     poisson_tail_cutoff,
@@ -121,17 +125,49 @@ def test_poisson_tail_cutoff_calls_at_huge_rate(monkeypatch):
     from twohop_aloha import core
 
     calls = 0
-    pdtrc = core.special.pdtrc
+    tail = core._large_load_tail
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return pdtrc(*args)
+        return tail(*args)
 
-    monkeypatch.setattr(core.special, "pdtrc", counted)
+    monkeypatch.setattr(core, "_large_load_tail", counted)
     poisson_tail_cutoff.cache_clear()
     poisson_tail_cutoff(5e11, TAIL_MASS_DEFAULT)
     assert 0 < calls <= 200
+
+
+def test_log_factorial_is_gammaln_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    sampled = np.exp(rng.uniform(math.log(2e5), math.log(1e12), 20_000)).astype(np.int64)
+    for n in (np.arange(200_001), sampled):
+        assert log_factorial(n).tobytes() == special.gammaln(n + 1).tobytes()
+
+
+def poisson_tail_mp(lam, n):
+    """P(N > n) for N ~ Poisson(lam), summed from its largest term in 40 digits."""
+    above = n + 1 > lam
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lam)
+        j = n + 1 if above else n
+        term = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
+        total = 0
+        while term > mpmath.mpf(10) ** -45:
+            total += term
+            term = term * lam / (j + 1) if above else term * j / lam
+            j = j + 1 if above else j - 1
+        return float(total if above else 1 - total)
+
+
+@pytest.mark.parametrize("lam,z", [(lam, z) for lam in (1e4, 3e5) for z in (-3.0, -0.5, 0.0, 2.0, 4.0)]
+                         + [(1e4, 6.0), (1e4, 8.0)])
+def test_large_load_tail_matches_high_precision_sums(lam, z):
+    # Temme's expansion within 4.5 standard deviations; igam's series beyond
+    # them, where its 2000 terms reach 1e-13 only at the lower load
+    n = int(lam + z * math.sqrt(lam))
+    want = poisson_tail_mp(lam, n)
+    assert abs(core._large_load_tail(lam, n) - want) <= 1e-13 * want
 
 
 def test_poisson_pmf_sums_to_one_over_cutoff_support():
@@ -265,10 +301,14 @@ def test_gamma_k_array_matches_scalar():
 def test_gamma_k_memoized_rows_are_bit_identical(x, rows, eps, k):
     # unsorted counts, padded with k (at or below the budget) into 1 to 4 rows
     x = np.array(x + [k] * (-len(x) % rows)).reshape(rows, -1)
-    want = np.where(x <= k, 1.0, stats.binom.cdf(k, x, 1.0 - eps))
+    # the memoized row holds the bits of a row built for these counts alone
+    want = np.ones(x.shape)
+    want[x > k] = core._binomial_cdf(k, x[x > k], eps)
     got = gamma_k_tolerance_array(x, eps, k)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    scipy_cdf = np.where(x <= k, 1.0, stats.binom.cdf(k, x, 1.0 - eps))
+    assert np.all(np.abs(got - scipy_cdf) <= 1e-14)
     # a caller's in-place write stays with the caller
     got[...] = -1.0
     assert gamma_k_tolerance_array(x, eps, k).tobytes() == want.tobytes()
@@ -288,6 +328,41 @@ def test_gamma_k_memoized_rows_are_bit_identical(x, rows, eps, k):
 def test_gamma_k_array_rejects_bad_inputs(x, eps, k):
     with pytest.raises(ValueError):
         gamma_k_tolerance_array(x, eps, k)
+
+
+def test_tolerance_rows_keep_scipy_bits_where_boost_sums_the_terms():
+    # where Boost's ibetac, behind SciPy's binom.cdf, sums the binomial
+    # terms itself, the rows take the same sum in the same order
+    for eps in (0.1, 0.3, 0.5, 0.6, 0.9, 0.999):
+        p = 1.0 - eps
+        for k in range(1, 41):
+            x = np.arange(k + 1, 600)
+            out = np.empty(x.shape)
+            done = core._boost_finite_sum(k, x, p, 1.0 - p, out)
+            assert done.any()
+            assert out[done].tobytes() == stats.binom.cdf(k, x[done], p).tobytes(), (eps, k)
+
+
+def test_tolerance_rows_match_high_precision_sums():
+    # P(Bin(x, p) <= k) at p = 1.0 - eps, by the recursion
+    # F(x+1, k) = q F(x, k) + p F(x, k-1) in 60-digit decimal arithmetic,
+    # against every row value that is at least 1e-280 (SciPy flushes some
+    # near 1e-260 to 0)
+    tiny = decimal.Decimal("1e-280")
+    for eps in (0.1, 0.5, 0.9, 0.97, 0.999):
+        with decimal.localcontext(decimal.Context(prec=60)):
+            p = decimal.Decimal(1.0 - eps)
+            q = 1 - p
+            cdf, exact = [decimal.Decimal(1)] * 41, []  # at x = 0, k = 0..40
+            for _ in range(1100):
+                cdf = [q * cdf[0]] + [q * now + p * below for now, below in zip(cdf[1:], cdf)]
+                exact.append([float(v) if v >= tiny else np.nan for v in cdf])
+        exact = np.array(exact)
+        for k in range(41):
+            got = gamma_k_tolerance_array(np.arange(1, 1101), eps, k)
+            want = exact[:, k]
+            keep = ~np.isnan(want)
+            assert np.all(np.abs(got[keep] - want[keep]) <= 1e-14 * want[keep]), (eps, k)
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
     from twohop_aloha import core
 
     calls = {"rows": 0, "cdf": 0}
-    rows, cdf = sp.gamma_k_tolerance_array, core._binom_cdf
+    rows, cdf = sp.gamma_k_tolerance_array, core._binomial_cdf
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -343,7 +343,7 @@ def test_exact_evaluation_builds_tolerance_rows_once(monkeypatch, allocation):
     core._tolerance_row.cache_clear()
     for module in (sp, ae):
         monkeypatch.setattr(module, "gamma_k_tolerance_array", counted("rows", rows))
-    monkeypatch.setattr(core, "_binom_cdf", counted("cdf", cdf))
+    monkeypatch.setattr(core, "_binomial_cdf", counted("cdf", cdf))
     extra = {} if allocation is None else {"allocation": allocation}
     m = sp.evaluate_superposition(sup_cfg(T=8, G=16.0, K=2, **extra))
     assert m.R_c > 0.0 and m.R_cbar > 0.0
