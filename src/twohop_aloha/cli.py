@@ -133,17 +133,12 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
         )
     else:
         fs = parser["fading"]
-        channel = _construct(
-            FadingParams,
-            alpha2=_get(fs, "alpha2", float, required=True),
-            beta2=_get(fs, "beta2", float, required=True),
-            P_c=_get(fs, "p_c", float, default=10.0),
-            P_cbar=_get(fs, "p_cbar", float, default=4.0),
-            P_c_ap=_get(fs, "p_c_ap", float, default=10.0),
-            P_cbar_ap=_get(fs, "p_cbar_ap", float, default=4.0),
-            r_c=_get(fs, "r_c", float, default=1.0),
-            r_cbar=_get(fs, "r_cbar", float, default=1.0),
-        )
+        # each key the section holds, and each that FadingParams gives no default
+        channel = _construct(FadingParams, **{
+            f.name: _get(fs, f.name.lower(), float, required=True)
+            for f in dataclasses.fields(FadingParams)
+            if f.name.lower() in fs or f.default is dataclasses.MISSING
+        })
 
     allocation_name = _get(sc, "allocation", str, default="non_orthogonal").strip().lower()
     if allocation_name in ("non_orthogonal", "nonorthogonal", "noma"):
@@ -811,6 +806,8 @@ def _run(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.out or "."))  # checked before any work
     if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
         raise ConfigError(f"--out directory {out_dir} is not a writable directory")
+    if args.out and (os.path.isdir(args.out) or not os.path.basename(args.out)):
+        raise ConfigError(f"--out {args.out} names a directory, not a file")
     if args.command == "validate":
         parser = load_config_file(args.config) if args.config else None
         report = validate(

@@ -127,6 +127,11 @@ class FadingParams:
 # ============================================================================
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; not a bool, nor any other subclass of int."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one two-hop grant-free scenario.
@@ -150,14 +155,14 @@ class ScenarioConfig:
     allocation: Allocation = NON_ORTHOGONAL
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
+        if not (_is_integer(self.L) and self.L >= 1):
+            raise ValueError(f"L must be an integer >= 1, got {self.L!r}")
+        if not (_is_integer(self.T) and self.T >= 1):
+            raise ValueError(f"T must be an integer >= 1, got {self.T!r}")
         if not 0 <= self.G < math.inf:
             raise ValueError(f"G must be finite and >= 0, got {self.G}")
         _check_prob("gamma_c", self.gamma_c)
-        if self.K != INFINITE_K and not (isinstance(self.K, (int, np.integer)) and self.K >= 0):
+        if self.K != INFINITE_K and not (_is_integer(self.K) and self.K >= 0):
             raise ValueError(f"K must be a non-negative integer or INFINITE_K, got {self.K!r}")
         if self.receiver not in Receiver.ALL:
             raise ValueError(f"unknown receiver model {self.receiver!r}")
@@ -276,6 +281,20 @@ class SimulatedMetrics:
     Gamma_c: SimEstimate
     Gamma_cbar: SimEstimate
     flags: tuple[str, ...] = field(default=())
+
+
+def metrics_from_tallies(tallies, n_slots: int, seed: int, flags=()) -> SimulatedMetrics:
+    """A slot engine's tallies as estimates: throughput is BS decodes of a
+    class (``cs_slots``, ``ncs_slots``) per slot, PSR is tagged successes
+    (``cs_tag_succ``, ``ncs_tag_succ``) per trial (``cs_trials``, ``ncs_trials``).
+    """
+    return SimulatedMetrics(
+        R_c=bernoulli_estimate(tallies["cs_slots"], n_slots, seed),
+        R_cbar=bernoulli_estimate(tallies["ncs_slots"], n_slots, seed),
+        Gamma_c=bernoulli_estimate(tallies["cs_tag_succ"], tallies["cs_trials"], seed),
+        Gamma_cbar=bernoulli_estimate(tallies["ncs_tag_succ"], tallies["ncs_trials"], seed),
+        flags=tuple(flags),
+    )
 
 
 # ============================================================================
@@ -771,8 +790,10 @@ def run_chunked(chunk_fn, spec, n_items: int, chunk: int, seed: int, workers: in
     from its own substream ``SeedSequence(entropy=seed, spawn_key=(i,))``;
     ``chunk_fn(spec, size, rng)`` must be a picklable module-level function
     returning a dict of tallies.  Chunks are merged in index order, so the
-    totals do not depend on ``workers``.
+    totals do not depend on ``workers``.  A budget below one item is refused.
     """
+    if n_items < 1:
+        raise ValueError(f"a simulation budget must be >= 1, got {n_items}")
     tasks = [
         (chunk_fn, spec, min(chunk, n_items - lo), seed, idx)
         for idx, lo in enumerate(range(0, n_items, chunk))

@@ -32,7 +32,7 @@ from .core import (
     ScenarioConfig,
     SimulatedMetrics,
     Tdma,
-    bernoulli_estimate,
+    metrics_from_tallies,
     run_chunked,
 )
 
@@ -247,12 +247,6 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
     return out
 
 
-def _run_engine(chunk_fn, spec: _EngineSpec, n_frames: int, seed: int, workers: int) -> dict:
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be >= 1, got {n_frames}")
-    return run_chunked(chunk_fn, spec, n_frames, _chunk_frames(spec), seed, workers)
-
-
 # ============================================================================
 #  Public simulation operations
 # ============================================================================
@@ -277,26 +271,9 @@ def _spec_from_config(cfg: ScenarioConfig, k_values) -> _EngineSpec:
     )
 
 
-def _metrics_from_tallies(
-    tallies: dict, spec: _EngineSpec, n_frames: int, seed: int, ki: int
-) -> SimulatedMetrics:
-    n_slots = n_frames * spec.T
-    flags = []
-    if spec.cs_slots == 0 and spec.lam_c > 0:
-        flags.append("cs-class-has-zero-slots")
-    if spec.cs_slots is not None and spec.cs_slots == spec.T and spec.lam_n > 0:
-        flags.append("ncs-class-has-zero-slots")
-    return SimulatedMetrics(
-        R_c=bernoulli_estimate(tallies[(ki, "cs_slots")], n_slots, seed),
-        R_cbar=bernoulli_estimate(tallies[(ki, "ncs_slots")], n_slots, seed),
-        Gamma_c=bernoulli_estimate(tallies[(ki, "cs_tag_succ")], tallies["cs_trials"], seed),
-        Gamma_cbar=bernoulli_estimate(tallies[(ki, "ncs_tag_succ")], tallies["ncs_trials"], seed),
-        flags=tuple(flags),
-    )
-
-
 def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> SimulatedMetrics:
-    """Frame-level Monte Carlo metrics under either allocation.
+    """Frame-level Monte Carlo metrics under either allocation:
+    ``simulate_multi_k`` at the scenario's one K.
 
     Throughput estimates count BS decodes per slot; packet success rates
     tag one uniformly chosen active device per class per frame.  Under
@@ -304,9 +281,7 @@ def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) ->
     ``floor(alpha * T + 0.5)`` slots of each frame and the NCS class over
     the rest.
     """
-    spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = _run_engine(_run_chunk, spec, n_frames, seed, workers)
-    return _metrics_from_tallies(tallies, spec, n_frames, seed, 0)
+    return simulate_multi_k(cfg, (cfg.K,), n_frames, seed, workers)[cfg.K]
 
 
 def simulate_multi_k(
@@ -323,8 +298,17 @@ def simulate_multi_k(
     {K: SimulatedMetrics}.
     """
     spec = _spec_from_config(cfg, k_values)
-    tallies = _run_engine(_run_chunk, spec, n_frames, seed, workers)
+    tallies = run_chunked(_run_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    flags = []
+    if spec.cs_slots == 0 and spec.lam_c > 0:
+        flags.append("cs-class-has-zero-slots")
+    if spec.cs_slots == spec.T and spec.lam_n > 0:
+        flags.append("ncs-class-has-zero-slots")
+    per_k = ("cs_slots", "ncs_slots", "cs_tag_succ", "ncs_tag_succ")
     return {
-        k: _metrics_from_tallies(tallies, spec, n_frames, seed, ki)
+        k: metrics_from_tallies(
+            tallies | {name: tallies[(ki, name)] for name in per_k},
+            n_frames * spec.T, seed, flags,
+        )
         for ki, k in enumerate(k_values)
     }

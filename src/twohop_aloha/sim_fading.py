@@ -28,7 +28,7 @@ from .core import (
     NonOrthogonal,
     ScenarioConfig,
     SimulatedMetrics,
-    bernoulli_estimate,
+    metrics_from_tallies,
     run_chunked,
 )
 
@@ -40,16 +40,20 @@ _CHUNK_SLOTS = 16384
 # ============================================================================
 
 
-def _message_powers(n_c: int, n_total: int, fading: FadingParams) -> np.ndarray:
-    p = np.full(n_total, fading.P_cbar)
-    p[:n_c] = fading.P_c
-    return p
-
-
-def _thresholds(n_c: int, n_total: int, fading: FadingParams) -> np.ndarray:
-    t = np.full(n_total, 2.0**fading.r_cbar - 1.0)
-    t[:n_c] = 2.0**fading.r_c - 1.0
-    return t
+def _winner(rx: np.ndarray, n_c: int, fading: FadingParams, present=None) -> np.ndarray:
+    """Index (1-based, 0 = none) of the max-SINR message over the last axis
+    of the received powers ``rx`` when its SINR clears its class's threshold
+    2**rate - 1.  Ties go to the lowest index; where ``present`` is False a
+    message never wins.
+    """
+    sinr = rx / (1.0 + rx.sum(axis=-1, keepdims=True) - rx)
+    if present is not None:
+        sinr = np.where(present, sinr, -1.0)
+    best = np.argmax(sinr, axis=-1)  # first occurrence wins ties
+    best_sinr = np.take_along_axis(sinr, best[..., None], axis=-1)[..., 0]
+    msg = best + 1  # messages are 1-based, CS first
+    ok = best_sinr >= np.where(msg <= n_c, 2.0**fading.r_c - 1.0, 2.0**fading.r_cbar - 1.0)
+    return np.where(ok, msg, 0)
 
 
 def ap_decode(gains: np.ndarray, n_c: int, fading: FadingParams) -> np.ndarray:
@@ -64,14 +68,8 @@ def ap_decode(gains: np.ndarray, n_c: int, fading: FadingParams) -> np.ndarray:
     m_total = gains.shape[-1]
     if m_total == 0:
         return np.zeros(gains.shape[:-1], dtype=np.int64)
-    power = _message_powers(n_c, m_total, fading)
-    rx = np.abs(gains) ** 2 * power
-    denom = 1.0 + rx.sum(axis=-1, keepdims=True) - rx
-    sinr = rx / denom
-    best = np.argmax(sinr, axis=-1)  # first occurrence wins ties
-    best_sinr = np.take_along_axis(sinr, best[..., None], axis=-1)[..., 0]
-    ok = best_sinr >= _thresholds(n_c, m_total, fading)[best]
-    return np.where(ok, best + 1, 0)
+    power = np.where(np.arange(1, m_total + 1) <= n_c, fading.P_c, fading.P_cbar)
+    return _winner(np.abs(gains) ** 2 * power, n_c, fading)
 
 
 def bs_decode(
@@ -87,21 +85,12 @@ def bs_decode(
     """
     decoded = np.asarray(decoded)
     g = np.asarray(g)
-    # candidates 1..max (at least one, so the argmax below is defined)
+    # candidates 1..max (at least one, so _winner's argmax is defined)
     msgs = np.arange(1, max(int(decoded.max(initial=0)), 1) + 1)
     masks = decoded[..., None, :] == msgs[:, None]  # (..., n_msgs, L)
     coherent = np.where(masks, g[..., None, :], 0).sum(axis=-1)
-    p_ap = np.where(msgs <= n_c, fading.P_c_ap, fading.P_cbar_ap)
-    rx = np.abs(coherent) ** 2 * p_ap
-    denom = 1.0 + rx.sum(axis=-1, keepdims=True) - rx
-    sinr = np.where(masks.any(axis=-1), rx / denom, -1.0)
-    best = np.argmax(sinr, axis=-1)  # first occurrence wins ties
-    best_sinr = np.take_along_axis(sinr, best[..., None], axis=-1)[..., 0]
-    thresholds = np.where(
-        msgs <= n_c, 2.0**fading.r_c - 1.0, 2.0**fading.r_cbar - 1.0
-    )
-    ok = best_sinr >= thresholds[best]
-    return np.where(ok, best + 1, 0)
+    rx = np.abs(coherent) ** 2 * np.where(msgs <= n_c, fading.P_c_ap, fading.P_cbar_ap)
+    return _winner(rx, n_c, fading, present=masks.any(axis=-1))
 
 
 # ============================================================================
@@ -166,21 +155,13 @@ def estimate_fading_metrics(
     PSR conditions on slots with at least one active device of the class
     and scores its first message, matching the analytic conditioning.
     """
-    fading = cfg.fading
-    if n_slots < 1:
-        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     if not isinstance(cfg.allocation, NonOrthogonal):
         raise ValueError("fading simulation supports non-orthogonal allocation only")
     spec = _FadingSpec(
         lam_c=cfg.cs_slot_load,
         lam_n=cfg.ncs_slot_load,
         L=cfg.L,
-        fading=fading,
+        fading=cfg.fading,
     )
     totals = run_chunked(_run_fading_chunk, spec, n_slots, _CHUNK_SLOTS, seed, workers)
-    return SimulatedMetrics(
-        R_c=bernoulli_estimate(totals["cs_slots"], n_slots, seed),
-        R_cbar=bernoulli_estimate(totals["ncs_slots"], n_slots, seed),
-        Gamma_c=bernoulli_estimate(totals["cs_tag_succ"], totals["cs_trials"], seed),
-        Gamma_cbar=bernoulli_estimate(totals["ncs_tag_succ"], totals["ncs_trials"], seed),
-    )
+    return metrics_from_tallies(totals, n_slots, seed)

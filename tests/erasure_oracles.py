@@ -12,13 +12,19 @@ import math
 
 import numpy as np
 
-from twohop_aloha.core import Receiver, ScenarioConfig, SimEstimate, bernoulli_estimate
+from twohop_aloha.core import (
+    Receiver,
+    ScenarioConfig,
+    SimEstimate,
+    bernoulli_estimate,
+    run_chunked,
+)
 from twohop_aloha.sim_erasure import (
     _ID_NONE,
     _ap_decode,
+    _chunk_frames,
     _decodes,
     _draw_frames,
-    _run_engine,
     _spec_from_config,
 )
 
@@ -41,7 +47,7 @@ def simulate_uplink_decode(
 ) -> SimEstimate:
     """P(at least one AP decodes a CS packet in a slot), estimated per slot."""
     spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = _run_engine(_uplink_chunk, spec, n_frames, seed, workers)
+    tallies = run_chunked(_uplink_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
     return bernoulli_estimate(tallies["succ"], n_frames * cfg.T, seed)
 
 
@@ -73,7 +79,7 @@ def simulate_per_device_psr(
     estimator samples without bias.
     """
     spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = _run_engine(_device_psr_chunk, spec, n_frames, seed, workers)
+    tallies = run_chunked(_device_psr_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
 
     def estimate(tag: str) -> SimEstimate:
         n = tallies[(tag, "trials")]
@@ -102,4 +108,5 @@ def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int 
     inclusion the count must be zero.
     """
     spec = _spec_from_config(cfg, (cfg.K,))
-    return _run_engine(_coupled_chunk, spec, n_frames, seed, workers)["violations"]
+    tallies = run_chunked(_coupled_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    return tallies["violations"]

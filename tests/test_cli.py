@@ -80,6 +80,23 @@ def test_scenario_fading_section(tmp_path):
     assert cfg.fading.beta2 == 0.3 and cfg.fading.P_cbar == 9.0
 
 
+def test_fading_section_defaults_are_fading_params_defaults(tmp_path):
+    body = BASE_INI.replace("[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1.5\nbeta2 = 0.3")
+    cfg = cli.scenario_from_config(cli.load_config_file(write_ini(tmp_path, body)))
+    assert cfg.channel == FadingParams(1.5, 0.3)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("P_c", 12.0), ("P_cbar", 3.0), ("P_c_ap", 7.0), ("P_cbar_ap", 2.0), ("r_c", 2.0),
+    ("r_cbar", 0.5),
+])
+def test_fading_section_key_overrides_its_default(tmp_path, name, value):
+    body = BASE_INI.replace("[erasure]\neps1 = 0.5\neps2 = 0.5",
+                            f"[fading]\nalpha2 = 1.5\nbeta2 = 0.3\n{name.lower()} = {value}")
+    cfg = cli.scenario_from_config(cli.load_config_file(write_ini(tmp_path, body)))
+    assert cfg.channel == FadingParams(1.5, 0.3, **{name: value})
+
+
 @pytest.mark.parametrize(
     "mutator",
     [
@@ -749,6 +766,26 @@ def test_out_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: --out directory {tmp_path / parent} is not a writable directory\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "region"])
+@pytest.mark.parametrize("slash", ["", "/"])
+def test_out_naming_a_directory_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                           command, slash):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    path = write_ini(tmp_path, BASE_INI + "\n[region]\ngamma_values = 0.5\nalpha_values = 0.5\n")
+    for module, name in ((cli, "load_config_file"), (cli.analytic_erasure, "evaluate_erasure_batch")):
+        monkeypatch.setattr(module, name, no_work)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = str(out_dir) + slash
+    assert cli.main([command, "--config", path, "--out", out]) == cli.EXIT_CONFIG
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"config error: --out {out} names a directory, not a file\n"
+    assert list(out_dir.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,22 @@ def test_scenario_config_validation():
         cfg.fading  # erasure-channel scenario has no fading params
 
 
+@pytest.mark.parametrize("field,value", [
+    ("L", 2.5), ("L", 2.0), ("L", True), ("T", 2.5), ("T", 8.0), ("T", True),
+    ("K", 2.5), ("K", True), ("K", False),
+])
+def test_scenario_config_refuses_non_integer_counts(field, value):
+    counts = {"L": 3, "T": 8, "K": 2, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ScenarioConfig(G=1.0, gamma_c=0.5, channel=ErasureParams(0.5, 0.5), **counts)
+
+
+def test_scenario_config_takes_numpy_integers():
+    cfg = ScenarioConfig(L=np.int64(3), T=np.int32(8), G=1.0, gamma_c=0.5,
+                         channel=ErasureParams(0.5, 0.5), K=np.int64(2))
+    assert (cfg.L, cfg.T, cfg.K) == (3, 8, 2)
+
+
 def test_service_metrics_invariants():
     ServiceMetrics(R_c=0.4, R_cbar=0.3, Gamma_c=0.5, Gamma_cbar=0.1)
     with pytest.raises(ValueError):
@@ -469,3 +485,25 @@ def test_sim_estimate_and_bernoulli():
     assert empty.mean == 0.0 and empty.n_samples == 0
     with pytest.raises(ValueError):
         SimEstimate(mean=0.5, std_error=-1.0, n_samples=1, seed=0)
+
+
+def test_metrics_from_tallies_divides_by_slots_and_by_trials():
+    tallies = {"cs_slots": 30, "ncs_slots": 10, "cs_tag_succ": 6, "ncs_tag_succ": 0,
+               "cs_trials": 8, "ncs_trials": 0}
+    m = core.metrics_from_tallies(tallies, 100, seed=3, flags=["f"])
+    assert m == core.SimulatedMetrics(
+        R_c=bernoulli_estimate(30, 100, 3),
+        R_cbar=bernoulli_estimate(10, 100, 3),
+        Gamma_c=bernoulli_estimate(6, 8, 3),
+        Gamma_cbar=bernoulli_estimate(0, 0, 3),
+        flags=("f",),
+    )
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_run_chunked_refuses_an_empty_budget(budget):
+    def chunk(spec, size, rng):
+        raise AssertionError("a chunk ran")
+
+    with pytest.raises(ValueError):
+        core.run_chunked(chunk, None, budget, 16, seed=1)

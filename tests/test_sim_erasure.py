@@ -45,6 +45,12 @@ def test_requires_positive_frame_budget():
         se.simulate(erasure_cfg(), 0, seed=1)
 
 
+@pytest.mark.parametrize("allocation", [Tdma(alpha=0.0), Tdma(alpha=1.0), Tdma(alpha=0.5)])
+def test_simulate_is_simulate_multi_k_at_the_scenario_k(allocation):
+    cfg = erasure_cfg(T=4, G=3.0, gamma_c=0.5, K=1, allocation=allocation)
+    assert se.simulate(cfg, 3_000, seed=4) == se.simulate_multi_k(cfg, (0, 1), 3_000, seed=4)[1]
+
+
 def test_determinism_bit_identical_and_worker_independent():
     cfg = erasure_cfg(T=2, G=4.0, gamma_c=0.5, K=1)
     a = se.simulate(cfg, 50_000, seed=9)
