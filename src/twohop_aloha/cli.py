@@ -748,7 +748,7 @@ _FLAGS = {
     "frames": dict(type=int, help="simulated frames"),
     "slots": dict(type=int, help="simulated slots"),
     "backend": dict(help="evaluation backend"),
-    "workers": dict(type=int, help="parallel workers"),
+    "workers": dict(type=int, help="worker processes, at most one per chunk and CPU core"),
     "target-se": dict(type=float, default=0.002, help="target std error per cell"),
 }
 

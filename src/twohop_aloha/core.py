@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -318,8 +319,8 @@ _LOG_FACTORIAL_PAGE = 4096
 _TAIL_EXPANSION_LOAD = 1e4
 # Stirling's coefficients g_0..g_3 of Gamma*(a) ~ sum g_k a**-k (DLMF 5.11.3)
 _GAMMA_STAR = (Fraction(1), Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840))
-# Taylor order in eta of Temme's c_0; it covers |eta| <= 0.5, where
-# _large_load_tail uses the expansion, to below 1e-16
+# Taylor order in eta of Temme's c_0; it covers |eta| <= 0.5 to below 1e-16,
+# and from _TAIL_EXPANSION_LOAD on every tail neither 0 nor 1 has |eta| < 0.5
 _TEMME_ORDER = 20
 
 
@@ -446,32 +447,14 @@ def _large_load_tail(lam: float, n: int) -> float:
     """P(N > n) for N ~ Poisson(lam) at a large lam: P(a, lam), the
     regularized lower incomplete gamma function, at a = n + 1.
 
-    This follows Cephes' igam (behind ``scipy.special.pdtrc``).  Where it
-    takes its asymptotic series, |lam - a| < 4.5 sqrt(a), and above that,
-    this is Temme's uniform expansion to a**-3 (DLMF 8.12.3 and 8.12.8).
-    Further below the load it is igam's power series, capped like it at
-    2000 terms; at loads above about 1e6 the cap cuts the series short, so
-    the tail there, and the cutoff found on it, fall below the exact ones
-    exactly as SciPy's do.  A tail within exp(-745) of 0 or 1 is 0 or 1.
+    Temme's uniform expansion to a**-3 (DLMF 8.12.3 and 8.12.8), which holds
+    uniformly in lam / a; a tail within exp(-745) of 0 or 1 is 0 or 1.
     """
     a = n + 1.0
     mu = (lam - a) / a
     half = _half_eta_squared(mu)  # eta**2 / 2
     if a * half > 745.0:
         return 1.0 if mu > 0 else 0.0
-    if mu <= -4.5 / math.sqrt(a):
-        # the pmf at a: lam**a e**-lam / Gamma(a + 1) = e**(-a eta**2 / 2) /
-        # (sqrt(2 pi a) Gamma*(a))
-        gamma_star = sum(float(g) / a**k for k, g in enumerate(_GAMMA_STAR))
-        pmf = math.exp(-a * half) / (math.sqrt(2.0 * math.pi * a) * gamma_star)
-        r, term, total = a, 1.0, 1.0
-        for _ in range(2000):
-            r += 1.0
-            term *= lam / r
-            total += term
-            if term <= 2**-53 * total:
-                break
-        return pmf * total
     eta = math.copysign(math.sqrt(2.0 * half), mu)
     series = sum(_horner(c, eta) / a**k for k, c in enumerate(_temme_coefficients()))
     rest = math.exp(-a * half) / math.sqrt(2.0 * math.pi * a) * series
@@ -606,62 +589,13 @@ def _binomial_cdf(k: int, x: np.ndarray, eps: float) -> np.ndarray:
     """P(at most ``k`` of ``x`` transmissions survive erasure), at counts x > k.
 
     The Binomial(x, p) CDF at k, with p = 1 - eps and q = 1 - p in floats,
-    as ``binom.cdf(k, x, 1 - eps)`` takes them.  Where Boost's incomplete
-    beta function, which SciPy's ``binom.cdf`` runs, sums the binomial terms
-    itself, ``_boost_finite_sum`` sums them as it does, with its bits (but
-    at k = 0, see there); at the other counts it is ``_summed_cdf``.
+    by ``_summed_cdf``.
     """
     p = 1.0 - eps
     q = 1.0 - p  # exact, so p + q = 1
     if q == 0.0 or p == 0.0:
         return np.full(x.shape, 1.0 if p == 0.0 else 0.0)
-    out = np.empty(x.shape)
-    done = _boost_finite_sum(k, x, p, q, out)
-    out[~done] = _summed_cdf(k, x[~done], p, q)
-    return out
-
-
-def _boost_finite_sum(k: int, x: np.ndarray, p: float, q: float, out: np.ndarray) -> np.ndarray:
-    """Write the CDF into ``out`` wherever Boost's ``ibetac(k + 1, x - k, p)``
-    takes a finite binomial sum, in its order of operations; return where.
-
-    With k = 0 that is the power q**x.  With x = k + 1 it is 1 - p**x.
-    Otherwise Boost swaps (k + 1, p) with (x - k, q) where the mean x p lies
-    above k, and if the second parameter is then below 40 it sums its
-    ``binomial_ccdf``: from the first term u**x (a normal float) along the
-    other terms of one tail, by their ratio.  Every power, exp, expm1 and
-    log1p is the C library's, as in Boost.
-    """
-    if k == 0:
-        # ibetac(1, x, p) is ibeta(x, 1, q) = q**x.  Boost takes it as
-        # exp(x log1p(-p)) where p < 0.5, which loses about x |log q| ulps
-        # at large x; pow is within an ulp, and is what Boost takes elsewhere
-        out[:] = [math.pow(q, n) for n in x.tolist()]
-        return np.ones(x.shape, dtype=bool)
-    # ibetac(x, 1, p); Boost's powm1 takes pow here, as (k + 1) q >= 1
-    done = x == k + 1
-    out[done] = -math.expm1((k + 1) * math.log1p(-q)) if q < 0.5 else 1.0 - math.pow(p, k + 1)
-    a, b = k + 1.0, (x - k).astype(float)
-    swap = np.where(a < b, a - (a + b) * p, (a + b) * q - b) < 0.0
-    b, u, v = np.where(swap, a, b), np.where(swap, q, p), np.where(swap, p, q)
-    at = np.flatnonzero(~done & (b < 40.0))
-    first = np.array([math.pow(u_, n) for u_, n in zip(u[at].tolist(), x[at].tolist())])
-    at, first = at[first > np.finfo(float).tiny], first[first > np.finfo(float).tiny]
-    n, b, u, v = x[at, None], b[at, None].astype(np.int64), u[at, None], v[at, None]
-    # each cell's b terms, by cumulative products and sums (both sequential,
-    # as Boost's loop), in runs of about _ROW_BLOCK terms
-    j = np.arange(1, int(b.max(initial=1)))
-    total = np.empty(at.size)
-    step = _ROW_BLOCK // (j.size + 1)
-    for lo in range(0, at.size, step):
-        s = slice(lo, lo + step)
-        # Boost's term *= ((i + 1) * y) / ((n - i) * x) at i = n - j, j < b
-        ratios = np.where(j < b[s], (n[s] - j + 1) * v[s] / (j * u[s]), 1.0)
-        terms = np.cumprod(np.column_stack([first[s], ratios]), axis=1)
-        total[s] = np.cumsum(terms, axis=1)[np.arange(len(terms)), b[s, 0] - 1]
-    out[at] = np.where(swap[at], total, 1.0 - total)
-    done[at] = True
-    return done
+    return _summed_cdf(k, x, p, q)
 
 
 def _summed_cdf(k: int, x: np.ndarray, p: float, q: float) -> np.ndarray:
@@ -775,6 +709,26 @@ def multinomial_sample(
 # ============================================================================
 
 
+# Expected draws per simulation chunk, and the most one frame or slot may need
+CHUNK_DRAWS = 6_000_000
+MAX_ITEM_DRAWS = 2**26
+
+
+def chunk_items(draws_per_item: float, cap: int) -> int:
+    """Items (frames or slots) per chunk: as many as ``CHUNK_DRAWS`` expected
+    draws allow, from 1 to ``cap``.
+
+    An item whose expected draws exceed ``MAX_ITEM_DRAWS`` is refused with a
+    ValueError, before any draw, as a chunk holds at least one item whole.
+    """
+    if draws_per_item > MAX_ITEM_DRAWS:
+        raise ValueError(
+            f"one simulated frame or slot needs about {draws_per_item:.3g} expected "
+            f"draws, more than the {MAX_ITEM_DRAWS} one chunk may hold"
+        )
+    return int(min(cap, max(1, CHUNK_DRAWS // max(1.0, draws_per_item))))
+
+
 def _run_chunk_task(task) -> dict:
     chunk_fn, spec, size, seed, chunk_index = task
     rng = np.random.default_rng(
@@ -790,7 +744,9 @@ def run_chunked(chunk_fn, spec, n_items: int, chunk: int, seed: int, workers: in
     from its own substream ``SeedSequence(entropy=seed, spawn_key=(i,))``;
     ``chunk_fn(spec, size, rng)`` must be a picklable module-level function
     returning a dict of tallies.  Chunks are merged in index order, so the
-    totals do not depend on ``workers``.  A budget below one item is refused.
+    totals do not depend on ``workers``.  The pool holds ``min(workers,
+    chunks, os.cpu_count())`` processes, and none when that is 1.  A budget
+    below one item is refused.
     """
     if n_items < 1:
         raise ValueError(f"a simulation budget must be >= 1, got {n_items}")
@@ -798,7 +754,8 @@ def run_chunked(chunk_fn, spec, n_items: int, chunk: int, seed: int, workers: in
         (chunk_fn, spec, min(chunk, n_items - lo), seed, idx)
         for idx, lo in enumerate(range(0, n_items, chunk))
     ]
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_run_chunk_task, tasks, chunksize=1))
     else:

@@ -32,6 +32,7 @@ from .core import (
     ScenarioConfig,
     SimulatedMetrics,
     Tdma,
+    chunk_items,
     metrics_from_tallies,
     run_chunked,
 )
@@ -60,9 +61,9 @@ class _EngineSpec:
 
 
 def _chunk_frames(spec: _EngineSpec) -> int:
-    """Fixed chunk size derived from the workload, never from worker count."""
-    per_frame = max(1.0, (spec.lam_c + spec.lam_n) * spec.L + spec.T * spec.L)
-    return int(min(131072, max(256, 6_000_000 // per_frame)))
+    """Fixed chunk size derived from the workload, never from worker count:
+    ``chunk_items`` of a frame's device-AP and backhaul draws."""
+    return chunk_items((spec.lam_c + spec.lam_n) * spec.L + spec.T * spec.L, 131072)
 
 
 _UNIFORM_ROWS = 1 << 13  # rows of one block of blocked uniform draws

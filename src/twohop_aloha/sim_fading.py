@@ -28,11 +28,10 @@ from .core import (
     NonOrthogonal,
     ScenarioConfig,
     SimulatedMetrics,
+    chunk_items,
     metrics_from_tallies,
     run_chunked,
 )
-
-_CHUNK_SLOTS = 16384
 
 
 # ============================================================================
@@ -106,6 +105,12 @@ class _FadingSpec:
     fading: FadingParams
 
 
+def _chunk_slots(spec: _FadingSpec) -> int:
+    """Fixed chunk size derived from the workload, never from worker count:
+    ``chunk_items`` of a slot's access gains and backhaul gains."""
+    return chunk_items((spec.lam_c + spec.lam_n + 1.0) * spec.L, 16384)
+
+
 def _complex_normal(rng, shape, variance) -> np.ndarray:
     scale = math.sqrt(variance / 2.0)
     re = rng.standard_normal(shape)
@@ -163,5 +168,5 @@ def estimate_fading_metrics(
         L=cfg.L,
         fading=cfg.fading,
     )
-    totals = run_chunked(_run_fading_chunk, spec, n_slots, _CHUNK_SLOTS, seed, workers)
+    totals = run_chunked(_run_fading_chunk, spec, n_slots, _chunk_slots(spec), seed, workers)
     return metrics_from_tallies(totals, n_slots, seed)

@@ -33,7 +33,6 @@ refuses loads whose two Poisson supports span more than
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +45,6 @@ from .core import (
     SimEstimate,
     SimulatedMetrics,
     Tdma,
-    _c_log,
     gamma_k_tolerance_array,
     multinomial_sample,
     normalized_poisson_weights,
@@ -100,16 +98,6 @@ def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return np.log(s), np.log1p(-ratio)
 
 
-@functools.lru_cache(maxsize=512)
-def _log_ncs_row(e1: float, n_c: int, width: int) -> np.ndarray:
-    """log p_n (``_tagged_decode``'s) at n_c CS arrivals and NCS counts
-    0..width-1, by ``math.log``, with the bits the cells' own p_n have."""
-    n_n = np.arange(width)
-    row = _c_log(_p_cs_array(n_n, e1) * e1 ** np.full(width, n_c))
-    row.flags.writeable = False
-    return row
-
-
 def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     """BS decode probabilities of a tagged CS and a tagged NCS message.
 
@@ -135,11 +123,8 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     rest = np.maximum(1.0 - p_c - p_n, 0.0)
     d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
     log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
-    # b log(p_n) as xlogy gives it: 0 at b = 0 and the C library's log,
-    # from memoized rows of log p_n, one per n_c (grids share their counts)
-    rows, at = np.unique(n_c, return_inverse=True)
-    width = 1 << int(n_n.max()).bit_length()
-    log_p = np.stack([_log_ncs_row(e1, n, width) for n in rows.tolist()])[at, n_n]
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p_n)
     cs = np.zeros(log_s.shape)
     for b in range(L):  # b = L leaves no AP for the tagged message
         m = L - b

@@ -458,6 +458,36 @@ def test_eval_isolated_series_work_bound_is_numerical_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _address_space_cap():
+    # set in the child before it runs: a missing refusal fails with a
+    # MemoryError instead of exhausting the machine's memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("backend,budget", [("sim", "frames"), ("fading", "slots")])
+def test_sweep_simulators_refuse_a_load_over_the_draw_bound(tmp_path, backend, budget):
+    # one frame (slot) at G = 1e9 needs about 3e9 draws: the simulators
+    # refuse it as the series do, before any draw
+    body = BASE_INI.replace("T = 8", "T = 1").replace("G = 16.0", "G = 1e9")
+    if backend == "fading":
+        body = body.replace("[erasure]\neps1 = 0.5\neps2 = 0.5", "[fading]\nalpha2 = 1\nbeta2 = 1")
+    body += f"\n[sweep]\nparameter = gamma_c\nvalues = 0.5\nbackend = {backend}\n"
+    path = write_ini(tmp_path, body + f"\n[sim]\n{budget} = 1\n")
+    out = str(tmp_path / "never.csv")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twohop_aloha.cli", "sweep", "--config", path, "--out", out],
+        env=env, timeout=120, capture_output=True, text=True, preexec_fn=_address_space_cap,
+    )
+    assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr
+    assert proc.stderr.startswith("numerical error: ") and "expected draws" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def test_region_tdma_high_load_still_answers():
     # the 71 x 71 TDMA grid at G = 1e4 reaches a CS load of 7e5 per slot,
     # under the series' work bound: the values are those it always had

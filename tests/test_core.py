@@ -104,13 +104,37 @@ def linear_walk_tail_cutoff(lam, delta):
     return n
 
 
-@pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-6, 0.5])
 @pytest.mark.parametrize(
-    "lam", [0.0, 1e-300, 1e-8, 0.25, 1.0, 16.0, 99.9, 100.1, 1e4, 7e5, 5e11]
+    "lam,delta",
+    [
+        (lam, delta)
+        for lam in (0.0, 1e-300, 1e-8, 0.25, 1.0, 16.0, 99.9, 100.1, 1e4, 7e5)
+        for delta in (1e-15, 1e-12, 1e-6, 0.5)
+    ]
+    # above about 1e6 SciPy's tail, and so the walk's cutoff, falls short of
+    # the exact one away from the mean
+    + [(5e11, 0.5)],
 )
 def test_poisson_tail_cutoff_bisection_matches_linear_walk(lam, delta):
     poisson_tail_cutoff.cache_clear()
     assert poisson_tail_cutoff(lam, delta) == linear_walk_tail_cutoff(lam, delta)
+
+
+def poisson_sf_mp(lam, n, digits=40):
+    """P(N > n) for N ~ Poisson(lam) as 1 - Q(n + 1, lam), in ``digits`` digits."""
+    with mpmath.workdps(digits):
+        return 1 - mpmath.gammainc(n + 1, lam, mpmath.inf, regularized=True)
+
+
+@pytest.mark.parametrize("lam,want", [(3.3e7, 33_040_418), (5e11, 500_004_974_139)])
+def test_poisson_tail_cutoff_is_exact_at_high_loads(lam, want):
+    # the smallest n with P(N > n) < 1e-12 (the 40-digit tails at n and n - 1
+    # are 9.995e-13 and 1.0008e-12 at 3.3e7, 9.99998e-13 and 1.000008e-12
+    # at 5e11), where the walk on SciPy's tail stops 65 and 409,549 short
+    poisson_tail_cutoff.cache_clear()
+    n = poisson_tail_cutoff(lam, 1e-12)
+    assert n == want
+    assert poisson_sf_mp(lam, n) < 1e-12 <= poisson_sf_mp(lam, n - 1)
 
 
 @pytest.mark.parametrize("lam", [0.25, 16.0, 99.9, 100.1, 1e4, 7e5])
@@ -145,28 +169,20 @@ def test_log_factorial_is_gammaln_bit_for_bit():
         assert log_factorial(n).tobytes() == special.gammaln(n + 1).tobytes()
 
 
-def poisson_tail_mp(lam, n):
-    """P(N > n) for N ~ Poisson(lam), summed from its largest term in 40 digits."""
-    above = n + 1 > lam
-    with mpmath.workdps(40):
-        lam = mpmath.mpf(lam)
-        j = n + 1 if above else n
-        term = mpmath.exp(j * mpmath.log(lam) - lam - mpmath.loggamma(j + 1))
-        total = 0
-        while term > mpmath.mpf(10) ** -45:
-            total += term
-            term = term * lam / (j + 1) if above else term * j / lam
-            j = j + 1 if above else j - 1
-        return float(total if above else 1 - total)
-
-
-@pytest.mark.parametrize("lam,z", [(lam, z) for lam in (1e4, 3e5) for z in (-3.0, -0.5, 0.0, 2.0, 4.0)]
-                         + [(1e4, 6.0), (1e4, 8.0)])
+@pytest.mark.parametrize(
+    "lam,z",
+    [
+        (lam, z)
+        for lam in (1e4, 3e5, 7e5, 1e6, 3.3e7)
+        for z in (-3.0, -0.5, 0.0, 2.0, 4.0, 4.6, 5.0, 6.0, 7.0, 8.0, 10.0, 15.0)
+    ],
+)
 def test_large_load_tail_matches_high_precision_sums(lam, z):
-    # Temme's expansion within 4.5 standard deviations; igam's series beyond
-    # them, where its 2000 terms reach 1e-13 only at the lower load
+    # from 4.5 standard deviations above the mean on, a power series capped
+    # at 2,000 terms stops short at the higher loads; the tails reach 1e-51,
+    # so 1 - Q takes 100 digits
     n = int(lam + z * math.sqrt(lam))
-    want = poisson_tail_mp(lam, n)
+    want = float(poisson_sf_mp(lam, n, digits=100))
     assert abs(core._large_load_tail(lam, n) - want) <= 1e-13 * want
 
 
@@ -328,19 +344,6 @@ def test_gamma_k_memoized_rows_are_bit_identical(x, rows, eps, k):
 def test_gamma_k_array_rejects_bad_inputs(x, eps, k):
     with pytest.raises(ValueError):
         gamma_k_tolerance_array(x, eps, k)
-
-
-def test_tolerance_rows_keep_scipy_bits_where_boost_sums_the_terms():
-    # where Boost's ibetac, behind SciPy's binom.cdf, sums the binomial
-    # terms itself, the rows take the same sum in the same order
-    for eps in (0.1, 0.3, 0.5, 0.6, 0.9, 0.999):
-        p = 1.0 - eps
-        for k in range(1, 41):
-            x = np.arange(k + 1, 600)
-            out = np.empty(x.shape)
-            done = core._boost_finite_sum(k, x, p, 1.0 - p, out)
-            assert done.any()
-            assert out[done].tobytes() == stats.binom.cdf(k, x[done], p).tobytes(), (eps, k)
 
 
 def test_tolerance_rows_match_high_precision_sums():
@@ -507,3 +510,48 @@ def test_run_chunked_refuses_an_empty_budget(budget):
 
     with pytest.raises(ValueError):
         core.run_chunked(chunk, None, budget, 16, seed=1)
+
+
+class _InlinePool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    every task in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def _count_chunk(spec, size, rng):
+    return {"items": size, "draw": int(rng.integers(1 << 30))}
+
+
+@pytest.mark.parametrize(
+    "workers,chunks,cores,pool",
+    [(64, 2, 8, 2), (64, 100, 4, 4), (3, 100, 64, 3), (64, 1, 8, None), (2, 4, 1, None)],
+)
+def test_run_chunked_pool_holds_at_most_one_process_per_chunk_and_core(
+    monkeypatch, workers, chunks, cores, pool
+):
+    monkeypatch.setattr(core, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    got = core.run_chunked(_count_chunk, None, 16 * chunks, 16, seed=5, workers=workers)
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    assert got == core.run_chunked(_count_chunk, None, 16 * chunks, 16, seed=5)
+    assert got["items"] == 16 * chunks
+
+
+def test_chunk_items_refuses_an_item_over_the_draw_bound():
+    assert core.chunk_items(core.MAX_ITEM_DRAWS, 131072) == 1
+    with pytest.raises(ValueError, match="expected draws"):
+        core.chunk_items(core.MAX_ITEM_DRAWS + 1.0, 131072)

@@ -271,7 +271,7 @@ EXPECTED = {"coupled_compare": 0,
  "simulate_uplink_decode": (0.481425, 0.0024983054802469244, 40000, 15),
  "superposition_exact": (0.27071496189086386,
                          0.1455069733707074,
-                         0.3675825146611997,
+                         0.3675825146611996,
                          0.19582048623097922),
  "superposition_exact_tdma": (0.0914529068071047,
                               0.21700240691967523,
@@ -280,7 +280,7 @@ EXPECTED = {"coupled_compare": 0,
  "superposition_mc": ((0.27578643470912106, 0.002992561694824768, 45000, 18),
                       (0.14294993995433858, 0.0026206701975356604, 45000, 18),
                       (0.357747760007771, 0.004784849077600639, 42000, 18),
-                      (0.1911144315026332, 0.004153614866108169, 42000, 18),
+                      (0.19303702494860017, 0.004167024257958975, 42000, 18),
                       ()),
  "superposition_mc_tdma": ((0.09427541533349058, 0.0017169506423406848, 4000, 18),
                            (0.2166897165359804, 0.003764644841303743, 3000, 18),

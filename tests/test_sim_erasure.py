@@ -8,6 +8,7 @@ import pytest
 import erasure_oracles as oracles
 import twohop_aloha.analytic_erasure as ae
 import twohop_aloha.sim_erasure as se
+from twohop_aloha import core
 from twohop_aloha.core import (
     INFINITE_K,
     ErasureParams,
@@ -489,3 +490,23 @@ def test_points_chunk_memory_stays_below_the_row_major_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 160.7e6
+
+
+def test_a_chunk_at_a_high_load_stays_within_the_draw_budget():
+    # G = 1e6 needs about 3e6 draws a frame; a floor of 256 frames a chunk
+    # made it 7.7e8 draws (about 9.7 GB at 12.6 B a draw)
+    cfg = erasure_cfg(L=3, T=1, G=1e6, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
+    spec = se._spec_from_config(cfg, (2,))
+    per_frame = (spec.lam_c + spec.lam_n) * spec.L + spec.T * spec.L
+    assert se._chunk_frames(spec) == 1
+    assert se._chunk_frames(spec) * per_frame <= core.CHUNK_DRAWS
+
+
+def test_a_frame_over_the_draw_bound_is_refused_before_any_draw(monkeypatch):
+    def never(*args):
+        raise AssertionError("a frame was drawn")
+
+    monkeypatch.setattr(se, "_draw_frames", never)
+    cfg = erasure_cfg(L=3, T=1, G=1e9, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
+    with pytest.raises(ValueError, match="expected draws"):
+        se.simulate_multi_k(cfg, (0, 2), 1, seed=1)

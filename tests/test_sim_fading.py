@@ -269,3 +269,24 @@ def test_bs_decode_never_picks_an_absent_message():
     rows = np.array([[0, 2, 2], [2, 0, 0], [0, 0, 2], [0, 2, 0]])
     assert sf.bs_decode(rows, g, 2, fp).tolist() == [2, 2, 2, 2]
     assert [int(sf.bs_decode(r, gs, 2, fp)) for r, gs in zip(rows, g)] == [2, 2, 2, 2]
+
+
+def test_fading_chunks_follow_the_draw_budget():
+    # 16,384 slots a chunk up to about 366 draws a slot, fewer above
+    def spec(G, L=3):
+        cfg = ScenarioConfig(L=L, T=1, G=G, gamma_c=0.5, channel=FadingParams(1.0, 1.0))
+        return sf._FadingSpec(cfg.cs_slot_load, cfg.ncs_slot_load, L, cfg.fading)
+
+    assert sf._chunk_slots(spec(2.0)) == 16_384
+    assert sf._chunk_slots(spec(200.0)) == 6_000_000 // 603
+    assert sf._chunk_slots(spec(1e6)) == 1
+
+
+def test_a_slot_over_the_draw_bound_is_refused_before_any_draw(monkeypatch):
+    def never(*args):
+        raise AssertionError("a slot was drawn")
+
+    monkeypatch.setattr(sf, "_run_fading_chunk", never)
+    cfg = ScenarioConfig(L=3, T=1, G=1e9, gamma_c=0.5, channel=FadingParams(1.0, 1.0))
+    with pytest.raises(ValueError, match="expected draws"):
+        sf.estimate_fading_metrics(cfg, 1, seed=1)
