@@ -50,7 +50,7 @@ from .core import (
     _c_log,
     _poisson_pmf,
     gamma_k_tolerance_array,
-    normalized_poisson_weights,
+    poisson_pmf,
     poisson_tail_cutoff,
     poisson_weights,
 )
@@ -76,29 +76,9 @@ _RUN_CELLS = 2**16
 # ============================================================================
 
 
-def p_access_cs(n_c: int, eps1: float) -> float:
-    """P(an AP decodes one CS packet | n_c CS transmissions in the slot)."""
-    if n_c < 0:
-        raise ValueError(f"n_c must be >= 0, got {n_c}")
-    if n_c == 0:
-        return 0.0
-    return n_c * (1.0 - eps1) * eps1 ** (n_c - 1)
-
-
-def p_access_ncs(n_c: int, n_cbar: int, eps1: float) -> float:
-    """P(an AP decodes one NCS packet | n_c CS and n_cbar NCS transmissions).
-
-    Requires the one surviving NCS arrival plus erasure of every CS arrival.
-    """
-    if n_c < 0 or n_cbar < 0:
-        raise ValueError("transmission counts must be >= 0")
-    if n_cbar == 0:
-        return 0.0
-    return n_cbar * (1.0 - eps1) * eps1 ** (n_cbar - 1) * eps1**n_c
-
-
 def _p_cs_array(n: np.ndarray, e1: float) -> np.ndarray:
-    """Vectorized p_access_cs with the 0**0 = 1 convention."""
+    """P(an AP decodes one of n arrivals of a class), elementwise:
+    n (1 - e1) e1**(n - 1), and 0 at n = 0 (the 0**0 = 1 convention)."""
     powers = e1 ** np.maximum(n - 1, 0)
     return np.where(n == 0, 0.0, n * (1.0 - e1) * powers)
 
@@ -287,11 +267,12 @@ def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, w = poisson_weights(g)
     if g == 0:
         return n, w, np.zeros(n.size)
-    n_tag, w_tag = normalized_poisson_weights(g)
-    size = int(n_tag[-1]) + 1
-    padded, tagged = np.zeros(size), np.zeros(size)
-    padded[: w.size], tagged[1:] = w, w_tag
-    return np.arange(size), padded, tagged
+    pmf = w
+    if n.size == 1:  # a cut at count 0 still tags count 1
+        n, w, pmf = np.arange(2), np.append(w, 0.0), poisson_pmf(np.arange(2), g)
+    tagged = pmf / -math.expm1(-g)
+    tagged[0] = 0.0
+    return n, w, tagged
 
 
 def _two_class_metrics(e1, grids, kernel) -> list[tuple[float, float, float, float]]:

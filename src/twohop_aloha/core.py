@@ -121,6 +121,8 @@ class FadingParams:
             raise ValueError("AP relay powers must be >= 0")
         if self.r_c <= 0 or self.r_cbar <= 0:
             raise ValueError("transmission rates must be > 0")
+        if max(self.r_c, self.r_cbar) >= 1024:
+            raise ValueError("transmission rates must be below 1024: 2**rate - 1 overflows")
 
 
 # ============================================================================
@@ -486,6 +488,8 @@ def poisson_tail_cutoff(lam: float, delta: float) -> int:
     """
     if lam < 0 or math.isnan(lam) or math.isinf(lam):
         raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
+    if lam > 2.0**53:  # floats skip counts there, and the search stalls
+        raise ValueError(f"Poisson rate {lam:g} is above 2**53, where floats skip counts")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     if lam == 0.0:
@@ -510,14 +514,6 @@ def poisson_weights(lam: float):
     """Support 0..n_max and pmf values covering all but ``TAIL_MASS_DEFAULT``."""
     n = np.arange(poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT) + 1)
     return n, poisson_pmf(n, lam)
-
-
-def normalized_poisson_weights(lam: float):
-    """Support 1..n_max and weights of a Poisson conditioned on N >= 1."""
-    if lam <= 0:
-        raise ValueError("normalized Poisson requires a positive rate")
-    n = np.arange(1, max(1, poisson_tail_cutoff(lam, TAIL_MASS_DEFAULT)) + 1)
-    return n, poisson_pmf(n, lam) / (-math.expm1(-lam))
 
 
 # ============================================================================

@@ -23,6 +23,7 @@ over workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,29 +42,31 @@ _ID_NONE = 0  # BS/AP "decoded nothing" marker; device ids start at 1
 
 
 # ============================================================================
-#  Engine specification and tally plumbing
+#  What a chunk reads from the scenario
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class _EngineSpec:
-    """Picklable bundle of everything one simulation chunk needs."""
-
-    L: int
-    T: int
-    eps1: float
-    eps2: float
-    lam_c: float  # CS devices per frame
-    lam_n: float  # NCS devices per frame
-    cs_slots: int | None  # TDMA partition size; None = non-orthogonal
-    k_values: tuple
-    receiver: str
+def _frame_loads(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Mean CS and NCS devices per frame."""
+    return cfg.gamma_c * cfg.G, (1.0 - cfg.gamma_c) * cfg.G
 
 
-def _chunk_frames(spec: _EngineSpec) -> int:
+def _slot_split(cfg: ScenarioConfig) -> tuple[int, int]:
+    """Slots of a frame open to the CS and to the NCS class: all T to both
+    under non-orthogonal sharing; under ``Tdma(alpha)`` the first
+    ``floor(alpha * T + 0.5)`` to CS and the rest to NCS.
+    """
+    if isinstance(cfg.allocation, Tdma):
+        cs_T = math.floor(cfg.allocation.alpha * cfg.T + 0.5)
+        return cs_T, cfg.T - cs_T
+    return cfg.T, cfg.T
+
+
+def _chunk_frames(cfg: ScenarioConfig) -> int:
     """Fixed chunk size derived from the workload, never from worker count:
     ``chunk_items`` of a frame's device-AP and backhaul draws."""
-    return chunk_items((spec.lam_c + spec.lam_n) * spec.L + spec.T * spec.L, 131072)
+    lam_c, lam_n = _frame_loads(cfg)
+    return chunk_items((lam_c + lam_n) * cfg.L + cfg.T * cfg.L, 131072)
 
 
 _UNIFORM_ROWS = 1 << 13  # rows of one block of blocked uniform draws
@@ -170,27 +173,28 @@ def _cells(rng: np.random.Generator, n_dev, busy, T: int, first: int, n_slots: i
     return cell + rng.integers(0, n_slots, size=cell.size) if n_slots > 1 else cell
 
 
-def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
+def _draw_frames(cfg: ScenarioConfig, F: int, rng: np.random.Generator):
     """F frames as ``(cs, ncs, backhaul)``: the two classes' ``_ClassDraws``
     and the backhaul successes per (AP, row), none of which depends on K
     or on the BS receiver.
     """
-    L, T = spec.L, spec.T
-    cs_T = spec.cs_slots if spec.cs_slots is not None else T
-    ncs_T = (T - spec.cs_slots) if spec.cs_slots is not None else T
+    L, T = cfg.L, cfg.T
+    eps1, eps2 = cfg.erasure.eps1, cfg.erasure.eps2
+    lam_c, lam_n = _frame_loads(cfg)
+    cs_T, ncs_T = _slot_split(cfg)
     # NCS slots follow the CS ones.  A class without slots is silenced
     # below; its devices sit in slot 0 so every cell index stays in range.
     ncs_base = T - ncs_T if ncs_T > 0 else 0
 
     # Fixed draw order: counts, slot choices, access erasures, backhaul
     # erasures, tagging uniforms.
-    n_c = rng.poisson(spec.lam_c, F)
-    n_n = rng.poisson(spec.lam_n, F)
+    n_c = rng.poisson(lam_c, F)
+    n_n = rng.poisson(lam_n, F)
     busy_c, busy_n = np.flatnonzero(n_c > 0), np.flatnonzero(n_n > 0)
     cell_c = _cells(rng, n_c, busy_c, T, 0, cs_T)
     cell_n = _cells(rng, n_n, busy_n, T, ncs_base, ncs_T)
-    flat_c = _arrivals(rng, cell_c.size, L, spec.eps1, cs_T)
-    flat_n = _arrivals(rng, cell_n.size, L, spec.eps1, ncs_T)
+    flat_c = _arrivals(rng, cell_c.size, L, eps1, cs_T)
+    flat_n = _arrivals(rng, cell_n.size, L, eps1, ncs_T)
 
     occupied = np.zeros(F * T, dtype=bool)
     occupied[cell_c[flat_c // L]] = True
@@ -207,7 +211,7 @@ def _draw_frames(spec: _EngineSpec, F: int, rng: np.random.Generator):
     backhaul = np.empty((L, rows), dtype=bool)
     for start, block in _uniform_blocks(rng, F * T, L):
         lo, hi = np.searchsorted(cells, (start, start + len(block)))
-        backhaul[:, lo:hi] = (np.take(block, cells[lo:hi] - start, axis=0) >= spec.eps2).T
+        backhaul[:, lo:hi] = (np.take(block, cells[lo:hi] - start, axis=0) >= eps2).T
     u_c = rng.random(F)
     u_n = rng.random(F)
 
@@ -235,12 +239,13 @@ def _tagged_successes(draws: _ClassDraws, dec_id) -> int:
     return int(np.count_nonzero(dec_id[draws.tag_row] == draws.tag_id))
 
 
-def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
-    frames = _draw_frames(spec, F, rng)
+def _run_chunk(job, F: int, rng: np.random.Generator) -> dict:
+    cfg, k_values = job
+    frames = _draw_frames(cfg, F, rng)
     cs, ncs, _ = frames
     out = {"cs_trials": int(np.count_nonzero(cs.n_dev))}
     out["ncs_trials"] = int(np.count_nonzero(ncs.n_dev))
-    for ki, (cs_id, ncs_id) in enumerate(_decodes(frames, spec.receiver, spec.k_values)):
+    for ki, (cs_id, ncs_id) in enumerate(_decodes(frames, cfg.receiver, k_values)):
         out[(ki, "cs_slots")] = int(np.count_nonzero(cs_id))
         out[(ki, "ncs_slots")] = int(np.count_nonzero(ncs_id))
         out[(ki, "cs_tag_succ")] = _tagged_successes(cs, cs_id)
@@ -251,25 +256,6 @@ def _run_chunk(spec: _EngineSpec, F: int, rng: np.random.Generator) -> dict:
 # ============================================================================
 #  Public simulation operations
 # ============================================================================
-
-
-def _spec_from_config(cfg: ScenarioConfig, k_values) -> _EngineSpec:
-    e = cfg.erasure
-    if isinstance(cfg.allocation, Tdma):
-        cs_slots = int(np.floor(cfg.allocation.alpha * cfg.T + 0.5))
-    else:
-        cs_slots = None
-    return _EngineSpec(
-        L=cfg.L,
-        T=cfg.T,
-        eps1=e.eps1,
-        eps2=e.eps2,
-        lam_c=cfg.gamma_c * cfg.G,
-        lam_n=(1.0 - cfg.gamma_c) * cfg.G,
-        cs_slots=cs_slots,
-        k_values=tuple(k_values),
-        receiver=cfg.receiver,
-    )
 
 
 def simulate(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1) -> SimulatedMetrics:
@@ -298,18 +284,19 @@ def simulate_multi_k(
     values per realization is both cheaper and variance-coupled.  Returns
     {K: SimulatedMetrics}.
     """
-    spec = _spec_from_config(cfg, k_values)
-    tallies = run_chunked(_run_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    tallies = run_chunked(_run_chunk, (cfg, k_values), n_frames, _chunk_frames(cfg), seed, workers)
+    lam_c, lam_n = _frame_loads(cfg)
+    cs_T, ncs_T = _slot_split(cfg)
     flags = []
-    if spec.cs_slots == 0 and spec.lam_c > 0:
+    if cs_T == 0 and lam_c > 0:
         flags.append("cs-class-has-zero-slots")
-    if spec.cs_slots == spec.T and spec.lam_n > 0:
+    if ncs_T == 0 and lam_n > 0:
         flags.append("ncs-class-has-zero-slots")
     per_k = ("cs_slots", "ncs_slots", "cs_tag_succ", "ncs_tag_succ")
     return {
         k: metrics_from_tallies(
             tallies | {name: tallies[(ki, name)] for name in per_k},
-            n_frames * spec.T, seed, flags,
+            n_frames * cfg.T, seed, flags,
         )
         for ki, k in enumerate(k_values)
     }

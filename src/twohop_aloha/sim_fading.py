@@ -19,7 +19,6 @@ substreams and integer tallies, so results do not depend on worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,18 +96,10 @@ def bs_decode(
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class _FadingSpec:
-    lam_c: float
-    lam_n: float
-    L: int
-    fading: FadingParams
-
-
-def _chunk_slots(spec: _FadingSpec) -> int:
+def _chunk_slots(cfg: ScenarioConfig) -> int:
     """Fixed chunk size derived from the workload, never from worker count:
     ``chunk_items`` of a slot's access gains and backhaul gains."""
-    return chunk_items((spec.lam_c + spec.lam_n + 1.0) * spec.L, 16384)
+    return chunk_items((cfg.cs_slot_load + cfg.ncs_slot_load + 1.0) * cfg.L, 16384)
 
 
 def _complex_normal(rng, shape, variance) -> np.ndarray:
@@ -118,14 +109,14 @@ def _complex_normal(rng, shape, variance) -> np.ndarray:
     return scale * (re + 1j * im)
 
 
-def _run_fading_chunk(spec: _FadingSpec, S: int, rng: np.random.Generator) -> dict:
-    L = spec.L
+def _run_fading_chunk(cfg: ScenarioConfig, S: int, rng: np.random.Generator) -> dict:
+    L, fading = cfg.L, cfg.fading
     # Fixed draw order: counts, access gains, backhaul gains.
-    n_c = rng.poisson(spec.lam_c, S).astype(np.int64)
-    n_n = rng.poisson(spec.lam_n, S).astype(np.int64)
+    n_c = rng.poisson(cfg.cs_slot_load, S).astype(np.int64)
+    n_n = rng.poisson(cfg.ncs_slot_load, S).astype(np.int64)
     n_tot = n_c + n_n
-    h = _complex_normal(rng, (int(n_tot.sum()), L), spec.fading.alpha2)
-    g = _complex_normal(rng, (S, L), spec.fading.beta2)
+    h = _complex_normal(rng, (int(n_tot.sum()), L), fading.alpha2)
+    g = _complex_normal(rng, (S, L), fading.beta2)
 
     # One decode per distinct (n_c, n_cbar) pair over all slots that share it.
     starts = np.cumsum(n_tot) - n_tot
@@ -137,8 +128,8 @@ def _run_fading_chunk(spec: _FadingSpec, S: int, rng: np.random.Generator) -> di
         nc, m = int(n_c[idx[0]]), int(n_tot[idx[0]])
         # (B, L, M), CS messages first; each slot keeps the layout of h[a:b].T
         gains = h[starts[idx][:, None] + np.arange(m)].transpose(0, 2, 1)
-        decoded = ap_decode(gains, nc, spec.fading)
-        winner[idx] = bs_decode(decoded, g[idx], nc, spec.fading)
+        decoded = ap_decode(gains, nc, fading)
+        winner[idx] = bs_decode(decoded, g[idx], nc, fading)
 
     cs_won = (winner >= 1) & (winner <= n_c)
     return {
@@ -162,11 +153,5 @@ def estimate_fading_metrics(
     """
     if not isinstance(cfg.allocation, NonOrthogonal):
         raise ValueError("fading simulation supports non-orthogonal allocation only")
-    spec = _FadingSpec(
-        lam_c=cfg.cs_slot_load,
-        lam_n=cfg.ncs_slot_load,
-        L=cfg.L,
-        fading=cfg.fading,
-    )
-    totals = run_chunked(_run_fading_chunk, spec, n_slots, _chunk_slots(spec), seed, workers)
+    totals = run_chunked(_run_fading_chunk, cfg, n_slots, _chunk_slots(cfg), seed, workers)
     return metrics_from_tallies(totals, n_slots, seed)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_ITEM_DRAWS,
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
@@ -47,11 +48,10 @@ from .core import (
     Tdma,
     gamma_k_tolerance_array,
     multinomial_sample,
-    normalized_poisson_weights,
     poisson_weights,
 )
-from .analytic_erasure import _check_two_class_work, _p_cs_array, _two_class_metrics
-from .analytic_erasure import p_access_cs, p_access_ncs
+from .analytic_erasure import _check_two_class_work, _class_support, _p_cs_array
+from .analytic_erasure import _two_class_metrics
 
 
 # ============================================================================
@@ -71,8 +71,8 @@ def ap_allocation_probs(
     """
     if n_c < 0 or n_cbar < 0:
         raise ValueError("transmission counts must be >= 0")
-    p_c = p_access_cs(n_c, eps1) * budget
-    p_n = p_access_ncs(n_c, n_cbar, eps1)
+    p_c = _p_cs_array(n_c, eps1) * budget
+    p_n = _p_cs_array(n_cbar, eps1) * eps1**n_c
     probs = [1.0 - p_c - p_n]
     if n_c > 0:
         probs.extend([p_c / n_c] * n_c)
@@ -234,7 +234,11 @@ class ExactEnum:
 
 @dataclass(frozen=True)
 class ConditionedMC:
-    """Monte Carlo over allocations, conditioned per (n_c, n_cbar) pair."""
+    """Monte Carlo over allocations, conditioned per (n_c, n_cbar) pair.
+
+    Samples whose draw at the supports' largest counts would hold more than
+    ``MAX_ITEM_DRAWS`` counts are refused with a ValueError before any draw.
+    """
 
     n_alloc_samples: int = 1000
     seed: int = 0
@@ -245,28 +249,34 @@ class ConditionedMC:
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
     def metrics(self, L, e1, e2, k, loads) -> list[tuple[_McAccumulator, ...]]:
-        return [self._grid(L, e1, e2, g_c, g_n, k) for g_c, g_n in loads]
+        sides = [(_class_support(g_c), _class_support(g_n)) for g_c, g_n in loads]
+        cells = 1 + max(int(c[0][-1] + n[0][-1]) for c, n in sides)
+        if self.n_alloc_samples * cells > MAX_ITEM_DRAWS:
+            raise ValueError(
+                f"mc_samples = {self.n_alloc_samples} allocations of {cells} cells need "
+                f"{self.n_alloc_samples * cells:.3g} counts, more than the "
+                f"{MAX_ITEM_DRAWS} one draw may hold"
+            )
+        return [self._grid(L, e1, e2, *pair, k, *side) for pair, side in zip(loads, sides)]
 
-    def _grid(self, L, e1, e2, g_c, g_n, k) -> tuple[_McAccumulator, ...]:
-        # Tolerance rows over every NCS count and copy count a pair asks for.
+    def _grid(self, L, e1, e2, g_c, g_n, k, sup_c, sup_n) -> tuple[_McAccumulator, ...]:
         r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
         cs, ncs = poisson_weights(g_c), poisson_weights(g_n)
-        tag_cs = normalized_poisson_weights(g_c) if g_c > 0 else None
-        tag_ncs = normalized_poisson_weights(g_n) if g_n > 0 else None
-        n_max = int(ncs[0][-1] if tag_ncs is None else max(ncs[0][-1], tag_ncs[0][-1]))
-        ap_budget = gamma_k_tolerance_array(np.arange(n_max + 1), e1, k).tolist()
+        # Tolerance rows over every NCS count and copy count a pair asks for.
+        ap_budget = gamma_k_tolerance_array(np.arange(sup_n[0][-1] + 1), e1, k).tolist()
         bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
         for n_c, n_n, w in _weighted_pairs(*cs, *ncs):
             draws = self._draws(0, L, n_c, n_n, e1, ap_budget)
             q_cs, q_ncs = _mc_throughput_values(draws, n_c, e2, bs_budget)
             r_c.add(w, q_cs)
             r_n.add(w, q_ncs)
-        for tagged_cs, tag, other, acc in ((True, tag_cs, ncs, p_c), (False, tag_ncs, cs, p_n)):
-            if tag is not None:
-                for n_tag, n_other, w in _weighted_pairs(*tag, *other):
-                    n_c, n_n = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
-                    draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
-                    acc.add(w, _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs))
+        tagged = ((True, sup_c, ncs, p_c), (False, sup_n, cs, p_n))
+        for tagged_cs, (n, _, w_tag), other, acc in tagged:
+            # a tagged class has counts from 1 on, and none at zero load
+            for n_tag, n_other, w in _weighted_pairs(n[1:], w_tag[1:], *other):
+                n_c, n_n = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
+                draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
+                acc.add(w, _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs))
         return r_c, r_n, p_c, p_n
 
 

@@ -25,7 +25,6 @@ from twohop_aloha.sim_erasure import (
     _chunk_frames,
     _decodes,
     _draw_frames,
-    _spec_from_config,
 )
 
 
@@ -35,10 +34,10 @@ def _decode(frames, receiver: str, K):
     return cs_id != _ID_NONE, cs_id, ncs_id != _ID_NONE, ncs_id
 
 
-def _uplink_chunk(spec, F, rng) -> dict:
-    cs, ncs, _ = _draw_frames(spec, F, rng)
+def _uplink_chunk(cfg, F, rng) -> dict:
+    cs, ncs, _ = _draw_frames(cfg, F, rng)
     cs_dec, _ = _ap_decode(cs.counts, ncs.counts)
-    cs_dec &= ncs.counts <= spec.k_values[0]
+    cs_dec &= ncs.counts <= cfg.K
     return {"succ": int(cs_dec.any(axis=0).sum())}
 
 
@@ -46,14 +45,13 @@ def simulate_uplink_decode(
     cfg: ScenarioConfig, n_frames: int, seed: int, workers: int = 1
 ) -> SimEstimate:
     """P(at least one AP decodes a CS packet in a slot), estimated per slot."""
-    spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = run_chunked(_uplink_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    tallies = run_chunked(_uplink_chunk, cfg, n_frames, _chunk_frames(cfg), seed, workers)
     return bernoulli_estimate(tallies["succ"], n_frames * cfg.T, seed)
 
 
-def _device_psr_chunk(spec, F, rng) -> dict:
-    frames = _draw_frames(spec, F, rng)
-    _, cs_id, _, ncs_id = _decode(frames, spec.receiver, spec.k_values[0])
+def _device_psr_chunk(cfg, F, rng) -> dict:
+    frames = _draw_frames(cfg, F, rng)
+    _, cs_id, _, ncs_id = _decode(frames, cfg.receiver, cfg.K)
     out = {}
     for tag, draws, dec_id in (("cs", frames[0], cs_id), ("ncs", frames[1], ncs_id)):
         ids = np.arange(1, draws.row.size + 1, dtype=np.int64)
@@ -78,8 +76,7 @@ def simulate_per_device_psr(
     frames are then averaged equally, the estimand the one-tagged-device
     estimator samples without bias.
     """
-    spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = run_chunked(_device_psr_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    tallies = run_chunked(_device_psr_chunk, cfg, n_frames, _chunk_frames(cfg), seed, workers)
 
     def estimate(tag: str) -> SimEstimate:
         n = tallies[(tag, "trials")]
@@ -93,11 +90,10 @@ def simulate_per_device_psr(
     return estimate("cs"), estimate("ncs")
 
 
-def _coupled_chunk(spec, F, rng) -> dict:
-    frames = _draw_frames(spec, F, rng)
-    (K,) = spec.k_values
-    coll = _decode(frames, Receiver.COLLISION, K)
-    sup = _decode(frames, Receiver.SUPERPOSITION, K)
+def _coupled_chunk(cfg, F, rng) -> dict:
+    frames = _draw_frames(cfg, F, rng)
+    coll = _decode(frames, Receiver.COLLISION, cfg.K)
+    sup = _decode(frames, Receiver.SUPERPOSITION, cfg.K)
     return {"violations": int(np.sum(coll[0] & ~sup[0]) + np.sum(coll[2] & ~sup[2]))}
 
 
@@ -107,6 +103,5 @@ def coupled_compare(cfg: ScenarioConfig, n_frames: int, seed: int, workers: int 
     Both BS rules are evaluated on identical realizations; by success-event
     inclusion the count must be zero.
     """
-    spec = _spec_from_config(cfg, (cfg.K,))
-    tallies = run_chunked(_coupled_chunk, spec, n_frames, _chunk_frames(spec), seed, workers)
+    tallies = run_chunked(_coupled_chunk, cfg, n_frames, _chunk_frames(cfg), seed, workers)
     return tallies["violations"]

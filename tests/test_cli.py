@@ -458,6 +458,29 @@ def test_eval_isolated_series_work_bound_is_numerical_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,G,K", [
+    ("eval", "1e60", "2"), ("eval", "1e60", "inf"), ("sweep", "1e308", "2"),
+])
+def test_a_load_beyond_the_float_counts_is_numerical_error(tmp_path, command, G, K):
+    # above a per-slot load of 2**53 the tail search stalled (1e60) or its
+    # expansion overflowed (1e308); the load is refused before any search
+    body = BASE_INI.replace("gamma_c = 1.0", "gamma_c = 0.5").replace("K = inf", f"K = {K}")
+    if command == "sweep":
+        body += f"\n[sweep]\nparameter = G\nvalues = {G}\nbackend = analytic\n"
+    path = write_ini(tmp_path, body.replace("G = 16.0", f"G = {G}"))
+    out = str(tmp_path / "never.csv")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twohop_aloha.cli", command, "--config", path, "--out", out],
+        env=env, timeout=60, capture_output=True, text=True,
+    )
+    assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr
+    assert proc.stderr.startswith("numerical error: ") and "above 2**53" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(out)
+
+
 def _address_space_cap():
     # set in the child before it runs: a missing refusal fails with a
     # MemoryError instead of exhausting the machine's memory
@@ -950,6 +973,38 @@ _REFUSALS = {
     "unknown_scheme": ("region", BASE_INI + _REGION + "schemes = fdma\n", [],
                        "unknown scheme 'fdma' in region spec"),
 }
+
+
+# (command, scenario file, flags, exit code, stderr, draw that must not run)
+# of runs that used to end in a traceback after, or instead of, drawing
+_REFUSALS_BEFORE_ANY_DRAW = {
+    "fading_rate_beyond_the_floats": (
+        "fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nr_c = 2000"),
+        ["--slots", "100"], cli.EXIT_CONFIG,
+        "config error: transmission rates must be below 1024: 2**rate - 1 overflows\n",
+        (cli.sim_fading, "_run_fading_chunk")),
+    "mc_samples_over_the_draw_bound": (
+        "eval", SUPERPOSITION_INI + "\n[superposition]\nestimator = mc\n"
+        "mc_samples = 100000000000\n", [], cli.EXIT_CAPACITY,
+        "numerical error: mc_samples = 100000000000 allocations of 29 cells need 2.9e+12 "
+        "counts, more than the 67108864 one draw may hold\n",
+        (cli.superposition, "multinomial_sample")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS_BEFORE_ANY_DRAW))
+def test_refusal_comes_before_any_draw(tmp_path, capsys, monkeypatch, case):
+    command, body, flags, code, message, (module, draw) = _REFUSALS_BEFORE_ANY_DRAW[case]
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{draw} ran")
+
+    monkeypatch.setattr(module, draw, never)
+    path = write_ini(tmp_path, body)
+    out = str(tmp_path / "never.csv")
+    rc, stdout, err = run_cli(capsys, [command, "--config", path, "--out", out] + flags)
+    assert (rc, stdout, err) == (code, "", message)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))

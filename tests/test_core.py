@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from twohop_aloha import core
+from twohop_aloha.analytic_erasure import _class_support
 from twohop_aloha.core import (
     INFINITE_K,
     TAIL_MASS_DEFAULT,
@@ -24,7 +25,6 @@ from twohop_aloha.core import (
     gamma_k_tolerance_array,
     log_factorial,
     multinomial_sample,
-    normalized_poisson_weights,
     poisson_tail_cutoff,
     poisson_weights,
 )
@@ -144,6 +144,19 @@ def test_poisson_tail_cutoff_below_the_mean_matches_linear_walk(lam):
     assert poisson_tail_cutoff(lam, 0.999) == linear_walk_tail_cutoff(lam, 0.999)
 
 
+def test_poisson_tail_cutoff_refuses_a_rate_beyond_the_float_counts(monkeypatch):
+    # above 2**53 floats skip counts: from about 1e42 the search's stride
+    # no longer moves it, and from 5.6e102 the tail expansion overflows
+    def never(*args):
+        raise AssertionError("the tail was searched")
+
+    monkeypatch.setattr(core, "_poisson_tail", never)
+    poisson_tail_cutoff.cache_clear()
+    for lam in (2.0**60, 1e50, 1e308):
+        with pytest.raises(ValueError, match=r"Poisson rate .* is above 2\*\*53"):
+            poisson_tail_cutoff(lam, 1e-12)
+
+
 def test_poisson_tail_cutoff_calls_at_huge_rate(monkeypatch):
     # walking back one n at a time took up to 70,710 tail evaluations here
     from twohop_aloha import core
@@ -194,11 +207,16 @@ def test_poisson_pmf_sums_to_one_over_cutoff_support():
 
 
 def test_normalized_poisson_weights():
-    n, w = normalized_poisson_weights(2.0)
-    assert n[0] == 1
-    assert w.sum() == pytest.approx(1.0, abs=1e-11)
-    with pytest.raises(ValueError):
-        normalized_poisson_weights(0.0)
+    # a class's tagged weights: the Poisson pmf conditioned on N >= 1
+    n, w, tagged = _class_support(2.0)
+    assert n[-1] == poisson_tail_cutoff(2.0, TAIL_MASS_DEFAULT)
+    assert tagged[0] == 0.0
+    assert tagged.sum() == pytest.approx(1.0, abs=1e-11)
+    assert tagged[1:].tolist() == (w[1:] / -math.expm1(-2.0)).tolist()
+    # a cut at count 0 still tags count 1; zero load tags nothing
+    n, w, tagged = _class_support(1e-14)
+    assert n.tolist() == [0, 1] and w[1] == 0.0 and tagged[1] == pytest.approx(1.0)
+    assert [a.tolist() for a in _class_support(0.0)] == [[0], [1.0], [0.0]]
 
 
 # ---------------------------------------------------------------------------

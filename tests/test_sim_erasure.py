@@ -131,7 +131,7 @@ def test_coupled_decodes_nest_on_one_realization():
     # a coupled count of 0 also holds for a chunk that decodes nothing, so
     # check the decodes themselves on one realization
     cfg = erasure_cfg(T=2, G=4.0, gamma_c=0.5, e1=0.3, e2=0.6, K=2)
-    frames = se._draw_frames(se._spec_from_config(cfg, (2,)), 2_000, np.random.default_rng(5))
+    frames = se._draw_frames(cfg, 2_000, np.random.default_rng(5))
     coll = oracles._decode(frames, Receiver.COLLISION, 2)
     sup = oracles._decode(frames, Receiver.SUPERPOSITION, 2)
     for c_ok, c_id, s_ok, s_id in ((*coll[:2], *sup[:2]), (*coll[2:], *sup[2:])):
@@ -277,25 +277,29 @@ def test_bs_rules_on_fixed_realizations():
 # ---------------------------------------------------------------------------
 
 
-def _dense_frames(spec, F, rng):
+def _dense_frames(cfg, F, rng):
     """Reference draws with one row per (frame, slot) cell, busy or not.
 
-    Makes the engine's draws in the engine's order.  Returns, per class,
+    Makes the engine's draws in the engine's order, from its own reading of
+    the scenario's loads and slot split.  Returns, per class,
     ``(n_dev, counts, idsum, tag_cell, tag_id)``, then the backhaul mask.
     """
-    L, T = spec.L, spec.T
-    cs_T = spec.cs_slots if spec.cs_slots is not None else T
-    ncs_T = (T - spec.cs_slots) if spec.cs_slots is not None else T
+    L, T, e = cfg.L, cfg.T, cfg.erasure
+    if isinstance(cfg.allocation, Tdma):
+        cs_T = int(np.floor(cfg.allocation.alpha * T + 0.5))
+        ncs_T = T - cs_T
+    else:
+        cs_T = ncs_T = T
     ncs_base = T - ncs_T if ncs_T > 0 else 0
-    n_c = rng.poisson(spec.lam_c, F).astype(np.int64)
-    n_n = rng.poisson(spec.lam_n, F).astype(np.int64)
+    n_c = rng.poisson(cfg.gamma_c * cfg.G, F).astype(np.int64)
+    n_n = rng.poisson((1.0 - cfg.gamma_c) * cfg.G, F).astype(np.int64)
     frame_c = np.repeat(np.arange(F, dtype=np.int64), n_c)
     frame_n = np.repeat(np.arange(F, dtype=np.int64), n_n)
     slot_c = rng.integers(0, cs_T, size=frame_c.size) if cs_T > 0 else np.zeros_like(frame_c)
     slot_n = rng.integers(0, ncs_T, size=frame_n.size) if ncs_T > 0 else np.zeros_like(frame_n)
-    arr_c = rng.random((frame_c.size, L)) >= spec.eps1
-    arr_n = rng.random((frame_n.size, L)) >= spec.eps1
-    backhaul = rng.random((F * T, L)) >= spec.eps2
+    arr_c = rng.random((frame_c.size, L)) >= e.eps1
+    arr_n = rng.random((frame_n.size, L)) >= e.eps1
+    backhaul = rng.random((F * T, L)) >= e.eps2
     u_c, u_n = rng.random(F), rng.random(F)
     arr_c &= cs_T > 0
     arr_n &= ncs_T > 0
@@ -344,18 +348,19 @@ def _dense_bs_decode(receiver, K, del_c, idsum_c, del_n, idsum_n):
     return cs_ok, cs_id, ncs_ok, ncs_id
 
 
-def _dense_chunk(spec, F, rng):
+def _dense_chunk(job, F, rng):
     """Reference tallies: the chunk's draws decoded on every cell.
 
     The decoders reduce (cell, AP) arrays of counts and identity sums along
     the AP axis, a layout and an algorithm the engine does not share.
     """
-    cs, ncs, backhaul = _dense_frames(spec, F, rng)
+    cfg, k_values = job
+    cs, ncs, backhaul = _dense_frames(cfg, F, rng)
     out = {"cs_trials": int(np.sum(cs[0] >= 1)), "ncs_trials": int(np.sum(ncs[0] >= 1))}
-    for ki, K in enumerate(spec.k_values):
+    for ki, K in enumerate(k_values):
         cs_dec, ncs_dec = _dense_ap_decode(cs[1], ncs[1], K)
         cs_ok, cs_id, ncs_ok, ncs_id = _dense_bs_decode(
-            spec.receiver, K, cs_dec & backhaul, cs[2], ncs_dec & backhaul, ncs[2]
+            cfg.receiver, K, cs_dec & backhaul, cs[2], ncs_dec & backhaul, ncs[2]
         )
         out[(ki, "cs_slots")] = int(cs_ok.sum())
         out[(ki, "ncs_slots")] = int(ncs_ok.sum())
@@ -399,14 +404,13 @@ def test_occupied_cell_chunk_matches_dense_decode(case):
     case = dict(case)
     ks = case.pop("ks", (0, 2, INFINITE_K))
     cfg = erasure_cfg(**{"e1": 0.5, "e2": 0.4, **case})
-    spec = se._spec_from_config(cfg, ks)
     F = 1500
     for seed in (31, 32):
-        want = _dense_chunk(spec, F, np.random.default_rng(seed))
-        got = se._run_chunk(spec, F, np.random.default_rng(seed))
+        want = _dense_chunk((cfg, ks), F, np.random.default_rng(seed))
+        got = se._run_chunk((cfg, ks), F, np.random.default_rng(seed))
         assert got == want and list(got) == list(want)
         assert all(type(v) is int for v in got.values())
-    rows = se._draw_frames(spec, F, np.random.default_rng(31))[2].shape[1]
+    rows = se._draw_frames(cfg, F, np.random.default_rng(31))[2].shape[1]
     if case.get("e1") == 1.0:
         assert rows == 0 and want["cs_trials"] > 0
     elif case["G"] == 40.0:
@@ -415,7 +419,7 @@ def test_occupied_cell_chunk_matches_dense_decode(case):
         assert 0 < rows < F * cfg.T
         assert want[(2, "cs_tag_succ")] + want[(2, "ncs_tag_succ")] > 0
     if case["G"] == 12.0:
-        cs, ncs, _ = _dense_frames(spec, F, np.random.default_rng(31))
+        cs, ncs, _ = _dense_frames(cfg, F, np.random.default_rng(31))
         assert min(F * cfg.T, cs[0].sum(), ncs[0].sum()) > se._UNIFORM_ROWS
 
 
@@ -424,7 +428,7 @@ def test_decode_runs_only_on_occupied_cells(monkeypatch):
     # decode must not see them; the AP rule runs once per chunk, the BS
     # rule once for the NCS class and once per K for the CS class
     cfg = erasure_cfg(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9)
-    spec = se._spec_from_config(cfg, (0, 1, 2, 5))
+    ks = (0, 1, 2, 5)
     F = 20_000
     seen = {"ap": [], "bs": []}
     ap_decode, bs_class = se._ap_decode, se._bs_class
@@ -439,13 +443,13 @@ def test_decode_runs_only_on_occupied_cells(monkeypatch):
 
     monkeypatch.setattr(se, "_ap_decode", ap_counted)
     monkeypatch.setattr(se, "_bs_class", bs_counted)
-    se._run_chunk(spec, F, np.random.default_rng(33))
-    cs, ncs, _ = _dense_frames(spec, F, np.random.default_rng(33))
+    se._run_chunk((cfg, ks), F, np.random.default_rng(33))
+    cs, ncs, _ = _dense_frames(cfg, F, np.random.default_rng(33))
     occupied = int(np.count_nonzero(cs[1].any(axis=1) | ncs[1].any(axis=1)))
     assert 0 < occupied < F * cfg.T // 2
     shape = (cfg.L, occupied)
     assert seen["ap"] == [(shape, shape)]
-    assert seen["bs"] == [(shape, shape)] * (1 + len(spec.k_values))
+    assert seen["bs"] == [(shape, shape)] * (1 + len(ks))
 
 
 @pytest.mark.parametrize("L", [1, 3])
@@ -481,11 +485,10 @@ def test_points_chunk_memory_stays_below_the_row_major_kernel():
     # (Python 3.11, numpy 2.4); the (AP, cell) kernel with blocked draws
     # peaked at about 85 MB.
     cfg = erasure_cfg(L=3, T=8, G=16.0, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
-    spec = se._spec_from_config(cfg, (2,))
-    assert se._chunk_frames(spec) == 83_333
+    assert se._chunk_frames(cfg) == 83_333
     tracemalloc.start()
     try:
-        se._run_chunk(spec, 83_333, np.random.default_rng(1))
+        se._run_chunk((cfg, (2,)), 83_333, np.random.default_rng(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,10 +499,9 @@ def test_a_chunk_at_a_high_load_stays_within_the_draw_budget():
     # G = 1e6 needs about 3e6 draws a frame; a floor of 256 frames a chunk
     # made it 7.7e8 draws (about 9.7 GB at 12.6 B a draw)
     cfg = erasure_cfg(L=3, T=1, G=1e6, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
-    spec = se._spec_from_config(cfg, (2,))
-    per_frame = (spec.lam_c + spec.lam_n) * spec.L + spec.T * spec.L
-    assert se._chunk_frames(spec) == 1
-    assert se._chunk_frames(spec) * per_frame <= core.CHUNK_DRAWS
+    per_frame = cfg.G * cfg.L + cfg.T * cfg.L
+    assert se._chunk_frames(cfg) == 1
+    assert se._chunk_frames(cfg) * per_frame <= core.CHUNK_DRAWS
 
 
 def test_a_frame_over_the_draw_bound_is_refused_before_any_draw(monkeypatch):

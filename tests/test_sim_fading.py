@@ -173,14 +173,14 @@ def test_fading_slot_realization():
 # ---------------------------------------------------------------------------
 
 
-def _per_slot_chunk(spec, S, rng):
+def _per_slot_chunk(cfg, S, rng):
     """Reference tallies: the chunk's draws, decoded one slot at a time."""
-    L = spec.L
-    n_c = rng.poisson(spec.lam_c, S).astype(np.int64)
-    n_n = rng.poisson(spec.lam_n, S).astype(np.int64)
+    L, fading = cfg.L, cfg.fading
+    n_c = rng.poisson(cfg.gamma_c * cfg.G / cfg.T, S).astype(np.int64)
+    n_n = rng.poisson((1.0 - cfg.gamma_c) * cfg.G / cfg.T, S).astype(np.int64)
     n_tot = n_c + n_n
-    h = sf._complex_normal(rng, (int(n_tot.sum()), L), spec.fading.alpha2)
-    g = sf._complex_normal(rng, (S, L), spec.fading.beta2)
+    h = sf._complex_normal(rng, (int(n_tot.sum()), L), fading.alpha2)
+    g = sf._complex_normal(rng, (S, L), fading.beta2)
 
     starts = np.concatenate(([0], np.cumsum(n_tot)))
     tallies = {
@@ -198,8 +198,8 @@ def _per_slot_chunk(spec, S, rng):
         if nc + nn == 0:
             continue
         slot_gains = h[starts[s] : starts[s + 1]].T  # (L, M), CS messages first
-        decoded = sf.ap_decode(slot_gains, nc, spec.fading)
-        winner = int(sf.bs_decode(decoded, g[s], nc, spec.fading))
+        decoded = sf.ap_decode(slot_gains, nc, fading)
+        winner = int(sf.bs_decode(decoded, g[s], nc, fading))
         if winner == 0:
             continue
         if winner <= nc:
@@ -224,10 +224,10 @@ def _per_slot_chunk(spec, S, rng):
     ],
 )
 def test_batched_chunk_matches_per_slot_loop(lam_c, lam_n, L, fp):
-    spec = sf._FadingSpec(lam_c, lam_n, L, fading_cfg(**fp).fading)
+    cfg = fading_cfg(L=L, T=1, G=lam_c + lam_n, gamma_c=lam_c / (lam_c + lam_n), **fp)
     for seed in (21, 22):
-        want = _per_slot_chunk(spec, 1500, np.random.default_rng(seed))
-        got = sf._run_fading_chunk(spec, 1500, np.random.default_rng(seed))
+        want = _per_slot_chunk(cfg, 1500, np.random.default_rng(seed))
+        got = sf._run_fading_chunk(cfg, 1500, np.random.default_rng(seed))
         assert got == want and list(got) == list(want)
         assert all(type(v) is int for v in got.values())
     if lam_c == 0.0:
@@ -273,13 +273,12 @@ def test_bs_decode_never_picks_an_absent_message():
 
 def test_fading_chunks_follow_the_draw_budget():
     # 16,384 slots a chunk up to about 366 draws a slot, fewer above
-    def spec(G, L=3):
-        cfg = ScenarioConfig(L=L, T=1, G=G, gamma_c=0.5, channel=FadingParams(1.0, 1.0))
-        return sf._FadingSpec(cfg.cs_slot_load, cfg.ncs_slot_load, L, cfg.fading)
+    def cfg(G):
+        return ScenarioConfig(L=3, T=1, G=G, gamma_c=0.5, channel=FadingParams(1.0, 1.0))
 
-    assert sf._chunk_slots(spec(2.0)) == 16_384
-    assert sf._chunk_slots(spec(200.0)) == 6_000_000 // 603
-    assert sf._chunk_slots(spec(1e6)) == 1
+    assert sf._chunk_slots(cfg(2.0)) == 16_384
+    assert sf._chunk_slots(cfg(200.0)) == 6_000_000 // 603
+    assert sf._chunk_slots(cfg(1e6)) == 1
 
 
 def test_a_slot_over_the_draw_bound_is_refused_before_any_draw(monkeypatch):

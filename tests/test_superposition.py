@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twohop_aloha.analytic_erasure as ae
+import twohop_aloha.sim_erasure as se
 import twohop_aloha.superposition as sp
 from twohop_aloha.core import (
     INFINITE_K,
@@ -156,11 +157,33 @@ def _kernel(L, n_c, n_n, e1, e2, k):
     return float(cs[0]), float(ncs[0])
 
 
+def p_access_cs(n_c: int, eps1: float) -> float:
+    """P(an AP decodes one CS packet | n_c CS transmissions in the slot)."""
+    if n_c == 0:
+        return 0.0
+    return n_c * (1.0 - eps1) * eps1 ** (n_c - 1)
+
+
+def p_access_ncs(n_c: int, n_cbar: int, eps1: float) -> float:
+    """P(an AP decodes one NCS packet | n_c CS and n_cbar NCS transmissions):
+    the one surviving NCS arrival plus erasure of every CS arrival."""
+    if n_cbar == 0:
+        return 0.0
+    return n_cbar * (1.0 - eps1) * eps1 ** (n_cbar - 1) * eps1**n_c
+
+
+def _cell_probs(n_c, n_n, e1, budget):
+    """Multinomial cell probabilities (silent, CS cells, NCS cells) of one AP,
+    from the scalar access probabilities; a CS cell carries the AP budget."""
+    p_c, p_n = p_access_cs(n_c, e1) * budget, p_access_ncs(n_c, n_n, e1)
+    return np.array([1.0 - p_c - p_n] + [p_c / max(n_c, 1)] * n_c + [p_n / max(n_n, 1)] * n_n)
+
+
 def _literal(L, n_c, n_n, e1, e2, k):
     """(CS, NCS) throughputs and tagged terms by enumerating every allocation;
     a tagged term of a class with no message is None."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
-    rows, w = _enumerated(L, sp.ap_allocation_probs(n_c, n_n, e1, ap[n_n]))
+    rows, w = _enumerated(L, _cell_probs(n_c, n_n, e1, ap[n_n]))
     r_cs, r_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, bs))
     tag_cs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, True) if n_c else None
     tag_ncs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, False) if n_n else None
@@ -270,6 +293,25 @@ def test_exact_and_mc_estimators_agree():
     # MC is reproducible for a fixed seed
     mc2 = sp.evaluate_superposition(cfg, sp.ConditionedMC(n_alloc_samples=1500, seed=42))
     assert mc == mc2
+
+
+@pytest.mark.parametrize("L,G,gamma_c,e1,e2", [
+    (1, 1.0, 0.5, 0.3, 0.5),
+    (3, 2.0, 0.5, 0.5, 0.5),
+    (5, 4.0, 0.1, 0.9, 0.1),
+    (3, 0.5, 0.9, 0.1, 0.9),
+])
+def test_exact_evaluator_matches_the_slot_simulator(L, G, gamma_c, e1, e2):
+    # at T = 1 the simulator tags the estimand the exact evaluator computes
+    cfg = sup_cfg(L=L, T=1, G=G, gamma_c=gamma_c, e1=e1, e2=e2)
+    ks = (0, 2, INFINITE_K)
+    sim = se.simulate_multi_k(cfg, ks, 1_000_000, seed=7)
+    for k in ks:
+        exact = sp.evaluate_superposition(cfg.replace(K=k))
+        for name in ("R_c", "R_cbar", "Gamma_c", "Gamma_cbar"):
+            est = getattr(sim[k], name)
+            z = (est.mean - getattr(exact, name)) / max(est.std_error, 1e-12)
+            assert abs(z) <= 4.0, f"{name} at K={k}: z = {z:.2f}"
 
 
 @pytest.mark.parametrize("L", [5, 8, 20])
