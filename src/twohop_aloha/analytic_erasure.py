@@ -1,27 +1,20 @@
 """Throughput and packet success rate under erasure channels.
 
-Collision receiver model, two service classes (CS / NCS), finite or ideal
-NCS-to-CS interference tolerance K, non-orthogonal sharing or inter-service
-TDMA.
+Two service classes (CS / NCS), finite or ideal NCS-to-CS interference
+tolerance K, non-orthogonal sharing or inter-service TDMA, under either BS
+receiver.  ``evaluate_erasure_batch`` plans every deterministic evaluation:
 
-* A class that contends alone -- either class under TDMA, and CS at K = inf
-  -- is a single-service Poisson expectation.  Its throughput and PSR, and
-  the uplink benchmark bound, are series with a relative truncation error of
-  1e-12 (``poisson_expectation``), batched over loads.
-* The NCS metrics at K = inf nest that expectation: an outer sum over the CS
-  count around the isolated-class sum over the NCS count, to the same
-  relative error.
-* All four metrics under a finite K come from ``_finite_k_metrics``, the
-  collision receiver's cell kernel run by the two-class driver
-  ``_two_class_metrics``: dense series over the Poisson supports of both
-  classes, truncated at an absolute tail mass, on grids laid out by
-  ``_reduce_grids``.  The exact superposition estimator runs its own kernel
-  through the same driver.  ``evaluate_erasure_batch`` calls
-  ``_finite_k_metrics`` once per (L, eps1, eps2), for every (g_c, g_n)
-  pair at its own K values.  A K whose CS tolerance sum needs a binomial
-  coefficient beyond the floats is refused.
-* A two-class evaluation whose Poisson supports span more than
-  ``MAX_TWO_CLASS_CELLS`` cells is refused, as is a lone class's support.
+* A collision-receiver class that contends alone -- either class under
+  TDMA, and CS at K = inf -- and the uplink benchmark bound are Poisson
+  series with a relative truncation error of 1e-12
+  (``poisson_expectation``), batched over loads.  The NCS metrics at
+  K = inf nest it in an outer sum over the CS count.
+* Every other scenario is one grid ((g_c, g_n), K) or two, whose four
+  metrics ``_two_class_metrics`` sums from a receiver's cell kernel
+  (``_collision_kernel``, or the superposition module's) over the Poisson
+  supports of both classes, truncated at an absolute tail mass.
+* Supports beyond ``MAX_TWO_CLASS_CELLS`` cells and a CS tolerance sum
+  whose binomial coefficients pass the floats are refused.
 * The literal closed forms of the metrics are the test oracle
   ``tests/closed_form_oracle.py``; ``sim_erasure`` is the independent Monte
   Carlo oracle.
@@ -46,6 +39,7 @@ from .core import (
     Receiver,
     ScenarioConfig,
     ServiceMetrics,
+    SimulatedMetrics,
     Tdma,
     _c_log,
     _poisson_pmf,
@@ -102,12 +96,7 @@ def poisson_expectation(f, loads) -> np.ndarray:
     than ``MAX_TWO_CLASS_CELLS`` terms.
     """
     uniq, inverse = np.unique(np.asarray(loads, dtype=float), return_inverse=True)
-    terms = poisson_tail_cutoff(float(uniq[-1]), TAIL_MASS_DEFAULT) + 1
-    if terms > MAX_TWO_CLASS_CELLS:
-        raise ValueError(
-            f"per-slot load {uniq[-1]:g} spans {terms:.3g} terms of Poisson support, "
-            f"over the limit of {MAX_TWO_CLASS_CELLS}"
-        )
+    _check_work(float(uniq[-1]))
     blocks = [
         _expectation_block(f, uniq[lo : lo + _BLOCK_LOADS])
         for lo in range(0, uniq.size, _BLOCK_LOADS)
@@ -170,13 +159,17 @@ def isolated_class_metrics(L: int, e1: float, e2: float, loads) -> tuple[np.ndar
     return throughput, _per_active(tagged, loads)
 
 
-def _check_two_class_work(g_c: float, g_n: float) -> None:
-    cells = math.prod(poisson_tail_cutoff(g, TAIL_MASS_DEFAULT) + 1 for g in (g_c, g_n))
+def _check_work(*loads: float) -> None:
+    """Refuse a lone load, or a pair, whose Poisson supports span more than
+    ``MAX_TWO_CLASS_CELLS`` cells together."""
+    cells = math.prod(poisson_tail_cutoff(g, TAIL_MASS_DEFAULT) + 1 for g in loads)
+    if cells > MAX_TWO_CLASS_CELLS and len(loads) == 1:
+        raise ValueError(f"per-slot load {loads[0]:g} spans {cells:.3g} terms of Poisson "
+                         f"support, over the limit of {MAX_TWO_CLASS_CELLS}")
     if cells > MAX_TWO_CLASS_CELLS:
-        raise ValueError(
-            f"per-slot loads g_c={g_c:g}, g_n={g_n:g} span {cells:.3g} cells of "
-            f"Poisson support, over the two-class limit of {MAX_TWO_CLASS_CELLS}"
-        )
+        raise ValueError(f"per-slot loads g_c={loads[0]:g}, g_n={loads[1]:g} span {cells:.3g} "
+                         "cells of Poisson support, over the two-class limit of "
+                         f"{MAX_TWO_CLASS_CELLS}")
 
 
 def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[float, float]:
@@ -187,8 +180,8 @@ def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[
     NCS arrival also needing every CS arrival at its AP erased (e1**n_c)
     and each AP busy with a CS delivery with probability p_cs(n_c)(1 - e2).
     Both sums carry the relative truncation error of ``poisson_expectation``.
+    The planner refuses loads whose two supports span too many cells.
     """
-    _check_two_class_work(g_c, g_n)
 
     def outer(n_c):
         survive = (e1**n_c)[:, None]
@@ -203,7 +196,7 @@ def _ncs_ideal_k(L: int, e1: float, e2: float, g_c: float, g_n: float) -> tuple[
 
 
 # ============================================================================
-#  Both classes under finite tolerance
+#  Two-class grids
 # ============================================================================
 
 
@@ -310,20 +303,17 @@ def _two_class_metrics(e1, grids, kernel) -> list[tuple[float, float, float, flo
     return _reduce_grids(shapes, 2, cells, reduce)
 
 
-def _finite_k_metrics(L, e1, e2, pairs) -> dict:
-    """{(g_c, g_n): {K: the four metrics}} for each pair of per-slot loads in
-    ``pairs``, a mapping to its finite K values, at those K only.
+def _collision_kernel(L, e1, e2):
+    """The collision receiver's cell kernel for ``_two_class_metrics``.
 
-    Two-class series over the Poisson supports of both classes, truncated at
-    an absolute tail mass, through ``_two_class_metrics``.  Given (n_c, n_n),
-    an AP relays the tagged CS packet with probability p_u (the other
-    arrivals erased, the CS interference budget charged only with what that
-    AP actually receives, as in the slot-level simulation), some NCS packet
-    with probability q_n, and nothing with probability rest.  A CS delivery
-    needs one AP to relay it, at most K of the others an NCS packet and the
-    rest nothing; an NCS delivery needs the others all silent.  Where
-    n_c = 0 the cell's K is -1, so a pair without CS load forms no binomial.
-    The caller refuses what cannot be done.
+    Given (n_c, n_n), an AP relays the tagged CS packet with probability
+    p_u (the other arrivals erased, the CS interference budget charged only
+    with what that AP actually receives, as in the slot-level simulation),
+    some NCS packet with probability q_n, and nothing with probability rest.
+    A CS delivery needs one AP to relay it, at most K of the others an NCS
+    packet and the rest nothing; an NCS delivery needs the others all
+    silent.  Where n_c = 0 the cell's K is -1, so a grid without CS load
+    forms no binomial.  The planner refuses what cannot be done.
     """
 
     def kernel(n_c, n_n, budget, k):
@@ -334,9 +324,7 @@ def _finite_k_metrics(L, e1, e2, pairs) -> dict:
         head_n = (1.0 - e1) * e1 ** np.maximum(n_n - 1, 0) * e1**n_c * (1.0 - e2)
         return cs, L * head_n * rest ** (L - 1)
 
-    grids = [(pair, k) for pair, ks in pairs.items() for k in ks]
-    values = dict(zip(grids, _two_class_metrics(e1, grids, kernel)))
-    return {pair: {k: ServiceMetrics(*values[pair, k]) for k in ks} for pair, ks in pairs.items()}
+    return kernel
 
 
 # ============================================================================
@@ -360,62 +348,93 @@ def benchmark_bound(cfg: ScenarioConfig) -> float:
 
 
 # ============================================================================
-#  Scenario evaluation (collision receiver)
+#  Scenario evaluation
 # ============================================================================
 
 
-def evaluate_erasure_batch(cfgs) -> list[ServiceMetrics]:
-    """``evaluate_erasure`` of every scenario in ``cfgs``, in order.
+def evaluate_erasure_batch(cfgs, estimator=None) -> list:
+    """The class metrics of every erasure scenario in ``cfgs``, in order.
 
-    The loads of all classes that contend alone are evaluated together, one
-    ``isolated_class_metrics`` call per (L, eps1, eps2).  The finite-K
-    non-orthogonal scenarios are checked pair by pair in order, then go to
-    one ``_finite_k_metrics`` call per (L, eps1, eps2) with all their K.
+    Under the collision receiver, the loads of the classes that contend
+    alone go to one ``isolated_class_metrics`` call per (L, eps1, eps2), and
+    NCS at K = inf to ``_ncs_ideal_k`` once per distinct pair.  Every other
+    scenario is one grid ((g_c, g_n), K), or under TDMA two, each with the
+    other class's load at 0 and its throughput scaled by the slot share.
+    The distinct grids of each (receiver, L, eps1, eps2) go to one call:
+    ``_two_class_metrics`` with ``_collision_kernel``, or ``estimator``
+    (``ExactEnum()`` when None) under the superposition receiver.  Every
+    scenario is checked, in order, before any work (``ConditionedMC``
+    checks its draw size in its own call).  Returns ``ServiceMetrics``, or
+    ``SimulatedMetrics`` under ``ConditionedMC``.
     """
-    alone: dict = {}  # (L, eps1, eps2) -> the loads of classes that contend alone
-    tolerances: dict = {}  # (L, eps1, eps2, g_c, g_n) -> its finite K values
-    plans = []  # per scenario: its path, its group and where its values are
+    if estimator is None:
+        from .superposition import ExactEnum  # superposition imports this module
+
+        estimator = ExactEnum()
+    # Values lie in flat lists, each class's R with its Gamma right after it.
+    alone: dict = {}  # (L, eps1, eps2) -> (the loads of classes alone, their values)
+    ideal: dict = {}  # (L, eps1, eps2, g_c, g_n) -> where its NCS values are in ideal_values
+    ideal_values: list = []
+    groups: dict = {}  # (receiver, L, eps1, eps2) -> ({grid: its position}, values)
+    largest = 0.0  # the largest lone load checked; a support grows with the load
+    plans = []  # per scenario: where each class's values are, and the slot shares
     for cfg in cfgs:
-        if cfg.receiver != Receiver.COLLISION:
-            raise ValueError(
-                "evaluate_erasure handles the collision receiver; use the "
-                "superposition module for the superposition receiver"
-            )
-        e, g_c, g_n = cfg.erasure, cfg.cs_slot_load, cfg.ncs_slot_load
+        e, K = cfg.erasure, cfg.K
         key = (cfg.L, e.eps1, e.eps2)
-        if isinstance(cfg.allocation, Tdma):
+        tdma = isinstance(cfg.allocation, Tdma)
+        if tdma:
             (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-            plans.append(("tdma", key, len(alone.setdefault(key, [])), share_c, share_n))
-            alone[key] += (g_c, g_n)
-        elif cfg.K == INFINITE_K:
-            plans.append(("ideal", key, len(alone.setdefault(key, [])), g_c, g_n))
-            alone[key].append(g_c)
         else:
-            tolerances.setdefault((*key, g_c, g_n), set()).add(cfg.K)
-            plans.append(("finite", key, (g_c, g_n), cfg.K))
-    isolated = {
-        key: [values.tolist() for values in isolated_class_metrics(*key, loads)]
-        for key, loads in alone.items()
-    }
-    groups: dict = {}  # (L, eps1, eps2) -> {(g_c, g_n): its finite K values}
-    for (L, e1, e2, g_c, g_n), ks in tolerances.items():  # refused in this order
-        _check_two_class_work(g_c, g_n)
-        if g_c > 0 and math.comb(L - 1, min(max(ks), (L - 1) // 2)) > sys.float_info.max:
-            raise ValueError(f"L={L}, K={max(ks)}: a binomial coefficient of the CS "
-                             "tolerance sum overflows a float")
-        groups.setdefault((L, e1, e2), {})[g_c, g_n] = ks
-    finite = {key: _finite_k_metrics(*key, pairs) for key, pairs in groups.items()}
-    out = []
-    for path, key, *where in plans:
-        if path == "finite":  # where is the pair of loads and K
-            out.append(finite[key][where[0]][where[1]])
+            share_c, share_n, g_c, g_n = 1.0, 1.0, cfg.cs_slot_load, cfg.ncs_slot_load
+        if cfg.receiver == Receiver.COLLISION and (tdma or K == INFINITE_K):
+            loads, values = alone.setdefault(key, ([], []))
+            for g in (g_c, g_n) if tdma else (g_c,):
+                if g > largest:
+                    _check_work(g)
+                    largest = g
+                loads.append(g)
+            at = 2 * len(loads) - 2  # the last load's
+            if tdma:
+                plans.append((values, at - 2, values, at, share_c, share_n))
+                continue
+            pair = (*key, g_c, g_n)
+            if pair not in ideal:
+                _check_work(g_c, g_n)
+                ideal[pair] = 2 * len(ideal)
+            plans.append((values, at, ideal_values, ideal[pair], 1.0, 1.0))
             continue
-        (tput, psr), (at, a, b) = isolated[key], where
-        if path == "tdma":  # a, b are the slot shares
-            out.append(ServiceMetrics(a * tput[at], b * tput[at + 1], psr[at], psr[at + 1]))
-        else:  # a, b are the per-slot loads
-            r_n, p_n = _ncs_ideal_k(*key, a, b) if b > 0 else (0.0, 0.0)
-            out.append(ServiceMetrics(tput[at], r_n, psr[at], p_n))
+        grids, values = groups.setdefault((cfg.receiver, *key), ({}, []))
+        at = []
+        for grid in (((g_c, 0.0), K), ((0.0, g_n), K)) if tdma else (((g_c, g_n), K),):
+            if grid not in grids:
+                _check_work(*grid[0])
+                if (cfg.receiver == Receiver.COLLISION and g_c > 0
+                        and math.comb(cfg.L - 1, min(K, (cfg.L - 1) // 2)) > sys.float_info.max):
+                    raise ValueError(f"L={cfg.L}, K={K}: a binomial coefficient of the CS "
+                                     "tolerance sum overflows a float")
+                grids[grid] = len(grids)
+            at.append(grids[grid])
+        plans.append((values, 4 * at[0], values, 4 * at[-1] + 2, share_c, share_n))
+    for key, (loads, values) in alone.items():
+        values += np.stack(isolated_class_metrics(*key, loads), axis=1).ravel().tolist()
+    for pair in ideal:  # in the order of their positions
+        ideal_values += _ncs_ideal_k(*pair) if pair[-1] > 0 else (0.0, 0.0)
+    for (receiver, L, e1, e2), (grids, values) in groups.items():
+        if receiver == Receiver.COLLISION:
+            metrics = _two_class_metrics(e1, list(grids), _collision_kernel(L, e1, e2))
+        else:
+            metrics = estimator.metrics(L, e1, e2, list(grids))
+        for r_c, r_n, p_c, p_n in metrics:
+            values += (r_c, p_c, r_n, p_n)
+    out = []
+    for cs, i, ncs, j, share_c, share_n in plans:
+        r_c, p_c, r_n, p_n = cs[i], cs[i + 1], ncs[j], ncs[j + 1]
+        if isinstance(r_c, float):
+            out.append(ServiceMetrics(r_c * share_c, r_n * share_n, p_c, p_n))
+        else:  # ConditionedMC's accumulators
+            seed = estimator.seed
+            out.append(SimulatedMetrics(r_c.estimate(seed, share_c), r_n.estimate(seed, share_n),
+                                        p_c.estimate(seed, 1.0), p_n.estimate(seed, 1.0)))
     return out
 
 
@@ -425,4 +444,9 @@ def evaluate_erasure(cfg: ScenarioConfig) -> ServiceMetrics:
     A class with zero offered load gets zero throughput and, by convention,
     zero packet success rate (there is no active device to condition on).
     """
+    if cfg.receiver != Receiver.COLLISION:
+        raise ValueError(
+            "evaluate_erasure handles the collision receiver; use the "
+            "superposition module for the superposition receiver"
+        )
     return evaluate_erasure_batch([cfg])[0]

@@ -32,7 +32,6 @@ from .core import (
     ScenarioConfig,
     Tdma,
 )
-from .superposition import ConditionedMC, ExactEnum
 
 #: Fixed default seed (0xC0FFEE); echoed into every stochastic output.
 DEFAULT_SEED = 0xC0FFEE
@@ -180,16 +179,26 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class AnalyticBackend:
-    seed = None
+    """The deterministic planner for one BS receiver: ``analytic`` in the
+    config under the collision receiver, ``superposition`` under the other,
+    whose grids ``estimator`` evaluates."""
+
+    receiver: str = Receiver.COLLISION
+    estimator: superposition.ExactEnum | superposition.ConditionedMC = superposition.ExactEnum()
+
+    @property
+    def seed(self):
+        return self.estimator.seed
 
     def check(self, cfg: ScenarioConfig) -> None:
-        if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != Receiver.COLLISION:
+        if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != self.receiver:
+            name = "analytic" if self.receiver == Receiver.COLLISION else "superposition"
             raise ConfigError(
-                "analytic backend requires the erasure channel and collision receiver"
+                f"{name} backend requires the erasure channel and {self.receiver} receiver"
             )
 
     def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
-        return analytic_erasure.evaluate_erasure_batch(cfgs)
+        return analytic_erasure.evaluate_erasure_batch(cfgs, self.estimator)
 
 
 @dataclass(frozen=True)
@@ -225,26 +234,7 @@ class FadingBackend:
         ]
 
 
-@dataclass(frozen=True)
-class SuperpositionBackend:
-    estimator: ExactEnum | ConditionedMC = ExactEnum()
-
-    @property
-    def seed(self):
-        return self.estimator.seed
-
-    def check(self, cfg: ScenarioConfig) -> None:
-        if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != Receiver.SUPERPOSITION:
-            raise ConfigError(
-                "superposition backend requires the erasure channel and "
-                "superposition receiver"
-            )
-
-    def evaluate(self, cfgs: list[ScenarioConfig]) -> list:
-        return superposition.evaluate_superposition_batch(cfgs, self.estimator)
-
-
-Backend = AnalyticBackend | SimBackend | FadingBackend | SuperpositionBackend
+Backend = AnalyticBackend | SimBackend | FadingBackend
 
 
 def _count_setting(args, sim_sec, key: str, default: int | None = None, minimum: int = 1) -> int:
@@ -278,14 +268,13 @@ def backend_from_config(parser, name: str, args) -> Backend:
                 raise ConfigError(f"unknown key '{key}' in [superposition]")
         kind = str(sup_sec.get("estimator", "exact")).strip().lower()
         if kind == "exact":
-            return SuperpositionBackend(estimator=ExactEnum())
+            return AnalyticBackend(Receiver.SUPERPOSITION)
         if kind == "mc":
             samples = _get(sup_sec, "mc_samples", int, 1000)
             if samples < 1:
                 raise ConfigError(f"mc_samples must be >= 1, got {samples}")
-            return SuperpositionBackend(
-                estimator=ConditionedMC(n_alloc_samples=samples, seed=seed)
-            )
+            mc = superposition.ConditionedMC(n_alloc_samples=samples, seed=seed)
+            return AnalyticBackend(Receiver.SUPERPOSITION, mc)
         raise ConfigError(f"unknown superposition estimator {kind!r}")
     raise ConfigError(f"unknown backend {name!r}")
 
@@ -633,7 +622,11 @@ def validate(
         key = (cfg.L, cfg.T, cfg.G, cfg.gamma_c, e.eps1, e.eps2, cfg.allocation)
         groups.setdefault(key, []).append(cfg)
 
-    trials_target = int(math.ceil(0.25 / target_se**2))
+    # A target below sqrt(0.25 / cap) gives every group the cap, and one above
+    # 1 a single trial; clamped to that range, every budget stays as it was
+    # and 0.25 / se**2 stays a finite, nonzero float.
+    se = min(max(target_se, math.sqrt(0.25 / _VALIDATE_MAX_FRAMES)), 1.0)
+    trials_target = int(math.ceil(0.25 / se**2))
     cells = []
     for key, cfgs in groups.items():
         base = cfgs[0]
@@ -794,11 +787,10 @@ def _metrics_lines(row: list, flags=()) -> list[str]:
 
 def _point_backend(parser, cfg: ScenarioConfig, args) -> Backend:
     """``eval`` picks its backend by receiver; ``sim`` and ``fading`` are their own."""
-    if args.command != "eval":
-        return backend_from_config(parser, args.command, args)
-    if cfg.receiver == Receiver.SUPERPOSITION:
-        return backend_from_config(parser, "superposition", args)
-    return AnalyticBackend()  # ignores [sim]
+    if args.command == "eval" and cfg.receiver == Receiver.COLLISION:
+        return AnalyticBackend()  # ignores [sim]
+    name = "superposition" if args.command == "eval" else args.command
+    return backend_from_config(parser, name, args)
 
 
 def _run(args) -> int:

@@ -123,6 +123,12 @@ class FadingParams:
             raise ValueError("transmission rates must be > 0")
         if max(self.r_c, self.r_cbar) >= 1024:
             raise ValueError("transmission rates must be below 1024: 2**rate - 1 overflows")
+        # A received power is its mean times a chi-square factor below 2**8 in
+        # numpy's Gaussian sampler; sums over a slot's messages and coherent
+        # sums over APs stay many orders of magnitude below the float limit.
+        if max(self.alpha2 * self.P_c, self.beta2 * max(self.P_c_ap, self.P_cbar_ap)) > 1e150:
+            raise ValueError("mean received powers alpha2 * P_c and beta2 * P_ap must be "
+                             "at most 1e150, or the drawn powers can overflow")
 
 
 # ============================================================================

@@ -41,16 +41,18 @@ from .core import (
 def _winner(rx: np.ndarray, n_c: int, fading: FadingParams, present=None) -> np.ndarray:
     """Index (1-based, 0 = none) of the max-SINR message over the last axis
     of the received powers ``rx`` when its SINR clears its class's threshold
-    2**rate - 1.  Ties go to the lowest index; where ``present`` is False a
-    message never wins.
+    2**rate - 1.  At a fixed total, SINR grows with the received power, so
+    that message is the strongest one; ties go to the lowest index, and
+    where ``present`` is False a message never wins.  The test is
+    rx >= threshold * (1 + the sum of the other messages), which takes no
+    difference of large powers.
     """
-    sinr = rx / (1.0 + rx.sum(axis=-1, keepdims=True) - rx)
-    if present is not None:
-        sinr = np.where(present, sinr, -1.0)
-    best = np.argmax(sinr, axis=-1)  # first occurrence wins ties
-    best_sinr = np.take_along_axis(sinr, best[..., None], axis=-1)[..., 0]
-    msg = best + 1  # messages are 1-based, CS first
-    ok = best_sinr >= np.where(msg <= n_c, 2.0**fading.r_c - 1.0, 2.0**fading.r_cbar - 1.0)
+    score = rx if present is None else np.where(present, rx, -1.0)
+    best = np.argmax(score, axis=-1)[..., None]  # first occurrence wins ties
+    others = np.where(np.arange(rx.shape[-1]) == best, 0.0, rx).sum(axis=-1)
+    msg = best[..., 0] + 1  # messages are 1-based, CS first
+    threshold = np.where(msg <= n_c, 2.0**fading.r_c - 1.0, 2.0**fading.r_cbar - 1.0)
+    ok = np.take_along_axis(score, best, axis=-1)[..., 0] >= threshold * (1.0 + others)
     return np.where(ok, msg, 0)
 
 

@@ -5,30 +5,24 @@ the BS; only distinct-message interference destroys.  Conditioned on the
 per-slot transmission counts (n_c, n_cbar), the vector of per-message AP
 copy counts is multinomial over (silent, one cell per CS message, one cell
 per NCS message).  The tolerance K enters only through two rows of
-``gamma_k_tolerance_array``, built once per class grid (once per batch of
-grids by ``ExactEnum``): the AP budget at eps1 of n NCS arrivals, and
-``bs_budget[m]``, the BS budget at eps2 with m NCS copies.
+``gamma_k_tolerance_array``: the AP budget at eps1 of n NCS arrivals, and
+the BS budget at eps2 with m NCS copies.
 
-Two estimators of the expectation over AP allocations.  Both offer
-``metrics(L, e1, e2, k, loads)``: for each (g_c, g_n) pair of per-slot loads,
-the class throughputs and packet success rates (R_c, R_cbar, Gamma_c,
-Gamma_cbar); a class with no load gets zero packet success rate:
+``analytic_erasure.evaluate_erasure_batch`` plans these scenarios too and
+hands the grids ((g_c, g_n), K) of each (L, eps1, eps2) to one
+``metrics(L, e1, e2, grids)`` call of an estimator of the expectation over
+AP allocations, which gives each grid's (R_c, R_cbar, Gamma_c, Gamma_cbar):
 
 * ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
   within a class are exchangeable, so the multinomial sum collapses to a
   difference of powers per (n_c, n_cbar): the cell kernel
-  ``_tagged_decode``, which ``analytic_erasure._two_class_metrics`` (the
-  collision receiver's finite-K driver too) runs elementwise over the
-  cells of every pair's Poisson support grid, at a cost of about L grid
+  ``_tagged_decode``, which ``analytic_erasure._two_class_metrics`` runs
+  elementwise over the cells of every grid, at a cost of about L grid
   passes.  It equals exhaustive enumeration of the allocations (pinned
   against a literal enumerator in ``tests/test_superposition.py``).
 * ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair, pair by
   pair, from dedicated substreams of the master seed and keeps the
   per-allocation values, from which standard errors are reported.
-
-Before either estimator does any work, ``evaluate_superposition_batch``
-refuses loads whose two Poisson supports span more than
-``analytic_erasure.MAX_TWO_CLASS_CELLS`` cells, the analytic series' rule.
 """
 
 from __future__ import annotations
@@ -42,16 +36,13 @@ from .core import (
     MAX_ITEM_DRAWS,
     Receiver,
     ScenarioConfig,
-    ServiceMetrics,
     SimEstimate,
-    SimulatedMetrics,
-    Tdma,
     gamma_k_tolerance_array,
     multinomial_sample,
     poisson_weights,
 )
-from .analytic_erasure import _check_two_class_work, _class_support, _p_cs_array
-from .analytic_erasure import _two_class_metrics
+from .analytic_erasure import _class_support, _p_cs_array, _two_class_metrics
+from .analytic_erasure import evaluate_erasure_batch
 
 
 # ============================================================================
@@ -98,21 +89,22 @@ def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray
         return np.log(s), np.log1p(-ratio)
 
 
-def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
+def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row):
     """BS decode probabilities of a tagged CS and a tagged NCS message.
 
     Both are elementwise over the cells (``n_c``, ``n_n``) of per-slot
     transmission counts; ``ap_budget`` is each cell's AP budget (at its NCS
-    count) and ``bs_budget`` is indexed by the number of NCS copies at the
-    BS.  Each AP independently relays the tagged message of a class with
-    probability t (p = n t for the class), and is silent with probability
+    count) and ``bs_rows[row, b]`` each cell's BS budget with b NCS copies
+    at the BS (``row``: one per cell, or one for all).  Each AP
+    independently relays the tagged message of a class with probability t
+    (p = n t for the class), and is silent with probability
     rest = 1 - p_c - p_n.  The tagged message decodes when some copy of it
     survives the backhaul and every copy of every other message of its
     class is erased; a CS decode also needs the BS budget of its b NCS
     copies, while an NCS decode needs every CS copy erased.  Summing the
     multinomial over the copy counts leaves differences of powers: with
     B = rest + p_c e2 and d = t_c (1 - e2), the CS probability is
-    sum_b C(L, b) p_n**b bs_budget[b] ((B + d)**(L-b) - B**(L-b)); the NCS
+    sum_b C(L, b) p_n**b budget_b ((B + d)**(L-b) - B**(L-b)); the NCS
     one is (B' + d')**L - B'**L with B' = rest + (p_c + p_n) e2 and
     d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
     factor overflows at large L.
@@ -129,7 +121,7 @@ def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
     for b in range(L):  # b = L leaves no AP for the tagged message
         m = L - b
         log_w = math.log(math.comb(L, b)) + (b * log_p if b else 0.0) + m * log_s
-        cs += bs_budget[b] * np.exp(log_w) * -np.expm1(m * log_gap)
+        cs += bs_rows[row, b] * np.exp(log_w) * -np.expm1(m * log_gap)
     log_s, log_gap = _log_power_gap(rest + (p_c + p_n) * e2 + d_n, d_n)
     ncs = np.exp(L * log_s) * -np.expm1(L * log_gap)
     return cs, ncs
@@ -223,13 +215,15 @@ class ExactEnum:
 
     seed = None
 
-    def metrics(self, L, e1, e2, k, loads) -> list[tuple[float, ...]]:
-        bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+    def metrics(self, L, e1, e2, grids) -> list[tuple[float, ...]]:
+        ks = sorted({k for _, k in grids})
+        bs_rows = np.array([gamma_k_tolerance_array(np.arange(L + 1), e2, k) for k in ks])
 
-        def kernel(n_c, n_n, ap_budget, _):
-            return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+        def kernel(n_c, n_n, ap_budget, k):  # each cell's row of bs_rows is its K's
+            row = np.searchsorted(ks, k)
+            return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row)
 
-        return _two_class_metrics(e1, [(pair, k) for pair in loads], kernel)
+        return _two_class_metrics(e1, grids, kernel)
 
 
 @dataclass(frozen=True)
@@ -248,8 +242,8 @@ class ConditionedMC:
         probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
         return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
 
-    def metrics(self, L, e1, e2, k, loads) -> list[tuple[_McAccumulator, ...]]:
-        sides = [(_class_support(g_c), _class_support(g_n)) for g_c, g_n in loads]
+    def metrics(self, L, e1, e2, grids) -> list[tuple[_McAccumulator, ...]]:
+        sides = [(_class_support(g_c), _class_support(g_n)) for (g_c, g_n), _ in grids]
         cells = 1 + max(int(c[0][-1] + n[0][-1]) for c, n in sides)
         if self.n_alloc_samples * cells > MAX_ITEM_DRAWS:
             raise ValueError(
@@ -257,7 +251,7 @@ class ConditionedMC:
                 f"{self.n_alloc_samples * cells:.3g} counts, more than the "
                 f"{MAX_ITEM_DRAWS} one draw may hold"
             )
-        return [self._grid(L, e1, e2, *pair, k, *side) for pair, side in zip(loads, sides)]
+        return [self._grid(L, e1, e2, *pair, k, *side) for (pair, k), side in zip(grids, sides)]
 
     def _grid(self, L, e1, e2, g_c, g_n, k, sup_c, sup_n) -> tuple[_McAccumulator, ...]:
         r_c, r_n, p_c, p_n = (_McAccumulator() for _ in range(4))
@@ -285,51 +279,13 @@ class ConditionedMC:
 # ============================================================================
 
 
-def evaluate_superposition_batch(
-    cfgs, estimator: ExactEnum | ConditionedMC = ExactEnum()
-) -> list:
-    """Class metrics of superposition-receiver erasure scenarios, in order.
-
-    Returns ``ServiceMetrics`` under ``ExactEnum`` and ``SimulatedMetrics``
-    (with standard errors) under ``ConditionedMC``.  TDMA is evaluated per
-    class over its slot share with the other class silenced, with class
-    throughput scaled by the share.  Every scenario's class grids are
-    checked, in order, before any work: loads whose two Poisson supports
-    span more than ``MAX_TWO_CLASS_CELLS`` cells are refused with a
-    ValueError.  The distinct grids of each (L, eps1, eps2, K) then go to
-    one ``estimator.metrics`` call.
-    """
-    groups: dict = {}  # (L, eps1, eps2, K) -> {(g_c, g_n): its position}
-    plans = []  # per scenario: its group, its grids' positions and its shares
-    for cfg in cfgs:
-        e = cfg.erasure
-        if cfg.receiver != Receiver.SUPERPOSITION:
-            raise ValueError("evaluate_superposition requires the superposition receiver")
-        if isinstance(cfg.allocation, Tdma):
-            (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
-            grids = ((g_c, 0.0), (0.0, g_n))
-        else:
-            share_c = share_n = 1.0
-            grids = ((cfg.cs_slot_load, cfg.ncs_slot_load),)
-        for loads in grids:
-            _check_two_class_work(*loads)
-        key = (cfg.L, e.eps1, e.eps2, cfg.K)
-        pairs = groups.setdefault(key, {})
-        plans.append((key, [pairs.setdefault(g, len(pairs)) for g in grids], share_c, share_n))
-    results = {key: estimator.metrics(*key, list(pairs)) for key, pairs in groups.items()}
-    out = []
-    for key, at, share_c, share_n in plans:
-        (r_c, _, p_c, _), (_, r_n, _, p_n) = results[key][at[0]], results[key][at[-1]]
-        scaled = ((r_c, share_c), (r_n, share_n), (p_c, 1.0), (p_n, 1.0))
-        if estimator.seed is None:
-            out.append(ServiceMetrics(*(value * s for value, s in scaled)))
-        else:
-            out.append(SimulatedMetrics(*(acc.estimate(estimator.seed, s) for acc, s in scaled)))
-    return out
-
-
 def evaluate_superposition(
     cfg: ScenarioConfig, estimator: ExactEnum | ConditionedMC = ExactEnum()
 ):
-    """The metrics of one scenario, as ``evaluate_superposition_batch`` gives them."""
-    return evaluate_superposition_batch([cfg], estimator)[0]
+    """The metrics of one superposition-receiver scenario under ``estimator``,
+    as ``analytic_erasure.evaluate_erasure_batch`` gives them: ``ServiceMetrics``
+    under ``ExactEnum``, ``SimulatedMetrics`` (with standard errors) under
+    ``ConditionedMC``."""
+    if cfg.receiver != Receiver.SUPERPOSITION:
+        raise ValueError("evaluate_superposition requires the superposition receiver")
+    return evaluate_erasure_batch([cfg], estimator)[0]

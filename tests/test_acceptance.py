@@ -71,13 +71,15 @@ def test_criterion_01_closed_forms_match_series():
             worst = max(worst, rel_err(
                 oracle.ncs_psr_inf_closed(L, e1, e2, gc, gn), ncs_psr))
             n_checks += 2
-            for K, m in ae._finite_k_metrics(L, e1, e2, {(gc, gn): ks})[gc, gn].items():
+            grids = [((gc, gn), K) for K in ks]
+            finite = ae._two_class_metrics(e1, grids, ae._collision_kernel(L, e1, e2))
+            for K, (r_c, r_n, _, _) in zip(ks, finite):
                 worst = max(worst, rel_err(
-                    oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K), m.R_cbar))
+                    oracle.ncs_throughput_k_closed(L, e1, e2, gc, gn, K), r_n))
                 n_checks += 1
                 if L <= K + 1:
                     worst = max(worst, rel_err(
-                        oracle.cs_throughput_k_closed(L, e1, e2, gc, gn, K), m.R_c))
+                        oracle.cs_throughput_k_closed(L, e1, e2, gc, gn, K), r_c))
                     n_checks += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 30.0 and n_checks >= 400

@@ -11,12 +11,14 @@ import pytest
 from scipy import special
 
 import twohop_aloha.analytic_erasure as ae
+import twohop_aloha.superposition as sp
 import closed_form_oracle as oracle
 from twohop_aloha.core import (
     INFINITE_K,
     ErasureParams,
     Receiver,
     ScenarioConfig,
+    ServiceMetrics,
     Tdma,
     poisson_pmf,
     poisson_tail_cutoff,
@@ -243,7 +245,7 @@ def test_finite_k_requires_finite_k(monkeypatch):
     def refuse(*args):
         raise AssertionError("finite-K evaluator called")
 
-    monkeypatch.setattr(ae, "_finite_k_metrics", refuse)
+    monkeypatch.setattr(ae, "_two_class_metrics", refuse)
     ae.evaluate_erasure(erasure_cfg(gamma_c=0.5, K=INFINITE_K))
     ae.evaluate_erasure(erasure_cfg(T=2, gamma_c=0.5, K=1, allocation=Tdma(alpha=0.5)))
     with pytest.raises(AssertionError):
@@ -317,14 +319,15 @@ def test_finite_k_refuses_binomials_beyond_floats():
 def test_finite_k_memory_per_cell(ks):
     # per-slot loads of 200 per class: 308 x 308 cells of Poisson support
     cfg = erasure_cfg(L=3, T=1, G=400.0, gamma_c=0.5)
-    args = (3, 0.5, 0.5, {(cfg.cs_slot_load, cfg.ncs_slot_load): ks})
+    args = (0.5, [((cfg.cs_slot_load, cfg.ncs_slot_load), k) for k in ks],
+            ae._collision_kernel(3, 0.5, 0.5))
     cells = poisson_weights(cfg.cs_slot_load)[0].size * poisson_weights(cfg.ncs_slot_load)[0].size
     assert cells == 94_864
-    ae._finite_k_metrics(*args)  # fills the memoized Poisson cutoffs and tolerance rows
+    ae._two_class_metrics(*args)  # fills the memoized Poisson cutoffs and tolerance rows
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        ae._finite_k_metrics(*args)
+        ae._two_class_metrics(*args)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -584,8 +587,8 @@ def test_evaluate_erasure_dispatch():
 
 def test_evaluate_erasure_finite_k_uses_finite_forms():
     cfg = erasure_cfg(L=3, G=4.0, gamma_c=0.5, K=1)
-    [metrics] = ae._finite_k_metrics(3, 0.5, 0.5, {(2.0, 2.0): [1]}).values()
-    assert ae.evaluate_erasure(cfg) == metrics[1]
+    [metrics] = ae._two_class_metrics(0.5, [((2.0, 2.0), 1)], ae._collision_kernel(3, 0.5, 0.5))
+    assert ae.evaluate_erasure(cfg) == ServiceMetrics(*metrics)
 
 
 def test_batch_equals_single_evaluations():
@@ -643,18 +646,39 @@ def test_finite_k_batch_refuses_its_first_refused_pair():
         ae.evaluate_erasure_batch([ok, too_big, ok.replace(K=1), overflow])
 
 
+@pytest.mark.parametrize("path", ["collision_tdma", "collision_k_inf", "collision_finite_k",
+                                  "superposition_exact", "superposition_mc"])
+def test_a_refused_last_scenario_is_refused_before_any_work(monkeypatch, path):
+    # every scenario of a batch is checked, in order, before any evaluation:
+    # a lone class at a per-slot load of 2e8, or two classes at 1e4 each
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the last scenario was checked")
+
+    for name in ("isolated_class_metrics", "_ncs_ideal_k", "_two_class_metrics"):
+        monkeypatch.setattr(ae, name, no_work)
+    monkeypatch.setattr(sp, "multinomial_sample", no_work)
+    tdma = path == "collision_tdma"
+    receiver = Receiver.SUPERPOSITION if "superposition" in path else Receiver.COLLISION
+    ok = erasure_cfg(G=2.0, gamma_c=0.5, K=INFINITE_K if path == "collision_k_inf" else 2,
+                     receiver=receiver, **({"allocation": Tdma(alpha=0.5)} if tdma else {}))
+    estimator = sp.ConditionedMC(n_alloc_samples=10) if path == "superposition_mc" else None
+    batch = [ok, ok.replace(gamma_c=0.25), ok.replace(G=2e8 if tdma else 2e4)]
+    with pytest.raises(ValueError, match="terms of Poisson support" if tdma else "two-class limit"):
+        ae.evaluate_erasure_batch(batch, estimator)
+
+
 def test_region_makes_one_finite_k_evaluation_per_group(monkeypatch):
     # the 71 non-orthogonal points of the README region share (L, eps1, eps2)
     from twohop_aloha import cli
 
     calls = []
-    evaluate = ae._finite_k_metrics
+    evaluate = ae._two_class_metrics
 
-    def counted(L, e1, e2, pairs):
-        calls.append(len(pairs))
-        return evaluate(L, e1, e2, pairs)
+    def counted(e1, grids, kernel):
+        calls.append(len(grids))
+        return evaluate(e1, grids, kernel)
 
-    monkeypatch.setattr(ae, "_finite_k_metrics", counted)
+    monkeypatch.setattr(ae, "_two_class_metrics", counted)
     grid = tuple(i / 70 for i in range(71))
     base = erasure_cfg(T=8, G=16.0, K=2)
     cli.compute_region(base, grid, grid, ("non_orthogonal",), cli.AnalyticBackend())
@@ -671,8 +695,8 @@ def test_finite_k_evaluation_makes_one_grid_pass(monkeypatch):
         return reduce_grids(shapes, *args)
 
     monkeypatch.setattr(ae, "_reduce_grids", counted)
-    pairs = {(2.0, 2.0): {1, 2}, (0.0, 1.0): {2}, (1.0, 0.0): {0}, (0.5, 3.0): {5}}
-    ae._finite_k_metrics(3, 0.5, 0.5, pairs)
+    grids = [((2.0, 2.0), 1), ((2.0, 2.0), 2), ((0.0, 1.0), 2), ((1.0, 0.0), 0), ((0.5, 3.0), 5)]
+    ae._two_class_metrics(0.5, grids, ae._collision_kernel(3, 0.5, 0.5))
     assert passes == [5]
 
 

@@ -380,7 +380,7 @@ def test_each_command_takes_only_the_flags_it_reads(tmp_path, command, flags):
 
 
 def test_eval_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
-    def broken(cfgs):
+    def broken(*args):
         raise ValueError("deliberately broken")
 
     monkeypatch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", broken)
@@ -875,6 +875,27 @@ def run_cli(capsys, argv):
     return rc, out, err
 
 
+@pytest.mark.parametrize("target_se", ["1e-200", "1e-160", "1e300"])
+def test_validate_budget_at_extreme_target_se(tmp_path, capsys, monkeypatch, target_se):
+    # 0.25 / target_se**2 divided by zero at 1e-200 and overflowed at 1e-160
+    # and 1e300; a tiny target gets the frame cap, a huge one one trial
+    frames = []
+    real = cli.sim_erasure.simulate_multi_k
+
+    def spy(cfg, ks, n_frames, *args):
+        frames.append(n_frames)
+        return real(cfg, ks, n_frames, *args)
+
+    monkeypatch.setattr(cli, "_VALIDATE_MAX_FRAMES", 3000)
+    monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", spy)
+    path = write_ini(tmp_path, "[meta]\nschema_version = 1\n\n[validate]\nl = 2\neps1 = 0.5\n"
+                     "eps2 = 0.5\nload = 0.25\ngamma_c = 0.5\nk = 1\n")
+    rc, out, err = run_cli(capsys, ["validate", "--config", path, "--target-se", target_se])
+    assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION) and err == ""
+    p_min = -math.expm1(-0.125)  # each class's chance of a device at load 0.125
+    assert frames == [3000 if float(target_se) < 1 else math.ceil(1.05 / p_min) + 500]
+
+
 def spy_scenarios(monkeypatch, module, name):
     """Record the scenarios that reach ``module.name``, which still runs."""
     seen = []
@@ -982,6 +1003,12 @@ _REFUSALS_BEFORE_ANY_DRAW = {
         "fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nr_c = 2000"),
         ["--slots", "100"], cli.EXIT_CONFIG,
         "config error: transmission rates must be below 1024: 2**rate - 1 overflows\n",
+        (cli.sim_fading, "_run_fading_chunk")),
+    "fading_power_beyond_the_floats": (
+        "fading", FADING_INI.replace("alpha2 = 1.0", "alpha2 = 1e308"),
+        ["--slots", "100"], cli.EXIT_CONFIG,
+        "config error: mean received powers alpha2 * P_c and beta2 * P_ap must be at most "
+        "1e150, or the drawn powers can overflow\n",
         (cli.sim_fading, "_run_fading_chunk")),
     "mc_samples_over_the_draw_bound": (
         "eval", SUPERPOSITION_INI + "\n[superposition]\nestimator = mc\n"

@@ -444,6 +444,15 @@ def test_fading_params_power_ordering():
                 FadingParams(**{"alpha2": 1.0, "beta2": 1.0, name: bad})
 
 
+def test_fading_params_refuse_mean_powers_whose_draws_can_overflow():
+    # alpha2 = 1e308 overflowed the drawn powers; the bound is 1e150 on each
+    # mean received power, access and backhaul
+    FadingParams(alpha2=1e149, beta2=1e149, P_cbar_ap=10.0)
+    for fields in ({"alpha2": 1.1e149}, {"beta2": 1.1e149}, {"P_cbar_ap": 11.0, "beta2": 1e149}):
+        with pytest.raises(ValueError, match="at most 1e150"):
+            FadingParams(**{"alpha2": 1.0, "beta2": 1.0, **fields})
+
+
 def test_scenario_config_validation():
     ch = ErasureParams(0.5, 0.5)
     cfg = ScenarioConfig(L=3, T=8, G=16.0, gamma_c=1.0, channel=ch)

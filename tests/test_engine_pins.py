@@ -314,5 +314,5 @@ def test_batches_reproduce_the_pins():
         (sp.ConditionedMC(n_alloc_samples=200, seed=18), _metrics,
          ("superposition_mc", "superposition_mc_tdma")),
     ):
-        got = sp.evaluate_superposition_batch(cfgs, estimator)
+        got = ae.evaluate_erasure_batch(cfgs, estimator)
         assert [summary(m) for m in got] == [EXPECTED[n] for n in (*names, names[0])]

@@ -259,6 +259,13 @@ def test_bs_decode_rows_match_row_by_row_calls():
         assert batched[4] == 0
 
 
+def test_winner_weighs_the_other_messages_without_cancelling():
+    # 1 + (1e40 + 1e20) - 1e40 cancelled to 0, so message 1 decoded at an
+    # SINR of 1e20, far below 2**80 - 1; a lone message at 1e17 divided by 0
+    assert sf._winner(np.array([1e40, 1e20]), 2, FadingParams(1.0, 1.0, r_c=80.0)) == 0
+    assert sf._winner(np.array([1e17]), 1, FadingParams(1.0, 1.0)) == 1
+
+
 def test_bs_decode_never_picks_an_absent_message():
     # no relay power for CS copies and a threshold of 0 (2**1e-20 - 1 == 0):
     # every candidate scores SINR 0, so an unmasked argmax would pick the

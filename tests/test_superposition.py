@@ -153,7 +153,7 @@ def _kernel(L, n_c, n_n, e1, e2, k):
     """The exact kernel's (tagged CS, tagged NCS) decode probabilities at one pair."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
     counts = np.array([n_c]), np.array([n_n])
-    cs, ncs = sp._tagged_decode(L, e1, e2, *counts, np.array([ap[n_n]]), bs)
+    cs, ncs = sp._tagged_decode(L, e1, e2, *counts, np.array([ap[n_n]]), bs[None], 0)
     return float(cs[0]), float(ncs[0])
 
 
@@ -427,7 +427,7 @@ def test_batch_equals_one_scenario_evaluation(backend):
         Ls = (1, 3) if backend == "mc" else (1, 2, 3, 5, 64)
         cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, Ls)
         def batch(cfgs):
-            return sp.evaluate_superposition_batch(cfgs, estimator)
+            return ae.evaluate_erasure_batch(cfgs, estimator)
         def one(cfg):
             return sp.evaluate_superposition(cfg, estimator)
     assert [repr(m) for m in batch(cfgs)] == [repr(one(c)) for c in cfgs]
@@ -436,27 +436,27 @@ def test_batch_equals_one_scenario_evaluation(backend):
 def test_exact_batch_does_not_depend_on_the_block_size(monkeypatch):
     # blocks of 7 cells split every grid and straddle grid boundaries
     cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, (1, 3, 64))
-    expected = [repr(m) for m in sp.evaluate_superposition_batch(cfgs)]
+    expected = [repr(m) for m in ae.evaluate_erasure_batch(cfgs)]
     monkeypatch.setattr(ae, "_BLOCK_CELLS", 7)
-    assert [repr(m) for m in sp.evaluate_superposition_batch(cfgs)] == expected
+    assert [repr(m) for m in ae.evaluate_erasure_batch(cfgs)] == expected
 
 
 def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
-    # the 11 x 11 README region: every class grid of its one (L, eps1, eps2, K)
+    # the 11 x 11 README region: every class grid of its one (L, eps1, eps2)
     # group goes through the kernel together, block by block
     from twohop_aloha import cli
 
     calls = []
     kernel = sp._tagged_decode
 
-    def counted(L, e1, e2, n_c, n_n, ap_budget, bs_budget):
+    def counted(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row):
         calls.append(n_c.size)
-        return kernel(L, e1, e2, n_c, n_n, ap_budget, bs_budget)
+        return kernel(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row)
 
     monkeypatch.setattr(sp, "_tagged_decode", counted)
     base = sup_cfg(T=8, G=16.0, K=2)
     grid = tuple(i / 10 for i in range(11))
-    cli.compute_region(base, grid, grid, ("non_orthogonal", "tdma"), cli.SuperpositionBackend())
+    cli.compute_region(base, grid, grid, ("non_orthogonal", "tdma"), cli.AnalyticBackend(Receiver.SUPERPOSITION))
     loads = {(base.replace(gamma_c=g).cs_slot_load, base.replace(gamma_c=g).ncs_slot_load)
              for g in grid}
     for g, a in itertools.product(grid, grid):
@@ -489,10 +489,10 @@ def test_exact_memory_per_cell():
 def test_exact_batch_does_not_depend_on_the_run_budget(monkeypatch):
     # runs of 7 cells put every grid on a run of its own
     cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, (1, 3, 64))
-    expected = [repr(m) for m in sp.evaluate_superposition_batch(cfgs)]
+    expected = [repr(m) for m in ae.evaluate_erasure_batch(cfgs)]
     monkeypatch.setattr(ae, "_RUN_CELLS", 7)
     monkeypatch.setattr(ae, "_BLOCK_CELLS", 7)
-    assert [repr(m) for m in sp.evaluate_superposition_batch(cfgs)] == expected
+    assert [repr(m) for m in ae.evaluate_erasure_batch(cfgs)] == expected
 
 
 def test_each_load_support_is_built_once_per_call(monkeypatch):
@@ -515,7 +515,7 @@ def test_each_load_support_is_built_once_per_call(monkeypatch):
         loads |= {g for _, g in c.tdma_shares()}
     for _ in range(2):
         built.clear()
-        sp.evaluate_superposition_batch(cfgs)
+        ae.evaluate_erasure_batch(cfgs)
         assert sorted(built) == sorted(loads)
 
 
@@ -526,11 +526,11 @@ def test_exact_batch_memory_is_that_of_its_largest_grid():
                     K=2) for i in range(20)]
     peaks = []
     for batch in (cfgs[:1], cfgs):
-        sp.evaluate_superposition_batch(batch)  # fills the memoized cutoffs and tolerance rows
+        ae.evaluate_erasure_batch(batch)  # fills the memoized cutoffs and tolerance rows
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            sp.evaluate_superposition_batch(batch)
+            ae.evaluate_erasure_batch(batch)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
