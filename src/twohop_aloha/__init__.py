@@ -19,7 +19,7 @@ from .core import (
     Tdma,
 )
 from .analytic_erasure import benchmark_bound, evaluate_erasure
-from .superposition import ConditionedMC, ExactEnum, evaluate_superposition
+from .superposition import ConditionedMC, evaluate_superposition
 from .sim_erasure import simulate
 from .sim_fading import estimate_fading_metrics
 
@@ -38,7 +38,6 @@ __all__ = [
     "benchmark_bound",
     "evaluate_erasure",
     "ConditionedMC",
-    "ExactEnum",
     "evaluate_superposition",
     "simulate",
     "estimate_fading_metrics",

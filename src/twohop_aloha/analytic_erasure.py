@@ -10,9 +10,11 @@ receiver.  ``evaluate_erasure_batch`` plans every deterministic evaluation:
   (``poisson_expectation``), batched over loads.  The NCS metrics at
   K = inf nest it in an outer sum over the CS count.
 * Every other scenario is one grid ((g_c, g_n), K) or two, whose four
-  metrics ``_two_class_metrics`` sums from a receiver's cell kernel
-  (``_collision_kernel``, or the superposition module's) over the Poisson
-  supports of both classes, truncated at an absolute tail mass.
+  metrics ``_two_class_metrics`` sums from a receiver's cell kernel over
+  the Poisson supports of both classes, truncated at an absolute tail mass:
+  ``_collision_kernel``, or ``_superposition_kernel``, which sums the
+  multinomial AP allocations of the superposition receiver in closed form
+  (``superposition.ConditionedMC`` samples them instead).
 * Supports beyond ``MAX_TWO_CLASS_CELLS`` cells and a CS tolerance sum
   whose binomial coefficients pass the floats are refused.
 * The literal closed forms of the metrics are the test oracle
@@ -327,6 +329,77 @@ def _collision_kernel(L, e1, e2):
     return kernel
 
 
+def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log s, log1p(-d / s))`` for 0 <= d <= s, elementwise.
+
+    Then s**m - (s - d)**m = exp(m log s) * -expm1(m log1p(-d / s)) with
+    no cancellation, also where s - d is 0 (the second log is -inf) or
+    where s is 0 (both vanish).
+    """
+    ratio = np.divide(d, s, out=np.zeros(s.shape), where=s > 0)
+    with np.errstate(divide="ignore"):
+        return np.log(s), np.log1p(-ratio)
+
+
+def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row):
+    """BS decode probabilities of a tagged CS and a tagged NCS message.
+
+    Both are elementwise over the cells (``n_c``, ``n_n``) of per-slot
+    transmission counts; ``ap_budget`` is each cell's AP budget (at its NCS
+    count) and ``bs_rows[row, b]`` each cell's BS budget with b NCS copies
+    at the BS (``row``: one per cell, or one for all).  Each AP
+    independently relays the tagged message of a class with probability t
+    (p = n t for the class), and is silent with probability
+    rest = 1 - p_c - p_n.  The tagged message decodes when some copy of it
+    survives the backhaul and every copy of every other message of its
+    class is erased; a CS decode also needs the BS budget of its b NCS
+    copies, while an NCS decode needs every CS copy erased.  Summing the
+    multinomial over the copy counts leaves differences of powers: with
+    B = rest + p_c e2 and d = t_c (1 - e2), the CS probability is
+    sum_b C(L, b) p_n**b budget_b ((B + d)**(L-b) - B**(L-b)); the NCS
+    one is (B' + d')**L - B'**L with B' = rest + (p_c + p_n) e2 and
+    d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
+    factor overflows at large L.
+    """
+    p_c = _p_cs_array(n_c, e1) * ap_budget
+    p_n = _p_cs_array(n_n, e1) * e1**n_c
+    t_c, t_n = p_c / np.maximum(n_c, 1), p_n / np.maximum(n_n, 1)
+    rest = np.maximum(1.0 - p_c - p_n, 0.0)
+    d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
+    log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p_n)
+    cs = np.zeros(log_s.shape)
+    for b in range(L):  # b = L leaves no AP for the tagged message
+        m = L - b
+        log_w = math.log(math.comb(L, b)) + (b * log_p if b else 0.0) + m * log_s
+        cs += bs_rows[row, b] * np.exp(log_w) * -np.expm1(m * log_gap)
+    log_s, log_gap = _log_power_gap(rest + (p_c + p_n) * e2 + d_n, d_n)
+    ncs = np.exp(L * log_s) * -np.expm1(L * log_gap)
+    return cs, ncs
+
+
+def _superposition_kernel(L, e1, e2, grids):
+    """The superposition receiver's cell kernel for ``_two_class_metrics``.
+
+    Copies of one message relayed by several APs combine at the BS, so
+    conditioned on (n_c, n_n) the per-message copy counts are multinomial
+    over the APs; message cells within a class are exchangeable, and the
+    sum over the allocations collapses to ``_tagged_decode``, at a cost of
+    about L grid passes.  It equals exhaustive enumeration of the
+    allocations (pinned against a literal enumerator in
+    ``tests/test_superposition.py``).  Each cell reads the BS tolerance
+    row at eps2 of its own grid's K, one row per K of ``grids``.
+    """
+    ks = sorted({k for _, k in grids})
+    bs_rows = np.array([gamma_k_tolerance_array(np.arange(L + 1), e2, k) for k in ks])
+
+    def kernel(n_c, n_n, ap_budget, k):
+        return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, np.searchsorted(ks, k))
+
+    return kernel
+
+
 # ============================================================================
 #  Benchmark uplink bound
 # ============================================================================
@@ -361,16 +434,13 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
     scenario is one grid ((g_c, g_n), K), or under TDMA two, each with the
     other class's load at 0 and its throughput scaled by the slot share.
     The distinct grids of each (receiver, L, eps1, eps2) go to one call:
-    ``_two_class_metrics`` with ``_collision_kernel``, or ``estimator``
-    (``ExactEnum()`` when None) under the superposition receiver.  Every
-    scenario is checked, in order, before any work (``ConditionedMC``
-    checks its draw size in its own call).  Returns ``ServiceMetrics``, or
-    ``SimulatedMetrics`` under ``ConditionedMC``.
+    ``_two_class_metrics`` with the receiver's kernel, or under the
+    superposition receiver ``estimator.metrics`` when an ``estimator``
+    (a ``superposition.ConditionedMC``) is given.  Every scenario is
+    checked, in order, and then every group's draw size by
+    ``estimator.check``, before any work.  Returns ``ServiceMetrics``, or
+    ``SimulatedMetrics`` under an estimator.
     """
-    if estimator is None:
-        from .superposition import ExactEnum  # superposition imports this module
-
-        estimator = ExactEnum()
     # Values lie in flat lists, each class's R with its Gamma right after it.
     alone: dict = {}  # (L, eps1, eps2) -> (the loads of classes alone, their values)
     ideal: dict = {}  # (L, eps1, eps2, g_c, g_n) -> where its NCS values are in ideal_values
@@ -415,15 +485,21 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
                 grids[grid] = len(grids)
             at.append(grids[grid])
         plans.append((values, 4 * at[0], values, 4 * at[-1] + 2, share_c, share_n))
+    for (receiver, *_), (grids, _) in groups.items():
+        if estimator is not None and receiver == Receiver.SUPERPOSITION:
+            estimator.check(list(grids))
     for key, (loads, values) in alone.items():
         values += np.stack(isolated_class_metrics(*key, loads), axis=1).ravel().tolist()
     for pair in ideal:  # in the order of their positions
         ideal_values += _ncs_ideal_k(*pair) if pair[-1] > 0 else (0.0, 0.0)
     for (receiver, L, e1, e2), (grids, values) in groups.items():
+        grids = list(grids)
         if receiver == Receiver.COLLISION:
-            metrics = _two_class_metrics(e1, list(grids), _collision_kernel(L, e1, e2))
+            metrics = _two_class_metrics(e1, grids, _collision_kernel(L, e1, e2))
+        elif estimator is not None:
+            metrics = estimator.metrics(L, e1, e2, grids)
         else:
-            metrics = estimator.metrics(L, e1, e2, list(grids))
+            metrics = _two_class_metrics(e1, grids, _superposition_kernel(L, e1, e2, grids))
         for r_c, r_n, p_c, p_n in metrics:
             values += (r_c, p_c, r_n, p_n)
     out = []
@@ -431,7 +507,7 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
         r_c, p_c, r_n, p_n = cs[i], cs[i + 1], ncs[j], ncs[j + 1]
         if isinstance(r_c, float):
             out.append(ServiceMetrics(r_c * share_c, r_n * share_n, p_c, p_n))
-        else:  # ConditionedMC's accumulators
+        else:  # the estimator's accumulators
             seed = estimator.seed
             out.append(SimulatedMetrics(r_c.estimate(seed, share_c), r_n.estimate(seed, share_n),
                                         p_c.estimate(seed, 1.0), p_n.estimate(seed, 1.0)))

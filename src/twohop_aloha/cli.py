@@ -181,14 +181,14 @@ def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
 class AnalyticBackend:
     """The deterministic planner for one BS receiver: ``analytic`` in the
     config under the collision receiver, ``superposition`` under the other,
-    whose grids ``estimator`` evaluates."""
+    whose grids ``estimator`` samples when it is given."""
 
     receiver: str = Receiver.COLLISION
-    estimator: superposition.ExactEnum | superposition.ConditionedMC = superposition.ExactEnum()
+    estimator: superposition.ConditionedMC | None = None
 
     @property
     def seed(self):
-        return self.estimator.seed
+        return None if self.estimator is None else self.estimator.seed
 
     def check(self, cfg: ScenarioConfig) -> None:
         if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != self.receiver:
@@ -468,33 +468,22 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
     """Drop points dominated by another point (both coordinates <=, one <).
 
     Sort-based 2-D maxima (Kung, Luccio & Preparata, JACM 1975): sweeping
-    R_c from the top in groups of equal R_c, a point is dominated iff some
-    point of strictly larger R_c reaches its R_cbar or a point of its own
-    group exceeds it.  Kept points come in input order, the first occurrence
+    the points by decreasing R_c, ties by decreasing R_cbar and then in
+    input order, a point is kept iff its R_cbar exceeds that of every point
+    swept before it.  Kept points come in input order, the first occurrence
     of each (R_c, R_cbar) only.  A NaN coordinate, which dominance cannot
     order, is refused with a ValueError.
     """
     if any(math.isnan(p[-2]) or math.isnan(p[-1]) for p in points):
         raise ValueError("throughput region points must not be NaN")
-    ranked = sorted(range(len(points)), key=lambda i: points[i][-2], reverse=True)
-    dominated = set()
-    best_above = None  # largest R_cbar over the groups swept so far
-    for _, group in itertools.groupby(ranked, key=lambda i: points[i][-2]):
-        group = list(group)
-        top = max(points[i][-1] for i in group)
-        for i in group:
-            y = points[i][-1]
-            if y < top or (best_above is not None and y <= best_above):
-                dominated.add(i)
-        best_above = top if best_above is None else max(best_above, top)
+    ranked = sorted(range(len(points)), key=lambda i: (-points[i][-2], -points[i][-1]))
     kept = []
-    seen = set()
-    for i, p in enumerate(points):
-        key = (p[-2], p[-1])
-        if i not in dominated and key not in seen:
-            kept.append(p)
-            seen.add(key)
-    return kept
+    best = None  # largest R_cbar swept so far
+    for i in ranked:
+        if best is None or points[i][-1] > best:
+            kept.append(i)
+            best = points[i][-1]
+    return [points[i] for i in sorted(kept)]
 
 
 def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backend) -> list[tuple]:

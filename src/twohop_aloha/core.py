@@ -683,30 +683,6 @@ def _scaled_power(base: float, e):
 
 
 # ============================================================================
-#  Sampling
-# ============================================================================
-
-
-def multinomial_sample(
-    rng: np.random.Generator, trials: int, probs, size: int | None = None
-) -> np.ndarray:
-    """Draw cell counts for ``trials`` placements with the given cell probs.
-
-    With ``size`` set, returns that many independent draws as rows.
-    """
-    p = np.asarray(probs, dtype=float)
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("probs must be a non-empty 1-D vector")
-    if np.any(p < 0):
-        raise ValueError("probs must be non-negative")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probs must sum to 1 within 1e-12, got sum {p.sum()!r}")
-    return rng.multinomial(trials, p / p.sum(), size=size)
-
-
-# ============================================================================
 #  Chunked Monte Carlo driver
 # ============================================================================
 

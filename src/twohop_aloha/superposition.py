@@ -1,4 +1,4 @@
-"""BS decoding under the superposition receiver.
+"""Monte Carlo over AP allocations under the superposition receiver.
 
 Copies of the same message relayed by several APs combine constructively at
 the BS; only distinct-message interference destroys.  Conditioned on the
@@ -8,21 +8,12 @@ per NCS message).  The tolerance K enters only through two rows of
 ``gamma_k_tolerance_array``: the AP budget at eps1 of n NCS arrivals, and
 the BS budget at eps2 with m NCS copies.
 
-``analytic_erasure.evaluate_erasure_batch`` plans these scenarios too and
-hands the grids ((g_c, g_n), K) of each (L, eps1, eps2) to one
-``metrics(L, e1, e2, grids)`` call of an estimator of the expectation over
-AP allocations, which gives each grid's (R_c, R_cbar, Gamma_c, Gamma_cbar):
-
-* ``ExactEnum`` -- exact, as floats; its ``seed`` is None.  Message cells
-  within a class are exchangeable, so the multinomial sum collapses to a
-  difference of powers per (n_c, n_cbar): the cell kernel
-  ``_tagged_decode``, which ``analytic_erasure._two_class_metrics`` runs
-  elementwise over the cells of every grid, at a cost of about L grid
-  passes.  It equals exhaustive enumeration of the allocations (pinned
-  against a literal enumerator in ``tests/test_superposition.py``).
-* ``ConditionedMC`` -- samples allocations per (n_c, n_cbar) pair, pair by
-  pair, from dedicated substreams of the master seed and keeps the
-  per-allocation values, from which standard errors are reported.
+``analytic_erasure`` sums the allocations exactly (its
+``_superposition_kernel``).  ``ConditionedMC`` samples them instead, pair by
+pair, from dedicated substreams of the master seed, and keeps the
+per-allocation values, from which standard errors are reported:
+``analytic_erasure.evaluate_erasure_batch`` hands the grids ((g_c, g_n), K)
+of each (L, eps1, eps2) to one ``check`` and then one ``metrics`` call.
 """
 
 from __future__ import annotations
@@ -38,11 +29,9 @@ from .core import (
     ScenarioConfig,
     SimEstimate,
     gamma_k_tolerance_array,
-    multinomial_sample,
     poisson_weights,
 )
-from .analytic_erasure import _class_support, _p_cs_array, _two_class_metrics
-from .analytic_erasure import evaluate_erasure_batch
+from .analytic_erasure import _class_support, _p_cs_array, evaluate_erasure_batch
 
 
 # ============================================================================
@@ -70,61 +59,6 @@ def ap_allocation_probs(
     if n_cbar > 0:
         probs.extend([p_n / n_cbar] * n_cbar)
     return np.array(probs)
-
-
-# ============================================================================
-#  Exact expectation (one array kernel over the Poisson support grids)
-# ============================================================================
-
-
-def _log_power_gap(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(log s, log1p(-d / s))`` for 0 <= d <= s, elementwise.
-
-    Then s**m - (s - d)**m = exp(m log s) * -expm1(m log1p(-d / s)) with
-    no cancellation, also where s - d is 0 (the second log is -inf) or
-    where s is 0 (both vanish).
-    """
-    ratio = np.divide(d, s, out=np.zeros(s.shape), where=s > 0)
-    with np.errstate(divide="ignore"):
-        return np.log(s), np.log1p(-ratio)
-
-
-def _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row):
-    """BS decode probabilities of a tagged CS and a tagged NCS message.
-
-    Both are elementwise over the cells (``n_c``, ``n_n``) of per-slot
-    transmission counts; ``ap_budget`` is each cell's AP budget (at its NCS
-    count) and ``bs_rows[row, b]`` each cell's BS budget with b NCS copies
-    at the BS (``row``: one per cell, or one for all).  Each AP
-    independently relays the tagged message of a class with probability t
-    (p = n t for the class), and is silent with probability
-    rest = 1 - p_c - p_n.  The tagged message decodes when some copy of it
-    survives the backhaul and every copy of every other message of its
-    class is erased; a CS decode also needs the BS budget of its b NCS
-    copies, while an NCS decode needs every CS copy erased.  Summing the
-    multinomial over the copy counts leaves differences of powers: with
-    B = rest + p_c e2 and d = t_c (1 - e2), the CS probability is
-    sum_b C(L, b) p_n**b budget_b ((B + d)**(L-b) - B**(L-b)); the NCS
-    one is (B' + d')**L - B'**L with B' = rest + (p_c + p_n) e2 and
-    d' = t_n (1 - e2).  The binomial weights are taken in logs, so no
-    factor overflows at large L.
-    """
-    p_c = _p_cs_array(n_c, e1) * ap_budget
-    p_n = _p_cs_array(n_n, e1) * e1**n_c
-    t_c, t_n = p_c / np.maximum(n_c, 1), p_n / np.maximum(n_n, 1)
-    rest = np.maximum(1.0 - p_c - p_n, 0.0)
-    d_c, d_n = t_c * (1.0 - e2), t_n * (1.0 - e2)
-    log_s, log_gap = _log_power_gap(rest + p_c * e2 + d_c, d_c)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(p_n)
-    cs = np.zeros(log_s.shape)
-    for b in range(L):  # b = L leaves no AP for the tagged message
-        m = L - b
-        log_w = math.log(math.comb(L, b)) + (b * log_p if b else 0.0) + m * log_s
-        cs += bs_rows[row, b] * np.exp(log_w) * -np.expm1(m * log_gap)
-    log_s, log_gap = _log_power_gap(rest + (p_c + p_n) * e2 + d_n, d_n)
-    ncs = np.exp(L * log_s) * -np.expm1(L * log_gap)
-    return cs, ncs
 
 
 # ============================================================================
@@ -210,28 +144,12 @@ def _weighted_pairs(ns_a, ws_a, ns_b, ws_b):
 
 
 @dataclass(frozen=True)
-class ExactEnum:
-    """Exact expectation over AP allocations, summed over the Poisson grid."""
-
-    seed = None
-
-    def metrics(self, L, e1, e2, grids) -> list[tuple[float, ...]]:
-        ks = sorted({k for _, k in grids})
-        bs_rows = np.array([gamma_k_tolerance_array(np.arange(L + 1), e2, k) for k in ks])
-
-        def kernel(n_c, n_n, ap_budget, k):  # each cell's row of bs_rows is its K's
-            row = np.searchsorted(ks, k)
-            return _tagged_decode(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row)
-
-        return _two_class_metrics(e1, grids, kernel)
-
-
-@dataclass(frozen=True)
 class ConditionedMC:
     """Monte Carlo over allocations, conditioned per (n_c, n_cbar) pair.
 
-    Samples whose draw at the supports' largest counts would hold more than
-    ``MAX_ITEM_DRAWS`` counts are refused with a ValueError before any draw.
+    ``check`` refuses, with a ValueError, grids whose draw at the supports'
+    largest counts would hold more than ``MAX_ITEM_DRAWS`` counts; the
+    planner calls it for every group before any draw.
     """
 
     n_alloc_samples: int = 1000
@@ -240,17 +158,20 @@ class ConditionedMC:
     def _draws(self, purpose: int, L, n_c, n_n, e1, ap_budget) -> np.ndarray:
         rng = _pair_rng(self.seed, purpose, n_c, n_n)
         probs = ap_allocation_probs(n_c, n_n, e1, ap_budget[n_n])
-        return multinomial_sample(rng, L, probs, size=self.n_alloc_samples)
+        return rng.multinomial(L, probs / probs.sum(), size=self.n_alloc_samples)
 
-    def metrics(self, L, e1, e2, grids) -> list[tuple[_McAccumulator, ...]]:
-        sides = [(_class_support(g_c), _class_support(g_n)) for (g_c, g_n), _ in grids]
-        cells = 1 + max(int(c[0][-1] + n[0][-1]) for c, n in sides)
+    def check(self, grids) -> None:
+        cells = 1 + max(int(_class_support(g_c)[0][-1] + _class_support(g_n)[0][-1])
+                        for (g_c, g_n), _ in grids)
         if self.n_alloc_samples * cells > MAX_ITEM_DRAWS:
             raise ValueError(
                 f"mc_samples = {self.n_alloc_samples} allocations of {cells} cells need "
                 f"{self.n_alloc_samples * cells:.3g} counts, more than the "
                 f"{MAX_ITEM_DRAWS} one draw may hold"
             )
+
+    def metrics(self, L, e1, e2, grids) -> list[tuple[_McAccumulator, ...]]:
+        sides = [(_class_support(g_c), _class_support(g_n)) for (g_c, g_n), _ in grids]
         return [self._grid(L, e1, e2, *pair, k, *side) for (pair, k), side in zip(grids, sides)]
 
     def _grid(self, L, e1, e2, g_c, g_n, k, sup_c, sup_n) -> tuple[_McAccumulator, ...]:
@@ -279,13 +200,11 @@ class ConditionedMC:
 # ============================================================================
 
 
-def evaluate_superposition(
-    cfg: ScenarioConfig, estimator: ExactEnum | ConditionedMC = ExactEnum()
-):
-    """The metrics of one superposition-receiver scenario under ``estimator``,
-    as ``analytic_erasure.evaluate_erasure_batch`` gives them: ``ServiceMetrics``
-    under ``ExactEnum``, ``SimulatedMetrics`` (with standard errors) under
-    ``ConditionedMC``."""
+def evaluate_superposition(cfg: ScenarioConfig, estimator: ConditionedMC | None = None):
+    """The metrics of one superposition-receiver scenario, as
+    ``analytic_erasure.evaluate_erasure_batch`` gives them: exact
+    ``ServiceMetrics``, or ``SimulatedMetrics`` (with standard errors) under
+    a ``ConditionedMC`` ``estimator``."""
     if cfg.receiver != Receiver.SUPERPOSITION:
         raise ValueError("evaluate_superposition requires the superposition receiver")
     return evaluate_erasure_batch([cfg], estimator)[0]

@@ -656,7 +656,7 @@ def test_a_refused_last_scenario_is_refused_before_any_work(monkeypatch, path):
 
     for name in ("isolated_class_metrics", "_ncs_ideal_k", "_two_class_metrics"):
         monkeypatch.setattr(ae, name, no_work)
-    monkeypatch.setattr(sp, "multinomial_sample", no_work)
+    monkeypatch.setattr(sp.ConditionedMC, "_draws", no_work)
     tdma = path == "collision_tdma"
     receiver = Receiver.SUPERPOSITION if "superposition" in path else Receiver.COLLISION
     ok = erasure_cfg(G=2.0, gamma_c=0.5, K=INFINITE_K if path == "collision_k_inf" else 2,
@@ -665,6 +665,19 @@ def test_a_refused_last_scenario_is_refused_before_any_work(monkeypatch, path):
     batch = [ok, ok.replace(gamma_c=0.25), ok.replace(G=2e8 if tdma else 2e4)]
     with pytest.raises(ValueError, match="terms of Poisson support" if tdma else "two-class limit"):
         ae.evaluate_erasure_batch(batch, estimator)
+
+
+def test_an_oversized_mc_group_is_refused_before_any_group_draws(monkeypatch):
+    # the draw size of every superposition group is checked before the first
+    # group draws: here the second group's largest pair overflows the bound
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a group drew before every group's draw size was checked")
+
+    monkeypatch.setattr(sp.ConditionedMC, "_draws", no_draw)
+    small = erasure_cfg(L=3, G=0.2, gamma_c=0.5, K=2, receiver=Receiver.SUPERPOSITION)
+    with pytest.raises(ValueError, match="allocations of .* cells need .* one draw may hold"):
+        ae.evaluate_erasure_batch([small, small.replace(L=4, G=600.0)],
+                                  sp.ConditionedMC(n_alloc_samples=100_000))
 
 
 def test_region_makes_one_finite_k_evaluation_per_group(monkeypatch):

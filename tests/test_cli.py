@@ -1015,7 +1015,7 @@ _REFUSALS_BEFORE_ANY_DRAW = {
         "mc_samples = 100000000000\n", [], cli.EXIT_CAPACITY,
         "numerical error: mc_samples = 100000000000 allocations of 29 cells need 2.9e+12 "
         "counts, more than the 67108864 one draw may hold\n",
-        (cli.superposition, "multinomial_sample")),
+        (cli.superposition.ConditionedMC, "_draws")),
 }
 
 

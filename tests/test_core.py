@@ -10,6 +10,7 @@ from scipy import special, stats
 
 from twohop_aloha import core
 from twohop_aloha.analytic_erasure import _class_support
+from twohop_aloha.superposition import ConditionedMC, ap_allocation_probs
 from twohop_aloha.core import (
     INFINITE_K,
     TAIL_MASS_DEFAULT,
@@ -24,7 +25,6 @@ from twohop_aloha.core import (
     bernoulli_estimate,
     gamma_k_tolerance_array,
     log_factorial,
-    multinomial_sample,
     poisson_tail_cutoff,
     poisson_weights,
 )
@@ -391,26 +391,13 @@ def test_tolerance_rows_match_high_precision_sums():
 # ---------------------------------------------------------------------------
 
 
-def test_multinomial_trivial_cases():
-    rng = np.random.default_rng(0)
-    assert multinomial_sample(rng, 5, [1.0]).tolist() == [5]
-    assert multinomial_sample(rng, 0, [0.5, 0.5]).tolist() == [0, 0]
-
-
-def test_multinomial_rejects_bad_probs():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        multinomial_sample(rng, 3, [0.5, 0.6])
-    with pytest.raises(ValueError):
-        multinomial_sample(rng, 3, [0.7, -0.3, 0.6])
-    with pytest.raises(ValueError):
-        multinomial_sample(rng, 3, [])
-
-
 def test_multinomial_cell_means():
-    rng = np.random.default_rng(1234)
-    trials, probs, n = 7, np.array([0.2, 0.3, 0.5]), 100_000
-    draws = multinomial_sample(rng, trials, probs, size=n)
+    # the superposition Monte Carlo draws one (n_c, n_cbar) pair's AP
+    # allocations with the cell probabilities of ap_allocation_probs
+    trials, n_c, n_n, e1, budget, n = 7, 1, 2, 0.3, [1.0, 1.0, 0.8], 100_000
+    draws = ConditionedMC(n_alloc_samples=n, seed=1234)._draws(0, trials, n_c, n_n, e1, budget)
+    probs = ap_allocation_probs(n_c, n_n, e1, budget[n_n])
+    assert draws.shape == (n, probs.size)
     assert np.all(draws.sum(axis=1) == trials)
     for i, p in enumerate(probs):
         mean = draws[:, i].mean()

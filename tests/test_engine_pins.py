@@ -310,7 +310,7 @@ def test_batches_reproduce_the_pins():
     assert [_service(m) for m in got] == [EXPECTED[n] for n in names]
     cfgs = [_SUP, _SUP_TDMA, _SUP]
     for estimator, summary, names in (
-        (sp.ExactEnum(), _service, ("superposition_exact", "superposition_exact_tdma")),
+        (None, _service, ("superposition_exact", "superposition_exact_tdma")),
         (sp.ConditionedMC(n_alloc_samples=200, seed=18), _metrics,
          ("superposition_mc", "superposition_mc_tdma")),
     ):

@@ -153,7 +153,7 @@ def _kernel(L, n_c, n_n, e1, e2, k):
     """The exact kernel's (tagged CS, tagged NCS) decode probabilities at one pair."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
     counts = np.array([n_c]), np.array([n_n])
-    cs, ncs = sp._tagged_decode(L, e1, e2, *counts, np.array([ap[n_n]]), bs[None], 0)
+    cs, ncs = ae._tagged_decode(L, e1, e2, *counts, np.array([ap[n_n]]), bs[None], 0)
     return float(cs[0]), float(ncs[0])
 
 
@@ -343,7 +343,7 @@ def test_capacity_error_never_silently_degrades(monkeypatch):
         monkeypatch.setattr(module, "gamma_k_tolerance_array", no_work)
     for cfg in (sup_cfg(L=5, T=1, G=2e4, K=2),
                 sup_cfg(L=5, T=1, G=2e8, K=2, allocation=Tdma(alpha=0.5))):
-        for estimator in (sp.ExactEnum(), sp.ConditionedMC(n_alloc_samples=10)):
+        for estimator in (None, sp.ConditionedMC(n_alloc_samples=10)):
             with pytest.raises(ValueError, match="two-class limit"):
                 sp.evaluate_superposition(cfg, estimator)
 
@@ -423,7 +423,7 @@ def test_batch_equals_one_scenario_evaluation(backend):
         cfgs = _mixed_scenarios(Receiver.COLLISION)
         batch, one = ae.evaluate_erasure_batch, ae.evaluate_erasure
     else:
-        estimator = sp.ExactEnum() if backend == "exact" else sp.ConditionedMC(20, seed=5)
+        estimator = None if backend == "exact" else sp.ConditionedMC(20, seed=5)
         Ls = (1, 3) if backend == "mc" else (1, 2, 3, 5, 64)
         cfgs = _mixed_scenarios(Receiver.SUPERPOSITION, Ls)
         def batch(cfgs):
@@ -447,13 +447,13 @@ def test_region_makes_one_kernel_call_per_group_and_block(monkeypatch):
     from twohop_aloha import cli
 
     calls = []
-    kernel = sp._tagged_decode
+    kernel = ae._tagged_decode
 
     def counted(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row):
         calls.append(n_c.size)
         return kernel(L, e1, e2, n_c, n_n, ap_budget, bs_rows, row)
 
-    monkeypatch.setattr(sp, "_tagged_decode", counted)
+    monkeypatch.setattr(ae, "_tagged_decode", counted)
     base = sup_cfg(T=8, G=16.0, K=2)
     grid = tuple(i / 10 for i in range(11))
     cli.compute_region(base, grid, grid, ("non_orthogonal", "tdma"), cli.AnalyticBackend(Receiver.SUPERPOSITION))
