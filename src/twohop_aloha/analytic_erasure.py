@@ -119,8 +119,11 @@ def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
         n = np.arange(lo, lo + _BLOCK_TERMS + 1)
         pmf = _poisson_pmf(n, g, log_g)
         partial = total + np.cumsum(pmf[:, None, :-1] * f(n[:-1]), axis=2)
-        if not np.all((partial >= 0.0) & (partial < np.inf)):
+        if not (partial.min() >= 0.0 and partial.max() < np.inf):  # NaN fails both
             raise ValueError("Poisson partial sum is negative or not finite: f must lie in [0, 1]")
+        total = partial[..., -1:]
+        if n[-2] < low:  # below every load no sum can stop
+            continue
         slack = (1.0 - g / (n[:-1] + 2.0))[:, None, :]
         stop = (n[:-1] >= g)[:, None, :] & (pmf[:, None, 1:] <= _REL_TRUNCATION * slack * partial)
         first = np.take_along_axis(partial, stop.argmax(axis=2)[..., None], axis=2)[..., 0]
@@ -128,7 +131,6 @@ def _expectation_block(f, lam: np.ndarray) -> np.ndarray:
         done = done | stop.any(axis=2)
         if np.all(done):
             return value.T
-        total = partial[..., -1:]
 
 
 def _class_terms(L: int, e1: float, e2: float, n, survive=1.0, busy=0.0) -> np.ndarray:
@@ -265,8 +267,8 @@ def _class_support(g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pmf = w
     if n.size == 1:  # a cut at count 0 still tags count 1
         n, w, pmf = np.arange(2), np.append(w, 0.0), poisson_pmf(np.arange(2), g)
-    tagged = pmf / -math.expm1(-g)
-    tagged[0] = 0.0
+    tagged = np.zeros(n.size)  # count 0 untagged; 1 / P(N >= 1) overflows at a subnormal g
+    tagged[1:] = pmf[1:] / -math.expm1(-g)
     return n, w, tagged
 
 
@@ -449,14 +451,14 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
     largest = 0.0  # the largest lone load checked; a support grows with the load
     plans = []  # per scenario: where each class's values are, and the slot shares
     for cfg in cfgs:
-        e, K = cfg.erasure, cfg.K
+        e, K, receiver = cfg.erasure, cfg.K, cfg.receiver
         key = (cfg.L, e.eps1, e.eps2)
         tdma = isinstance(cfg.allocation, Tdma)
         if tdma:
             (share_c, g_c), (share_n, g_n) = cfg.tdma_shares()
         else:
             share_c, share_n, g_c, g_n = 1.0, 1.0, cfg.cs_slot_load, cfg.ncs_slot_load
-        if cfg.receiver == Receiver.COLLISION and (tdma or K == INFINITE_K):
+        if receiver == Receiver.COLLISION and (tdma or K == INFINITE_K):
             loads, values = alone.setdefault(key, ([], []))
             for g in (g_c, g_n) if tdma else (g_c,):
                 if g > largest:
@@ -473,12 +475,12 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
                 ideal[pair] = 2 * len(ideal)
             plans.append((values, at, ideal_values, ideal[pair], 1.0, 1.0))
             continue
-        grids, values = groups.setdefault((cfg.receiver, *key), ({}, []))
+        grids, values = groups.setdefault((receiver, *key), ({}, []))
         at = []
         for grid in (((g_c, 0.0), K), ((0.0, g_n), K)) if tdma else (((g_c, g_n), K),):
             if grid not in grids:
                 _check_work(*grid[0])
-                if (cfg.receiver == Receiver.COLLISION and g_c > 0
+                if (receiver == Receiver.COLLISION and g_c > 0
                         and math.comb(cfg.L - 1, min(K, (cfg.L - 1) // 2)) > sys.float_info.max):
                     raise ValueError(f"L={cfg.L}, K={K}: a binomial coefficient of the CS "
                                      "tolerance sum overflows a float")
@@ -490,6 +492,7 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
             estimator.check(list(grids))
     for key, (loads, values) in alone.items():
         values += np.stack(isolated_class_metrics(*key, loads), axis=1).ravel().tolist()
+        loads.clear()  # freed before the outputs are built
     for pair in ideal:  # in the order of their positions
         ideal_values += _ncs_ideal_k(*pair) if pair[-1] > 0 else (0.0, 0.0)
     for (receiver, L, e1, e2), (grids, values) in groups.items():
@@ -505,7 +508,7 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
     out = []
     for cs, i, ncs, j, share_c, share_n in plans:
         r_c, p_c, r_n, p_n = cs[i], cs[i + 1], ncs[j], ncs[j + 1]
-        if isinstance(r_c, float):
+        if estimator is None or isinstance(r_c, float):
             out.append(ServiceMetrics(r_c * share_c, r_n * share_n, p_c, p_n))
         else:  # the estimator's accumulators
             seed = estimator.seed

@@ -98,6 +98,23 @@ def _construct(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+# The keys each section may hold; any other is refused, not ignored, and a
+# section not named here is not read.  configparser copies [DEFAULT]'s keys
+# into every section, so it may hold none.
+_SECTION_KEYS = {
+    "DEFAULT": set(),
+    "meta": {"schema_version"},
+    "scenario": {"l", "t", "g", "gamma_c", "k", "receiver", "allocation", "alpha"},
+    "erasure": {"eps1", "eps2"},
+    "fading": {f.name.lower() for f in dataclasses.fields(FadingParams)},
+    "sim": {"frames", "slots", "seed", "workers"},
+    "superposition": {"estimator", "mc_samples"},
+    "sweep": {"parameter", "values", "backend"},
+    "region": {"gamma_values", "gamma_count", "alpha_values", "alpha_count", "schemes", "backend"},
+    "validate": {"l", "eps1", "eps2", "load", "gamma_c", "k"},
+}
+
+
 def load_config_file(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -112,6 +129,10 @@ def load_config_file(path: str) -> configparser.ConfigParser:
     version = _get(parser["meta"], "schema_version", int, required=True)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    for name in (parser.default_section, *parser.sections()):
+        for key in parser[name] if name in _SECTION_KEYS else ():
+            if key not in _SECTION_KEYS[name]:
+                raise ConfigError(f"unknown key '{key}' in [{name}]")
     return parser
 
 
@@ -263,9 +284,6 @@ def backend_from_config(parser, name: str, args) -> Backend:
         slots = _count_setting(args, sim_sec, "slots")
         return FadingBackend(slots=slots, seed=seed, workers=workers)
     if name == "superposition":
-        for key in sup_sec:  # a retired key is refused, not ignored
-            if key not in ("estimator", "mc_samples"):
-                raise ConfigError(f"unknown key '{key}' in [superposition]")
         kind = str(sup_sec.get("estimator", "exact")).strip().lower()
         if kind == "exact":
             return AnalyticBackend(Receiver.SUPERPOSITION)
@@ -488,22 +506,20 @@ def pareto_filter(points: list[tuple]) -> list[tuple]:
 
 def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backend) -> list[tuple]:
     """Pareto-nondominated (R_c, R_cbar) frontier per allocation scheme."""
-    grid = []  # (scheme, gamma_c, alpha, allocation)
+    cfgs = []  # the non-orthogonal scenarios first
     if "non_orthogonal" in schemes:
-        grid += [("non_orthogonal", g, "", NON_ORTHOGONAL) for g in gammas]
+        cfgs += [base.replace(gamma_c=g, allocation=NON_ORTHOGONAL) for g in gammas]
     if "tdma" in schemes:
-        tdma = [(a, Tdma(alpha=a)) for a in alphas]
-        grid += [("tdma", g, a, alloc) for g in gammas for a, alloc in tdma]
-    cfgs = [base.replace(gamma_c=g, allocation=alloc) for _, g, _, alloc in grid]
-    results = _evaluate(backend, cfgs)
-    rows = []
-    for scheme in ("non_orthogonal", "tdma"):
-        rows += pareto_filter([
-            (s, g, a, *_metric_row(result, backend.seed)[:2])
-            for (s, g, a, _), result in zip(grid, results)
-            if s == scheme
-        ])
-    return rows
+        tdma = [Tdma(alpha=a) for a in alphas]
+        cfgs += [base.replace(gamma_c=g, allocation=alloc) for g in gammas for alloc in tdma]
+    points = [(result.R_c, result.R_cbar) for result in _evaluate(backend, cfgs)]
+    if backend.seed is not None:  # a stochastic backend's estimates: their means
+        points = [(r_c.mean, r_n.mean) for r_c, r_n in points]
+    n = len(gammas) if "non_orthogonal" in schemes else 0
+    rows = pareto_filter([("non_orthogonal", cfg.gamma_c, "", r_c, r_n)
+                          for cfg, (r_c, r_n) in zip(cfgs[:n], points)])
+    return rows + pareto_filter([("tdma", cfg.gamma_c, cfg.allocation.alpha, r_c, r_n)
+                                 for cfg, (r_c, r_n) in zip(cfgs[n:], points[n:])])
 
 
 # ============================================================================

@@ -216,7 +216,14 @@ class ScenarioConfig:
         return (alpha, g_c), (1.0 - alpha, g_n)
 
     def replace(self, **changes) -> "ScenarioConfig":
-        return type(self)(**{**vars(self), **changes})
+        """A copy with ``changes``, checked like a fresh construction."""
+        new = object.__new__(type(self))
+        fields = new.__dict__  # filled in field order, it keeps the instances' shared keys
+        fields.update(vars(self), **changes)
+        if len(fields) > len(vars(self)):
+            raise TypeError(f"no ScenarioConfig field {min(changes.keys() - vars(self).keys())!r}")
+        new.__post_init__()
+        return new
 
 
 # ============================================================================
@@ -236,16 +243,17 @@ class ServiceMetrics:
     _TOL = 1e-9
 
     def __post_init__(self):
-        if any(math.isnan(v) for v in vars(self).values()):
+        tol, r_c, r_n, p_c, p_n = self._TOL, self.R_c, self.R_cbar, self.Gamma_c, self.Gamma_cbar
+        if r_c != r_c or r_n != r_n or p_c != p_c or p_n != p_n:  # only NaN differs from itself
             raise ValueError(f"metrics must not be NaN, got {self}")
-        if self.R_c < -self._TOL or self.R_cbar < -self._TOL:
+        if r_c < -tol or r_n < -tol:
             raise ValueError("throughputs must be non-negative")
-        if self.R_c + self.R_cbar > 1.0 + self._TOL:
+        if r_c + r_n > 1.0 + tol:
             raise ValueError("R_c + R_cbar cannot exceed one packet per slot")
-        for name in ("Gamma_c", "Gamma_cbar"):
-            v = getattr(self, name)
-            if not -self._TOL <= v <= 1.0 + self._TOL:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not -tol <= p_c <= 1.0 + tol:
+            raise ValueError(f"Gamma_c must be in [0, 1], got {p_c}")
+        if not -tol <= p_n <= 1.0 + tol:
+            raise ValueError(f"Gamma_cbar must be in [0, 1], got {p_n}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 import twohop_aloha.analytic_erasure as ae
@@ -182,9 +186,60 @@ def test_poisson_expectation_refuses_values_outside_unit_interval():
     assert proc.returncode == 3, proc.stderr
 
 
+def test_poisson_expectation_refuses_values_outside_unit_interval_below_every_load():
+    # at loads of 500 and 700 the first block of terms, the counts 0..63,
+    # lies below both loads: no sum can stop there and the stop test is
+    # skipped, but the range check is not.  f is out of range on those
+    # counts only, and the negative partial sums turn positive after them.
+    script = textwrap.dedent("""
+        import numpy as np
+        from twohop_aloha.analytic_erasure import poisson_expectation
+        refused = 0
+        for value in (-0.5, np.nan, np.inf):
+            try:
+                poisson_expectation(lambda n: np.where(n < 64, value, 0.5)[None, :],
+                                    [500.0, 700.0])
+            except ValueError:
+                refused += 1
+        raise SystemExit(refused)
+    """)
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(small=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4, unique=True),
+       large=st.lists(st.floats(100.0, 2000.0), min_size=4, max_size=8, unique=True))
+def test_poisson_expectation_of_mixed_loads_keeps_each_loads_bits(small, large):
+    # In blocks of 4 loads, the block of the smallest loads (one below 60)
+    # runs the stop test on every block of terms, and the next one (every
+    # load at least 100) skips it on the terms 0..63, which lie below all
+    # of its loads.  Every value keeps the bits of its load alone.
+    loads = small + large
+    f = lambda n: ae._class_terms(3, 0.5, 0.5, n)  # noqa: E731
+    with mock.patch.object(ae, "_BLOCK_LOADS", 4):
+        mixed = ae.poisson_expectation(f, loads)
+    for j, g in enumerate(loads):
+        assert mixed[:, j].tobytes() == ae.poisson_expectation(f, [g])[:, 0].tobytes(), g
+
+
 def test_poisson_expectation_of_zero_is_zero():
     zero = ae.poisson_expectation(lambda n: np.zeros((1, n.size)), [0.0, 2.0, 50.0])
     assert zero.tolist() == [[0.0, 0.0, 0.0]]
+
+
+def test_a_subnormal_cs_load_evaluates_without_a_warning():
+    # the count-0 pmf over P(N >= 1) overflowed at gamma_c = 1e-320, and
+    # under warnings as errors the README scenario's eval was a traceback
+    readme = dict(L=3, T=8, G=16.0, channel=ErasureParams(0.5, 0.5), K=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = ae.evaluate_erasure(ScenarioConfig(gamma_c=1e-320, **readme))
+    small = ae.evaluate_erasure(ScenarioConfig(gamma_c=1e-12, **readme))
+    assert tiny.Gamma_c == pytest.approx(small.Gamma_c, rel=1e-9, abs=0.0)
 
 
 def test_psr_cs_single_limits():

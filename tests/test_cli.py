@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -1043,6 +1045,98 @@ def test_refusal_is_a_config_error(tmp_path, capsys, case):
     rc, stdout, err = run_cli(capsys, argv)
     assert (rc, stdout) == (cli.EXIT_CONFIG, "")
     assert err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+# (command, scenario file with one misspelled key, extra flags, the key, its section)
+_MISSPELLED_KEYS = {
+    "DEFAULT": ("eval", "[DEFAULT]\nseed = 5\n\n" + BASE_INI, [], "seed", "DEFAULT"),
+    "meta": ("eval", BASE_INI.replace("schema_version = 1", "schema_version = 1\nschema = 1"),
+             [], "schema", "meta"),
+    "scenario": ("eval", BASE_INI.replace("receiver = collision", "reciever = superposition"),
+                 [], "reciever", "scenario"),
+    "erasure": ("eval", BASE_INI.replace("eps2 = 0.5", "eps2 = 0.5\neps3 = 1"), [],
+                "eps3", "erasure"),
+    "fading": ("fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nbeta_2 = 1.0"),
+               ["--slots", "100"], "beta_2", "fading"),
+    "sim": ("sim", BASE_INI + "\n[sim]\nframes = 100\nframe = 100\n", [], "frame", "sim"),
+    "superposition": ("eval", SUPERPOSITION_RECEIVER + "\n[superposition]\nestimater = mc\n",
+                      [], "estimater", "superposition"),
+    "sweep": ("sweep", sweep_body(BASE_INI, "G") + "valeus = 1 2\n", [], "valeus", "sweep"),
+    "region": ("region", BASE_INI + _REGION + "scheme = tdma\n", [], "scheme", "region"),
+    "validate": ("validate", "[meta]\nschema_version = 1\n\n[validate]\nl = 2\nepsilon1 = 0.5\n",
+                 [], "epsilon1", "validate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSPELLED_KEYS))
+def test_a_key_its_section_does_not_read_is_a_config_error(tmp_path, capsys, case):
+    # such keys were ignored: reciever = superposition gave the collision
+    # receiver's numbers with exit 0
+    command, body, flags, key, section = _MISSPELLED_KEYS[case]
+    path = write_ini(tmp_path, body)
+    out = str(tmp_path / "never.csv")
+    rc, stdout, err = run_cli(capsys, [command, "--config", path, "--out", out] + flags)
+    assert (rc, stdout) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: unknown key '{key}' in [{section}]\n"
+    assert not os.path.exists(out)
+
+
+_BENCH = os.path.join(os.path.dirname(_SRC), "perfbench")
+
+
+def _benchmark_commands():
+    """The benchmark's commands, read from its ``workloads.py`` as it stands."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(_BENCH, "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [c for w in module.WORKLOADS.values() for c in w.commands]
+
+
+def _read_inputs(argv):
+    """Every reader ``cli._run`` calls on a command's inputs, and the backend's
+    scenario check; nothing is evaluated."""
+    args = cli._build_parser().parse_args(argv)
+    parser = cli.load_config_file(args.config) if args.config else None
+    if args.command == "validate":
+        return cli._validate_grid_from_config(parser)
+    cfg = cli.scenario_from_config(parser)
+    if args.command == "sweep":
+        *_, backend = cli._sweep_from_config(parser, args)
+    elif args.command == "region":
+        *_, backend = cli._region_from_config(parser, args)
+    else:
+        backend = cli._point_backend(parser, cfg, args)
+    backend.check(cfg)
+
+
+def test_every_benchmark_input_passes_its_commands_readers(tmp_path):
+    # the refusal of unknown keys must never refuse a benchmark input
+    commands = _benchmark_commands()
+    used = set()
+    for command in commands:
+        argv = command.argv(str(tmp_path), cli.DEFAULT_SEED)
+        used.add(os.path.basename(argv[argv.index("--config") + 1]))
+        _read_inputs(argv)
+    assert used == set(os.listdir(os.path.join(_BENCH, "scenarios")))
+
+
+def test_the_readme_grammar_passes_every_commands_readers(tmp_path):
+    section = (Path(_SRC).parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", section.split("### Scenario file grammar", 1)[1],
+                      re.DOTALL).group(1)
+    erasure = write_ini(tmp_path, block, "erasure.ini")
+    out = str(tmp_path / "never.csv")
+    for command in ("eval", "sim", "sweep", "region", "validate"):
+        _read_inputs([command, "--config", erasure, "--out", out])
+    # the fading alternative, uncommented in place of [erasure]
+    head, rest = block.split("\n[erasure]\n")
+    fading = re.sub(r"^# ", "", rest[rest.index("# [fading]"):rest.index("\n[sim]")], flags=re.M)
+    fading = head + "\n" + fading + rest[rest.index("\n[sim]"):]
+    _read_inputs(["fading", "--config", write_ini(tmp_path, fading, "fading.ini"),
+                  "--out", out])
     assert not os.path.exists(out)
 
 

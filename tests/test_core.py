@@ -493,6 +493,61 @@ def test_service_metrics_invariants():
             ServiceMetrics(**{**values, field: math.nan})
 
 
+_README_FIELDS = dict(L=3, T=8, G=16.0, gamma_c=0.5, channel=ErasureParams(0.5, 0.5), K=2)
+
+
+def test_scenario_replace_equals_a_fresh_construction():
+    base = ScenarioConfig(**_README_FIELDS)
+    changes = {"gamma_c": 0.25, "allocation": Tdma(alpha=0.3), "K": INFINITE_K}
+    copy = base.replace(**changes)
+    fresh = ScenarioConfig(**{**_README_FIELDS, **changes})
+    assert type(copy) is ScenarioConfig
+    assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+    assert base == ScenarioConfig(**_README_FIELDS)  # the original is left as it was
+    assert base.replace() == base and base.replace() is not base
+
+
+def test_scenario_replace_refuses_an_unknown_field():
+    with pytest.raises(TypeError, match="gama_c"):
+        ScenarioConfig(**_README_FIELDS).replace(gama_c=0.25)
+
+
+@pytest.mark.parametrize("change", [
+    {"L": 0}, {"L": 2.5}, {"T": True}, {"G": math.inf}, {"G": -1.0}, {"gamma_c": 1.5},
+    {"gamma_c": math.nan}, {"K": -1}, {"K": 2.5}, {"receiver": "other"},
+    {"allocation": "tdma"}, {"channel": None},
+])
+def test_scenario_replace_refuses_what_a_fresh_construction_refuses(change):
+    with pytest.raises(ValueError) as fresh:
+        ScenarioConfig(**{**_README_FIELDS, **change})
+    with pytest.raises(ValueError) as replaced:
+        ScenarioConfig(**_README_FIELDS).replace(**change)
+    assert str(replaced.value) == str(fresh.value)
+
+
+@pytest.mark.parametrize("values,message", [
+    ((math.nan, 0.1, 0.1, 0.1), "metrics must not be NaN, got "
+     "ServiceMetrics(R_c=nan, R_cbar=0.1, Gamma_c=0.1, Gamma_cbar=0.1)"),
+    ((0.1, 0.1, 0.1, math.nan), "metrics must not be NaN, got "
+     "ServiceMetrics(R_c=0.1, R_cbar=0.1, Gamma_c=0.1, Gamma_cbar=nan)"),
+    ((0.1, -0.1, 0.1, 0.1), "throughputs must be non-negative"),
+    ((-math.inf, 0.1, 0.1, 0.1), "throughputs must be non-negative"),
+    ((0.7, 0.5, 0.1, 0.1), "R_c + R_cbar cannot exceed one packet per slot"),
+    ((0.1, 0.1, 1.2, 0.1), "Gamma_c must be in [0, 1], got 1.2"),
+    ((0.1, 0.1, 0.1, -0.5), "Gamma_cbar must be in [0, 1], got -0.5"),
+    ((0.1, 0.1, 2.0, -0.5), "Gamma_c must be in [0, 1], got 2.0"),
+])
+def test_service_metrics_refusal_messages(values, message):
+    with pytest.raises(ValueError) as refused:
+        ServiceMetrics(*values)
+    assert str(refused.value) == message
+
+
+def test_service_metrics_take_values_within_the_tolerance():
+    ServiceMetrics(R_c=-1e-10, R_cbar=1.0, Gamma_c=-1e-10, Gamma_cbar=1.0 + 1e-10)
+    ServiceMetrics(R_c=0.5, R_cbar=0.5 + 1e-10, Gamma_c=1.0, Gamma_cbar=0.0)
+
+
 def test_sim_estimate_and_bernoulli():
     est = bernoulli_estimate(25, 100, seed=7)
     assert est.mean == 0.25
