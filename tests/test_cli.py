@@ -995,6 +995,24 @@ _REFUSALS = {
     "region_without_out": ("region", BASE_INI + _REGION, None, "region requires --out"),
     "unknown_scheme": ("region", BASE_INI + _REGION + "schemes = fdma\n", [],
                        "unknown scheme 'fdma' in region spec"),
+    "no_frames_budget": ("sim", BASE_INI, [], "no frames budget: give --frames or [sim] frames"),
+    "zero_frames_flag": ("sim", BASE_INI, ["--frames", "0"], "frames must be >= 1, got 0"),
+    "zero_frames_in_sim": ("sim", BASE_INI + "\n[sim]\nframes = 0\n", [],
+                           "frames must be >= 1, got 0"),
+    "negative_seed": ("sim", BASE_INI + "\n[sim]\nframes = 100\nseed = -1\n", [],
+                      "seed must be >= 0, got -1"),
+    "zero_workers": ("sim", BASE_INI, ["--frames", "100", "--workers", "0"],
+                     "workers must be >= 1, got 0"),
+    "one_gamma_step": ("region", BASE_INI + "\n[region]\ngamma_count = 1\nalpha_count = 3\n", [],
+                       "gamma_count must be >= 2, got 1; use gamma_values for a single point"),
+    "fractional_l": ("eval", BASE_INI.replace("L = 3", "L = 2.5"), [],
+                     "bad value for 'l' in [scenario]: '2.5'"),
+    "future_schema": ("eval", BASE_INI.replace("schema_version = 1", "schema_version = 99"), [],
+                      "unsupported schema_version 99 (expected 1)"),
+    "no_schema_version": ("eval", BASE_INI.replace("[meta]\nschema_version = 1", "[meta]"), [],
+                          "config must carry [meta] schema_version"),
+    "both_channels": ("eval", BASE_INI + "\n[fading]\nalpha2 = 1\nbeta2 = 1\n", [],
+                      "config must contain exactly one of [erasure] or [fading]"),
 }
 
 
