@@ -69,25 +69,158 @@ def _parse_tolerance(text: str):
     return value
 
 
-def _get(section, key, conv, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in section [{section.name}]")
-        return default
-    raw = section[key]
+class _Refused(ValueError):
+    """A value its key's check refuses: the message, the value, its text."""
+
+
+def _checked(convert, ok, message: str):
+    """Converter: ``convert``, then ``ok`` of the value; ``message`` reports a
+    refused value, formatted with the ``key``, the ``value`` and its ``text``."""
+    def checked(text):
+        value = convert(text)
+        if not ok(value):
+            raise _Refused(message, value, text)
+        return value
+    return checked
+
+
+def _at_least(minimum: int, hint: str = ""):
+    return _checked(int, lambda value: value >= minimum,
+                    f"{{key}} must be >= {minimum}, got {{value}}{hint}")
+
+
+def _choice(message: str, choices):
+    return _checked(lambda text: text.strip().lower(), lambda token: token in choices, message)
+
+
+def _values(convert):
+    """The one rule of every list value: items split at commas and whitespace,
+    each converted, and at least one of them."""
+    return _checked(lambda text: tuple(map(convert, text.replace(",", " ").split())), bool,
+                    "empty value list")
+
+
+_unit = _checked(float, lambda value: 0 <= value <= 1, "region grid values must lie in [0, 1]")
+
+
+# Each sweepable parameter: the converter of its [sweep] values, and the
+# channel or allocation type the base scenario needs for it (None: any).
+_SWEEP = {
+    "gamma_c": (float, None),
+    "T": (int, None),
+    "L": (int, None),
+    "eps1": (float, ErasureParams),
+    "eps2": (float, ErasureParams),
+    "alpha": (float, Tdma),
+    "alpha2": (float, FadingParams),
+    "beta2": (float, FadingParams),
+    "K": (_parse_tolerance, ErasureParams),
+    "G": (float, None),
+}
+SWEEPABLE = tuple(_SWEEP)
+
+_REQUIRED = object()
+
+# Each key each section may hold: its converter, which also checks its
+# domain, and its default, or _REQUIRED.  Any other key is refused, not
+# ignored; a section not named here is not read, and [DEFAULT], whose keys
+# configparser copies into every section, may hold none.  A rule that joins
+# two keys or sections is left to the reader of the section.
+_TABLE = {
+    "DEFAULT": {},
+    "meta": {"schema_version": (int, _REQUIRED)},  # the version is checked first
+    "scenario": {
+        "l": (int, _REQUIRED),
+        "t": (int, _REQUIRED),
+        "g": (float, _REQUIRED),
+        "gamma_c": (float, _REQUIRED),
+        "k": (_parse_tolerance, INFINITE_K),
+        "receiver": (_choice("unknown receiver {value!r}", Receiver.ALL), Receiver.COLLISION),
+        "allocation": (_choice("unknown allocation {value!r}",
+                               ("non_orthogonal", "nonorthogonal", "noma", "tdma")),
+                       "non_orthogonal"),
+        "alpha": (float, None),  # given exactly when allocation = tdma
+    },
+    "erasure": {"eps1": (float, _REQUIRED), "eps2": (float, _REQUIRED)},
+    "fading": {  # FadingParams' fields in order, each required or at its default
+        f.name.lower(): (float, _REQUIRED if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(FadingParams)
+    },
+    "sim": {
+        "frames": (_at_least(1), None),
+        "slots": (_at_least(1), None),
+        "seed": (_at_least(0), DEFAULT_SEED),
+        "workers": (_at_least(1), 1),
+    },
+    "superposition": {
+        "estimator": (_choice("unknown superposition estimator {value!r}", ("exact", "mc")),
+                      "exact"),
+        "mc_samples": (_at_least(1), 1000),
+    },
+    "sweep": {
+        "parameter": (_checked(str.strip, lambda name: name in _SWEEP,
+                               f"unknown sweep parameter {{value!r}}; choose from {SWEEPABLE}"),
+                      _REQUIRED),
+        "values": (_values(str), _REQUIRED),  # each converted as its parameter
+        "backend": (str.strip, "analytic"),
+    },
+    "region": {  # an axis takes its values or its count; 21 steps if neither
+        "gamma_values": (_values(_unit), None),
+        "gamma_count": (_at_least(2, "; use gamma_values for a single point"), None),
+        "alpha_values": (_values(_unit), None),
+        "alpha_count": (_at_least(2, "; use alpha_values for a single point"), None),
+        "schemes": (_values(_choice("unknown scheme {value!r} in region spec",
+                                    ("non_orthogonal", "tdma"))),
+                    ("non_orthogonal", "tdma")),
+        "backend": (str.strip, "analytic"),
+    },
+    "validate": {  # the axes of the validation grid, each at its default
+        "l": (_checked(_values(float), lambda ls: all(v.is_integer() for v in ls),
+                       "[validate] {key} must list whole numbers, got {text!r}"),
+              (1, 2, 3, 5)),
+        "eps1": (_values(float), (0.1, 0.5, 0.9)),
+        "eps2": (_values(float), (0.1, 0.5, 0.9)),
+        "load": (_values(float), (0.25, 1.0, 2.0, 4.0)),
+        "gamma_c": (_values(float), (0.1, 0.5, 0.9)),
+        "k": (_values(_parse_tolerance), (0, 1, 2, 5)),
+    },
+}
+
+
+def _convert(section: str, key: str, raw, convert=None):
+    """``raw`` through ``convert``, by default the table's converter of the
+    key; a value it cannot read, or refuses, is reported with the key."""
     try:
-        return conv(raw)
+        return (convert or _TABLE[section][key][0])(raw)
+    except _Refused as exc:
+        message, value, text = exc.args
+        raise ConfigError(message.format(key=key, value=value, text=text)) from exc
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for '{key}' in [{section.name}]: {raw!r}") from exc
+        raise ConfigError(f"bad value for '{key}' in [{section}]: {raw!r}") from exc
 
 
-def _float_list(text: str) -> list[float]:
-    items = text.replace(",", " ").split()
-    if not items:
-        raise ConfigError("empty value list")
-    return [float(x) for x in items]
+def _section(name: str, raw) -> dict:
+    """Section ``name`` of a scenario file: each key it holds converted, each
+    other key at its default."""
+    keys = _TABLE[name]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' in [{name}]")
+    for key, (_, default) in keys.items():
+        if default is _REQUIRED and key not in raw:
+            raise ConfigError(f"missing required key '{key}' in section [{name}]")
+    return {key: _convert(name, key, raw[key]) if key in raw else default
+            for key, (_, default) in keys.items()}
+
+
+class _Sections(dict):
+    """A scenario file's converted sections by name; a section the file does
+    not hold reads as its defaults."""
+
+    def __missing__(self, name: str) -> dict:
+        return _section(name, {})
 
 
 def _construct(fn, *args, **kwargs):
@@ -98,24 +231,8 @@ def _construct(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-# The keys each section may hold; any other is refused, not ignored, and a
-# section not named here is not read.  configparser copies [DEFAULT]'s keys
-# into every section, so it may hold none.
-_SECTION_KEYS = {
-    "DEFAULT": set(),
-    "meta": {"schema_version"},
-    "scenario": {"l", "t", "g", "gamma_c", "k", "receiver", "allocation", "alpha"},
-    "erasure": {"eps1", "eps2"},
-    "fading": {f.name.lower() for f in dataclasses.fields(FadingParams)},
-    "sim": {"frames", "slots", "seed", "workers"},
-    "superposition": {"estimator", "mc_samples"},
-    "sweep": {"parameter", "values", "backend"},
-    "region": {"gamma_values", "gamma_count", "alpha_values", "alpha_count", "schemes", "backend"},
-    "validate": {"l", "eps1", "eps2", "load", "gamma_c", "k"},
-}
-
-
-def load_config_file(path: str) -> configparser.ConfigParser:
+def load_config_file(path: str) -> _Sections:
+    """Every section of the file that the grammar names, each checked whole."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,63 +243,33 @@ def load_config_file(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if "meta" not in parser or "schema_version" not in parser["meta"]:
         raise ConfigError("config must carry [meta] schema_version")
-    version = _get(parser["meta"], "schema_version", int, required=True)
+    # the version first: a file of another version may hold other keys
+    version = _convert("meta", "schema_version", parser["meta"]["schema_version"])
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-    for name in (parser.default_section, *parser.sections()):
-        for key in parser[name] if name in _SECTION_KEYS else ():
-            if key not in _SECTION_KEYS[name]:
-                raise ConfigError(f"unknown key '{key}' in [{name}]")
-    return parser
+    return _Sections((name, _section(name, parser[name]))
+                     for name in (parser.default_section, *parser.sections()) if name in _TABLE)
 
 
-def scenario_from_config(parser: configparser.ConfigParser) -> ScenarioConfig:
-    if "scenario" not in parser:
+def scenario_from_config(config: _Sections) -> ScenarioConfig:
+    if "scenario" not in config:
         raise ConfigError("config must contain a [scenario] section")
-    sc = parser["scenario"]
-    has_erasure = "erasure" in parser
-    has_fading = "fading" in parser
-    if has_erasure == has_fading:
+    if ("erasure" in config) == ("fading" in config):
         raise ConfigError("config must contain exactly one of [erasure] or [fading]")
-    if has_erasure:
-        es = parser["erasure"]
-        channel = _construct(
-            ErasureParams,
-            eps1=_get(es, "eps1", float, required=True),
-            eps2=_get(es, "eps2", float, required=True),
-        )
+    sc = config["scenario"]
+    tdma = sc["allocation"] == "tdma"
+    if tdma and sc["alpha"] is None:
+        raise ConfigError("missing required key 'alpha' in section [scenario]")
+    if not tdma and sc["alpha"] is not None:
+        raise ConfigError("alpha is the tdma slot share: give it with allocation = tdma only")
+    if "erasure" in config:
+        channel = _construct(ErasureParams, **config["erasure"])
     else:
-        fs = parser["fading"]
-        # each key the section holds, and each that FadingParams gives no default
-        channel = _construct(FadingParams, **{
-            f.name: _get(fs, f.name.lower(), float, required=True)
-            for f in dataclasses.fields(FadingParams)
-            if f.name.lower() in fs or f.default is dataclasses.MISSING
-        })
-
-    allocation_name = _get(sc, "allocation", str, default="non_orthogonal").strip().lower()
-    if allocation_name in ("non_orthogonal", "nonorthogonal", "noma"):
-        allocation = NON_ORTHOGONAL
-    elif allocation_name == "tdma":
-        alpha = _get(sc, "alpha", float, required=True)
-        allocation = _construct(Tdma, alpha=alpha)
-    else:
-        raise ConfigError(f"unknown allocation {allocation_name!r}")
-
-    receiver = _get(sc, "receiver", str, default=Receiver.COLLISION).strip().lower()
-    if receiver not in Receiver.ALL:
-        raise ConfigError(f"unknown receiver {receiver!r}")
-
+        channel = _construct(FadingParams, *config["fading"].values())
     return _construct(
-        ScenarioConfig,
-        L=_get(sc, "l", int, required=True),
-        T=_get(sc, "t", int, required=True),
-        G=_get(sc, "g", float, required=True),
-        gamma_c=_get(sc, "gamma_c", float, required=True),
-        channel=channel,
-        K=_get(sc, "k", _parse_tolerance, default=INFINITE_K),
-        receiver=receiver,
-        allocation=allocation,
+        ScenarioConfig, L=sc["l"], T=sc["t"], G=sc["g"], gamma_c=sc["gamma_c"],
+        channel=channel, K=sc["k"], receiver=sc["receiver"],
+        allocation=_construct(Tdma, alpha=sc["alpha"]) if tdma else NON_ORTHOGONAL,
     )
 
 
@@ -225,8 +312,8 @@ class AnalyticBackend:
 @dataclass(frozen=True)
 class SimBackend:
     frames: int
-    seed: int = DEFAULT_SEED
-    workers: int = 1
+    seed: int
+    workers: int
 
     def check(self, cfg: ScenarioConfig) -> None:
         if not isinstance(cfg.channel, ErasureParams):
@@ -239,8 +326,8 @@ class SimBackend:
 @dataclass(frozen=True)
 class FadingBackend:
     slots: int
-    seed: int = DEFAULT_SEED
-    workers: int = 1
+    seed: int
+    workers: int
 
     def check(self, cfg: ScenarioConfig) -> None:
         if isinstance(cfg.channel, ErasureParams):
@@ -258,42 +345,31 @@ class FadingBackend:
 Backend = AnalyticBackend | SimBackend | FadingBackend
 
 
-def _count_setting(args, sim_sec, key: str, default: int | None = None, minimum: int = 1) -> int:
-    """``--key`` when given, else ``[sim] key``, else ``default``; must be >= ``minimum``."""
+def _count_setting(args, sim: dict, key: str) -> int:
+    """``--key`` when given, checked like ``[sim] key``, else ``[sim] key``."""
     flag = getattr(args, key, None)
-    value = flag if flag is not None else _get(sim_sec, key, int, default)
+    value = sim[key] if flag is None else _convert("sim", key, flag)
     if value is None:
         raise ConfigError(f"no {key} budget: give --{key} or [sim] {key}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
     return value
 
 
-def backend_from_config(parser, name: str, args) -> Backend:
+def backend_from_config(config: _Sections, name: str, args) -> Backend:
     """Build a backend from the config sections plus CLI overrides."""
-    sim_sec = parser["sim"] if "sim" in parser else {}
-    sup_sec = parser["superposition"] if "superposition" in parser else {}
-    seed = _count_setting(args, sim_sec, "seed", DEFAULT_SEED, minimum=0)
-    workers = _count_setting(args, sim_sec, "workers", 1)
+    sim = config["sim"]
+    seed = _count_setting(args, sim, "seed")
+    workers = _count_setting(args, sim, "workers")
     if name == "analytic":
         return AnalyticBackend()
     if name == "sim":
-        frames = _count_setting(args, sim_sec, "frames")
-        return SimBackend(frames=frames, seed=seed, workers=workers)
+        return SimBackend(frames=_count_setting(args, sim, "frames"), seed=seed, workers=workers)
     if name == "fading":
-        slots = _count_setting(args, sim_sec, "slots")
-        return FadingBackend(slots=slots, seed=seed, workers=workers)
+        return FadingBackend(slots=_count_setting(args, sim, "slots"), seed=seed, workers=workers)
     if name == "superposition":
-        kind = str(sup_sec.get("estimator", "exact")).strip().lower()
-        if kind == "exact":
+        if config["superposition"]["estimator"] == "exact":
             return AnalyticBackend(Receiver.SUPERPOSITION)
-        if kind == "mc":
-            samples = _get(sup_sec, "mc_samples", int, 1000)
-            if samples < 1:
-                raise ConfigError(f"mc_samples must be >= 1, got {samples}")
-            mc = superposition.ConditionedMC(n_alloc_samples=samples, seed=seed)
-            return AnalyticBackend(Receiver.SUPERPOSITION, mc)
-        raise ConfigError(f"unknown superposition estimator {kind!r}")
+        mc = superposition.ConditionedMC(config["superposition"]["mc_samples"], seed)
+        return AnalyticBackend(Receiver.SUPERPOSITION, mc)
     raise ConfigError(f"unknown backend {name!r}")
 
 
@@ -349,19 +425,16 @@ def _evaluate(backend: Backend, cfgs: list[ScenarioConfig]) -> list:
     return backend.evaluate(cfgs)
 
 
-def _command_section(parser, command: str):
-    if command not in parser:
+def _command_section(config: _Sections, command: str, args) -> tuple[dict, Backend]:
+    """The command's section, and the backend that ``--backend`` names, else
+    the section's ``backend``; ``--out`` is required."""
+    if command not in config:
         raise ConfigError(f"{command} command needs a [{command}] section")
-    return parser[command]
-
-
-def _section_backend(parser, sec, command: str, args) -> Backend:
-    """``--backend``, else the section's ``backend``, else analytic; ``--out`` is required."""
-    name = args.backend or _get(sec, "backend", str, default="analytic").strip()
-    backend = backend_from_config(parser, name, args)
+    sec = config[command]
+    backend = backend_from_config(config, args.backend or sec["backend"], args)
     if not args.out:
         raise ConfigError(f"{command} requires --out")
-    return backend
+    return sec, backend
 
 
 # ============================================================================
@@ -369,25 +442,6 @@ def _section_backend(parser, sec, command: str, args) -> Backend:
 # ============================================================================
 
 
-def _whole_or_inf(k):
-    return k if k == INFINITE_K else int(k)
-
-
-# Each sweepable parameter: the converter of its values, and the channel or
-# allocation type the base scenario needs for it (None: any scenario).
-_SWEEP = {
-    "gamma_c": (float, None),
-    "T": (int, None),
-    "L": (int, None),
-    "eps1": (float, ErasureParams),
-    "eps2": (float, ErasureParams),
-    "alpha": (float, Tdma),
-    "alpha2": (float, FadingParams),
-    "beta2": (float, FadingParams),
-    "K": (_whole_or_inf, ErasureParams),
-    "G": (float, None),
-}
-SWEEPABLE = tuple(_SWEEP)
 _REQUIREMENT = {
     ErasureParams: "the erasure channel",
     FadingParams: "the fading channel",
@@ -396,36 +450,26 @@ _REQUIREMENT = {
 
 
 def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
-    if name not in _SWEEP:
-        raise ConfigError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE}")
-    convert, needs = _SWEEP[name]
+    needs = _SWEEP[_convert("sweep", "parameter", name)][1]
     if needs and not (isinstance(cfg.channel, needs) or isinstance(cfg.allocation, needs)):
         raise ConfigError(f"sweeping {name} requires {_REQUIREMENT[needs]}")
     try:
-        converted = convert(value)
         if name == "alpha":
-            return cfg.replace(allocation=Tdma(alpha=converted))
+            return cfg.replace(allocation=Tdma(alpha=value))
         if name in vars(cfg):
-            return cfg.replace(**{name: converted})
-        return cfg.replace(channel=dataclasses.replace(cfg.channel, **{name: converted}))
+            return cfg.replace(**{name: value})
+        return cfg.replace(channel=dataclasses.replace(cfg.channel, **{name: value}))
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for parameter {name}: {exc}") from exc
 
 
-def _sweep_from_config(parser, args) -> tuple[str, tuple, Backend]:
+def _sweep_from_config(config: _Sections, args) -> tuple[str, tuple, Backend]:
     """``(parameter, values, backend)`` of the ``[sweep]`` section."""
-    sec = _command_section(parser, "sweep")
-    parameter = _get(sec, "parameter", str, required=True).strip()
-    if parameter not in SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}; choose from {SWEEPABLE}")
-    if _SWEEP[parameter][0] is float:
-        values = tuple(_get(sec, "values", _float_list, required=True))
-    else:  # whole numbers, or K: split at whitespace only
-        token = _parse_tolerance if parameter == "K" else int
-        values = _get(sec, "values", lambda text: tuple(map(token, text.split())), required=True)
-    if not values:
-        raise ConfigError("sweep value list is empty")
-    return parameter, values, _section_backend(parser, sec, "sweep", args)
+    sec, backend = _command_section(config, "sweep", args)
+    parameter = sec["parameter"]
+    convert = _values(_SWEEP[parameter][0])
+    values = _convert("sweep", "values", " ".join(sec["values"]), convert)
+    return parameter, values, backend
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) -> list[list]:
@@ -446,40 +490,31 @@ def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) ->
 MAX_REGION_SCENARIOS = 2**20
 
 
-def _region_grid(sec, name: str) -> tuple[int, object]:
+def _region_grid(sec: dict, name: str) -> tuple[int, object]:
     """``(size, values)``: ``{name}_values`` as listed, else ``{name}_count``
-    even steps over [0, 1] as a generator, so nothing is built before the
-    region's size is checked."""
-    if f"{name}_values" in sec:
-        values = _get(sec, f"{name}_values", _float_list)
+    even steps over [0, 1], 21 if neither is given, as a generator, so
+    nothing is built before the region's size is checked."""
+    values, count = sec[f"{name}_values"], sec[f"{name}_count"]
+    if values is not None and count is not None:
+        raise ConfigError(f"[region] takes {name}_values or {name}_count, not both")
+    if values is not None:
         return len(values), values
-    count = _get(sec, f"{name}_count", int, default=21)
-    if count < 2:
-        raise ConfigError(
-            f"{name}_count must be >= 2, got {count}; "
-            f"use {name}_values for a single point"
-        )
+    count = count or 21
     return count, (i / (count - 1) for i in range(count))
 
 
-def _region_from_config(parser, args) -> tuple[tuple, tuple, tuple, Backend]:
+def _region_from_config(config: _Sections, args) -> tuple[tuple, tuple, tuple, Backend]:
     """``(gammas, alphas, schemes, backend)`` of the ``[region]`` section."""
-    sec = _command_section(parser, "region")
+    sec, backend = _command_section(config, "region", args)
     (n_gammas, gammas), (n_alphas, alphas) = _region_grid(sec, "gamma"), _region_grid(sec, "alpha")
-    schemes = tuple(_get(sec, "schemes", str, default="non_orthogonal tdma").split())
-    for s in schemes:
-        if s not in ("non_orthogonal", "tdma"):
-            raise ConfigError(f"unknown scheme {s!r} in region spec")
+    schemes = sec["schemes"]
     size = n_gammas * ("non_orthogonal" in schemes) + n_gammas * n_alphas * ("tdma" in schemes)
     # both axes are built, whether or not a scheme uses them
     for count, what in ((size, "scenarios in the region"), (n_gammas, "gamma values"),
                         (n_alphas, "alpha values")):
         if count > MAX_REGION_SCENARIOS:
             raise ConfigError(f"{count} {what}, over the limit of {MAX_REGION_SCENARIOS}")
-    gammas, alphas = tuple(gammas), tuple(alphas)
-    if any(not 0 <= v <= 1 for v in gammas) or any(not 0 <= v <= 1 for v in alphas):
-        raise ConfigError("region grid values must lie in [0, 1]")
-    return gammas, alphas, schemes, _section_backend(parser, sec, "region", args)
+    return tuple(gammas), tuple(alphas), schemes, backend
 
 
 def pareto_filter(points: list[tuple]) -> list[tuple]:
@@ -529,15 +564,6 @@ def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backe
 # Frame budget cap per group of validation configs.
 _VALIDATE_MAX_FRAMES = 4_000_000
 
-_VALIDATE_DEFAULTS = {
-    "L": (1, 2, 3, 5),
-    "eps1": (0.1, 0.5, 0.9),
-    "eps2": (0.1, 0.5, 0.9),
-    "load": (0.25, 1.0, 2.0, 4.0),
-    "gamma_c": (0.1, 0.5, 0.9),
-    "K": (0, 1, 2, 5),
-}
-
 
 @dataclass(frozen=True)
 class ValidationCell:
@@ -565,19 +591,19 @@ class ValidationReport:
 
 
 def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfig]:
-    """Collision-model grid over (L, eps1, eps2, per-slot load, gamma_c, K).
+    """Collision-model grid over (L, eps1, eps2, per-slot load, gamma_c, K):
+    the ``[validate]`` defaults, with the axes ``overrides`` names, any case.
 
     Instantiated at T = 1, where the frame-tagged PSR estimator's
     conditioning coincides exactly with the analytic normalized-Poisson
     conditioning.
     """
-    grid = dict(_VALIDATE_DEFAULTS)
-    if overrides:
-        grid.update(overrides)
+    grid = _section("validate", {})
+    grid.update((name.lower(), values) for name, values in (overrides or {}).items())
     return [
         ScenarioConfig(L=int(L), T=1, G=float(load), gamma_c=float(gc),
-                       channel=ErasureParams(float(e1), float(e2)), K=_whole_or_inf(k))
-        for L, e1, e2, load, gc, k in itertools.product(*(grid[a] for a in _VALIDATE_DEFAULTS))
+                       channel=ErasureParams(float(e1), float(e2)), K=k)
+        for L, e1, e2, load, gc, k in itertools.product(*grid.values())
     ]
 
 
@@ -719,22 +745,6 @@ def render_validation_summary(report: ValidationReport) -> str:
     return "\n".join(lines)
 
 
-def _validate_grid_from_config(parser) -> list[ScenarioConfig]:
-    if parser is None or "validate" not in parser:
-        return default_validation_grid()
-    sec = parser["validate"]
-    overrides = {}
-    for key in ("L", "eps1", "eps2", "load", "gamma_c"):
-        if key.lower() in sec:
-            values = _get(sec, key.lower(), _float_list)
-            if key == "L" and not all(v.is_integer() for v in values):
-                raise ConfigError(f"[validate] l must list whole numbers, got {sec['l']!r}")
-            overrides[key] = tuple(int(v) if key == "L" else v for v in values)
-    if "k" in sec:
-        overrides["K"] = tuple(_parse_tolerance(v) for v in sec["k"].split())
-    return _construct(default_validation_grid, overrides)
-
-
 # ============================================================================
 #  Command-line interface
 # ============================================================================
@@ -790,12 +800,12 @@ def _metrics_lines(row: list, flags=()) -> list[str]:
     return lines + [f"seed = {row[-1]}"]
 
 
-def _point_backend(parser, cfg: ScenarioConfig, args) -> Backend:
+def _point_backend(config: _Sections, cfg: ScenarioConfig, args) -> Backend:
     """``eval`` picks its backend by receiver; ``sim`` and ``fading`` are their own."""
     if args.command == "eval" and cfg.receiver == Receiver.COLLISION:
         return AnalyticBackend()  # ignores [sim]
     name = "superposition" if args.command == "eval" else args.command
-    return backend_from_config(parser, name, args)
+    return backend_from_config(config, name, args)
 
 
 def _run(args) -> int:
@@ -806,32 +816,33 @@ def _run(args) -> int:
     if args.out and (os.path.isdir(args.out) or not os.path.basename(args.out)):
         raise ConfigError(f"--out {args.out} names a directory, not a file")
     if args.command == "validate":
-        parser = load_config_file(args.config) if args.config else None
+        config = load_config_file(args.config) if args.config else _Sections()
+        defaults = _Sections()["sim"]  # validate reads its seed and workers from flags only
         report = validate(
-            _validate_grid_from_config(parser),
+            _construct(default_validation_grid, config["validate"]),
             target_se=args.target_se,
-            seed=_count_setting(args, {}, "seed", DEFAULT_SEED, minimum=0),
-            workers=_count_setting(args, {}, "workers", 1),
+            seed=_count_setting(args, defaults, "seed"),
+            workers=_count_setting(args, defaults, "workers"),
         )
         print(render_validation_summary(report))
         if args.out:
             write_csv(args.out, *validation_rows(report))
         return EXIT_OK if report.passed else EXIT_VALIDATION
 
-    parser = load_config_file(args.config)
-    cfg = scenario_from_config(parser)
+    config = load_config_file(args.config)
+    cfg = scenario_from_config(config)
     if args.command == "sweep":
-        parameter, values, backend = _sweep_from_config(parser, args)
+        parameter, values, backend = _sweep_from_config(config, args)
         header = [parameter] + _metric_header(backend.seed)
         rows = run_sweep(cfg, parameter, values, backend)
         wrote = f"{len(rows)} rows"
     elif args.command == "region":
-        *grids, backend = _region_from_config(parser, args)
+        *grids, backend = _region_from_config(config, args)
         header = ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"]
         rows = compute_region(cfg, *grids, backend)
         wrote = f"{len(rows)} frontier points"
     else:
-        backend = _point_backend(parser, cfg, args)
+        backend = _point_backend(config, cfg, args)
         [result] = _evaluate(backend, [cfg])
         header, rows = _metric_header(backend.seed), [_metric_row(result, backend.seed)]
         print("\n".join(_metrics_lines(rows[0], getattr(result, "flags", ()))))

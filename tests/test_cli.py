@@ -607,7 +607,7 @@ def test_validate_l_must_be_whole_numbers(tmp_path):
         path = write_ini(tmp_path, BASE_INI + f"\n[validate]\nl = {bad}\n")
         assert cli.main(["validate", "--config", path]) == cli.EXIT_CONFIG
     path = write_ini(tmp_path, BASE_INI + "\n[validate]\nl = 2.0\n")
-    grid = cli._validate_grid_from_config(cli.load_config_file(path))
+    grid = cli.default_validation_grid(cli.load_config_file(path)["validate"])
     assert grid and all(cfg.L == 2 for cfg in grid)
 
 
@@ -1013,6 +1013,34 @@ _REFUSALS = {
                           "config must carry [meta] schema_version"),
     "both_channels": ("eval", BASE_INI + "\n[fading]\nalpha2 = 1\nbeta2 = 1\n", [],
                       "config must contain exactly one of [erasure] or [fading]"),
+    # each of these exited 0: alpha gave the non-orthogonal numbers, and the
+    # count beside its axis's values and mc_samples under exact were never read
+    "alpha_without_tdma_allocation": (
+        "eval", BASE_INI.replace("allocation = non_orthogonal", "alpha = 0.3"), [],
+        "alpha is the tdma slot share: give it with allocation = tdma only"),
+    "gamma_values_and_count": ("region", BASE_INI + _REGION + "gamma_count = 3\n", [],
+                               "[region] takes gamma_values or gamma_count, not both"),
+    "alpha_values_and_count": ("region", BASE_INI + _REGION + "alpha_count = 3\n", [],
+                               "[region] takes alpha_values or alpha_count, not both"),
+    "one_gamma_step_beside_values": ("region", BASE_INI + _REGION + "gamma_count = 1\n", [],
+                                     "gamma_count must be >= 2, got 1; use gamma_values for "
+                                     "a single point"),
+    "mc_samples_not_a_number_under_exact": (
+        "eval", SUPERPOSITION_RECEIVER + "\n[superposition]\nestimator = exact\n"
+        "mc_samples = abc\n", [], "bad value for 'mc_samples' in [superposition]: 'abc'"),
+    # one list rule, and one message for an empty list, whatever the key
+    "empty_whole_number_list": ("sweep", sweep_body(BASE_INI, "T", ""), [], "empty value list"),
+    "empty_k_list": ("sweep", sweep_body(BASE_INI, "K", ","), [], "empty value list"),
+    "empty_validate_list": ("validate", "[meta]\nschema_version = 1\n\n[validate]\nk =\n", [],
+                            "empty value list"),
+    # every section the file holds is checked, whichever command reads it
+    "bad_sweep_section_under_eval": ("eval", sweep_body(BASE_INI, "rho"), [],
+                                     "unknown sweep parameter 'rho'; choose from "
+                                     f"{cli.SWEEPABLE}"),
+    "bad_region_section_under_sim": ("sim", BASE_INI + _REGION + "schemes = fdma\n",
+                                     ["--frames", "100"], "unknown scheme 'fdma' in region spec"),
+    "bad_scenario_under_validate": ("validate", BASE_INI.replace("T = 8", "T = eight"), [],
+                                    "bad value for 't' in [scenario]: 'eight'"),
 }
 
 
@@ -1119,7 +1147,7 @@ def _read_inputs(argv):
     args = cli._build_parser().parse_args(argv)
     parser = cli.load_config_file(args.config) if args.config else None
     if args.command == "validate":
-        return cli._validate_grid_from_config(parser)
+        return cli.default_validation_grid(parser["validate"])
     cfg = cli.scenario_from_config(parser)
     if args.command == "sweep":
         *_, backend = cli._sweep_from_config(parser, args)
@@ -1141,10 +1169,14 @@ def test_every_benchmark_input_passes_its_commands_readers(tmp_path):
     assert used == set(os.listdir(os.path.join(_BENCH, "scenarios")))
 
 
-def test_the_readme_grammar_passes_every_commands_readers(tmp_path):
+def _readme_grammar_block() -> str:
     section = (Path(_SRC).parent / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```ini\n(.*?)```", section.split("### Scenario file grammar", 1)[1],
-                      re.DOTALL).group(1)
+    return re.search(r"```ini\n(.*?)```", section.split("### Scenario file grammar", 1)[1],
+                     re.DOTALL).group(1)
+
+
+def test_the_readme_grammar_passes_every_commands_readers(tmp_path):
+    block = _readme_grammar_block()
     erasure = write_ini(tmp_path, block, "erasure.ini")
     out = str(tmp_path / "never.csv")
     for command in ("eval", "sim", "sweep", "region", "validate"):
@@ -1163,6 +1195,42 @@ def test_malformed_ini_is_a_config_error(tmp_path, capsys):
     rc, stdout, err = run_cli(capsys, ["eval", "--config", path])
     assert (rc, stdout) == (cli.EXIT_CONFIG, "")
     assert err.startswith(f"config error: malformed config file {path}: ")
+
+
+def _grammar_keys(block: str) -> dict:
+    """Each section of a README grammar block and its keys, those shown as
+    commented-out alternatives included."""
+    keys, section = {}, None
+    for line in block.splitlines():
+        line = re.sub(r"^# (?=\[\w+\]|\w+ = )", "", line)
+        if match := re.match(r"\[(\w+)\]", line):
+            section = keys.setdefault(match[1], set())
+        elif match := re.match(r"(\w+) = ", line):
+            section.add(match[1].lower())
+    return keys
+
+
+def test_the_readme_grammar_names_every_key_of_the_table_and_no_other():
+    table = {name: set(keys) for name, keys in cli._TABLE.items() if name != "DEFAULT"}
+    assert _grammar_keys(_readme_grammar_block()) == table
+
+
+@pytest.mark.parametrize("separator", [" ", ", ", ",", "\t"])
+def test_every_list_value_splits_at_commas_and_whitespace(tmp_path, capsys, separator):
+    grid = (f"l = 1{separator}2\neps1 = 0.5\neps2 = 0.5\nload = 1{separator}2\n"
+            f"gamma_c = 0.5\nk = 0{separator}inf\n")
+    path = write_ini(tmp_path, "[meta]\nschema_version = 1\n\n[validate]\n" + grid)
+    assert cli.load_config_file(path)["validate"] == {
+        "l": (1.0, 2.0), "eps1": (0.5,), "eps2": (0.5,), "load": (1.0, 2.0), "gamma_c": (0.5,),
+        "k": (0, INFINITE_K)}
+    for parameter, values in (("T", "1 2"), ("K", "0 inf"), ("G", "2.5 8")):
+        csv = []
+        for i, text in enumerate((values, values.replace(" ", separator))):
+            csv.append(tmp_path / f"sweep{i}.csv")
+            argv = ["sweep", "--config", write_ini(tmp_path, sweep_body(BASE_INI, parameter, text)),
+                    "--out", str(csv[i])]
+            assert run_cli(capsys, argv)[0] == cli.EXIT_OK
+        assert csv[0].read_bytes() == csv[1].read_bytes()
 
 
 def test_validate_k_values_include_inf(tmp_path, capsys):
