@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 
 from . import analytic_erasure, sim_erasure, sim_fading, superposition
@@ -161,7 +162,7 @@ _TABLE = {
         "parameter": (_checked(str.strip, lambda name: name in _SWEEP,
                                f"unknown sweep parameter {{value!r}}; choose from {SWEEPABLE}"),
                       _REQUIRED),
-        "values": (_values(str), _REQUIRED),  # each converted as its parameter
+        "values": (str, _REQUIRED),  # a list of the parameter's type, converted at load
         "backend": (str.strip, "analytic"),
     },
     "region": {  # an axis takes its values or its count; 21 steps if neither
@@ -247,8 +248,13 @@ def load_config_file(path: str) -> _Sections:
     version = _convert("meta", "schema_version", parser["meta"]["schema_version"])
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
-    return _Sections((name, _section(name, parser[name]))
-                     for name in (parser.default_section, *parser.sections()) if name in _TABLE)
+    config = _Sections((name, _section(name, parser[name]))
+                       for name in (parser.default_section, *parser.sections()) if name in _TABLE)
+    if "sweep" in config:  # its values are typed by its parameter
+        sweep = config["sweep"]
+        convert = _values(_SWEEP[sweep["parameter"]][0])
+        sweep["values"] = _convert("sweep", "values", sweep["values"], convert)
+    return config
 
 
 def scenario_from_config(config: _Sections) -> ScenarioConfig:
@@ -466,10 +472,7 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
 def _sweep_from_config(config: _Sections, args) -> tuple[str, tuple, Backend]:
     """``(parameter, values, backend)`` of the ``[sweep]`` section."""
     sec, backend = _command_section(config, "sweep", args)
-    parameter = sec["parameter"]
-    convert = _values(_SWEEP[parameter][0])
-    values = _convert("sweep", "values", " ".join(sec["values"]), convert)
-    return parameter, values, backend
+    return sec["parameter"], sec["values"], backend
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) -> list[list]:
@@ -564,6 +567,8 @@ def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backe
 # Frame budget cap per group of validation configs.
 _VALIDATE_MAX_FRAMES = 4_000_000
 
+_SCORED = ("ok", "warn", "fail")  # a scored cell's status, by |z|
+
 
 @dataclass(frozen=True)
 class ValidationCell:
@@ -573,21 +578,33 @@ class ValidationCell:
     simulated: float
     std_error: float
     z: float
-    status: str  # ok | warn | fail | error
+    status: str  # one of _SCORED, or error: <message>
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     cells: tuple
-    passed: bool
     seed: int
     target_se: float
-    n_errors: int
+
+    def counts(self) -> Counter:
+        """The number of cells of each scored status, and of error cells under ``errors``."""
+        return Counter(c.status if c.status in _SCORED else "errors" for c in self.cells)
+
+    @property
+    def n_errors(self) -> int:
+        return self.counts()["errors"]
 
     @property
     def max_abs_z(self) -> float:
-        zs = [abs(c.z) for c in self.cells if c.status != "error"]
-        return max(zs) if zs else 0.0
+        return max((abs(c.z) for c in self.cells if c.status in _SCORED), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        """|z| <= 3 on at least 99% of the scored cells, no |z| > 5, no error
+        cell, and at least one scored cell."""
+        n, n_cells = self.counts(), len(self.cells)  # with no error cell, every cell is scored
+        return n["errors"] == 0 and n_cells > 0 and n["ok"] / n_cells >= 0.99 and n["fail"] == 0
 
 
 def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfig]:
@@ -607,20 +624,21 @@ def default_validation_grid(overrides: dict | None = None) -> list[ScenarioConfi
     ]
 
 
-def _error_cells(cfg: ScenarioConfig, exc: Exception) -> list[ValidationCell]:
-    """The cells of a config whose evaluation raised ``exc``, one per metric."""
-    nan = math.nan
-    return [ValidationCell(cfg, m, nan, nan, nan, nan, f"error: {exc}") for m in _METRICS]
-
-
-def _z_score(analytic: float, estimate) -> tuple[float, float, float]:
+def _scored_cell(cfg: ScenarioConfig, metric: str, analytic: float, estimate) -> ValidationCell:
+    """The cell of ``estimate``: its z-score against ``analytic`` and its status by |z|."""
     se = estimate.std_error
     diff = estimate.mean - analytic
     if se == 0.0:
         z = 0.0 if abs(diff) <= 1e-12 else math.inf
     else:
         z = diff / se
-    return estimate.mean, se, z
+    if abs(z) <= 3.0:
+        status = "ok"
+    elif abs(z) <= 5.0:
+        status = "warn"
+    else:
+        status = "fail"
+    return ValidationCell(cfg, metric, analytic, estimate.mean, se, z, status)
 
 
 def validate(
@@ -637,8 +655,7 @@ def validate(
     either the simulation or the evaluation of a group raises, every config
     of the group becomes error cells and the run continues.  The frame
     budget per group targets ``target_se`` on the scarcest metric (PSR
-    trials of the rarer class).  Pass/fail: |z| <= 3 on at least 99% of
-    scored cells and no |z| > 5 (and no per-cell backend errors).
+    trials of the rarer class).  ``ValidationReport.passed`` is the verdict.
     """
     if not target_se > 0:
         raise ConfigError("target_se must be positive")
@@ -649,9 +666,8 @@ def validate(
 
     groups: dict = {}
     for cfg in grid:
-        e = cfg.erasure
-        key = (cfg.L, cfg.T, cfg.G, cfg.gamma_c, e.eps1, e.eps2, cfg.allocation)
-        groups.setdefault(key, []).append(cfg)
+        cfg.erasure  # a fading config is refused before any work
+        groups.setdefault(cfg.replace(K=INFINITE_K), []).append(cfg)
 
     # A target below sqrt(0.25 / cap) gives every group the cap, and one above
     # 1 a single trial; clamped to that range, every budget stays as it was
@@ -659,49 +675,26 @@ def validate(
     se = min(max(target_se, math.sqrt(0.25 / _VALIDATE_MAX_FRAMES)), 1.0)
     trials_target = int(math.ceil(0.25 / se**2))
     cells = []
-    for key, cfgs in groups.items():
-        base = cfgs[0]
+    for base, cfgs in groups.items():
         active = [
             1.0 - math.exp(-base.gamma_c * base.G),
             1.0 - math.exp(-(1.0 - base.gamma_c) * base.G),
         ]
-        p_min = min(p for p in active if p > 0) if any(p > 0 for p in active) else 1.0
+        p_min = min((p for p in active if p > 0), default=1.0)
         n_frames = min(_VALIDATE_MAX_FRAMES, int(math.ceil(1.05 * trials_target / p_min)) + 500)
         k_values = [c.K for c in cfgs]
         try:
             sim_by_k = sim_erasure.simulate_multi_k(base, k_values, n_frames, seed, workers)
             analytic = analytic_erasure.evaluate_erasure_batch(cfgs)
         except Exception as exc:  # surfaced per-cell, run continues
-            cells += [cell for cfg in cfgs for cell in _error_cells(cfg, exc)]
+            nan = math.nan
+            cells += [ValidationCell(cfg, m, nan, nan, nan, nan, f"error: {exc}")
+                      for cfg in cfgs for m in _METRICS]
             continue
         for cfg, ana in zip(cfgs, analytic):
             sim = sim_by_k[cfg.K]
-            for metric in _METRICS:
-                mean, se, z = _z_score(getattr(ana, metric), getattr(sim, metric))
-                if abs(z) <= 3.0:
-                    status = "ok"
-                elif abs(z) <= 5.0:
-                    status = "warn"
-                else:
-                    status = "fail"
-                cells.append(
-                    ValidationCell(cfg, metric, getattr(ana, metric), mean, se, z, status)
-                )
-
-    scored = [c for c in cells if not c.status.startswith("error")]
-    n_errors = len(cells) - len(scored)
-    n_ok = sum(1 for c in scored if c.status == "ok")
-    n_fail = sum(1 for c in scored if c.status == "fail")
-    passed = (
-        n_errors == 0
-        and len(scored) > 0
-        and n_ok / len(scored) >= 0.99
-        and n_fail == 0
-    )
-    return ValidationReport(
-        cells=tuple(cells), passed=passed, seed=seed, target_se=target_se,
-        n_errors=n_errors,
-    )
+            cells += [_scored_cell(cfg, m, getattr(ana, m), getattr(sim, m)) for m in _METRICS]
+    return ValidationReport(cells=tuple(cells), seed=seed, target_se=target_se)
 
 
 def validation_rows(report: ValidationReport) -> tuple[list[str], list[list]]:
@@ -721,19 +714,16 @@ def validation_rows(report: ValidationReport) -> tuple[list[str], list[list]]:
 
 
 def render_validation_summary(report: ValidationReport) -> str:
-    scored = [c for c in report.cells if not c.status.startswith("error")]
-    n_ok = sum(1 for c in scored if c.status == "ok")
-    n_warn = sum(1 for c in scored if c.status == "warn")
-    n_fail = sum(1 for c in scored if c.status == "fail")
+    n = report.counts()
+    counts = ", ".join(f"{status} {n[status]}" for status in (*_SCORED, "errors"))
     lines = [
-        f"validation cells: {len(report.cells)} "
-        f"(ok {n_ok}, warn {n_warn}, fail {n_fail}, errors {report.n_errors})",
+        f"validation cells: {len(report.cells)} ({counts})",
         f"max |z| = {report.max_abs_z:.3f}, target std error = "
         f"{fmt_value(report.target_se)}, seed = {report.seed}",
         f"result: {'PASS' if report.passed else 'FAIL'}",
     ]
     for c in report.cells:
-        if c.status in ("warn", "fail") or c.status.startswith("error"):
+        if c.status != "ok":
             e = c.cfg.erasure
             lines.append(
                 f"  [{c.status}] L={c.cfg.L} G={fmt_value(c.cfg.G)} "

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -780,6 +781,77 @@ def test_validate_surfaces_per_cell_errors(monkeypatch):
     assert report.n_errors == 4
 
 
+def test_max_abs_z_is_taken_over_the_scored_cells(monkeypatch):
+    # an error cell's z is NaN; ahead of a scored cell it made max |z| NaN
+    def broken(*args):
+        raise RuntimeError("deliberately broken")
+
+    monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", broken)
+    report = cli.validate(small_grid(), target_se=0.005, seed=1)
+    error = report.cells[0]
+    ok = dataclasses.replace(error, analytic=0.5, simulated=0.52, std_error=0.01, z=2.0,
+                             status="ok")
+    report = dataclasses.replace(report, cells=(error, ok))
+    assert report.max_abs_z == 2.0
+    assert "max |z| = 2.000," in cli.render_validation_summary(report)
+
+
+def test_validate_groups_configs_by_receiver():
+    # a superposition config beside a collision config of the same parameters
+    # was scored against the collision simulation
+    [collision] = cli.default_validation_grid(
+        {"L": (3,), "eps1": (0.5,), "eps2": (0.5,), "load": (2.0,),
+         "gamma_c": (0.5,), "K": (1,)}
+    )
+    superposition = collision.replace(receiver=Receiver.SUPERPOSITION)
+    alone = cli.validate([superposition], target_se=0.01, seed=3)
+    both = cli.validate([collision, superposition], target_se=0.01, seed=3)
+    assert both.passed
+    assert ([c.simulated for c in both.cells if c.cfg == superposition]
+            == [c.simulated for c in alone.cells])
+
+
+def test_validate_refuses_a_fading_config_before_any_work(monkeypatch):
+    def never(*args):
+        raise AssertionError("simulation ran")
+
+    monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", never)
+    fading = small_grid()[0].replace(channel=FadingParams(alpha2=1.0, beta2=1.0))
+    with pytest.raises(ValueError, match="does not use the erasure channel"):
+        cli.validate(small_grid() + [fading], target_se=0.005)
+
+
+def test_validation_summary_counts_match_the_csv(monkeypatch):
+    real_sim = cli.sim_erasure.simulate_multi_k
+    real_batch = cli.analytic_erasure.evaluate_erasure_batch
+
+    def broken_at_l3(cfg, *args):
+        if cfg.L == 3:
+            raise RuntimeError("deliberately broken")
+        return real_sim(cfg, *args)
+
+    def corrupted(cfgs):  # R_c off by far more than its noise: fail cells
+        return [dataclasses.replace(m, R_c=m.R_c * 1.10 + 0.01) for m in real_batch(cfgs)]
+
+    monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", broken_at_l3)
+    monkeypatch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", corrupted)
+    grid = cli.default_validation_grid(
+        {"L": (2, 3), "eps1": (0.5,), "eps2": (0.5,), "load": (2.0,),
+         "gamma_c": (0.5,), "K": (1, 2)}
+    )
+    report = cli.validate(grid, target_se=0.005, seed=1)
+    header, rows = cli.validation_rows(report)
+    statuses = [row[header.index("status")] for row in rows]
+    want = [statuses.count(s) for s in ("ok", "warn", "fail")]
+    want.append(sum(s.startswith("error") for s in statuses))
+    assert sum(want) == len(rows) == 16
+    assert want[2] > 0 and want[3] == 8  # the corrupted R_c fails; the L = 3 group raised
+    summary = cli.render_validation_summary(report)
+    got = re.search(r"\(ok (\d+), warn (\d+), fail (\d+), errors (\d+)\)", summary).groups()
+    assert list(map(int, got)) == want
+    assert report.n_errors == want[3] and not report.passed
+
+
 def test_validate_rejects_bad_budget():
     with pytest.raises(ValueError):
         cli.validate(small_grid(), target_se=0.0)
@@ -1092,6 +1164,16 @@ def test_refusal_is_a_config_error(tmp_path, capsys, case):
     assert (rc, stdout) == (cli.EXIT_CONFIG, "")
     assert err == f"config error: {message}\n"
     assert not os.path.exists(out)
+
+
+def test_sweep_values_are_typed_at_load(tmp_path, capsys):
+    # eval does not read [sweep], but the file's [sweep] values are checked
+    # by the type of its parameter when the file is loaded
+    path = write_ini(tmp_path, sweep_body(BASE_INI, "L", "1 x"))
+    refused = run_cli(capsys, ["sweep", "--config", path, "--out", str(tmp_path / "s.csv")])
+    assert refused == (cli.EXIT_CONFIG, "",
+                       "config error: bad value for 'values' in [sweep]: '1 x'\n")
+    assert run_cli(capsys, ["eval", "--config", path]) == refused
 
 
 # (command, scenario file with one misspelled key, extra flags, the key, its section)
