@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -742,6 +741,7 @@ def run_chunked(chunk_fn, spec, n_items: int, chunk: int, seed: int, workers: in
     ]
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one-worker runs skip the import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_run_chunk_task, tasks, chunksize=1))
     else:

@@ -66,7 +66,14 @@ def ap_allocation_probs(
 # ============================================================================
 
 
-def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, bs_budget: np.ndarray):
+def _copy_counts(draws: np.ndarray, n_c: int):
+    """The CS and NCS columns of allocation rows and their row sums, taken
+    as integer products with ones: exact, and quicker than axis-1 sums."""
+    cs, ncs = draws[:, 1 : 1 + n_c], draws[:, 1 + n_c :]
+    return cs, ncs, cs @ np.ones(n_c, np.int64), ncs @ np.ones(ncs.shape[1], np.int64)
+
+
+def _mc_throughput_values(draws: np.ndarray, n_c: int, pw, miss, bs_budget: np.ndarray):
     """(CS, NCS) BS decode probabilities of each allocation row.
 
     A row holds per-slot message-copy counts at the APs: column 0 counts
@@ -76,33 +83,24 @@ def _mc_throughput_values(draws: np.ndarray, n_c: int, e2: float, bs_budget: np.
     most k NCS copies (counted individually across APs) surviving, which
     ``bs_budget`` gives by the row's NCS copy count.  An
     NCS decode needs every CS copy and every copy of any other NCS message
-    erased.
+    erased.  ``pw[j]`` is e2**j and ``miss[j]`` 1 - e2**j, by copy count j.
     """
-    cs = draws[:, 1 : 1 + n_c]
-    ncs = draws[:, 1 + n_c :]
-    s_cs = cs.sum(axis=1)
-    s_ncs = ncs.sum(axis=1)
-    q_cs = bs_budget[s_ncs] * ((1.0 - e2**cs) * e2 ** (s_cs[:, None] - cs)).sum(axis=1)
-    q_ncs = (e2 ** s_cs.astype(float)) * (
-        (1.0 - e2**ncs) * e2 ** (s_ncs[:, None] - ncs)
-    ).sum(axis=1)
+    cs, ncs, s_cs, s_ncs = _copy_counts(draws, n_c)
+    q_cs = bs_budget[s_ncs] * (miss[cs] * pw[s_cs[:, None] - cs]).sum(axis=1)
+    q_ncs = pw[s_cs] * (miss[ncs] * pw[s_ncs[:, None] - ncs]).sum(axis=1)
     return q_cs, q_ncs
 
 
 def _mc_tagged_values(
-    draws: np.ndarray, n_c: int, e2: float, bs_budget: np.ndarray, tagged_cs: bool
+    draws: np.ndarray, n_c: int, pw, miss, bs_budget: np.ndarray, tagged_cs: bool
 ):
     """The same decode events restricted to the first message of the tagged
     class (PSR conditioning), per allocation row."""
-    cs = draws[:, 1 : 1 + n_c]
-    ncs = draws[:, 1 + n_c :]
-    s_cs = cs.sum(axis=1)
-    s_ncs = ncs.sum(axis=1)
+    _, _, s_cs, s_ncs = _copy_counts(draws, n_c)
+    m1 = draws[:, 1 if tagged_cs else 1 + n_c]  # the copies of the tagged message
     if tagged_cs:
-        m1 = draws[:, 1]
-        return bs_budget[s_ncs] * (1.0 - e2**m1) * e2 ** (s_cs - m1)
-    m1 = draws[:, 1 + n_c]
-    return (e2 ** s_cs.astype(float)) * (1.0 - e2**m1) * e2 ** (s_ncs - m1)
+        return bs_budget[s_ncs] * miss[m1] * pw[s_cs - m1]
+    return pw[s_cs] * miss[m1] * pw[s_ncs - m1]
 
 
 class _McAccumulator:
@@ -115,9 +113,11 @@ class _McAccumulator:
         self.n = 0
 
     def add(self, weight: float, values: np.ndarray):
-        self.mean += weight * float(values.mean())
+        mean = values.sum() / values.size  # values.mean(), whose sum var() would redo
+        self.mean += weight * float(mean)
         if values.size > 1:
-            self.var += weight**2 * float(values.var(ddof=1)) / values.size
+            dev = values - mean  # (dev * dev).sum() / (size - 1) is values.var(ddof=1)
+            self.var += weight**2 * float((dev * dev).sum() / (values.size - 1)) / values.size
         self.n += values.size
 
     def estimate(self, seed: int, scale: float) -> SimEstimate:
@@ -180,9 +180,11 @@ class ConditionedMC:
         # Tolerance rows over every NCS count and copy count a pair asks for.
         ap_budget = gamma_k_tolerance_array(np.arange(sup_n[0][-1] + 1), e1, k).tolist()
         bs_budget = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+        pw = e2 ** np.arange(L + 1)  # every exponent below is a copy count in [0, L]
+        miss = 1.0 - pw
         for n_c, n_n, w in _weighted_pairs(*cs, *ncs):
             draws = self._draws(0, L, n_c, n_n, e1, ap_budget)
-            q_cs, q_ncs = _mc_throughput_values(draws, n_c, e2, bs_budget)
+            q_cs, q_ncs = _mc_throughput_values(draws, n_c, pw, miss, bs_budget)
             r_c.add(w, q_cs)
             r_n.add(w, q_ncs)
         tagged = ((True, sup_c, ncs, p_c), (False, sup_n, cs, p_n))
@@ -191,7 +193,7 @@ class ConditionedMC:
             for n_tag, n_other, w in _weighted_pairs(n[1:], w_tag[1:], *other):
                 n_c, n_n = (n_tag, n_other) if tagged_cs else (n_other, n_tag)
                 draws = self._draws(1 if tagged_cs else 2, L, n_c, n_n, e1, ap_budget)
-                acc.add(w, _mc_tagged_values(draws, n_c, e2, bs_budget, tagged_cs))
+                acc.add(w, _mc_tagged_values(draws, n_c, pw, miss, bs_budget, tagged_cs))
         return r_c, r_n, p_c, p_n
 
 

@@ -537,6 +537,25 @@ def test_region_bytes_match_the_benchmark_references(tmp_path, name):
         assert got.read() == want.read()
 
 
+@pytest.mark.parametrize("label, args", [
+    ("fading", ("fading", "fading.ini", "--slots", "65536", "--workers", "2")),
+    ("sim", ("sim", "scenario.ini", "--frames", "333332", "--workers", "2")),
+    ("eval_mc", ("eval", "superposition_mc.ini")),
+])
+def test_points_bytes_match_the_benchmark_references(tmp_path, label, args):
+    # the points workload's three commands, with its arguments, its scenario
+    # files and the default seed, must keep the bytes of its stored references
+    bench = os.path.join(os.path.dirname(_SRC), "perfbench")
+    command, scenario, *rest = args
+    out = str(tmp_path / f"{label}.csv")
+    config = os.path.join(bench, "scenarios", scenario)
+    assert cli.main([command, "--config", config, *rest, "--out", out]) == cli.EXIT_OK
+    with open(out, "rb") as got, open(
+        os.path.join(bench, "reference", f"{label}.csv"), "rb"
+    ) as want:
+        assert got.read() == want.read()
+
+
 def test_eval_tolerance_sum_beyond_floats_is_numerical_error(tmp_path, capsys):
     # C(1099, 549) does not fit in a float: K = 600 at L = 1100 is refused
     # (it used to die with an OverflowError traceback), while K = 2 at the

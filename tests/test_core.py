@@ -1,3 +1,4 @@
+import concurrent.futures
 import decimal
 import math
 
@@ -611,7 +612,7 @@ def _count_chunk(spec, size, rng):
 def test_run_chunked_pool_holds_at_most_one_process_per_chunk_and_core(
     monkeypatch, workers, chunks, cores, pool
 ):
-    monkeypatch.setattr(core, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(core.os, "cpu_count", lambda: cores)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     got = core.run_chunked(_count_chunk, None, 16 * chunks, 16, seed=5, workers=workers)

@@ -56,10 +56,17 @@ def _budgets(L, n_n, e1, e2, k):
     return ap, gamma_k_tolerance_array(np.arange(L + 1), e2, k)
 
 
+def _powers(e2, L):
+    """e2**j and 1 - e2**j over the copy counts j in [0, L]."""
+    pw = e2 ** np.arange(L + 1)
+    return pw, 1.0 - pw
+
+
 def _decode_probs(m_counts, n_c, e2, k=INFINITE_K):
     """(CS, NCS) decode probabilities of one allocation by the per-row rule."""
-    bs = gamma_k_tolerance_array(np.arange(sum(m_counts) + 1), e2, k)
-    q_cs, q_ncs = sp._mc_throughput_values(np.array([m_counts]), n_c, e2, bs)
+    L = sum(m_counts)
+    bs = gamma_k_tolerance_array(np.arange(L + 1), e2, k)
+    q_cs, q_ncs = sp._mc_throughput_values(np.array([m_counts]), n_c, *_powers(e2, L), bs)
     return float(q_cs[0]), float(q_ncs[0])
 
 
@@ -184,9 +191,10 @@ def _literal(L, n_c, n_n, e1, e2, k):
     a tagged term of a class with no message is None."""
     ap, bs = _budgets(L, n_n, e1, e2, k)
     rows, w = _enumerated(L, _cell_probs(n_c, n_n, e1, ap[n_n]))
-    r_cs, r_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, e2, bs))
-    tag_cs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, True) if n_c else None
-    tag_ncs = w @ sp._mc_tagged_values(rows, n_c, e2, bs, False) if n_n else None
+    pw = _powers(e2, L)
+    r_cs, r_ncs = (w @ q for q in sp._mc_throughput_values(rows, n_c, *pw, bs))
+    tag_cs = w @ sp._mc_tagged_values(rows, n_c, *pw, bs, True) if n_c else None
+    tag_ncs = w @ sp._mc_tagged_values(rows, n_c, *pw, bs, False) if n_n else None
     return r_cs, r_ncs, tag_cs, tag_ncs
 
 
