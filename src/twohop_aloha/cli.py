@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 def _parse_tolerance(text: str):
     token = text.strip().lower()
-    if token in ("inf", "infinite", "infinity"):
+    if token == "inf":
         return INFINITE_K
     try:
         value = int(token)
@@ -104,19 +104,20 @@ def _values(convert):
 _unit = _checked(float, lambda value: 0 <= value <= 1, "region grid values must lie in [0, 1]")
 
 
-# Each sweepable parameter: the converter of its [sweep] values, and the
-# channel or allocation type the base scenario needs for it (None: any).
+# Each sweepable parameter: the converter of its [sweep] values, the channel
+# or allocation type the base scenario needs for it (None: any), and that
+# need as its refusal names it.
 _SWEEP = {
-    "gamma_c": (float, None),
-    "T": (int, None),
-    "L": (int, None),
-    "eps1": (float, ErasureParams),
-    "eps2": (float, ErasureParams),
-    "alpha": (float, Tdma),
-    "alpha2": (float, FadingParams),
-    "beta2": (float, FadingParams),
-    "K": (_parse_tolerance, ErasureParams),
-    "G": (float, None),
+    "gamma_c": (float, None, None),
+    "T": (int, None, None),
+    "L": (int, None, None),
+    "eps1": (float, ErasureParams, "the erasure channel"),
+    "eps2": (float, ErasureParams, "the erasure channel"),
+    "alpha": (float, Tdma, "the tdma allocation"),
+    "alpha2": (float, FadingParams, "the fading channel"),
+    "beta2": (float, FadingParams, "the fading channel"),
+    "K": (_parse_tolerance, ErasureParams, "the erasure channel"),
+    "G": (float, None, None),
 }
 SWEEPABLE = tuple(_SWEEP)
 
@@ -137,8 +138,7 @@ _TABLE = {
         "gamma_c": (float, _REQUIRED),
         "k": (_parse_tolerance, INFINITE_K),
         "receiver": (_choice("unknown receiver {value!r}", Receiver.ALL), Receiver.COLLISION),
-        "allocation": (_choice("unknown allocation {value!r}",
-                               ("non_orthogonal", "nonorthogonal", "noma", "tdma")),
+        "allocation": (_choice("unknown allocation {value!r}", ("non_orthogonal", "tdma")),
                        "non_orthogonal"),
         "alpha": (float, None),  # given exactly when allocation = tdma
     },
@@ -351,30 +351,21 @@ class FadingBackend:
 Backend = AnalyticBackend | SimBackend | FadingBackend
 
 
-def _count_setting(args, sim: dict, key: str) -> int:
-    """``--key`` when given, checked like ``[sim] key``, else ``[sim] key``."""
-    flag = getattr(args, key, None)
-    value = sim[key] if flag is None else _convert("sim", key, flag)
-    if value is None:
-        raise ConfigError(f"no {key} budget: give --{key} or [sim] {key}")
-    return value
-
-
-def backend_from_config(config: _Sections, name: str, args) -> Backend:
-    """Build a backend from the config sections plus CLI overrides."""
+def backend_from_config(config: _Sections, name: str) -> Backend:
+    """The backend ``name``, built from the config sections."""
     sim = config["sim"]
-    seed = _count_setting(args, sim, "seed")
-    workers = _count_setting(args, sim, "workers")
     if name == "analytic":
         return AnalyticBackend()
-    if name == "sim":
-        return SimBackend(frames=_count_setting(args, sim, "frames"), seed=seed, workers=workers)
-    if name == "fading":
-        return FadingBackend(slots=_count_setting(args, sim, "slots"), seed=seed, workers=workers)
+    if name in ("sim", "fading"):
+        budget = "frames" if name == "sim" else "slots"
+        if sim[budget] is None:
+            raise ConfigError(f"no {budget} budget: give --{budget} or [sim] {budget}")
+        engine = SimBackend if name == "sim" else FadingBackend
+        return engine(sim[budget], sim["seed"], sim["workers"])
     if name == "superposition":
         if config["superposition"]["estimator"] == "exact":
             return AnalyticBackend(Receiver.SUPERPOSITION)
-        mc = superposition.ConditionedMC(config["superposition"]["mc_samples"], seed)
+        mc = superposition.ConditionedMC(config["superposition"]["mc_samples"], sim["seed"])
         return AnalyticBackend(Receiver.SUPERPOSITION, mc)
     raise ConfigError(f"unknown backend {name!r}")
 
@@ -431,34 +422,15 @@ def _evaluate(backend: Backend, cfgs: list[ScenarioConfig]) -> list:
     return backend.evaluate(cfgs)
 
 
-def _command_section(config: _Sections, command: str, args) -> tuple[dict, Backend]:
-    """The command's section, and the backend that ``--backend`` names, else
-    the section's ``backend``; ``--out`` is required."""
-    if command not in config:
-        raise ConfigError(f"{command} command needs a [{command}] section")
-    sec = config[command]
-    backend = backend_from_config(config, args.backend or sec["backend"], args)
-    if not args.out:
-        raise ConfigError(f"{command} requires --out")
-    return sec, backend
-
-
 # ============================================================================
 #  Parameter sweeps
 # ============================================================================
 
 
-_REQUIREMENT = {
-    ErasureParams: "the erasure channel",
-    FadingParams: "the fading channel",
-    Tdma: "the tdma allocation",
-}
-
-
 def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
-    needs = _SWEEP[_convert("sweep", "parameter", name)][1]
+    _, needs, requirement = _SWEEP[_convert("sweep", "parameter", name)]
     if needs and not (isinstance(cfg.channel, needs) or isinstance(cfg.allocation, needs)):
-        raise ConfigError(f"sweeping {name} requires {_REQUIREMENT[needs]}")
+        raise ConfigError(f"sweeping {name} requires {requirement}")
     try:
         if name == "alpha":
             return cfg.replace(allocation=Tdma(alpha=value))
@@ -467,12 +439,6 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
         return cfg.replace(channel=dataclasses.replace(cfg.channel, **{name: value}))
     except ValueError as exc:
         raise ConfigError(f"invalid value {value!r} for parameter {name}: {exc}") from exc
-
-
-def _sweep_from_config(config: _Sections, args) -> tuple[str, tuple, Backend]:
-    """``(parameter, values, backend)`` of the ``[sweep]`` section."""
-    sec, backend = _command_section(config, "sweep", args)
-    return sec["parameter"], sec["values"], backend
 
 
 def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) -> list[list]:
@@ -504,20 +470,6 @@ def _region_grid(sec: dict, name: str) -> tuple[int, object]:
         return len(values), values
     count = count or 21
     return count, (i / (count - 1) for i in range(count))
-
-
-def _region_from_config(config: _Sections, args) -> tuple[tuple, tuple, tuple, Backend]:
-    """``(gammas, alphas, schemes, backend)`` of the ``[region]`` section."""
-    sec, backend = _command_section(config, "region", args)
-    (n_gammas, gammas), (n_alphas, alphas) = _region_grid(sec, "gamma"), _region_grid(sec, "alpha")
-    schemes = sec["schemes"]
-    size = n_gammas * ("non_orthogonal" in schemes) + n_gammas * n_alphas * ("tdma" in schemes)
-    # both axes are built, whether or not a scheme uses them
-    for count, what in ((size, "scenarios in the region"), (n_gammas, "gamma values"),
-                        (n_alphas, "alpha values")):
-        if count > MAX_REGION_SCENARIOS:
-            raise ConfigError(f"{count} {what}, over the limit of {MAX_REGION_SCENARIOS}")
-    return tuple(gammas), tuple(alphas), schemes, backend
 
 
 def pareto_filter(points: list[tuple]) -> list[tuple]:
@@ -790,49 +742,70 @@ def _metrics_lines(row: list, flags=()) -> list[str]:
     return lines + [f"seed = {row[-1]}"]
 
 
-def _point_backend(config: _Sections, cfg: ScenarioConfig, args) -> Backend:
-    """``eval`` picks its backend by receiver; ``sim`` and ``fading`` are their own."""
-    if args.command == "eval" and cfg.receiver == Receiver.COLLISION:
-        return AnalyticBackend()  # ignores [sim]
-    name = "superposition" if args.command == "eval" else args.command
-    return backend_from_config(config, name, args)
-
-
-def _run(args) -> int:
-    """Read a command's scenarios, evaluate them on one backend, render the rows."""
+def _inputs(args) -> tuple:
+    """Every input of a command, read and checked before any evaluation:
+    ``(grid, seed, workers)`` for ``validate``, else ``(cfg, backend)``, then
+    the parameter and values of a sweep or the gammas, alphas and schemes of
+    a region."""
     out_dir = os.path.dirname(os.path.abspath(args.out or "."))  # checked before any work
     if args.out and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
         raise ConfigError(f"--out directory {out_dir} is not a writable directory")
     if args.out and (os.path.isdir(args.out) or not os.path.basename(args.out)):
         raise ConfigError(f"--out {args.out} names a directory, not a file")
+    config = load_config_file(args.config) if args.config else _Sections()
+    # each flag given replaces its [sim] key, checked like it; validate reads
+    # no [sim] from its file
+    sim = config["sim"] = _section("sim", {}) if args.command == "validate" else config["sim"]
+    for key in sim:
+        if getattr(args, key, None) is not None:
+            sim[key] = _convert("sim", key, getattr(args, key))
     if args.command == "validate":
-        config = load_config_file(args.config) if args.config else _Sections()
-        defaults = _Sections()["sim"]  # validate reads its seed and workers from flags only
-        report = validate(
-            _construct(default_validation_grid, config["validate"]),
-            target_se=args.target_se,
-            seed=_count_setting(args, defaults, "seed"),
-            workers=_count_setting(args, defaults, "workers"),
-        )
+        return _construct(default_validation_grid, config["validate"]), sim["seed"], sim["workers"]
+    cfg = scenario_from_config(config)
+    if args.command == "eval":  # the backend of the scenario's receiver
+        name = "analytic" if cfg.receiver == Receiver.COLLISION else "superposition"
+        return cfg, backend_from_config(config, name)
+    if args.command in ("sim", "fading"):
+        return cfg, backend_from_config(config, args.command)
+    if args.command not in config:
+        raise ConfigError(f"{args.command} command needs a [{args.command}] section")
+    sec = config[args.command]
+    backend = backend_from_config(config, args.backend or sec["backend"])
+    if not args.out:
+        raise ConfigError(f"{args.command} requires --out")
+    if args.command == "sweep":
+        return cfg, backend, sec["parameter"], sec["values"]
+    (n_gammas, gammas), (n_alphas, alphas) = _region_grid(sec, "gamma"), _region_grid(sec, "alpha")
+    schemes = sec["schemes"]
+    size = n_gammas * ("non_orthogonal" in schemes) + n_gammas * n_alphas * ("tdma" in schemes)
+    # both axes are built, whether or not a scheme uses them
+    for count, what in ((size, "scenarios in the region"), (n_gammas, "gamma values"),
+                        (n_alphas, "alpha values")):
+        if count > MAX_REGION_SCENARIOS:
+            raise ConfigError(f"{count} {what}, over the limit of {MAX_REGION_SCENARIOS}")
+    return cfg, backend, tuple(gammas), tuple(alphas), schemes
+
+
+def _run(args) -> int:
+    """Evaluate a command's inputs on one backend and render the rows."""
+    if args.command == "validate":
+        grid, seed, workers = _inputs(args)
+        report = validate(grid, target_se=args.target_se, seed=seed, workers=workers)
         print(render_validation_summary(report))
         if args.out:
             write_csv(args.out, *validation_rows(report))
         return EXIT_OK if report.passed else EXIT_VALIDATION
 
-    config = load_config_file(args.config)
-    cfg = scenario_from_config(config)
+    cfg, backend, *inputs = _inputs(args)
     if args.command == "sweep":
-        parameter, values, backend = _sweep_from_config(config, args)
-        header = [parameter] + _metric_header(backend.seed)
-        rows = run_sweep(cfg, parameter, values, backend)
+        header = [inputs[0]] + _metric_header(backend.seed)  # the parameter's column first
+        rows = run_sweep(cfg, *inputs, backend)
         wrote = f"{len(rows)} rows"
     elif args.command == "region":
-        *grids, backend = _region_from_config(config, args)
         header = ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"]
-        rows = compute_region(cfg, *grids, backend)
+        rows = compute_region(cfg, *inputs, backend)
         wrote = f"{len(rows)} frontier points"
     else:
-        backend = _point_backend(config, cfg, args)
         [result] = _evaluate(backend, [cfg])
         header, rows = _metric_header(backend.seed), [_metric_row(result, backend.seed)]
         print("\n".join(_metrics_lines(rows[0], getattr(result, "flags", ()))))

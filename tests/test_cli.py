@@ -1132,6 +1132,17 @@ _REFUSALS = {
                                      ["--frames", "100"], "unknown scheme 'fdma' in region spec"),
     "bad_scenario_under_validate": ("validate", BASE_INI.replace("T = 8", "T = eight"), [],
                                     "bad value for 't' in [scenario]: 'eight'"),
+    # one spelling per value: the README's
+    "k_infinite": ("eval", BASE_INI.replace("K = inf", "K = infinite"), [],
+                   "K must be a non-negative integer or 'inf', got 'infinite'"),
+    "k_infinity": ("eval", BASE_INI.replace("K = inf", "K = infinity"), [],
+                   "K must be a non-negative integer or 'inf', got 'infinity'"),
+    "allocation_nonorthogonal": ("eval", BASE_INI.replace("allocation = non_orthogonal",
+                                                          "allocation = nonorthogonal"), [],
+                                 "unknown allocation 'nonorthogonal'"),
+    "allocation_noma": ("eval", BASE_INI.replace("allocation = non_orthogonal",
+                                                 "allocation = noma"), [],
+                        "unknown allocation 'noma'"),
 }
 
 
@@ -1183,6 +1194,40 @@ def test_refusal_is_a_config_error(tmp_path, capsys, case):
     assert (rc, stdout) == (cli.EXIT_CONFIG, "")
     assert err == f"config error: {message}\n"
     assert not os.path.exists(out)
+
+
+# A run of each command, eval's under each receiver, and a value out of the
+# range of each [sim] key
+_FLAGGED_RUNS = {
+    "eval_collision": ("eval", BASE_INI),
+    "eval_superposition": ("eval", SUPERPOSITION_RECEIVER),
+    "sim": ("sim", BASE_INI),
+    "fading": ("fading", FADING_INI),
+    "sweep": ("sweep", sweep_body(BASE_INI, "G")),
+    "region": ("region", BASE_INI + _REGION),
+    "validate": ("validate", "[meta]\nschema_version = 1\n"),
+}
+_OUT_OF_RANGE = {"frames": "0", "slots": "0", "seed": "-1", "workers": "0"}
+
+
+@pytest.mark.parametrize("case", sorted(_FLAGGED_RUNS))
+def test_every_flag_is_checked_like_its_sim_key(tmp_path, capsys, case):
+    # eval --seed -1 under the collision receiver exited 0, and a --frames or
+    # --slots that the backend did not read went unchecked
+    assert {command for command, _ in _FLAGGED_RUNS.values()} == set(cli._COMMANDS)
+    command, body = _FLAGGED_RUNS[case]
+    path = write_ini(tmp_path, body)
+    keys = set(cli._COMMANDS[command][1].split()) & set(cli._TABLE["sim"])
+    assert "seed" in keys
+    for key in sorted(keys):
+        value = _OUT_OF_RANGE[key]
+        with pytest.raises(cli.ConfigError) as in_sim:
+            cli.load_config_file(write_ini(tmp_path, f"{body}\n[sim]\n{key} = {value}\n",
+                                           "sim.ini"))
+        out = tmp_path / "never.csv"
+        argv = [command, "--config", path, "--out", str(out), f"--{key}", value]
+        assert run_cli(capsys, argv) == (cli.EXIT_CONFIG, "", f"config error: {in_sim.value}\n")
+        assert not out.exists()
 
 
 def test_sweep_values_are_typed_at_load(tmp_path, capsys):
@@ -1243,20 +1288,13 @@ def _benchmark_commands():
 
 
 def _read_inputs(argv):
-    """Every reader ``cli._run`` calls on a command's inputs, and the backend's
-    scenario check; nothing is evaluated."""
+    """A command's inputs as ``cli._run`` reads them, and the backend's check
+    of the scenario; nothing is evaluated."""
     args = cli._build_parser().parse_args(argv)
-    parser = cli.load_config_file(args.config) if args.config else None
-    if args.command == "validate":
-        return cli.default_validation_grid(parser["validate"])
-    cfg = cli.scenario_from_config(parser)
-    if args.command == "sweep":
-        *_, backend = cli._sweep_from_config(parser, args)
-    elif args.command == "region":
-        *_, backend = cli._region_from_config(parser, args)
-    else:
-        backend = cli._point_backend(parser, cfg, args)
-    backend.check(cfg)
+    inputs = cli._inputs(args)
+    if args.command != "validate":
+        cfg, backend, *_ = inputs
+        backend.check(cfg)
 
 
 def test_every_benchmark_input_passes_its_commands_readers(tmp_path):
@@ -1314,6 +1352,15 @@ def _grammar_keys(block: str) -> dict:
 def test_the_readme_grammar_names_every_key_of_the_table_and_no_other():
     table = {name: set(keys) for name, keys in cli._TABLE.items() if name != "DEFAULT"}
     assert _grammar_keys(_readme_grammar_block()) == table
+
+
+def test_the_readme_names_each_commands_flags_and_no_other():
+    section = (Path(_SRC).parent / "README.md").read_text(encoding="utf-8").split("## CLI", 1)[1]
+    listed = section.split("Each command takes only the flags it reads", 1)[1].split("\n\n")[1]
+    readme = {command: set(re.findall(r"`--([\w-]+)`", flags))
+              for command, flags in re.findall(r"^- `(\w+)`: (.*)$", listed, re.M)}
+    assert readme == {command: {"config", *flags.split()}
+                      for command, (_, flags) in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("separator", [" ", ", ", ",", "\t"])
