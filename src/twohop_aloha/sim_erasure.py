@@ -8,11 +8,12 @@ decoded for every tolerance K asked for, so ``simulate_multi_k`` compares K
 values slot by slot; what does not depend on K is decoded once per chunk.
 Counting and decoding run on the chunk's occupied cells only, those with
 at least one unerased arrival, in (AP, occupied cell) arrays: the BS rule
-loops over L contiguous rows.  An AP decodes only a sole arrival, so each
-(AP, cell) keeps one arrival's identity, read only where it is alone.  The
-uplink and all-device PSR estimators and the comparison of both receivers
-on one realization, which only tests use, live in
-``tests/erasure_oracles.py`` and draw through the same code.
+loops over L contiguous rows.  The chunk's state is compact: int32
+indices, arrivals as one device list per AP, and only the busy frames'
+counts and tags, about 5 B per expected draw at high loads.  The uplink
+and all-device PSR estimators and the comparison of both receivers on one
+realization, which only tests use, live in ``tests/erasure_oracles.py``
+and draw through the same code.
 
 Determinism contract: results are a pure function of (config, n_frames,
 seed).  Frames are processed in fixed-size chunks, each driven by its own
@@ -86,26 +87,32 @@ def _uniform_blocks(rng: np.random.Generator, n: int, L: int):
 
 
 def _arrivals(rng: np.random.Generator, n_dev: int, L: int, eps1: float, n_slots: int):
-    """Unerased access arrivals as ``dev * L + ap`` in device order; none for
-    a class without slots, whose active devices never transmit."""
-    hits = [np.flatnonzero(b >= eps1) + s * L for s, b in _uniform_blocks(rng, n_dev, L)]
-    return np.concatenate(hits) if hits and n_slots else np.zeros(0, np.intp)
+    """Unerased access arrivals as one sorted int32 device list per AP; none
+    for a class without slots, whose active devices never transmit."""
+    eps1 = eps1 if n_slots else np.inf
+    hits = [[np.zeros(0, np.int32)] for _ in range(L)]
+    for start, b in _uniform_blocks(rng, n_dev, L):
+        at = np.flatnonzero(b.T >= eps1).astype(np.int32)  # ap * len(b) + device
+        cut = np.searchsorted(at, np.arange(L + 1) * len(b))
+        for ap in range(L):
+            hits[ap].append(at[cut[ap] : cut[ap + 1]] + (start - ap * len(b)))
+    return [np.concatenate(h) for h in hits]
 
 
-def _class_counts(rows: int, L: int, dev_row, flat):
-    """Per-(AP, row) counts and identities of the arrivals ``flat``.
+def _class_counts(rows: int, dev_row, arrivals):
+    """Per-(AP, row) counts and identities of the per-AP device lists
+    ``arrivals``; ``dev_row`` gives each device's row.
 
-    ``dev_row`` gives each device's row; device i carries the identity
-    i + 1.  Where arrivals collide the stored identity is any of theirs:
-    it is read only where an arrival is alone.
+    Device i carries the identity i + 1.  An AP decodes only a sole
+    arrival, so where arrivals collide the stored identity is any of theirs.
     """
-    dev = flat // L
-    bins = (flat - dev * L) * rows + dev_row[dev]  # ap * rows + row
-    counts = np.bincount(bins, minlength=L * rows).reshape(L, rows)
-    ids = np.zeros(L * rows, dtype=np.int32)  # a chunk holds far fewer than 2**31 devices
-    dev += 1
-    ids[bins] = dev
-    return counts, ids.reshape(L, rows)
+    counts = np.empty((len(arrivals), rows), dtype=np.int32)
+    ids = np.zeros((len(arrivals), rows), dtype=np.int32)
+    for ap, dev in enumerate(arrivals):
+        r = dev_row[dev]
+        counts[ap] = np.bincount(r, minlength=rows)
+        ids[ap, r] = dev + 1
+    return counts, ids
 
 
 def _ap_decode(counts_c, counts_n):
@@ -142,11 +149,12 @@ class _ClassDraws:
     Only the occupied cells, those with at least one unerased arrival of
     either class, get a row; the rows follow the cells' order, and every
     empty cell maps to the sentinel row, one past the last.  Device i of
-    the chunk carries the identity i + 1; each frame with at least one
-    active device tags one of them uniformly.
+    the chunk carries the identity i + 1; each busy frame, one with at
+    least one active device, tags one of them uniformly.  Indices are
+    int32, and nothing F-long outlives the draws.
     """
 
-    n_dev: np.ndarray  # active devices per frame
+    n_busy: np.ndarray  # active devices of each busy frame, in frame order
     row: np.ndarray  # row of each device's (frame, slot) cell
     counts: np.ndarray  # unerased arrivals per (AP, row)
     ids: np.ndarray  # identity of a sole arrival per (AP, row)
@@ -154,23 +162,30 @@ class _ClassDraws:
     tag_id: np.ndarray  # identity of each of those devices
 
 
-def _class_draws(n_dev, busy, row, counts, ids, u) -> _ClassDraws:
-    # The tagging uniform is drawn for every frame, busy or not, so the
-    # stream does not depend on the load; only the busy frames tag.
-    n_busy = n_dev[busy]
-    pick = np.minimum((u[busy] * n_busy).astype(np.int64), n_busy - 1)
-    tag = np.cumsum(n_busy) - n_busy + pick
+def _class_draws(n_busy, row, counts, ids, u) -> _ClassDraws:
+    pick = np.minimum((u * n_busy).astype(np.int32), n_busy - 1)
+    tag = np.cumsum(n_busy, dtype=np.int32) - n_busy + pick
     tag_row = row[tag]
     # A tagged device in an empty cell (the sentinel row) fails for every
     # K, so only those in occupied cells are looked up.
     seen = tag_row < counts.shape[1]
-    return _ClassDraws(n_dev, row, counts, ids, tag_row[seen], tag[seen] + 1)
+    return _ClassDraws(n_busy, row, counts, ids, tag_row[seen], tag[seen] + 1)
 
 
-def _cells(rng: np.random.Generator, n_dev, busy, T: int, first: int, n_slots: int):
+def _cells(rng: np.random.Generator, n_busy, busy, T: int, first: int, n_slots: int):
     """Each device's (frame, slot) cell; a class with one slot or none sits in ``first``."""
-    cell = np.repeat(busy, n_dev[busy]) * T + first
-    return cell + rng.integers(0, n_slots, size=cell.size) if n_slots > 1 else cell
+    cell = np.repeat((busy * T + first).astype(np.int32), n_busy)
+    return cell + rng.integers(0, n_slots, size=cell.size, dtype=np.int32) if n_slots > 1 else cell
+
+
+def _busy_uniforms(rng: np.random.Generator, F: int, busy):
+    """``rng.random(F)[busy]`` for the sorted frames ``busy``, drawn in
+    ``_uniform_blocks`` blocks: the stream does not depend on the load."""
+    u = np.empty(busy.size)
+    for start, block in _uniform_blocks(rng, F, 1):
+        lo, hi = np.searchsorted(busy, (start, start + len(block)))
+        u[lo:hi] = block[busy[lo:hi] - start, 0]
+    return u
 
 
 def _draw_frames(cfg: ScenarioConfig, F: int, rng: np.random.Generator):
@@ -187,22 +202,26 @@ def _draw_frames(cfg: ScenarioConfig, F: int, rng: np.random.Generator):
     ncs_base = T - ncs_T if ncs_T > 0 else 0
 
     # Fixed draw order: counts, slot choices, access erasures, backhaul
-    # erasures, tagging uniforms.
+    # erasures, tagging uniforms.  Cells, devices and rows fit in int32: a
+    # chunk holds at most max(CHUNK_DRAWS, MAX_ITEM_DRAWS) = 2**26 expected
+    # draws, so F * T and the devices stay far below 2**31.
     n_c = rng.poisson(lam_c, F)
     n_n = rng.poisson(lam_n, F)
     busy_c, busy_n = np.flatnonzero(n_c > 0), np.flatnonzero(n_n > 0)
+    n_c, n_n = n_c[busy_c].astype(np.int32), n_n[busy_n].astype(np.int32)
     cell_c = _cells(rng, n_c, busy_c, T, 0, cs_T)
     cell_n = _cells(rng, n_n, busy_n, T, ncs_base, ncs_T)
-    flat_c = _arrivals(rng, cell_c.size, L, eps1, cs_T)
-    flat_n = _arrivals(rng, cell_n.size, L, eps1, ncs_T)
+    arr_c = _arrivals(rng, cell_c.size, L, eps1, cs_T)
+    arr_n = _arrivals(rng, cell_n.size, L, eps1, ncs_T)
 
     occupied = np.zeros(F * T, dtype=bool)
-    occupied[cell_c[flat_c // L]] = True
-    occupied[cell_n[flat_n // L]] = True
+    for cell, arr in ((cell_c, arr_c), (cell_n, arr_n)):
+        for dev in arr:
+            occupied[cell[dev]] = True
     cells = np.flatnonzero(occupied)
     rows = cells.size
-    row = np.full(F * T, rows, dtype=np.intp)  # empty cells: the sentinel row
-    row[cells] = np.arange(rows)
+    row = np.full(F * T, rows, dtype=np.int32)  # empty cells: the sentinel row
+    row[cells] = np.arange(rows, dtype=np.int32)
     row_c, row_n = row[cell_c], row[cell_n]
     del occupied, row, cell_c, cell_n  # freed before the counts allocate
 
@@ -212,12 +231,13 @@ def _draw_frames(cfg: ScenarioConfig, F: int, rng: np.random.Generator):
     for start, block in _uniform_blocks(rng, F * T, L):
         lo, hi = np.searchsorted(cells, (start, start + len(block)))
         backhaul[:, lo:hi] = (np.take(block, cells[lo:hi] - start, axis=0) >= eps2).T
-    u_c = rng.random(F)
-    u_n = rng.random(F)
+    del cells
+    u_c = _busy_uniforms(rng, F, busy_c)
+    u_n = _busy_uniforms(rng, F, busy_n)
 
-    cs = _class_draws(n_c, busy_c, row_c, *_class_counts(rows, L, row_c, flat_c), u_c)
-    del flat_c
-    ncs = _class_draws(n_n, busy_n, row_n, *_class_counts(rows, L, row_n, flat_n), u_n)
+    cs = _class_draws(n_c, row_c, *_class_counts(rows, row_c, arr_c), u_c)
+    del arr_c
+    ncs = _class_draws(n_n, row_n, *_class_counts(rows, row_n, arr_n), u_n)
     return cs, ncs, backhaul
 
 
@@ -243,8 +263,7 @@ def _run_chunk(job, F: int, rng: np.random.Generator) -> dict:
     cfg, k_values = job
     frames = _draw_frames(cfg, F, rng)
     cs, ncs, _ = frames
-    out = {"cs_trials": int(np.count_nonzero(cs.n_dev))}
-    out["ncs_trials"] = int(np.count_nonzero(ncs.n_dev))
+    out = {"cs_trials": cs.n_busy.size, "ncs_trials": ncs.n_busy.size}
     for ki, (cs_id, ncs_id) in enumerate(_decodes(frames, cfg.receiver, k_values)):
         out[(ki, "cs_slots")] = int(np.count_nonzero(cs_id))
         out[(ki, "ncs_slots")] = int(np.count_nonzero(ncs_id))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -216,8 +217,8 @@ def _decode_cell(cs, ncs, bh, K, receiver=Receiver.COLLISION):
 
     def class_counts(rows):
         arrivals = np.array(rows, dtype=bool).reshape(len(rows), L)
-        dev_row = np.zeros(len(rows), dtype=np.int64)
-        counts, ids = se._class_counts(1, L, dev_row, np.flatnonzero(arrivals))
+        per_ap = [np.flatnonzero(a).astype(np.int32) for a in arrivals.T]
+        counts, ids = se._class_counts(1, np.zeros(len(rows), dtype=np.int32), per_ap)
         return SimpleNamespace(counts=counts, ids=ids)
 
     c, n = class_counts(cs), class_counts(ncs)
@@ -452,6 +453,53 @@ def test_decode_runs_only_on_occupied_cells(monkeypatch):
     assert seen["bs"] == [(shape, shape)] * (1 + len(ks))
 
 
+@pytest.mark.parametrize("L, T", list(itertools.product((1, 2, 3, 5, 8), (1, 3, 8))))
+def test_compact_chunk_matches_the_flat_code_chunk(L, T):
+    # every class mix and erasure pair, both receivers, under non-orthogonal
+    # sharing and TDMA with zero-slot classes, K in {0, 1, 2, inf} on one
+    # realization
+    ks = (0, 1, 2, INFINITE_K)
+    grid = itertools.product(
+        ({}, *({"allocation": Tdma(alpha=a)} for a in (0.0, 0.3, 1.0))),
+        (0.0, 0.4, 1.0),
+        (0.0, 0.5, 1.0),
+        (0.0, 0.5, 1.0),
+        (Receiver.COLLISION, Receiver.SUPERPOSITION),
+    )
+    for seed, (allocation, gamma_c, e1, e2, receiver) in enumerate(grid):
+        cfg = erasure_cfg(
+            L=L, T=T, G=1.5 * T, gamma_c=gamma_c, e1=e1, e2=e2, receiver=receiver, **allocation
+        )
+        want = oracles.flat_code_chunk((cfg, ks), 64, np.random.default_rng(seed))
+        got = se._run_chunk((cfg, ks), 64, np.random.default_rng(seed))
+        assert got == want and list(got) == list(want)
+        assert all(type(v) is int for v in got.values())
+
+
+@pytest.mark.parametrize(
+    "case, devices_span_blocks",
+    [
+        (dict(L=3, T=3, G=4.5, gamma_c=0.4), True),
+        (dict(L=2, T=8, G=2.0, gamma_c=0.4, allocation=Tdma(alpha=0.3),
+              receiver=Receiver.SUPERPOSITION), True),
+        (dict(L=5, T=1, G=0.25, gamma_c=0.1, e1=0.9), False),  # the validate regime
+    ],
+)
+def test_compact_chunk_matches_the_flat_code_chunk_over_several_blocks(case, devices_span_blocks):
+    # the frames (tagging uniforms) and the cells (backhaul) span more than
+    # one block, and so do each class's devices (access erasures) where said
+    cfg = erasure_cfg(**{"e1": 0.5, "e2": 0.4, **case})
+    ks = (0, 1, 2, INFINITE_K)
+    F = 3 * se._UNIFORM_ROWS + 11
+    want = oracles.flat_code_chunk((cfg, ks), F, np.random.default_rng(51))
+    got = se._run_chunk((cfg, ks), F, np.random.default_rng(51))
+    assert got == want and list(got) == list(want)
+    assert got[(3, "cs_tag_succ")] > 0 and got[(3, "ncs_tag_succ")] > 0
+    cs, ncs, _ = se._draw_frames(cfg, F, np.random.default_rng(51))
+    devices = min(cs.row.size, ncs.row.size)
+    assert (devices > se._UNIFORM_ROWS) == devices_span_blocks
+
+
 @pytest.mark.parametrize("L", [1, 3])
 def test_uniform_blocks_equal_one_draw(L):
     B = se._UNIFORM_ROWS
@@ -466,6 +514,24 @@ def test_uniform_blocks_equal_one_draw(L):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert starts == list(range(0, n, B))
         assert blocked.bit_generator.state == one.bit_generator.state
+
+
+def test_busy_uniforms_equal_one_draw_at_the_busy_frames():
+    # the tagging uniforms are drawn in blocks and kept only where a frame
+    # is busy, with the values and the end state of one rng.random(F)
+    B = se._UNIFORM_ROWS
+    for F in (1, B - 1, B, B + 1, 3 * B + 7):
+        for busy in (
+            np.zeros(0, dtype=np.int64),  # no busy frame
+            np.arange(F),  # every frame busy
+            np.flatnonzero(np.random.default_rng(F).random(F) < 0.3),
+            np.array([0, F - 1]),
+        ):
+            one, blocked = np.random.default_rng(F), np.random.default_rng(F)
+            want = one.random(F)[busy]
+            got = se._busy_uniforms(blocked, F, busy)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert blocked.bit_generator.state == one.bit_generator.state
 
 
 def test_one_slot_draw_consumes_no_randomness():
@@ -493,6 +559,28 @@ def test_points_chunk_memory_stays_below_the_row_major_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 160.7e6
+
+
+@pytest.mark.parametrize(
+    "T, G, flat_code_peak",
+    [(8, 16.0, 86.6e6), (1, 2e5, 68.4e6)],
+)
+def test_erasure_chunk_memory_stays_below_the_flat_code_chunk(T, G, flat_code_peak):
+    # One chunk at the benchmark's points scenario (83,333 frames) and one at
+    # a high load (9 frames of about 2e5 devices), both at L = 3.  With int64
+    # dev * L + ap arrival codes, an (AP * rows) bin array and F-long counts
+    # and tagging uniforms, the chunk peaked at 86.6 MB and 68.4 MB under
+    # tracemalloc (Python 3.11, numpy 2.4), 12.7 B per expected draw at the
+    # high load.  Int32 indices, per-AP device lists and busy-frame counts
+    # and tags peaked at 53.4 MB and 27.0 MB, 5.0 B per expected draw.
+    cfg = erasure_cfg(L=3, T=T, G=G, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
+    tracemalloc.start()
+    try:
+        se._run_chunk((cfg, (2,)), se._chunk_frames(cfg), np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < flat_code_peak
 
 
 def test_a_chunk_at_a_high_load_stays_within_the_draw_budget():
