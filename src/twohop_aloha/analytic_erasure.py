@@ -440,8 +440,9 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
     superposition receiver ``estimator.metrics`` when an ``estimator``
     (a ``superposition.ConditionedMC``) is given.  Every scenario is
     checked, in order, and then every group's draw size by
-    ``estimator.check``, before any work.  Returns ``ServiceMetrics``, or
-    ``SimulatedMetrics`` under an estimator.
+    ``estimator.check``, before any work.  Returns ``SimulatedMetrics`` for
+    a superposition scenario under an estimator, else ``ServiceMetrics``:
+    a collision scenario under an estimator still returns ``ServiceMetrics``.
     """
     # Values lie in flat lists, each class's R with its Gamma right after it.
     alone: dict = {}  # (L, eps1, eps2) -> (the loads of classes alone, their values)
@@ -508,7 +509,7 @@ def evaluate_erasure_batch(cfgs, estimator=None) -> list:
     out = []
     for cs, i, ncs, j, share_c, share_n in plans:
         r_c, p_c, r_n, p_n = cs[i], cs[i + 1], ncs[j], ncs[j + 1]
-        if estimator is None or isinstance(r_c, float):
+        if isinstance(r_c, float):
             out.append(ServiceMetrics(r_c * share_c, r_n * share_n, p_c, p_n))
         else:  # the estimator's accumulators
             seed = estimator.seed

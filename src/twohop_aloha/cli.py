@@ -31,6 +31,7 @@ from .core import (
     FadingParams,
     Receiver,
     ScenarioConfig,
+    SimulatedMetrics,
     Tdma,
 )
 
@@ -284,11 +285,10 @@ def scenario_from_config(config: _Sections) -> ScenarioConfig:
 # ============================================================================
 
 
-# Every backend offers the same three members: ``check(cfg)`` raises a
-# ConfigError for a scenario it cannot evaluate, ``evaluate(cfgs)`` returns
-# one ServiceMetrics or SimulatedMetrics per scenario of a list, in order,
-# and ``seed`` is the master seed echoed into stochastic output, or None
-# exactly for a backend that returns ServiceMetrics.
+# Every backend offers the same two members: ``check(cfg)`` raises a
+# ConfigError for a scenario it cannot evaluate, and ``evaluate(cfgs)``
+# returns one ServiceMetrics or SimulatedMetrics per scenario of a list, in
+# order.
 
 
 @dataclass(frozen=True)
@@ -299,10 +299,6 @@ class AnalyticBackend:
 
     receiver: str = Receiver.COLLISION
     estimator: superposition.ConditionedMC | None = None
-
-    @property
-    def seed(self):
-        return None if self.estimator is None else self.estimator.seed
 
     def check(self, cfg: ScenarioConfig) -> None:
         if not isinstance(cfg.channel, ErasureParams) or cfg.receiver != self.receiver:
@@ -400,19 +396,14 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
         raise
 
 
-def _metric_header(seed) -> list[str]:
-    header = list(_METRICS)
-    if seed is not None:
-        header += [name + "_se" for name in _METRICS] + ["seed"]
-    return header
-
-
-def _metric_row(result, seed) -> list:
-    """Metric means; a stochastic backend's ``seed`` adds std errors and the seed."""
+def _metric_columns(result) -> tuple[list[str], list]:
+    """The header and the row of ``result``: the metric means, and for a
+    SimulatedMetrics their std errors and the seed."""
     values = [getattr(result, name) for name in _METRICS]
-    if seed is None:
-        return values
-    return [e.mean for e in values] + [e.std_error for e in values] + [seed]
+    if not isinstance(result, SimulatedMetrics):
+        return list(_METRICS), values
+    header = [*_METRICS, *(name + "_se" for name in _METRICS), "seed"]
+    return header, [e.mean for e in values] + [e.std_error for e in values] + [result.R_c.seed]
 
 
 def _evaluate(backend: Backend, cfgs: list[ScenarioConfig]) -> list:
@@ -441,13 +432,13 @@ def _apply_parameter(cfg: ScenarioConfig, name: str, value) -> ScenarioConfig:
         raise ConfigError(f"invalid value {value!r} for parameter {name}: {exc}") from exc
 
 
-def run_sweep(base: ScenarioConfig, parameter: str, values, backend: Backend) -> list[list]:
-    """One row per swept value: the value, then the metric columns."""
+def run_sweep(base: ScenarioConfig, parameter: str, values,
+              backend: Backend) -> tuple[list[str], list[list]]:
+    """The header and one row per swept value: the value, then the metric columns."""
     cfgs = [_apply_parameter(base, parameter, value) for value in values]
-    return [
-        [value] + _metric_row(result, backend.seed)
-        for value, result in zip(values, _evaluate(backend, cfgs))
-    ]
+    columns = [_metric_columns(result) for result in _evaluate(backend, cfgs)]
+    header = [parameter, *(columns[0][0] if columns else _METRICS)]
+    return header, [[value, *row] for value, (_, row) in zip(values, columns)]
 
 
 # ============================================================================
@@ -502,9 +493,8 @@ def compute_region(base: ScenarioConfig, gammas, alphas, schemes, backend: Backe
     if "tdma" in schemes:
         tdma = [Tdma(alpha=a) for a in alphas]
         cfgs += [base.replace(gamma_c=g, allocation=alloc) for g in gammas for alloc in tdma]
-    points = [(result.R_c, result.R_cbar) for result in _evaluate(backend, cfgs)]
-    if backend.seed is not None:  # a stochastic backend's estimates: their means
-        points = [(r_c.mean, r_n.mean) for r_c, r_n in points]
+    points = [(r.R_c.mean, r.R_cbar.mean) if isinstance(r, SimulatedMetrics) else (r.R_c, r.R_cbar)
+              for r in _evaluate(backend, cfgs)]
     n = len(gammas) if "non_orthogonal" in schemes else 0
     rows = pareto_filter([("non_orthogonal", cfg.gamma_c, "", r_c, r_n)
                           for cfg, (r_c, r_n) in zip(cfgs[:n], points)])
@@ -542,10 +532,6 @@ class ValidationReport:
     def counts(self) -> Counter:
         """The number of cells of each scored status, and of error cells under ``errors``."""
         return Counter(c.status if c.status in _SCORED else "errors" for c in self.cells)
-
-    @property
-    def n_errors(self) -> int:
-        return self.counts()["errors"]
 
     @property
     def max_abs_z(self) -> float:
@@ -727,19 +713,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _metrics_lines(row: list, flags=()) -> list[str]:
-    """The printed form of a ``_metric_row``: each mean, with its std error
-    when the row has them, then the flags and the seed."""
-    n = len(_METRICS)
-    if len(row) == n:
-        return [f"{name} = {fmt_value(v)}" for name, v in zip(_METRICS, row)]
-    lines = [
-        f"{name} = {fmt_value(mean)} +- {fmt_value(se)}"
-        for name, mean, se in zip(_METRICS, row, row[n:])
-    ]
-    if flags:
-        lines.append("flags = " + ",".join(flags))
-    return lines + [f"seed = {row[-1]}"]
+def _metrics_lines(result) -> list[str]:
+    """The printed form of ``result``: each mean, and for a SimulatedMetrics
+    each std error, then the flags and the seed."""
+    values = [(name, getattr(result, name)) for name in _METRICS]
+    if not isinstance(result, SimulatedMetrics):
+        return [f"{name} = {fmt_value(v)}" for name, v in values]
+    lines = [f"{name} = {fmt_value(e.mean)} +- {fmt_value(e.std_error)}" for name, e in values]
+    if result.flags:
+        lines.append("flags = " + ",".join(result.flags))
+    return lines + [f"seed = {result.R_c.seed}"]
 
 
 def _inputs(args) -> tuple:
@@ -798,8 +781,7 @@ def _run(args) -> int:
 
     cfg, backend, *inputs = _inputs(args)
     if args.command == "sweep":
-        header = [inputs[0]] + _metric_header(backend.seed)  # the parameter's column first
-        rows = run_sweep(cfg, *inputs, backend)
+        header, rows = run_sweep(cfg, *inputs, backend)
         wrote = f"{len(rows)} rows"
     elif args.command == "region":
         header = ["scheme", "gamma_c", "alpha", "R_c", "R_cbar"]
@@ -807,8 +789,9 @@ def _run(args) -> int:
         wrote = f"{len(rows)} frontier points"
     else:
         [result] = _evaluate(backend, [cfg])
-        header, rows = _metric_header(backend.seed), [_metric_row(result, backend.seed)]
-        print("\n".join(_metrics_lines(rows[0], getattr(result, "flags", ()))))
+        header, row = _metric_columns(result)
+        rows = [row]
+        print("\n".join(_metrics_lines(result)))
         wrote = None
     if args.out:
         write_csv(args.out, header, rows)

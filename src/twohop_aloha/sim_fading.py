@@ -62,20 +62,16 @@ def _winner(rx: np.ndarray, n_c, fading: FadingParams, present=None) -> np.ndarr
     return np.where(ok, msg, 0)
 
 
-def ap_decode(gains: np.ndarray, n_c, fading: FadingParams) -> np.ndarray:
-    """Decoded message index per AP (0 = none) from access gains.
+def ap_decode(h2: np.ndarray, n_c, fading: FadingParams) -> np.ndarray:
+    """Decoded message index per AP (0 = none) from the squared magnitudes
+    ``h2`` of the access gains.
 
-    ``gains`` has shape (..., L, M) with M = n_c + n_cbar messages, CS
-    first; ``n_c`` is an int or one value per slot over the leading axis.
-    Each AP considers only its max-SINR message (ties go to the lowest
-    index, a probability-zero event under continuous fading) and decodes
-    when SINR >= 2**rate - 1 for that message's class.
+    ``h2`` has shape (..., L, M) with M = n_c + n_cbar messages, CS first;
+    ``n_c`` is an int or one value per slot over the leading axis.  Each AP
+    considers only its max-SINR message (ties go to the lowest index, a
+    probability-zero event under continuous fading) and decodes when
+    SINR >= 2**rate - 1 for that message's class.
     """
-    return _ap_winner(np.abs(np.asarray(gains)) ** 2, n_c, fading)
-
-
-def _ap_winner(h2: np.ndarray, n_c, fading: FadingParams) -> np.ndarray:
-    """``ap_decode`` from the squared magnitudes ``h2`` of the access gains."""
     if h2.shape[-1] == 0:
         return np.zeros(h2.shape[:-1], dtype=np.int64)
     cs = np.arange(1, h2.shape[-1] + 1) <= _per_slot(n_c, h2.ndim)
@@ -138,7 +134,7 @@ def _run_fading_chunk(cfg: ScenarioConfig, S: int, rng: np.random.Generator) -> 
     for idx in groups:
         # (B, L, M), CS messages first; each slot keeps the layout of h2[a:b].T
         rows = starts[idx][:, None] + np.arange(n_tot[idx[0]])
-        decoded = _ap_winner(h2[rows].transpose(0, 2, 1), n_c[idx], fading)
+        decoded = ap_decode(h2[rows].transpose(0, 2, 1), n_c[idx], fading)
         winner[idx] = bs_decode(decoded, g[idx], n_c[idx], fading)
 
     cs_won = (winner >= 1) & (winner <= n_c)

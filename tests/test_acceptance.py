@@ -334,7 +334,7 @@ def test_criterion_09_fading_oracles():
         )
 
     checks = []
-    p = float((sf.ap_decode(gains((n, 1, 1), fp.alpha2), 1, fp)[:, 0] == 1).mean())
+    p = float((sf.ap_decode(np.abs(gains((n, 1, 1), fp.alpha2)) ** 2, 1, fp)[:, 0] == 1).mean())
     exp_p = math.exp(-1.0 / (fp.alpha2 * fp.P_c))
     checks.append(("ap-single", p, exp_p))
     p = float((sf.bs_decode(np.array([1]), gains((n, 1), fp.beta2), 1, fp) == 1).mean())
@@ -434,8 +434,7 @@ def test_criterion_12_determinism(tmp_path):
     base = ecfg(L=3, T=2, G=6.0, gamma_c=0.5, e1=0.5, e2=0.5, K=1)
     for name, workers in (("a.csv", 1), ("b.csv", 3)):
         backend = cli.SimBackend(frames=20_000, seed=SEED, workers=workers)
-        rows = cli.run_sweep(base, "gamma_c", (0.3, 0.6), backend)
-        cli.write_csv(str(tmp_path / name), ["gamma_c"], rows)
+        cli.write_csv(str(tmp_path / name), *cli.run_sweep(base, "gamma_c", (0.3, 0.6), backend))
     same_csv = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     fcfg = ScenarioConfig(L=2, T=2, G=4.0, gamma_c=0.5,

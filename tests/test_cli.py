@@ -658,6 +658,36 @@ def test_region_single_point_is_the_frontier(tmp_path):
     assert lines[1].startswith("non_orthogonal,0.4,")
 
 
+def test_sweep_and_region_under_the_mc_estimator(tmp_path):
+    # each command reads the kind of its columns off the results: a Monte
+    # Carlo sweep carries std errors and the seed, a region the means
+    mc = SUPERPOSITION_INI + "\n[superposition]\nestimator = mc\nmc_samples = 50\n"
+    gammas = (0.3, 0.6)
+    sweep = write_ini(tmp_path, sweep_body(mc, "gamma_c", "0.3 0.6", "superposition"), "sweep.ini")
+    region = write_ini(tmp_path, mc + "\n[region]\ngamma_values = 0.3 0.6\nalpha_values = 0.5\n"
+                       "backend = superposition\n", "region.ini")
+    for command, path in (("sweep", sweep), ("region", region)):
+        first, second = tmp_path / f"{command}_1.csv", tmp_path / f"{command}_2.csv"
+        for out in (first, second):
+            argv = [command, "--config", path, "--out", str(out), "--seed", "3"]
+            assert cli.main(argv) == cli.EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+    header, *rows = (tmp_path / "sweep_1.csv").read_text().splitlines()
+    assert header.endswith("R_c_se,R_cbar_se,Gamma_c_se,Gamma_cbar_se,seed")
+    assert [row.split(",")[-1] for row in rows] == ["3", "3"]
+
+    base = cli.scenario_from_config(cli.load_config_file(region))
+    cfgs = ([base.replace(gamma_c=g) for g in gammas]
+            + [base.replace(gamma_c=g, allocation=Tdma(alpha=0.5)) for g in gammas])
+    estimator = cli.superposition.ConditionedMC(50, 3)
+    means = [(r.R_c.mean, r.R_cbar.mean)
+             for r in cli.AnalyticBackend(Receiver.SUPERPOSITION, estimator).evaluate(cfgs)]
+    want = (cli.pareto_filter([("non_orthogonal", g, "", *m) for g, m in zip(gammas, means)])
+            + cli.pareto_filter([("tdma", g, 0.5, *m) for g, m in zip(gammas, means[2:])]))
+    lines = (tmp_path / "region_1.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(map(cli.fmt_value, row)) for row in want]
+
+
 def test_region_output_is_minimal_and_covers_endpoints(tmp_path):
     base = ScenarioConfig(
         L=3, T=2, G=8.0, gamma_c=0.5, channel=ErasureParams(0.5, 0.5), K=2
@@ -792,12 +822,12 @@ def test_validate_surfaces_per_cell_errors(monkeypatch):
         patch.setattr(cli.analytic_erasure, "evaluate_erasure_batch", broken)
         report = cli.validate(two_k, target_se=0.005, seed=1)
     assert not report.passed
-    assert report.n_errors == 8
+    assert report.counts()["errors"] == 8
     assert {c.status for c in report.cells} == {"error: deliberately broken"}
     monkeypatch.setattr(cli.sim_erasure, "simulate_multi_k", broken)
     report = cli.validate(small_grid(), target_se=0.005, seed=1)
     assert not report.passed
-    assert report.n_errors == 4
+    assert report.counts()["errors"] == 4
 
 
 def test_max_abs_z_is_taken_over_the_scored_cells(monkeypatch):
@@ -868,7 +898,7 @@ def test_validation_summary_counts_match_the_csv(monkeypatch):
     summary = cli.render_validation_summary(report)
     got = re.search(r"\(ok (\d+), warn (\d+), fail (\d+), errors (\d+)\)", summary).groups()
     assert list(map(int, got)) == want
-    assert report.n_errors == want[3] and not report.passed
+    assert report.counts()["errors"] == want[3] and not report.passed
 
 
 def test_validate_rejects_bad_budget():
@@ -1151,6 +1181,18 @@ _REFUSALS = {
 _REFUSALS_BEFORE_ANY_DRAW = {
     "fading_rate_beyond_the_floats": (
         "fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nr_c = 2000"),
+        ["--slots", "100"], cli.EXIT_CONFIG,
+        "config error: transmission rates must be below 1024: 2**rate - 1 overflows\n",
+        (cli.sim_fading, "_run_fading_chunk")),
+    # 2**1024 is the first power of two a float cannot hold: each rate is
+    # refused from 1024 on, not above it only
+    "fading_cs_rate_at_the_bound": (
+        "fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nr_c = 1024"),
+        ["--slots", "100"], cli.EXIT_CONFIG,
+        "config error: transmission rates must be below 1024: 2**rate - 1 overflows\n",
+        (cli.sim_fading, "_run_fading_chunk")),
+    "fading_ncs_rate_at_the_bound": (
+        "fading", FADING_INI.replace("beta2 = 1.0", "beta2 = 1.0\nr_cbar = 1024"),
         ["--slots", "100"], cli.EXIT_CONFIG,
         "config error: transmission rates must be below 1024: 2**rate - 1 overflows\n",
         (cli.sim_fading, "_run_fading_chunk")),

@@ -544,23 +544,6 @@ def test_one_slot_draw_consumes_no_randomness():
     assert rng.bit_generator.state == state
 
 
-def test_points_chunk_memory_stays_below_the_row_major_kernel():
-    # One chunk of the benchmark's points scenario (83,333 frames at L=3,
-    # T=8, G=16).  The row-major kernel with whole (cells, L) and
-    # (devices, L) uniform draws peaked at 160.7 MB under tracemalloc
-    # (Python 3.11, numpy 2.4); the (AP, cell) kernel with blocked draws
-    # peaked at about 85 MB.
-    cfg = erasure_cfg(L=3, T=8, G=16.0, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
-    assert se._chunk_frames(cfg) == 83_333
-    tracemalloc.start()
-    try:
-        se._run_chunk((cfg, (2,)), 83_333, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 160.7e6
-
-
 @pytest.mark.parametrize(
     "T, G, flat_code_peak",
     [(8, 16.0, 86.6e6), (1, 2e5, 68.4e6)],
@@ -572,8 +555,10 @@ def test_erasure_chunk_memory_stays_below_the_flat_code_chunk(T, G, flat_code_pe
     # and tagging uniforms, the chunk peaked at 86.6 MB and 68.4 MB under
     # tracemalloc (Python 3.11, numpy 2.4), 12.7 B per expected draw at the
     # high load.  Int32 indices, per-AP device lists and busy-frame counts
-    # and tags peaked at 53.4 MB and 27.0 MB, 5.0 B per expected draw.
+    # and tags peaked at 53.4 MB and 27.0 MB, 5.0 B per expected draw.  The
+    # benchmark's frame budget is a whole number of the points chunk.
     cfg = erasure_cfg(L=3, T=T, G=G, gamma_c=0.5, e1=0.5, e2=0.5, K=2)
+    assert se._chunk_frames(cfg) == {8: 83_333, 1: 9}[T]
     tracemalloc.start()
     try:
         se._run_chunk((cfg, (2,)), se._chunk_frames(cfg), np.random.default_rng(1))

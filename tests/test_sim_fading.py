@@ -35,8 +35,8 @@ def test_ap_decode_no_messages():
 def test_ap_decode_zero_power_never_decodes():
     fp = FadingParams(alpha2=1.0, beta2=1.0, P_c=0.0, P_cbar=0.0)
     rng = np.random.default_rng(1)
-    h = rayleigh_gain(rng, (500, 2, 3), 1.0)
-    assert np.all(sf.ap_decode(h, n_c=1, fading=fp) == 0)
+    h2 = np.abs(rayleigh_gain(rng, (500, 2, 3), 1.0)) ** 2
+    assert np.all(sf.ap_decode(h2, n_c=1, fading=fp) == 0)
 
 
 def test_ap_decode_single_cs_matches_rayleigh_tail():
@@ -44,8 +44,8 @@ def test_ap_decode_single_cs_matches_rayleigh_tail():
     fp = fading_cfg().fading
     rng = np.random.default_rng(2)
     n = 200_000
-    h = rayleigh_gain(rng, (n, 1, 1), fp.alpha2)
-    dec = sf.ap_decode(h, n_c=1, fading=fp)
+    h2 = np.abs(rayleigh_gain(rng, (n, 1, 1), fp.alpha2)) ** 2
+    dec = sf.ap_decode(h2, n_c=1, fading=fp)
     p = float((dec[:, 0] == 1).mean())
     expected = math.exp(-1.0 / (fp.alpha2 * fp.P_c))
     sigma = math.sqrt(expected * (1 - expected) / n)
@@ -57,8 +57,8 @@ def test_ap_decode_rate_threshold_uses_class_rate():
     fp = FadingParams(alpha2=1.0, beta2=1.0, P_c=10.0, P_cbar=10.0, r_c=1.0, r_cbar=3.0)
     rng = np.random.default_rng(3)
     n = 100_000
-    h = rayleigh_gain(rng, (n, 1, 1), fp.alpha2)
-    p_ncs = float((sf.ap_decode(h, n_c=0, fading=fp)[:, 0] == 1).mean())
+    h2 = np.abs(rayleigh_gain(rng, (n, 1, 1), fp.alpha2)) ** 2
+    p_ncs = float((sf.ap_decode(h2, n_c=0, fading=fp)[:, 0] == 1).mean())
     expected = math.exp(-(2.0**3 - 1.0) / (fp.alpha2 * fp.P_cbar))
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(p_ncs - expected) < 4.0 * sigma
@@ -71,9 +71,9 @@ def test_ap_decode_monotone_in_power():
     probs = [math.exp(-thr / (1.0 * p)) for p in (2.0, 5.0, 10.0, 20.0)]
     assert all(b > a for a, b in zip(probs, probs[1:]))
     rng = np.random.default_rng(4)
-    h = rayleigh_gain(rng, (100_000, 1, 1), 1.0)
-    lo = (sf.ap_decode(h, 1, FadingParams(1.0, 1.0, P_c=2.0, P_cbar=1.0))[:, 0] == 1).mean()
-    hi = (sf.ap_decode(h, 1, FadingParams(1.0, 1.0, P_c=20.0, P_cbar=1.0))[:, 0] == 1).mean()
+    h2 = np.abs(rayleigh_gain(rng, (100_000, 1, 1), 1.0)) ** 2
+    lo = (sf.ap_decode(h2, 1, FadingParams(1.0, 1.0, P_c=2.0, P_cbar=1.0))[:, 0] == 1).mean()
+    hi = (sf.ap_decode(h2, 1, FadingParams(1.0, 1.0, P_c=20.0, P_cbar=1.0))[:, 0] == 1).mean()
     assert hi > lo
 
 
@@ -162,7 +162,8 @@ def test_fading_slot_realization():
     rng = np.random.default_rng(11)
     fp = fading_cfg().fading
     n_c, n_cbar, L = 3, 2, 4
-    decoded = sf.ap_decode(rayleigh_gain(rng, (L, n_c + n_cbar), fp.alpha2), n_c, fp)
+    h2 = np.abs(rayleigh_gain(rng, (L, n_c + n_cbar), fp.alpha2)) ** 2
+    decoded = sf.ap_decode(h2, n_c, fp)
     assert decoded.shape == (L,)
     assert np.all((decoded >= 0) & (decoded <= n_c + n_cbar))
     winner = int(sf.bs_decode(decoded, rayleigh_gain(rng, (L,), fp.beta2), n_c, fp))
@@ -199,7 +200,7 @@ def _per_slot_chunk(cfg, S, rng):
         if nc + nn == 0:
             continue
         slot_gains = h[starts[s] : starts[s + 1]].T  # (L, M), CS messages first
-        decoded = sf.ap_decode(slot_gains, nc, fading)
+        decoded = sf.ap_decode(np.abs(slot_gains) ** 2, nc, fading)
         winner = int(sf.bs_decode(decoded, g[s], nc, fading))
         if winner == 0:
             continue
@@ -256,7 +257,7 @@ def _pair_chunk(cfg, S, rng):
     for idx in groups:
         nc, m = int(n_c[idx[0]]), int(n_tot[idx[0]])
         gains = h[starts[idx][:, None] + np.arange(m)].transpose(0, 2, 1)
-        decoded = sf.ap_decode(gains, nc, fading)
+        decoded = sf.ap_decode(np.abs(gains) ** 2, nc, fading)
         winner[idx] = sf.bs_decode(decoded, g[idx], nc, fading)
 
     cs_won = (winner >= 1) & (winner <= n_c)
